@@ -137,3 +137,23 @@ def test_general_composition_lands_on_primitive():
     assert (np.hypot(*(lhs - rhs).T) / scale).max() < 1e-12
     # and the literal angle-addition form fails off-center
     assert fl.composition_check(sf, psi, phi) > 1e-3
+
+
+@pytest.mark.parametrize("name", ["ellipse", "offset_circle", "circle"])
+def test_frenet_and_lifted_normal_paths_agree_bitwise(name):
+    # On a regular curve the lifted normal is the Frenet normal up to a
+    # sign that every transform ignores, so the two paths share one formula
+    # and must agree to the bit.
+    from pedalkit import transforms as tr
+    curve = builtin_curve(name)
+    sf = fl.lift_front(curve).sample()
+    pairs = (
+        (tr.pedal(curve), fl.frontal_pedal(sf)),
+        (tr.antipedal(curve), fl.frontal_antipedal(sf)),
+        (tr.primitive(curve), fl.frontal_primitive(sf)),
+        (tr.parallel_primitivoid(curve, 2.0), fl.frontal_parallel_primitivoid(sf, 2.0)),
+        (tr.slant_primitivoid(curve, 0.4), fl.frontal_slant_primitivoid(sf, 0.4)),
+    )
+    for frenet_out, lifted_out in pairs:
+        assert np.array_equal(frenet_out.points, lifted_out.points, equal_nan=True)
+        assert np.array_equal(frenet_out.flags, lifted_out.flags)
