@@ -201,9 +201,20 @@ _REQUIRED = ("x", "y", "t_min", "t_max")
 _KNOWN = _REQUIRED + ("name", "samples", "closed")
 
 
+def _strip_comment(line: str) -> str:
+    """The line up to its first '#' outside a double-quoted value."""
+    quoted = False
+    for i, ch in enumerate(line):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return line[:i]
+    return line
+
+
 def _parse_lines(text: str) -> Iterator[tuple[int, str, str, int]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
+        line = _strip_comment(raw)
         if not line.strip():
             continue
         if "=" not in line:

@@ -316,7 +316,11 @@ def _eval_scalar(e: Expr, t: float) -> float:
     if isinstance(e, Pow):
         base = _eval_scalar(e.base, t)
         expo = _eval_scalar(e.exponent, t)
-        return base ** expo
+        value = base ** expo
+        if isinstance(value, complex):
+            # a negative base to a fractional power
+            raise ValueError("power has no real value")
+        return value
     if isinstance(e, Call):
         return _MATH_FN[e.func](_eval_scalar(e.arg, t))
     raise TypeError(f"not an Expr node: {e!r}")

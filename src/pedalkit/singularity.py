@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .curve import CurveDef, curve_diameter, frenet, frenet_grid, sample_grid
-from .errors import HypothesisViolated, InflectionPoint, RangeError
+from .errors import (EvalError, HypothesisViolated, InflectionPoint,
+                     IrregularPoint, OriginSingularity, RangeError)
 from .transforms import DENOM_REL_EPS, MappedCurve
 from .vec import Vec2
 
@@ -42,19 +43,33 @@ MIN_DETECT_SAMPLES = 1024
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float,
-            flo: float) -> tuple[float, float]:
-    """Refine a sign-change bracket; returns (root, |f(root)|)."""
-    for _ in range(BISECT_MAX_ITER):
+            flo: float, fhi: float) -> Optional[tuple[float, float]]:
+    """Refine a sign-change bracket; returns (root, |f(root)|), or None
+    when the sign change is a pole, not a root: f is undefined somewhere
+    in the bracket, or |f| ends above its values at both ends."""
+    bound = max(abs(flo), abs(fhi))
+    try:
+        for _ in range(BISECT_MAX_ITER):
+            mid = 0.5 * (lo + hi)
+            fmid = f(mid)
+            if not math.isfinite(fmid):
+                return None
+            if abs(fmid) <= BISECT_TARGET:
+                return mid, abs(fmid)
+            if (flo < 0.0) != (fmid < 0.0):
+                hi = mid
+            else:
+                lo, flo = mid, fmid
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) <= BISECT_TARGET:
-            return mid, abs(fmid)
-        if (flo < 0.0) != (fmid < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    mid = 0.5 * (lo + hi)
-    return mid, abs(f(mid))
+        resid = abs(f(mid))
+        return (mid, resid) if resid <= bound else None
+    except (EvalError, IrregularPoint, OriginSingularity):
+        return None
+
+
+def _brackets(a: float, b: float) -> bool:
+    """A sign change between two finite values."""
+    return math.isfinite(a) and math.isfinite(b) and (a < 0.0) != (b < 0.0)
 
 
 def find_roots(f: Callable[[float], float], grid: Iterable[float],
@@ -62,6 +77,8 @@ def find_roots(f: Callable[[float], float], grid: Iterable[float],
     """Roots of f located by sign changes between adjacent grid points,
     refined by bisection.  Returns (root, residual) pairs in grid order.
     Precomputed grid values may be passed to skip the scan evaluations.
+    A cell with a non-finite end is not a bracket, and neither is one in
+    which f is undefined (a pole).
     """
     grid = np.asarray(list(grid), dtype=float)
     if values is None:
@@ -81,16 +98,15 @@ def find_roots(f: Callable[[float], float], grid: Iterable[float],
             after = values[j] if j < n else None
             if before is None and after is None:
                 pass
-            elif before is None or after is None:
-                roots.append((float(0.5 * (grid[i] + grid[j - 1])), 0.0))
-            elif (before < 0.0) != (after < 0.0):
+            elif before is None or after is None or _brackets(before, after):
                 roots.append((float(0.5 * (grid[i] + grid[j - 1])), 0.0))
             i = j
         else:
-            if (i + 1 < n and values[i + 1] != 0.0
-                    and (values[i] < 0.0) != (values[i + 1] < 0.0)):
-                roots.append(_bisect(f, float(grid[i]), float(grid[i + 1]),
-                                     float(values[i])))
+            if i + 1 < n and values[i + 1] != 0.0 and _brackets(values[i], values[i + 1]):
+                root = _bisect(f, float(grid[i]), float(grid[i + 1]),
+                               float(values[i]), float(values[i + 1]))
+                if root is not None:
+                    roots.append(root)
             i += 1
     return roots
 

@@ -84,6 +84,22 @@ def test_detect_vertices_constant_curvature_empty(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_detect_vertices_on_a_front_skips_its_cusps(capsys):
+    # kappa' changes sign across each cusp of the front as a pole; those
+    # brackets hold no vertex and must not abort the scan
+    from pedalkit.curve import builtin_curve, frenet
+    from pedalkit.singularity import BISECT_TARGET
+    rc = main(["detect", "--curve", "front", "--what", "vertices"])
+    assert rc == 0
+    rows = [ln.split("\t") for ln in capsys.readouterr().out.splitlines()]
+    assert rows
+    front = builtin_curve("front")
+    for kind, t, resid, _ in rows:
+        assert kind == "vertex"
+        assert float(resid) <= BISECT_TARGET
+        frenet(front, float(t))  # raises IrregularPoint at a singular point
+
+
 def test_detect_writes_file(tmp_path, capsys):
     out = tmp_path / "vertices.tsv"
     rc = main(["detect", "--curve", "ellipse", "--what", "vertices",

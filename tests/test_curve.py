@@ -67,6 +67,15 @@ def test_format_parse_round_trip(tmp_path):
     np.testing.assert_array_equal(pk.position_xy(c, ts), pk.position_xy(again, ts))
 
 
+def test_format_parse_round_trip_with_hash_in_name():
+    c = dataclasses.replace(parse_curve(ELLIPSE_TEXT), name="a#b")
+    again = parse_curve(format_curve(c))
+    assert again.name == "a#b"
+    # a comment after the quoted value is still a comment
+    text = format_curve(c).replace('"a#b"', '"a#b"  # the name')
+    assert parse_curve(text).name == "a#b"
+
+
 def test_builtin_curves_present():
     for name in ("circle", "ellipse", "front", "offset_circle"):
         c = builtin_curve(name)

@@ -76,6 +76,15 @@ def test_scalar_domain_errors_raise_but_arrays_yield_nan():
     assert out[2] == pytest.approx(1.0, abs=1e-15)
 
 
+def test_scalar_fractional_power_of_negative_base_raises():
+    # Python's float power returns a complex number here; the scalar
+    # path must report the domain error instead
+    with pytest.raises(EvalError):
+        ex.evaluate(ex.parse_expr("(0-8)^(1/3)"), 0.0)
+    assert not np.isfinite(ex.evaluate_array(ex.parse_expr("(0-8)^(1/3)"),
+                                             np.array([0.0]))[0])
+
+
 def test_evaluate_array_matches_scalar_loop():
     e = ex.parse_expr("sin(2*t) + t/(abs(cos(t)) + 1)")
     ts = np.linspace(0.0, 6.0, 37)

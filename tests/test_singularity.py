@@ -6,7 +6,8 @@ import pytest
 from pedalkit import singularity as sg
 from pedalkit import transforms as tr
 from pedalkit.curve import builtin_curve, parse_curve, sample_grid
-from pedalkit.errors import HypothesisViolated, InflectionPoint, RangeError
+from pedalkit.errors import (HypothesisViolated, InflectionPoint,
+                             IrregularPoint, RangeError)
 
 CUBIC = parse_curve(
     "x = t\ny = t^3\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33")
@@ -61,6 +62,26 @@ def test_find_roots_accepts_precomputed_values():
     direct = sg.find_roots(f, grid)
     cached = sg.find_roots(f, grid, values=f(grid))
     assert direct == cached
+
+
+def test_find_roots_skips_cells_with_a_nonfinite_end():
+    grid = np.linspace(0.0, 1.0, 11)
+    f = lambda t: t - 0.5
+    vals = f(grid)
+    vals[[3, 7]] = np.nan
+    roots = sg.find_roots(f, grid, values=vals)
+    assert [round(t, 12) for t, _ in roots] == [0.5]
+
+
+def test_find_roots_skips_a_pole_where_the_function_is_undefined():
+    # 1/(t - 0.55) changes sign across its pole; the midpoint of the
+    # bracket hits the point where the function is undefined
+    def f(t):
+        if t == 0.55:
+            raise IrregularPoint("undefined at the pole")
+        return 1.0 / (t - 0.55)
+    grid = np.linspace(0.0, 1.1, 12)
+    assert sg.find_roots(f, grid) == []
 
 
 # --- osculating circle -----------------------------------------------------
