@@ -3,13 +3,15 @@
 Core objects:
 
 - CurveDef: symbolic plane curve with cached derivative jets.
-- transforms: pedal, contrapedal, antipedal, primitive, parallel and
-  slant primitivoids, inversion, and sampled-polyline variants.
+- transforms: one kernel per formula (pedal, contrapedal, pedaloid,
+  antipedal, primitive, parallel and slant primitivoids, inversion) over
+  a frame of points and unit normals, with Frenet and sampled-polyline
+  frame providers.
 - envelope: independent envelope construction for line families.
 - singularity: criteria, classification and witnesses for the cusps of
   primitives; inflections and vertices.
-- frontal: Legendrian lifts of fronts and the frontal versions of the
-  transforms.
+- frontal: Legendrian lifts of fronts, the third frame provider, and
+  the transforms on lifted frames.
 - verify: named identity suites with residual reports.
 """
 
@@ -35,13 +37,17 @@ from .singularity import (CuspClassification, OsculatingCircle,
                           criterion_grid, detect_cusps_numeric, find_roots,
                           inflections, osculating_circle,
                           primitive_singularities, vertices)
-from .transforms import (TRANSFORM_KINDS, MappedCurve, TransformKind,
-                         antipedal, apply_transform, contrapedal,
-                         inversion_curvature, inversion_curvature_grid,
-                         invert_curve, mapped_pedal, mapped_primitive,
-                         mapped_slant, parallel_primitivoid, pedal, pedaloid,
-                         polyline_frames, primitive, primitive_of_perp,
-                         slant_primitivoid, transform_curve)
+from .transforms import (TRANSFORM_KINDS, TRANSFORMS, MappedCurve,
+                         TransformKind, antipedal, antipedal_kernel,
+                         apply_transform, contrapedal, contrapedal_kernel,
+                         frenet_frame, inversion_curvature,
+                         inversion_curvature_grid, invert_curve, invert_kernel,
+                         mapped_pedal, mapped_primitive, mapped_slant,
+                         parallel_kernel, parallel_primitivoid, pedal,
+                         pedal_kernel, pedaloid, pedaloid_kernel,
+                         perp_primitive_kernel, polyline_frames, primitive,
+                         primitive_kernel, primitive_of_perp, slant_kernel,
+                         slant_primitivoid, transform_curve, transform_frame)
 from .vec import Line, Vec2, invert, perp, rotate
 from .verify import SUITES, IdentityResult, VerifyReport, run_suite, stable_mask
 

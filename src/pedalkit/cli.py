@@ -38,7 +38,12 @@ from .render import (PALETTE, PlotSpec, overlay_from_curve, overlay_from_mapped,
 from .transforms import FLAG_NAMES, TRANSFORM_KINDS, apply_transform
 from .verify import SUITES, run_suite
 
-DETECT_KINDS = ("inflections", "vertices", "primitive-cusps")
+DETECTORS = {
+    "inflections": sg.inflections,
+    "vertices": sg.vertices,
+    "primitive-cusps": sg.primitive_singularities,
+}
+DETECT_KINDS = tuple(DETECTORS)
 
 
 def _resolve_curve(spec: str, samples: int | None) -> CurveDef:
@@ -79,13 +84,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     curve = _resolve_curve(args.curve, args.samples)
-    ts = sample_grid(curve)
-    if args.what == "inflections":
-        reports = sg.inflections(curve, ts)
-    elif args.what == "vertices":
-        reports = sg.vertices(curve, ts)
-    else:
-        reports = sg.primitive_singularities(curve, ts)
+    reports = DETECTORS[args.what](curve, sample_grid(curve))
     out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else sys.stdout
     try:
         for r in reports:
@@ -139,9 +138,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
             if kind == "source":
                 overlays.append(overlay_from_curve(curve, color=color))
                 continue
-            angle = value if kind in ("slant", "pedaloid") else None
-            ratio = value if kind == "parallel" else None
-            mc = apply_transform(curve, kind, angle=angle, ratio=ratio)
+            # the kind's entry in TRANSFORMS picks the parameter it takes
+            mc = apply_transform(curve, kind, angle=value, ratio=value)
             overlays.append(overlay_from_mapped(mc, color=color))
         family = make_family("primitive", curve) if args.family_lines else None
         spec = PlotSpec(overlays, family=family, family_count=args.family_lines)

@@ -343,14 +343,18 @@ def builtin_curve(name: str, samples: int | None = None) -> CurveDef:
     return curve
 
 
-def curve_diameter(curve: CurveDef, ts: np.ndarray | None = None) -> float:
-    """Bounding-box diagonal of the sampled points; the scale used by
-    denominator guards."""
-    if ts is None:
-        ts = sample_grid(curve)
-    p = _eval_xy(curve.x, curve.y, ts)
-    good = np.isfinite(p).all(axis=1)
+def bbox_diameter(points: np.ndarray, mask: np.ndarray | None = None) -> float:
+    """Bounding-box diagonal of the finite points (of those in mask); the
+    scale used by denominator guards."""
+    good = np.isfinite(points).all(axis=1)
+    if mask is not None:
+        good &= mask
     if not good.any():
-        raise RangeError(f"curve {curve.name!r} has no finite samples")
-    span = p[good].max(axis=0) - p[good].min(axis=0)
+        raise RangeError("no finite points to measure")
+    span = points[good].max(axis=0) - points[good].min(axis=0)
     return float(math.hypot(span[0], span[1]))
+
+
+def curve_diameter(curve: CurveDef, ts: np.ndarray | None = None) -> float:
+    """bbox_diameter of the sampled curve."""
+    return bbox_diameter(position_xy(curve, sample_grid(curve) if ts is None else ts))

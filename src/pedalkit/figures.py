@@ -14,8 +14,8 @@ from .curve import builtin_curve
 from .envelope import make_family
 from .errors import RangeError
 from .frontal import frontal_primitive, lift_front
-from .render import (PALETTE, PlotSpec, overlay_from_curve,
-                     overlay_from_frontal, overlay_from_mapped, render_to_file)
+from .render import (PALETTE, PlotSpec, overlay_from_curve, overlay_from_mapped,
+                     render_to_file)
 
 FIGURE_SAMPLES = 2048
 
@@ -63,26 +63,22 @@ def _fig_front() -> PlotSpec:
 
 
 def _fig_front_primitive() -> PlotSpec:
-    curve = _front()
-    lc = lift_front(curve)
-    pr = frontal_primitive(lc.sample())
-    return PlotSpec([overlay_from_frontal(pr, color=PALETTE[1])])
+    pr = frontal_primitive(lift_front(_front()))
+    return PlotSpec([overlay_from_mapped(pr, color=PALETTE[1])])
 
 
 def _fig_front_both() -> PlotSpec:
     curve = _front()
-    lc = lift_front(curve)
-    pr = frontal_primitive(lc.sample())
+    pr = frontal_primitive(lift_front(curve))
     return PlotSpec([overlay_from_curve(curve, color=PALETTE[0]),
-                     overlay_from_frontal(pr, color=PALETTE[1])])
+                     overlay_from_mapped(pr, color=PALETTE[1])])
 
 
 def _fig_envelope() -> PlotSpec:
     curve = _front()
-    lc = lift_front(curve)
-    pr = frontal_primitive(lc.sample())
+    pr = frontal_primitive(lift_front(curve))
     fam = make_family("primitive", curve)
-    return PlotSpec([overlay_from_frontal(pr, color=PALETTE[1])],
+    return PlotSpec([overlay_from_mapped(pr, color=PALETTE[1])],
                     family=fam, family_count=64)
 
 

@@ -15,11 +15,15 @@ cell, so that nu(t) stays continuous for off-grid t as well.  The lift
 fails (LiftFailure) when no +-1 sign choice keeps consecutive normals
 aligned, e.g. when the curve is too undersampled to track the normal.
 
-Frontal transforms take any (points, nu) pair, so they compose on
-sampled outputs; primitive-type outputs carry the derived normal
+LegendrianCurve.sample() is the third frame provider of
+pedalkit.transforms, next to the Frenet and polyline frames: the sampled
+curve with its lifted normal.  The frontal transforms are the kernels of
+that module applied to such a frame (any MappedCurve with a normal), so
+each formula has one implementation and they compose on sampled
+outputs.  Their primitive-type outputs are frames again, with the normal
 +-g/|g| (rotated by phi for the slant case), which is what makes the
-composition law for slant primitivoids checkable sample by sample.
-All of them are invariant under nu -> -nu.
+composition law for slant primitivoids checkable sample by sample.  All
+of them are invariant under nu -> -nu.
 """
 
 from __future__ import annotations
@@ -30,12 +34,13 @@ from typing import Union
 
 import numpy as np
 
-from .curve import REGULAR_EPS, CurveDef, jet, jet_grid, sample_grid
-from .errors import HypothesisViolated, LiftFailure, RangeError
-from .transforms import (DEGENERATE_ANGLE_EPS, DENOM_REL_EPS, FLAG_NEAR_SINGULAR,
-                         FLAG_OK, FLAG_UNDEFINED, MappedCurve, TransformKind,
-                         bbox_diameter)
-from .vec import ORIGIN_EPS, Vec2, perp_xy, rotate_xy
+from . import transforms as tr
+from .curve import (REGULAR_EPS, CurveDef, jet, jet_grid, position_xy,
+                    sample_grid)
+from .errors import HypothesisViolated, LiftFailure
+from .transforms import (DEGENERATE_ANGLE_EPS, FLAG_OK, MappedCurve,
+                         TransformKind)
+from .vec import Vec2, perp_xy
 
 # consecutive lifted normals must stay at least this aligned
 CONTINUITY_MIN_DOT = 0.5
@@ -88,12 +93,12 @@ class LegendrianCurve:
         n = self.nu(t)
         return Vec2(-n.y, n.x)
 
-    def sample(self) -> "SampledFrontal":
-        from .curve import position_xy
-        points = position_xy(self.curve, self.ts)
+    def sample(self) -> MappedCurve:
+        """The lifted frame: the sampled curve with its lifted normal."""
         flags = np.full(len(self.ts), FLAG_OK, dtype=np.uint8)
-        return SampledFrontal(self.curve.name, TransformKind("lift"), self.ts,
-                              points, self.nu_grid.copy(), flags, self.curve.closed)
+        return MappedCurve(self.curve.name, TransformKind("lift"), self.ts,
+                           position_xy(self.curve, self.ts), flags,
+                           self.curve.closed, self.nu_grid.copy())
 
 
 def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve:
@@ -218,129 +223,42 @@ def legendrian_residual(lc: LegendrianCurve) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sampled frontals and their transforms
+# frontal transforms: the kernels of pedalkit.transforms on lifted frames
 
 
-@dataclass(frozen=True)
-class SampledFrontal:
-    source_name: str
-    kind: TransformKind
-    grid: np.ndarray
-    points: np.ndarray
-    nu: np.ndarray
-    flags: np.ndarray
-    closed: bool
+# a sampled frontal is a frame: a MappedCurve with a continuous unit normal
+SampledFrontal = MappedCurve
 
-    @property
-    def ok(self) -> np.ndarray:
-        return self.flags == FLAG_OK
-
-    def flip_nu(self) -> "SampledFrontal":
-        return SampledFrontal(self.source_name, self.kind, self.grid, self.points,
-                              -self.nu, self.flags.copy(), self.closed)
-
-    def as_mapped(self) -> MappedCurve:
-        return MappedCurve(self.source_name, self.kind, self.grid,
-                           self.points.copy(), self.flags.copy(), self.closed)
+FrontalLike = Union[LegendrianCurve, MappedCurve]
 
 
-FrontalLike = Union[LegendrianCurve, SampledFrontal]
-
-
-def _as_sampled(fr: FrontalLike) -> SampledFrontal:
-    if isinstance(fr, LegendrianCurve):
-        return fr.sample()
-    return fr
+def _frame(fr: FrontalLike) -> MappedCurve:
+    return fr.sample() if isinstance(fr, LegendrianCurve) else fr
 
 
 def frontal_pedal(fr: FrontalLike) -> MappedCurve:
-    sf = _as_sampled(fr)
-    q = (sf.points * sf.nu).sum(axis=1)
-    points = q[:, None] * sf.nu
-    flags = sf.flags.copy()
-    flags[~np.isfinite(points).all(axis=1)] = FLAG_UNDEFINED
-    return MappedCurve(sf.source_name, TransformKind("frontal-pedal"), sf.grid,
-                       points, flags, sf.closed)
+    return tr.pedal_kernel(_frame(fr), "frontal-pedal")
 
 
 def frontal_antipedal(fr: FrontalLike) -> MappedCurve:
-    sf = _as_sampled(fr)
-    den = (sf.points * sf.nu).sum(axis=1)
-    eps_d = DENOM_REL_EPS * bbox_diameter(sf.points[sf.ok])
-    with np.errstate(all="ignore"):
-        points = sf.nu / den[:, None]
-    flags = sf.flags.copy()
-    flags[(np.abs(den) < eps_d) & (flags == FLAG_OK)] = FLAG_NEAR_SINGULAR
-    bad = ~np.isfinite(points).all(axis=1)
-    flags[bad] = FLAG_UNDEFINED
-    points[bad] = np.nan
-    return MappedCurve(sf.source_name, TransformKind("frontal-antipedal"), sf.grid,
-                       points, flags, sf.closed)
+    return tr.antipedal_kernel(_frame(fr), "frontal-antipedal")
 
 
-def _frontal_primitive_data(sf: SampledFrontal, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n2 = (sf.points * sf.points).sum(axis=1)
-    if (n2[np.isfinite(n2)] < ORIGIN_EPS * ORIGIN_EPS).any():
-        from .errors import OriginSingularity
-        raise OriginSingularity(f"{what} needs the frontal away from the origin")
-    den = (sf.points * sf.nu).sum(axis=1)
-    eps_d = DENOM_REL_EPS * bbox_diameter(sf.points[sf.ok])
-    with np.errstate(all="ignore"):
-        points = 2.0 * sf.points - (n2 / den)[:, None] * sf.nu
-        nu_out = sf.points / np.sqrt(n2)[:, None]
-    flags = sf.flags.copy()
-    flags[(np.abs(den) < eps_d) & (flags == FLAG_OK)] = FLAG_NEAR_SINGULAR
-    bad = ~np.isfinite(points).all(axis=1) | ~np.isfinite(nu_out).all(axis=1)
-    flags[bad] = FLAG_UNDEFINED
-    points[bad] = np.nan
-    return points, nu_out, flags
+def frontal_primitive(fr: FrontalLike) -> MappedCurve:
+    return tr.primitive_kernel(_frame(fr), "frontal-primitive", normal=True)
 
 
-def frontal_primitive(fr: FrontalLike) -> SampledFrontal:
-    sf = _as_sampled(fr)
-    points, nu_out, flags = _frontal_primitive_data(sf, "frontal primitive")
-    return SampledFrontal(sf.source_name, TransformKind("frontal-primitive"),
-                          sf.grid, points, nu_out, flags, sf.closed)
+def frontal_parallel_primitivoid(fr: FrontalLike, r: float) -> MappedCurve:
+    return tr.parallel_kernel(_frame(fr), r, "frontal-parallel", normal=True)
 
 
-def frontal_parallel_primitivoid(fr: FrontalLike, r: float) -> SampledFrontal:
-    if r == 0.0:
-        raise RangeError("parallel primitivoid needs a nonzero ratio")
-    sf = _as_sampled(fr)
-    points, nu_out, flags = _frontal_primitive_data(sf, "frontal parallel primitivoid")
-    return SampledFrontal(sf.source_name, TransformKind("frontal-parallel", ratio=r),
-                          sf.grid, r * points, nu_out, flags, sf.closed)
+def frontal_slant_primitivoid(fr: FrontalLike, phi: float) -> MappedCurve:
+    return tr.slant_kernel(_frame(fr), phi, "frontal-slant", normal=True)
 
 
-def frontal_slant_primitivoid(fr: FrontalLike, phi: float) -> SampledFrontal:
-    sf = _as_sampled(fr)
-    c = math.cos(phi)
-    points, nu_out, flags = _frontal_primitive_data(sf, "frontal slant primitivoid")
-    nu_out = rotate_xy(nu_out, phi)
-    if abs(c) < DEGENERATE_ANGLE_EPS:
-        out = np.zeros_like(points)
-        out[flags == FLAG_UNDEFINED] = np.nan
-        kind = TransformKind("frontal-slant", angle=phi, degenerate_angle=True)
-        return SampledFrontal(sf.source_name, kind, sf.grid, out, nu_out, flags, sf.closed)
-    points = c * rotate_xy(points, phi)
-    kind = TransformKind("frontal-slant", angle=phi)
-    return SampledFrontal(sf.source_name, kind, sf.grid, points, nu_out, flags, sf.closed)
-
-
-def invert_frontal(fr: FrontalLike) -> SampledFrontal:
-    """Pointwise inversion of a frontal; the normal maps to its
-    reflection nu - 2 <g, nu> g / |g|^2, which stays unit."""
-    sf = _as_sampled(fr)
-    n2 = (sf.points * sf.points).sum(axis=1)
-    with np.errstate(all="ignore"):
-        points = sf.points / n2[:, None]
-        nu_out = sf.nu - 2.0 * ((sf.points * sf.nu).sum(axis=1) / n2)[:, None] * sf.points
-    flags = sf.flags.copy()
-    bad = ~np.isfinite(points).all(axis=1) | (n2 < ORIGIN_EPS * ORIGIN_EPS)
-    flags[bad] = FLAG_UNDEFINED
-    points[bad] = np.nan
-    return SampledFrontal(sf.source_name, TransformKind(f"inverted-{sf.kind.name}"),
-                          sf.grid, points, nu_out, flags, sf.closed)
+def invert_frontal(fr: FrontalLike) -> MappedCurve:
+    sf = _frame(fr)
+    return tr.invert_kernel(sf, f"inverted-{sf.kind.name}")
 
 
 def composition_check(fr: FrontalLike, psi: float, phi: float) -> float:
@@ -354,7 +272,7 @@ def composition_check(fr: FrontalLike, psi: float, phi: float) -> float:
     if abs(math.cos(phi)) < DEGENERATE_ANGLE_EPS:
         raise HypothesisViolated(
             "inner angle phi = pi/2 + n pi collapses the first primitivoid to the origin")
-    sf = _as_sampled(fr)
+    sf = _frame(fr)
     inner = frontal_slant_primitivoid(sf, phi)
     outer = frontal_slant_primitivoid(inner, psi)
     lhs = math.cos(psi + phi) * outer.points

@@ -18,7 +18,7 @@ import numpy as np
 from .curve import CurveDef, position_xy, sample_grid
 from .envelope import LineFamily
 from .errors import RangeError
-from .frontal import LegendrianCurve, SampledFrontal
+from .frontal import LegendrianCurve
 from .transforms import FLAG_NAMES, FLAG_OK, MappedCurve
 
 MIN_PLOT_SAMPLES = 1024
@@ -90,13 +90,8 @@ def overlay_from_mapped(mc: MappedCurve, label: str | None = None,
     return Overlay(segs, label, color, width_scale)
 
 
-def overlay_from_frontal(sf: SampledFrontal, label: str | None = None,
-                         color: str = PALETTE[0], width_scale: float = 1.0) -> Overlay:
-    keep = sf.ok & np.isfinite(sf.points).all(axis=1)
-    segs = _segments_from(sf.points, keep, sf.closed)
-    if label is None:
-        label = f"{sf.kind.name} of {sf.source_name}"
-    return Overlay(segs, label, color, width_scale)
+# sampled frontals are mapped curves with a normal
+overlay_from_frontal = overlay_from_mapped
 
 
 def overlay_from_curve(curve: CurveDef, label: str | None = None,

@@ -24,7 +24,8 @@ import numpy as np
 from .curve import CurveDef, curve_diameter, frenet, frenet_grid, sample_grid
 from .errors import (EvalError, HypothesisViolated, InflectionPoint,
                      IrregularPoint, OriginSingularity, RangeError)
-from .transforms import DENOM_REL_EPS, MappedCurve
+from .transforms import (DENOM_REL_EPS, MappedCurve, inversion_curvature,
+                         inversion_curvature_grid, shift, stencil_ok)
 from .vec import Vec2
 
 BISECT_TARGET = 1e-10
@@ -83,32 +84,29 @@ def find_roots(f: Callable[[float], float], grid: Iterable[float],
     grid = np.asarray(list(grid), dtype=float)
     if values is None:
         values = np.array([f(t) for t in grid], dtype=float)
-    roots: list[tuple[float, float]] = []
+    values = np.asarray(values, dtype=float)
     n = len(grid)
-    i = 0
-    while i < n:
-        if values[i] == 0.0:
-            # A run of exact zeros is one root, and only if the sign
-            # actually changes across it; tangential contact and
-            # identically-zero stretches are out of contract.
-            j = i
-            while j < n and values[j] == 0.0:
-                j += 1
-            before = values[i - 1] if i > 0 else None
-            after = values[j] if j < n else None
-            if before is None and after is None:
-                pass
-            elif before is None or after is None or _brackets(before, after):
-                roots.append((float(0.5 * (grid[i] + grid[j - 1])), 0.0))
-            i = j
-        else:
-            if i + 1 < n and values[i + 1] != 0.0 and _brackets(values[i], values[i + 1]):
-                root = _bisect(f, float(grid[i]), float(grid[i + 1]),
-                               float(values[i]), float(values[i + 1]))
-                if root is not None:
-                    roots.append(root)
-            i += 1
-    return roots
+    found: list[tuple[int, tuple[float, float]]] = []  # (grid index, root)
+    zero = values == 0.0
+    live = np.isfinite(values) & ~zero
+    neg = values < 0.0
+    for i in np.flatnonzero(live[:-1] & live[1:] & (neg[:-1] != neg[1:])):
+        root = _bisect(f, float(grid[i]), float(grid[i + 1]),
+                       float(values[i]), float(values[i + 1]))
+        if root is not None:
+            found.append((i, root))
+    # A run of exact zeros is one root, and only if the sign actually
+    # changes across it; tangential contact and identically-zero
+    # stretches are out of contract.
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], zero.astype(np.int8), [0]))))
+    for i, j in zip(edges[::2], edges[1::2]):
+        before = values[i - 1] if i > 0 else None
+        after = values[j] if j < n else None
+        if before is None and after is None:
+            continue
+        if before is None or after is None or _brackets(before, after):
+            found.append((i, (float(0.5 * (grid[i] + grid[j - 1])), 0.0)))
+    return [root for _, root in sorted(found, key=lambda item: item[0])]
 
 
 @dataclass(frozen=True)
@@ -131,15 +129,13 @@ def osculating_circle(curve: CurveDef, t: float) -> OsculatingCircle:
 
 
 def criterion(curve: CurveDef, t: float) -> float:
-    """kappa |g|^2 + 2 <g, n_hat> at one parameter."""
-    fr = frenet(curve, t)
-    return fr.kappa * fr.p.norm_sq() + 2.0 * fr.p.dot(fr.n_hat)
+    """kappa |g|^2 + 2 <g, n_hat> at one parameter: the negated
+    curvature of the inverted curve."""
+    return -inversion_curvature(curve, t)
 
 
 def criterion_grid(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
-    fg = frenet_grid(curve, ts)
-    n2 = (fg.p * fg.p).sum(axis=1)
-    return fg.kappa * n2 + 2.0 * (fg.p * fg.n_hat).sum(axis=1)
+    return -inversion_curvature_grid(curve, ts)
 
 
 @dataclass(frozen=True)
@@ -164,7 +160,7 @@ def classify_cusp(curve: CurveDef, t0: float,
     if abs(den) < eps_d:
         raise HypothesisViolated(
             f"<g, n> = {den:.3e} at t={t0}; the primitive is undefined there")
-    crit = fr.kappa * fr.p.norm_sq() + 2.0 * den
+    crit = criterion(curve, t0)
     if abs(crit) <= CRITERION_EPS:
         label = "ordinary-cusp" if abs(fr.kappa_prime_arc) > KAPPA_PRIME_EPS else "degenerate"
     else:
@@ -201,21 +197,22 @@ def primitive_singularities(curve: CurveDef,
     return reports
 
 
-def inflections(curve: CurveDef, ts: np.ndarray | None = None) -> list[SingularityReport]:
+def _frenet_roots(curve: CurveDef, ts: np.ndarray | None, field: str,
+                  kind: str) -> list[SingularityReport]:
+    """Roots of one Frenet quantity (kappa, kappa_prime_arc) over the grid."""
     if ts is None:
         ts = sample_grid(curve)
-    fg = frenet_grid(curve, ts)
-    roots = find_roots(lambda t: frenet(curve, t).kappa, ts, values=fg.kappa)
-    return [SingularityReport("inflection", t0, r) for t0, r in roots]
+    values = getattr(frenet_grid(curve, ts), field)
+    roots = find_roots(lambda t: getattr(frenet(curve, t), field), ts, values=values)
+    return [SingularityReport(kind, t0, r) for t0, r in roots]
+
+
+def inflections(curve: CurveDef, ts: np.ndarray | None = None) -> list[SingularityReport]:
+    return _frenet_roots(curve, ts, "kappa", "inflection")
 
 
 def vertices(curve: CurveDef, ts: np.ndarray | None = None) -> list[SingularityReport]:
-    if ts is None:
-        ts = sample_grid(curve)
-    fg = frenet_grid(curve, ts)
-    roots = find_roots(lambda t: frenet(curve, t).kappa_prime_arc, ts,
-                       values=fg.kappa_prime_arc)
-    return [SingularityReport("vertex", t0, r) for t0, r in roots]
+    return _frenet_roots(curve, ts, "kappa_prime_arc", "vertex")
 
 
 def detect_cusps_numeric(mc: MappedCurve) -> list[float]:
@@ -229,38 +226,19 @@ def detect_cusps_numeric(mc: MappedCurve) -> list[float]:
     if n < MIN_DETECT_SAMPLES:
         raise RangeError(f"cusp detection needs >= {MIN_DETECT_SAMPLES} samples, got {n}")
     h = mc.grid[1] - mc.grid[0]
-    p = mc.points
-    good = mc.ok & np.isfinite(p).all(axis=1)
-
-    def shift(arr, k):
-        if mc.closed:
-            return np.roll(arr, -k, axis=0)
-        out = np.empty_like(arr)
-        if k >= 0:
-            out[: n - k] = arr[k:]
-            out[n - k:] = arr[-1]
-        else:
-            out[-k:] = arr[:k]
-            out[: -k] = arr[0]
-        return out
-
-    window_ok = good.copy()
-    for k in (-2, -1, 1, 2):
-        window_ok &= shift(good, k)
-    if not mc.closed:
-        window_ok[:2] = False
-        window_ok[-2:] = False
+    p, closed = mc.points, mc.closed
+    window_ok = stencil_ok(mc.ok & np.isfinite(p).all(axis=1), closed)
 
     with np.errstate(all="ignore"):
-        central = (shift(p, 1) - shift(p, -1)) / (2.0 * h)
+        central = (shift(p, 1, closed) - shift(p, -1, closed)) / (2.0 * h)
         speed = np.hypot(central[:, 0], central[:, 1])
-        before = p - shift(p, -2)
-        after = shift(p, 2) - p
+        before = p - shift(p, -2, closed)
+        after = shift(p, 2, closed) - p
         reversal = (before * after).sum(axis=1) < 0.0
 
     if not window_ok.any():
         return []
     median = float(np.median(speed[window_ok]))
-    local_min = (speed < shift(speed, 1)) & (speed <= shift(speed, -1))
+    local_min = (speed < shift(speed, 1, closed)) & (speed <= shift(speed, -1, closed))
     hits = window_ok & local_min & (speed < CUSP_SPEED_FRACTION * median) & reversal
     return [float(mc.grid[i]) for i in np.flatnonzero(hits)]

@@ -1,29 +1,36 @@
 """Pedal-type and primitive-type transforms of plane curves.
 
-All transforms sample the source curve on its parameter grid and return
-a MappedCurve: points plus a per-sample flag.  Denominator guards use
-eps_d = 1e-6 times the source curve's diameter (bounding-box diagonal);
-samples where a denominator is smaller than that are flagged
-near_singular, samples with no Frenet frame or non-finite values are
-undefined.  Formulas (t_hat, n_hat = J t_hat from the source frame):
+Each formula is one kernel over a frame: a MappedCurve whose `nu` holds
+a unit normal per sample (the tangent t = -J nu is exact).  Three
+providers build frames: `frenet_frame` (n_hat from the symbolic jets),
+`polyline_frames` (five-point differences on an already sampled curve)
+and `LegendrianCurve.sample` (the lifted normal of a front, see
+pedalkit.frontal).  The public transforms compose one provider with one
+kernel: `pedal(curve)` and friends use Frenet frames, `mapped_*` polyline
+frames, `frontal_*` lifted ones.  TRANSFORMS maps each kind name to its
+kernel and the parameter it takes.
 
-    pedal            <g, n> n
+    pedal            <g, nu> nu
     contrapedal      <g, t> t
-    pedaloid(psi)    <g, cos(psi) t + sin(psi) n> (cos(psi) t + sin(psi) n)
-    antipedal        n / <g, n>
-    primitive        2 g - (|g|^2 / <g, n>) n
+    pedaloid(psi)    <g, d> d,  d = cos(psi) t + sin(psi) nu
+    antipedal        nu / <g, nu>
+    primitive        2 g - (|g|^2 / <g, nu>) nu
     parallel(r)      r * primitive
     slant(phi)       cos(phi) R(phi) primitive
-    primitive_of_perp J primitive   (the primitive of J g)
+    perp-primitive   J primitive   (the primitive of J g)
+    invert           g / |g|^2, with nu reflected in the inverted point
 
-Everything is sign-invariant under n -> -n, so no orientation
-convention leaks into the results.  Transforms of already-sampled
-curves (mapped_pedal, mapped_primitive, mapped_slant) rebuild frames
-with five-point finite differences on the sample polyline.
+An output starts from the frame's flags.  Denominator guards use eps_d =
+1e-6 times the diameter (bounding-box diagonal) of the frame's ok
+points; samples where a denominator is smaller are flagged
+near_singular, samples with non-finite values (a frame row without a
+normal among them) are undefined.  Everything is sign-invariant under
+nu -> -nu, so no orientation convention leaks into the results.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,10 +38,10 @@ from typing import Optional
 import numpy as np
 
 from . import expr as ex
-from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, frenet, frenet_grid,
+from .curve import (REGULAR_EPS, CurveDef, bbox_diameter, frenet, frenet_grid,
                     sample_grid)
 from .errors import OriginSingularity, RangeError
-from .vec import ORIGIN_EPS, perp_xy, rotate_xy
+from .vec import ORIGIN_EPS, invert_xy, perp_xy, rotate_xy
 
 # denominator guard scale, relative to curve diameter
 DENOM_REL_EPS = 1e-6
@@ -68,155 +75,323 @@ class TransformKind:
 
 @dataclass(frozen=True)
 class MappedCurve:
+    """A sampled curve: points and a per-sample flag on a parameter grid.
+    With a unit normal `nu` it is a frame, which every kernel accepts."""
+
     source_name: str
     kind: TransformKind
     grid: np.ndarray
     points: np.ndarray
     flags: np.ndarray
     closed: bool
+    nu: Optional[np.ndarray] = None
 
     @property
     def ok(self) -> np.ndarray:
         return self.flags == FLAG_OK
 
-    def replace_points(self, points: np.ndarray, kind: TransformKind) -> "MappedCurve":
-        return MappedCurve(self.source_name, kind, self.grid, points,
-                           self.flags.copy(), self.closed)
+    def flip_nu(self) -> "MappedCurve":
+        return dataclasses.replace(self, nu=-self.nu, flags=self.flags.copy())
 
 
-def bbox_diameter(points: np.ndarray) -> float:
-    good = np.isfinite(points).all(axis=1)
-    if not good.any():
-        raise RangeError("no finite points to measure")
-    span = points[good].max(axis=0) - points[good].min(axis=0)
-    return float(math.hypot(span[0], span[1]))
+# ---------------------------------------------------------------------------
+# sample grids
 
 
-def _flags_from(fg: FrenetGrid, points: np.ndarray,
-                near: np.ndarray | None = None) -> np.ndarray:
-    flags = np.full(len(fg.ts), FLAG_OK, dtype=np.uint8)
-    if near is not None:
-        flags[near] = FLAG_NEAR_SINGULAR
-    undefined = ~fg.regular | ~np.isfinite(points).all(axis=1)
-    flags[undefined] = FLAG_UNDEFINED
-    points[undefined] = np.nan
-    return flags
+def shift(arr: np.ndarray, k: int, closed: bool) -> np.ndarray:
+    """out[i] = arr[i + k] along the first axis: closed grids wrap, open
+    grids repeat their end sample."""
+    if closed:
+        return np.roll(arr, -k, axis=0)
+    return arr[np.clip(np.arange(len(arr)) + k, 0, len(arr) - 1)]
 
 
-def _grid(curve: CurveDef, ts: np.ndarray | None) -> np.ndarray:
-    return sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
+def five_point_derivative(arr: np.ndarray, h: float, closed: bool) -> np.ndarray:
+    """Five-point central difference along the first axis of a uniform
+    grid; on open grids the two samples at each end are not meaningful."""
+    return (shift(arr, -2, closed) - 8.0 * shift(arr, -1, closed)
+            + 8.0 * shift(arr, 1, closed) - shift(arr, 2, closed)) / (12.0 * h)
 
 
-def _check_origin(fg: FrenetGrid, what: str) -> None:
-    n2 = (fg.p * fg.p).sum(axis=1)
+def stencil_ok(good: np.ndarray, closed: bool) -> np.ndarray:
+    """Samples whose five-point stencil lies on good samples; open grids
+    also lose their two end samples on each side."""
+    out = good.copy()
+    for k in (-2, -1, 1, 2):
+        out &= shift(good, k, closed)
+    if not closed:
+        out[:2] = False
+        out[-2:] = False
+    return out
+
+
+# ---------------------------------------------------------------------------
+# frame providers
+
+
+def frenet_frame(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
+    """The curve on its grid with the Frenet normal; samples without a
+    Frenet frame get a nan normal."""
+    ts = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
+    fg = frenet_grid(curve, ts)
+    flags = np.full(len(ts), FLAG_OK, dtype=np.uint8)
+    return MappedCurve(curve.name, TransformKind("source"), ts, fg.p, flags,
+                       curve.closed, fg.n_hat)
+
+
+def polyline_frames(mc: MappedCurve) -> MappedCurve:
+    """A sampled curve with the normal of its polyline, from five-point
+    central differences on the uniform grid.  Closed grids wrap; open
+    ends, samples whose stencil touches a non-ok sample and samples
+    where the polyline stalls get a nan normal."""
+    if len(mc.grid) < 5:
+        raise RangeError("need at least 5 samples for derived frames")
+    with np.errstate(all="ignore"):
+        d1 = five_point_derivative(mc.points, mc.grid[1] - mc.grid[0], mc.closed)
+        speed = np.hypot(d1[:, 0], d1[:, 1])
+        nu = perp_xy(d1 / speed[:, None])
+    valid = stencil_ok(mc.ok & np.isfinite(mc.points).all(axis=1), mc.closed)
+    valid &= np.isfinite(speed) & (speed > REGULAR_EPS)
+    nu[~valid] = np.nan
+    return dataclasses.replace(mc, nu=nu)
+
+
+# ---------------------------------------------------------------------------
+# kernels
+
+
+def _check_origin(ts: np.ndarray, n2: np.ndarray, what: str) -> None:
     hit = np.isfinite(n2) & (n2 < ORIGIN_EPS * ORIGIN_EPS)
     if hit.any():
-        t_bad = float(fg.ts[hit][0])
+        t_bad = float(ts[hit][0])
         raise OriginSingularity(
             f"{what} needs the curve away from the origin, but it passes "
             f"through it near t={t_bad:.6g}")
 
 
-def pedal(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
-    ts = _grid(curve, ts)
-    fg = frenet_grid(curve, ts)
+def _output(frame: MappedCurve, kind: TransformKind, points: np.ndarray,
+            den: np.ndarray | None = None,
+            nu: np.ndarray | None = None) -> MappedCurve:
+    """A kernel's output with its flags: the frame's, then near_singular
+    where |den| < eps_d, then undefined (and nan) where not finite."""
+    flags = frame.flags.copy()
+    if den is not None:
+        eps_d = DENOM_REL_EPS * bbox_diameter(frame.points, frame.ok)
+        flags[(np.abs(den) < eps_d) & (flags == FLAG_OK)] = FLAG_NEAR_SINGULAR
+    undefined = (flags == FLAG_UNDEFINED) | ~np.isfinite(points).all(axis=1)
+    flags[undefined] = FLAG_UNDEFINED
+    points[undefined] = np.nan
+    return MappedCurve(frame.source_name, kind, frame.grid, points, flags,
+                       frame.closed, nu)
+
+
+def _project(frame: MappedCurve, direction: np.ndarray,
+             kind: TransformKind) -> MappedCurve:
+    """<g, d> d for a unit direction field d."""
     with np.errstate(all="ignore"):
-        q = (fg.p * fg.n_hat).sum(axis=1)
-        points = q[:, None] * fg.n_hat
-    flags = _flags_from(fg, points)
-    return MappedCurve(curve.name, TransformKind("pedal"), ts, points, flags, curve.closed)
+        q = (frame.points * direction).sum(axis=1)
+        points = q[:, None] * direction
+    return _output(frame, kind, points)
+
+
+def pedal_kernel(frame: MappedCurve, name: str = "pedal") -> MappedCurve:
+    return _project(frame, frame.nu, TransformKind(name))
+
+
+def contrapedal_kernel(frame: MappedCurve, name: str = "contrapedal") -> MappedCurve:
+    tangent = perp_xy(frame.nu)
+    tangent *= -1.0
+    return _project(frame, tangent, TransformKind(name))
+
+
+def pedaloid_kernel(frame: MappedCurve, psi: float,
+                    name: str = "pedaloid") -> MappedCurve:
+    direction = perp_xy(frame.nu)
+    direction *= -math.cos(psi)  # cos(psi) t
+    direction += math.sin(psi) * frame.nu
+    return _project(frame, direction, TransformKind(name, angle=psi))
+
+
+def antipedal_kernel(frame: MappedCurve, name: str = "antipedal") -> MappedCurve:
+    with np.errstate(all="ignore"):
+        den = (frame.points * frame.nu).sum(axis=1)
+        points = frame.nu / den[:, None]
+    return _output(frame, TransformKind(name), points, den)
+
+
+def _primitive(frame: MappedCurve, kind: TransformKind, normal: bool,
+               refuse_origin: bool = True):
+    """(primitive points, their denominator <g, nu>, and the normal of
+    the primitive, g/|g|, when asked for).  A curve through the origin
+    is refused, unless refuse_origin is False: samples at the origin
+    then come out undefined."""
+    p, nu = frame.points, frame.nu
+    n2 = (p * p).sum(axis=1)
+    if refuse_origin:
+        _check_origin(frame.grid, n2, f"the {kind.name} transform")
+    with np.errstate(all="ignore"):
+        den = (p * nu).sum(axis=1)
+        points = 2.0 * p - (n2 / den)[:, None] * nu
+        out_nu = p / np.sqrt(n2)[:, None] if normal else None
+    return points, den, out_nu
+
+
+def primitive_kernel(frame: MappedCurve, name: str = "primitive",
+                     normal: bool = False, refuse_origin: bool = True) -> MappedCurve:
+    """With normal=True the output is a frame too, with the normal g/|g|."""
+    kind = TransformKind(name)
+    points, den, out_nu = _primitive(frame, kind, normal, refuse_origin)
+    return _output(frame, kind, points, den, out_nu)
+
+
+def parallel_kernel(frame: MappedCurve, r: float, name: str = "parallel",
+                    normal: bool = False) -> MappedCurve:
+    if r == 0.0:
+        raise RangeError("parallel primitivoid needs a nonzero ratio")
+    kind = TransformKind(name, ratio=r)
+    points, den, out_nu = _primitive(frame, kind, normal)
+    points *= r
+    return _output(frame, kind, points, den, out_nu)
+
+
+def slant_kernel(frame: MappedCurve, phi: float, name: str = "slant",
+                 normal: bool = False, refuse_origin: bool = True) -> MappedCurve:
+    """With normal=True the output carries the normal R(phi) g/|g|."""
+    c = math.cos(phi)
+    degenerate = abs(c) < DEGENERATE_ANGLE_EPS
+    kind = TransformKind(name, angle=phi, degenerate_angle=degenerate)
+    points, den, out_nu = _primitive(frame, kind, normal, refuse_origin)
+    if not degenerate:
+        with np.errstate(all="ignore"):
+            points = rotate_xy(points, phi)
+            points *= c
+    out = _output(frame, kind, points, den,
+                  None if out_nu is None else rotate_xy(out_nu, phi))
+    if degenerate:
+        # the whole image collapses to the origin
+        out.points[out.flags != FLAG_UNDEFINED] = 0.0
+    return out
+
+
+def perp_primitive_kernel(frame: MappedCurve,
+                          name: str = "perp-primitive") -> MappedCurve:
+    """Primitive of the rotated curve J g; equals J applied to the
+    primitive of g, and is computed that way (J is exact in floating
+    point), so the identity holds to the last bit."""
+    kind = TransformKind(name)
+    points, den, _ = _primitive(frame, kind, False)
+    return _output(frame, kind, perp_xy(points), den)
+
+
+def invert_kernel(frame: MappedCurve, name: str) -> MappedCurve:
+    """Pointwise inversion g/|g|^2; the normal maps to its reflection
+    nu - 2 <g, nu> g/|g|^2, which stays unit."""
+    p = frame.points
+    with np.errstate(all="ignore"):
+        nu = frame.nu - 2.0 * ((p * frame.nu).sum(axis=1) / (p * p).sum(axis=1))[:, None] * p
+    return _output(frame, TransformKind(name), invert_xy(p), nu=nu)
+
+
+# kind name -> (kernel, the parameter it takes after the frame)
+TRANSFORMS = {
+    "pedal": (pedal_kernel, None),
+    "contrapedal": (contrapedal_kernel, None),
+    "pedaloid": (pedaloid_kernel, "angle"),
+    "antipedal": (antipedal_kernel, None),
+    "primitive": (primitive_kernel, None),
+    "parallel": (parallel_kernel, "ratio"),
+    "slant": (slant_kernel, "angle"),
+    "perp-primitive": (perp_primitive_kernel, None),
+}
+
+TRANSFORM_KINDS = tuple(TRANSFORMS)
+
+
+def transform_frame(frame: MappedCurve, kind: str,
+                    value: float | None = None) -> MappedCurve:
+    """The named kernel on a frame; value is the angle or ratio of the
+    kinds that take one."""
+    if kind not in TRANSFORMS:
+        raise RangeError(f"unknown transform kind {kind!r}; "
+                         f"choices: {', '.join(TRANSFORM_KINDS)}")
+    kernel, param = TRANSFORMS[kind]
+    if param is None:
+        return kernel(frame)
+    if value is None:
+        raise RangeError(f"{kind} needs --{param}")
+    return kernel(frame, value)
+
+
+# ---------------------------------------------------------------------------
+# transforms of symbolic curves: Frenet frames
+
+
+def pedal(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
+    return pedal_kernel(frenet_frame(curve, ts))
 
 
 def contrapedal(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
-    ts = _grid(curve, ts)
-    fg = frenet_grid(curve, ts)
-    with np.errstate(all="ignore"):
-        q = (fg.p * fg.t_hat).sum(axis=1)
-        points = q[:, None] * fg.t_hat
-    flags = _flags_from(fg, points)
-    return MappedCurve(curve.name, TransformKind("contrapedal"), ts, points, flags, curve.closed)
+    return contrapedal_kernel(frenet_frame(curve, ts))
 
 
 def pedaloid(curve: CurveDef, psi: float, ts: np.ndarray | None = None) -> MappedCurve:
-    ts = _grid(curve, ts)
-    fg = frenet_grid(curve, ts)
-    with np.errstate(all="ignore"):
-        direction = math.cos(psi) * fg.t_hat + math.sin(psi) * fg.n_hat
-        q = (fg.p * direction).sum(axis=1)
-        points = q[:, None] * direction
-    flags = _flags_from(fg, points)
-    return MappedCurve(curve.name, TransformKind("pedaloid", angle=psi), ts, points,
-                       flags, curve.closed)
+    return pedaloid_kernel(frenet_frame(curve, ts), psi)
 
 
 def antipedal(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
-    ts = _grid(curve, ts)
-    fg = frenet_grid(curve, ts)
-    eps_d = DENOM_REL_EPS * bbox_diameter(fg.p)
-    with np.errstate(all="ignore"):
-        den = (fg.p * fg.n_hat).sum(axis=1)
-        points = fg.n_hat / den[:, None]
-    near = np.abs(den) < eps_d
-    flags = _flags_from(fg, points, near)
-    return MappedCurve(curve.name, TransformKind("antipedal"), ts, points, flags, curve.closed)
-
-
-def _primitive_points(fg: FrenetGrid, what: str) -> tuple[np.ndarray, np.ndarray]:
-    _check_origin(fg, what)
-    eps_d = DENOM_REL_EPS * bbox_diameter(fg.p)
-    with np.errstate(all="ignore"):
-        den = (fg.p * fg.n_hat).sum(axis=1)
-        n2 = (fg.p * fg.p).sum(axis=1)
-        points = 2.0 * fg.p - (n2 / den)[:, None] * fg.n_hat
-    near = np.abs(den) < eps_d
-    return points, _flags_from(fg, points, near)
+    return antipedal_kernel(frenet_frame(curve, ts))
 
 
 def primitive(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
-    ts = _grid(curve, ts)
-    fg = frenet_grid(curve, ts)
-    points, flags = _primitive_points(fg, "primitive")
-    return MappedCurve(curve.name, TransformKind("primitive"), ts, points, flags, curve.closed)
+    return primitive_kernel(frenet_frame(curve, ts))
 
 
 def parallel_primitivoid(curve: CurveDef, r: float,
                          ts: np.ndarray | None = None) -> MappedCurve:
-    if r == 0.0:
-        raise RangeError("parallel primitivoid needs a nonzero ratio")
-    ts = _grid(curve, ts)
-    fg = frenet_grid(curve, ts)
-    points, flags = _primitive_points(fg, "parallel primitivoid")
-    return MappedCurve(curve.name, TransformKind("parallel", ratio=r), ts,
-                       r * points, flags, curve.closed)
+    return parallel_kernel(frenet_frame(curve, ts), r)
 
 
 def slant_primitivoid(curve: CurveDef, phi: float,
                       ts: np.ndarray | None = None) -> MappedCurve:
-    ts = _grid(curve, ts)
-    fg = frenet_grid(curve, ts)
-    c = math.cos(phi)
-    if abs(c) < DEGENERATE_ANGLE_EPS:
-        # the whole image collapses to the origin
-        _check_origin(fg, "slant primitivoid")
-        points = np.zeros((len(ts), 2))
-        flags = _flags_from(fg, points)
-        kind = TransformKind("slant", angle=phi, degenerate_angle=True)
-        return MappedCurve(curve.name, kind, ts, points, flags, curve.closed)
-    points, flags = _primitive_points(fg, "slant primitivoid")
-    points = c * rotate_xy(points, phi)
-    return MappedCurve(curve.name, TransformKind("slant", angle=phi), ts, points,
-                       flags, curve.closed)
+    return slant_kernel(frenet_frame(curve, ts), phi)
 
 
 def primitive_of_perp(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
-    """Primitive of the rotated curve J g; equals J applied to the
-    primitive of g, and is computed that way (J is exact in floating
-    point), so the identity holds to the last bit."""
-    ts = _grid(curve, ts)
-    fg = frenet_grid(curve, ts)
-    points, flags = _primitive_points(fg, "primitive of the perp curve")
-    return MappedCurve(curve.name, TransformKind("perp-primitive"), ts,
-                       perp_xy(points), flags, curve.closed)
+    return perp_primitive_kernel(frenet_frame(curve, ts))
+
+
+def apply_transform(curve: CurveDef, kind: str, angle: float | None = None,
+                    ratio: float | None = None,
+                    ts: np.ndarray | None = None) -> MappedCurve:
+    """The named transform of a curve; angle or ratio goes to the kinds
+    that take one (see TRANSFORMS)."""
+    param = TRANSFORMS[kind][1] if kind in TRANSFORMS else None
+    return transform_frame(frenet_frame(curve, ts), kind,
+                           ratio if param == "ratio" else angle)
+
+
+# ---------------------------------------------------------------------------
+# transforms of sampled curves: polyline frames.  A sampled curve may pass
+# through the origin (a pedal does wherever a tangent line does); its
+# primitive is undefined at such samples rather than refused.
+
+
+def mapped_pedal(mc: MappedCurve) -> MappedCurve:
+    return pedal_kernel(polyline_frames(mc), f"pedal of {mc.kind.name}")
+
+
+def mapped_primitive(mc: MappedCurve) -> MappedCurve:
+    return primitive_kernel(polyline_frames(mc), f"primitive of {mc.kind.name}",
+                            refuse_origin=False)
+
+
+def mapped_slant(mc: MappedCurve, phi: float) -> MappedCurve:
+    return slant_kernel(polyline_frames(mc), phi, f"slant of {mc.kind.name}",
+                        refuse_origin=False)
+
+
+# ---------------------------------------------------------------------------
+# inversion curvature
 
 
 def inversion_curvature(curve: CurveDef, t: float) -> float:
@@ -230,10 +405,10 @@ def inversion_curvature(curve: CurveDef, t: float) -> float:
 
 
 def inversion_curvature_grid(curve: CurveDef, ts: np.ndarray | None = None) -> np.ndarray:
-    ts = _grid(curve, ts)
+    ts = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
     fg = frenet_grid(curve, ts)
-    _check_origin(fg, "inversion curvature")
     n2 = (fg.p * fg.p).sum(axis=1)
+    _check_origin(ts, n2, "inversion curvature")
     return -fg.kappa * n2 - 2.0 * (fg.p * fg.n_hat).sum(axis=1)
 
 
@@ -261,131 +436,3 @@ def invert_curve(curve: CurveDef) -> CurveDef:
     return CurveDef(ex.div(curve.x, n2), ex.div(curve.y, n2),
                     curve.t_min, curve.t_max, f"inv({curve.name})",
                     curve.samples, curve.closed)
-
-
-# ---------------------------------------------------------------------------
-# transforms of sampled curves: frames from five-point finite differences
-
-
-def polyline_frames(mc: MappedCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t_hat, n_hat, valid) for a sampled curve.  Five-point central
-    differences on the uniform grid; closed grids wrap, open ends and
-    any sample whose stencil touches a bad sample are invalid."""
-    n = len(mc.grid)
-    if n < 5:
-        raise RangeError("need at least 5 samples for derived frames")
-    h = mc.grid[1] - mc.grid[0]
-    p = mc.points
-    good = mc.ok & np.isfinite(p).all(axis=1)
-
-    def shift(arr, k):
-        if mc.closed:
-            return np.roll(arr, -k, axis=0)
-        out = np.empty_like(arr)
-        if k >= 0:
-            out[: n - k] = arr[k:]
-            out[n - k:] = arr[-1]
-        else:
-            out[-k:] = arr[:k]
-            out[: -k] = arr[0]
-        return out
-
-    with np.errstate(all="ignore"):
-        d1 = (shift(p, -2) - 8.0 * shift(p, -1) + 8.0 * shift(p, 1) - shift(p, 2)) / (12.0 * h)
-        speed = np.hypot(d1[:, 0], d1[:, 1])
-        t_hat = d1 / speed[:, None]
-        n_hat = perp_xy(t_hat)
-
-    valid = good.copy()
-    for k in (-2, -1, 1, 2):
-        valid &= shift(good, k)
-    if not mc.closed:
-        valid[:2] = False
-        valid[-2:] = False
-    valid &= np.isfinite(speed) & (speed > REGULAR_EPS)
-    t_hat[~valid] = np.nan
-    n_hat[~valid] = np.nan
-    return t_hat, n_hat, valid
-
-
-def _mapped_flags(mc: MappedCurve, valid: np.ndarray, points: np.ndarray,
-                  near: np.ndarray | None = None) -> np.ndarray:
-    flags = np.full(len(mc.grid), FLAG_OK, dtype=np.uint8)
-    if near is not None:
-        flags[near & valid] = FLAG_NEAR_SINGULAR
-    undefined = ~valid | ~np.isfinite(points).all(axis=1)
-    flags[undefined] = FLAG_UNDEFINED
-    points[undefined] = np.nan
-    return flags
-
-
-def mapped_pedal(mc: MappedCurve) -> MappedCurve:
-    _, n_hat, valid = polyline_frames(mc)
-    with np.errstate(all="ignore"):
-        q = (mc.points * n_hat).sum(axis=1)
-        points = q[:, None] * n_hat
-    flags = _mapped_flags(mc, valid, points)
-    kind = TransformKind(f"pedal of {mc.kind.name}")
-    return MappedCurve(mc.source_name, kind, mc.grid, points, flags, mc.closed)
-
-
-def mapped_primitive(mc: MappedCurve) -> MappedCurve:
-    _, n_hat, valid = polyline_frames(mc)
-    eps_d = DENOM_REL_EPS * bbox_diameter(mc.points[mc.ok])
-    with np.errstate(all="ignore"):
-        den = (mc.points * n_hat).sum(axis=1)
-        n2 = (mc.points * mc.points).sum(axis=1)
-        points = 2.0 * mc.points - (n2 / den)[:, None] * n_hat
-    near = np.abs(den) < eps_d
-    flags = _mapped_flags(mc, valid, points, near)
-    kind = TransformKind(f"primitive of {mc.kind.name}")
-    return MappedCurve(mc.source_name, kind, mc.grid, points, flags, mc.closed)
-
-
-def mapped_slant(mc: MappedCurve, phi: float) -> MappedCurve:
-    base = mapped_primitive(mc)
-    c = math.cos(phi)
-    if abs(c) < DEGENERATE_ANGLE_EPS:
-        points = np.zeros_like(base.points)
-        kind = TransformKind(f"slant of {mc.kind.name}", angle=phi, degenerate_angle=True)
-        flags = base.flags.copy()
-        return MappedCurve(mc.source_name, kind, mc.grid, points, flags, mc.closed)
-    points = c * rotate_xy(base.points, phi)
-    kind = TransformKind(f"slant of {mc.kind.name}", angle=phi)
-    return base.replace_points(points, kind)
-
-
-# ---------------------------------------------------------------------------
-# CLI dispatcher
-
-
-TRANSFORM_KINDS = ("pedal", "contrapedal", "pedaloid", "antipedal", "primitive",
-                   "parallel", "slant", "perp-primitive")
-
-
-def apply_transform(curve: CurveDef, kind: str, angle: float | None = None,
-                    ratio: float | None = None,
-                    ts: np.ndarray | None = None) -> MappedCurve:
-    if kind == "pedal":
-        return pedal(curve, ts)
-    if kind == "contrapedal":
-        return contrapedal(curve, ts)
-    if kind == "pedaloid":
-        if angle is None:
-            raise RangeError("pedaloid needs --angle")
-        return pedaloid(curve, angle, ts)
-    if kind == "antipedal":
-        return antipedal(curve, ts)
-    if kind == "primitive":
-        return primitive(curve, ts)
-    if kind == "parallel":
-        if ratio is None:
-            raise RangeError("parallel needs --ratio")
-        return parallel_primitivoid(curve, ratio, ts)
-    if kind == "slant":
-        if angle is None:
-            raise RangeError("slant needs --angle")
-        return slant_primitivoid(curve, angle, ts)
-    if kind == "perp-primitive":
-        return primitive_of_perp(curve, ts)
-    raise RangeError(f"unknown transform kind {kind!r}; choices: {', '.join(TRANSFORM_KINDS)}")

@@ -63,30 +63,33 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _diff(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
+def _diff(a: np.ndarray, b: np.ndarray, mask: np.ndarray,
+          relative: bool = False) -> float:
+    # relative: per-sample relative distance.  Transforms with poles
+    # (primitive, antipedal) reach magnitudes ~ 1/q near q -> 0 where every
+    # evaluation scheme carries O(eps / q^2) absolute error; dividing by the
+    # local magnitude keeps the comparison meaningful there while staying
+    # equal to the absolute distance wherever points are O(1).
     if not mask.any():
         return math.inf
     d = a[mask] - b[mask]
-    return float(np.hypot(d[:, 0], d[:, 1]).max())
-
-
-def _rel_diff(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
-    # Per-sample relative distance.  Transforms with poles (primitive,
-    # antipedal) reach magnitudes ~ 1/q near q -> 0 where every evaluation
-    # scheme carries O(eps / q^2) absolute error; dividing by the local
-    # magnitude keeps the comparison meaningful there while staying equal
-    # to the absolute distance wherever points are O(1).
-    if not mask.any():
-        return math.inf
-    d = a[mask] - b[mask]
-    scale = np.maximum(1.0, np.hypot(b[mask][:, 0], b[mask][:, 1]))
-    return float((np.hypot(d[:, 0], d[:, 1]) / scale).max())
+    dist = np.hypot(d[:, 0], d[:, 1])
+    if relative:
+        dist = dist / np.maximum(1.0, np.hypot(b[mask][:, 0], b[mask][:, 1]))
+    return float(dist.max())
 
 
 def _pair_diff(ma: tr.MappedCurve, mb: tr.MappedCurve,
                relative: bool = False) -> float:
-    fn = _rel_diff if relative else _diff
-    return fn(ma.points, mb.points, ma.ok & mb.ok)
+    return _diff(ma.points, mb.points, ma.ok & mb.ok, relative)
+
+
+def _root_gap(found: list[float], expected: list[float]) -> float:
+    """Largest distance between matched roots; inf if the counts differ."""
+    if len(found) != len(expected):
+        return math.inf
+    return max((abs(a - b) for a, b in zip(sorted(found), sorted(expected))),
+               default=0.0)
 
 
 def stable_mask(mc: tr.MappedCurve, frac: float = 0.05) -> np.ndarray:
@@ -94,35 +97,14 @@ def stable_mask(mc: tr.MappedCurve, frac: float = 0.05) -> np.ndarray:
     speed collapses (cusps) and blow-ups (poles), with a two-sample
     buffer.  Outside frac*median .. median/frac the polyline no longer
     resolves the curve and difference frames are meaningless."""
-    n = len(mc.grid)
     good = mc.ok & np.isfinite(mc.points).all(axis=1)
-
-    def shift(arr, k):
-        if mc.closed:
-            return np.roll(arr, -k, axis=0)
-        out = np.empty_like(arr)
-        if k >= 0:
-            out[: n - k] = arr[k:]
-            out[n - k:] = arr[-1]
-        else:
-            out[-k:] = arr[:k]
-            out[: -k] = arr[0]
-        return out
-
     with np.errstate(all="ignore"):
-        central = shift(mc.points, 1) - shift(mc.points, -1)
+        central = tr.shift(mc.points, 1, mc.closed) - tr.shift(mc.points, -1, mc.closed)
         speed = np.hypot(central[:, 0], central[:, 1])
     ref = np.median(speed[good]) if good.any() else 0.0
     slow = (~good | ~np.isfinite(speed)
             | (speed < frac * ref) | (speed * frac > ref))
-    wide = slow.copy()
-    for k in (-2, -1, 1, 2):
-        wide |= shift(slow, k)
-    mask = good & ~wide
-    if not mc.closed:
-        mask[:2] = False
-        mask[-2:] = False
-    return mask
+    return good & tr.stencil_ok(~slow, mc.closed)
 
 
 # ---------------------------------------------------------------------------
@@ -166,27 +148,28 @@ def _suite_inversion(curve: CurveDef, report: VerifyReport) -> None:
 
 def _suite_duality(curve: CurveDef, report: VerifyReport) -> None:
     ts = sample_grid(curve)
-    inv = tr.invert_curve(curve)
-    pr = tr.primitive(curve, ts)
-    ape_inv = tr.antipedal(inv, ts)
+    frame = tr.frenet_frame(curve, ts)
+    inv_frame = tr.frenet_frame(tr.invert_curve(curve), ts)
+    pr = tr.primitive_kernel(frame)
+    ape_inv = tr.antipedal_kernel(inv_frame)
     report.add("primitive = antipedal of inverted curve",
                _pair_diff(pr, ape_inv, relative=True), 1e-9)
 
-    pe_inv = tr.pedal(inv, ts)
+    pe_inv = tr.pedal_kernel(inv_frame)
     lifted = invert_xy(pe_inv.points.copy())
     mask = pr.ok & pe_inv.ok & np.isfinite(lifted).all(axis=1)
     report.add("primitive = inversion of pedal of inverted curve",
-               _rel_diff(pr.points, lifted, mask), 1e-9)
+               _diff(pr.points, lifted, mask, relative=True), 1e-9)
 
-    pe = tr.pedal(curve, ts)
-    ape = tr.antipedal(curve, ts)
+    pe = tr.pedal_kernel(frame)
+    ape = tr.antipedal_kernel(frame)
     inv_ape = invert_xy(ape.points.copy())
     mask = pe.ok & ape.ok & np.isfinite(inv_ape).all(axis=1)
     report.add("pedal = inversion of antipedal", _diff(pe.points, inv_ape, mask), 1e-9)
     inv_pe = invert_xy(pe.points.copy())
     mask = pe.ok & ape.ok & np.isfinite(inv_pe).all(axis=1)
     report.add("antipedal = inversion of pedal",
-               _rel_diff(ape.points, inv_pe, mask), 1e-9)
+               _diff(ape.points, inv_pe, mask, relative=True), 1e-9)
 
     lam = -2.5
     scaled = tr.transform_curve(curve, 0.0, lam)
@@ -197,39 +180,41 @@ def _suite_duality(curve: CurveDef, report: VerifyReport) -> None:
 
 def _suite_parallel(curve: CurveDef, report: VerifyReport) -> None:
     ts = sample_grid(curve)
-    pr = tr.primitive(curve, ts)
+    frame = tr.frenet_frame(curve, ts)
+    pr = tr.primitive_kernel(frame)
     for r in (2.0, -1.0):
-        par = tr.parallel_primitivoid(curve, r, ts)
+        par = tr.parallel_kernel(frame, r)
         report.add(f"parallel({r:g}) = {r:g} x primitive",
                    _diff(par.points, r * pr.points, par.ok & pr.ok), 1e-12)
         pr_scaled = tr.primitive(tr.transform_curve(curve, 0.0, r), ts)
         report.add(f"parallel({r:g}) = primitive of scaled curve",
                    _pair_diff(par, pr_scaled), 1e-9)
-    one = tr.parallel_primitivoid(curve, 1.0, ts)
+    one = tr.parallel_kernel(frame, 1.0)
     report.add("parallel(1) = primitive", _pair_diff(one, pr), 0.0)
 
 
 def _suite_slant(curve: CurveDef, report: VerifyReport) -> None:
     ts = sample_grid(curve)
-    pr = tr.primitive(curve, ts)
-    pr_perp = tr.primitive_of_perp(curve, ts)
+    frame = tr.frenet_frame(curve, ts)
+    pr = tr.primitive_kernel(frame)
+    pr_perp = tr.perp_primitive_kernel(frame)
     report.add("perp-primitive = J primitive",
                _diff(pr_perp.points, perp_xy(pr.points), pr.ok & pr_perp.ok), 0.0)
     for phi in (0.0, math.pi / 10, math.pi / 4, math.pi / 3, 2.0):
-        sl = tr.slant_primitivoid(curve, phi, ts)
+        sl = tr.slant_kernel(frame, phi)
         combo = math.cos(phi) * (math.cos(phi) * pr.points + math.sin(phi) * pr_perp.points)
         report.add(f"slant({phi:.4g}) = cos phi (cos phi Pr + sin phi Pr-perp)",
                    _diff(sl.points, combo, sl.ok & pr.ok & pr_perp.ok), 1e-9)
-        rotated_parallel = rotate_xy(tr.parallel_primitivoid(curve, math.cos(phi), ts).points, phi)
+        rotated_parallel = rotate_xy(tr.parallel_kernel(frame, math.cos(phi)).points, phi)
         report.add(f"slant({phi:.4g}) = rotated parallel(cos phi)",
                    _diff(sl.points, rotated_parallel, sl.ok & pr.ok), 1e-12)
         ape_inv_rot = tr.antipedal(tr.invert_curve(tr.transform_curve(curve, phi, 1.0)), ts)
         report.add(f"slant({phi:.4g}) = cos phi antipedal of inverted rotated curve",
-                   _rel_diff(sl.points, math.cos(phi) * ape_inv_rot.points,
-                             sl.ok & ape_inv_rot.ok), 1e-9)
+                   _diff(sl.points, math.cos(phi) * ape_inv_rot.points,
+                         sl.ok & ape_inv_rot.ok, relative=True), 1e-9)
     report.add("slant(0) = primitive",
-               _pair_diff(tr.slant_primitivoid(curve, 0.0, ts), pr), 0.0)
-    degenerate = tr.slant_primitivoid(curve, math.pi / 2, ts)
+               _pair_diff(tr.slant_kernel(frame, 0.0), pr), 0.0)
+    degenerate = tr.slant_kernel(frame, math.pi / 2)
     worst = float(np.hypot(*degenerate.points[degenerate.ok].T).max())
     report.add("slant(pi/2) collapses to the origin",
                worst if degenerate.kind.degenerate_angle else math.inf, 1e-9)
@@ -239,15 +224,16 @@ def _suite_inverse_pair(curve: CurveDef, report: VerifyReport) -> None:
     # Difference frames on the mapped polyline converge at O(h^2); use a
     # dense grid so the bound holds even where the image bends sharply.
     ts = sample_grid(curve, max(4096, curve.samples))
-    src = position_xy(curve, ts)
+    frame = tr.frenet_frame(curve, ts)
+    src = frame.points
 
-    pr = tr.primitive(curve, ts)
+    pr = tr.primitive_kernel(frame)
     back = tr.mapped_pedal(pr)
     mask = stable_mask(pr) & back.ok
     report.add("pedal of primitive returns the curve",
                _diff(back.points, src, mask), 1e-6)
 
-    pe = tr.pedal(curve, ts)
+    pe = tr.pedal_kernel(frame)
     forth = tr.mapped_primitive(pe)
     mask = stable_mask(pe) & forth.ok
     report.add("primitive of pedal returns the curve",
@@ -255,7 +241,7 @@ def _suite_inverse_pair(curve: CurveDef, report: VerifyReport) -> None:
 
     phi = math.pi / 10
     target = math.cos(phi) * position_xy(tr.transform_curve(curve, phi, 1.0), ts)
-    sl = tr.slant_primitivoid(curve, phi, ts)
+    sl = tr.slant_kernel(frame, phi)
     pe_of_sl = tr.mapped_pedal(sl)
     mask = stable_mask(sl) & pe_of_sl.ok
     report.add("pedal of slant primitivoid = scaled rotated curve",
@@ -266,31 +252,26 @@ def _suite_inverse_pair(curve: CurveDef, report: VerifyReport) -> None:
                _diff(sl_of_pe.points, target, mask), 1e-6)
 
 
+# (kind, angle or ratio)
 _ORACLE_CASES = (
-    ("primitive", None, None),
-    ("parallel", 2.0, None),
-    ("parallel", -1.0, None),
-    ("slant", None, math.pi / 10),
-    ("slant", None, math.pi / 4),
-    ("slant", None, math.pi / 3),
-    ("antipedal", None, None),
+    ("primitive", None),
+    ("parallel", 2.0),
+    ("parallel", -1.0),
+    ("slant", math.pi / 10),
+    ("slant", math.pi / 4),
+    ("slant", math.pi / 3),
+    ("antipedal", None),
 )
 
 
 def _suite_oracle(curve: CurveDef, report: VerifyReport) -> None:
     ts = sample_grid(curve)
+    frame = tr.frenet_frame(curve, ts)
     flag_mismatch = 0
-    for kind, r, phi in _ORACLE_CASES:
-        fam = make_family(kind, curve, r=r, phi=phi)
+    for kind, value in _ORACLE_CASES:
+        fam = make_family(kind, curve, r=value, phi=value)
         env = envelope(fam, ts)
-        if kind == "primitive":
-            closed = tr.primitive(curve, ts)
-        elif kind == "parallel":
-            closed = tr.parallel_primitivoid(curve, r, ts)
-        elif kind == "slant":
-            closed = tr.slant_primitivoid(curve, phi, ts)
-        else:
-            closed = tr.antipedal(curve, ts)
+        closed = tr.transform_frame(frame, kind, value)
         tag = fam.kind.label()
         report.add(f"envelope matches closed form {tag}",
                    _pair_diff(env, closed, relative=True), 1e-9)
@@ -352,55 +333,35 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
                     - tr.inversion_curvature(curve, lo)) / (hi - lo)
 
         ext_roots = [t for t, _ in sg.find_roots(dk_scalar, ts, values=dk)]
-        if len(vertex_roots) == len(ext_roots):
-            gap = max((abs(a - b)
-                       for a, b in zip(sorted(vertex_roots), sorted(ext_roots))),
-                      default=0.0)
-        else:
-            gap = math.inf
-        report.add("vertices = extrema of inversion curvature", gap, 2 * h)
+        report.add("vertices = extrema of inversion curvature",
+                   _root_gap(vertex_roots, ext_roots), 2 * h)
 
     fd = _fd_curvature_of_inverted(curve, ts)
-    closed = tr.inversion_curvature_grid(curve, ts)
+    closed = kpsi
     scale = np.abs(closed).max()
     mask = np.isfinite(fd)
     rel = np.abs(fd[mask] - closed[mask]) / np.maximum(np.abs(closed[mask]), 1e-3 * scale)
     report.add("inversion curvature matches finite differences", rel.max(), 1e-5)
 
     pr = tr.primitive(curve, ts)
-    found = sg.detect_cusps_numeric(pr)
-    targets = [r.t for r in reports if r.classification == "ordinary-cusp"]
-    if len(found) == len(targets):
-        gap = max((abs(a - b) for a, b in zip(sorted(found), sorted(targets))), default=0.0)
-    else:
-        gap = math.inf
-    report.add("numeric cusp detector agrees with the criterion", gap, h + 1e-12)
+    report.add("numeric cusp detector agrees with the criterion",
+               _root_gap(sg.detect_cusps_numeric(pr), cusp_ts), h + 1e-12)
 
 
 def _fd_curvature_of_inverted(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
     """Finite-difference curvature of the pointwise-inverted samples."""
     pts = invert_xy(position_xy(curve, ts))
-    n = len(ts)
     h = ts[1] - ts[0]
-
-    def shift(arr, k):
-        if curve.closed:
-            return np.roll(arr, -k, axis=0)
-        out = np.empty_like(arr)
-        if k >= 0:
-            out[: n - k] = arr[k:]
-            out[n - k:] = np.nan
-        else:
-            out[-k:] = arr[:k]
-            out[: -k] = np.nan
-        return out
-
+    back2, back1, ahead1, ahead2 = (tr.shift(pts, k, curve.closed) for k in (-2, -1, 1, 2))
     with np.errstate(all="ignore"):
-        d1 = (shift(pts, -2) - 8 * shift(pts, -1) + 8 * shift(pts, 1) - shift(pts, 2)) / (12 * h)
-        d2 = (-shift(pts, -2) + 16 * shift(pts, -1) - 30 * pts
-              + 16 * shift(pts, 1) - shift(pts, 2)) / (12 * h * h)
+        d1 = tr.five_point_derivative(pts, h, curve.closed)
+        d2 = (-back2 + 16 * back1 - 30 * pts + 16 * ahead1 - ahead2) / (12 * h * h)
         speed = np.hypot(d1[:, 0], d1[:, 1])
         kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
+    if not curve.closed:
+        # the stencil runs past the ends of an open grid
+        kappa[:2] = np.nan
+        kappa[-2:] = np.nan
     return kappa
 
 
@@ -438,8 +399,7 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     nu = lc.nu_grid
     mu = perp_xy(nu)
     if curve.closed:
-        nudot = (np.roll(nu, 2, axis=0) - 8 * np.roll(nu, 1, axis=0)
-                 + 8 * np.roll(nu, -1, axis=0) - np.roll(nu, -2, axis=0)) / (12 * h)
+        nudot = tr.five_point_derivative(nu, h, closed=True)
         mudot = perp_xy(nudot)
         inner = np.ones(len(ts), dtype=bool)
     else:
@@ -460,13 +420,9 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     sf = lc.sample()
     flipped = sf.flip_nu()
     worst = 0.0
-    for op in (fr.frontal_pedal, fr.frontal_antipedal):
-        a, b = op(sf), op(flipped)
-        worst = max(worst, _pair_diff(a, b))
-    for op in (fr.frontal_primitive,
+    for op in (fr.frontal_pedal, fr.frontal_antipedal, fr.frontal_primitive,
                lambda s: fr.frontal_slant_primitivoid(s, math.pi / 10)):
-        a, b = op(sf), op(flipped)
-        worst = max(worst, _diff(a.points, b.points, a.ok & b.ok))
+        worst = max(worst, _pair_diff(op(sf), op(flipped)))
     report.add("transforms invariant under nu -> -nu", worst, 1e-15)
 
     pr_f = fr.frontal_primitive(sf)
@@ -482,9 +438,9 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     one_step = fr.frontal_slant_primitivoid(pr_f, psi + phi)
     both = two_step.ok & one_step.ok
     report.add("slant(psi) of slant(phi) = slant(psi+phi) of primitive",
-               _rel_diff(math.cos(psi + phi) * two_step.points,
-                         math.cos(psi) * math.cos(phi) * one_step.points, both),
-               1e-9)
+               _diff(math.cos(psi + phi) * two_step.points,
+                     math.cos(psi) * math.cos(phi) * one_step.points, both,
+                     relative=True), 1e-9)
 
     circle_lift = fr.lift_front(builtin_curve("circle", samples=1024))
     report.add("circle slant composition adds angles (pi/10, pi/5)",
@@ -508,7 +464,7 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     lifted = invert_xy(pe_inv.points.copy())
     mask = pr_f.ok & pe_inv.ok & np.isfinite(lifted).all(axis=1)
     report.add("primitive = inversion of pedal of inverted frontal",
-               _rel_diff(lifted, pr_f.points, mask), 1e-9)
+               _diff(lifted, pr_f.points, mask, relative=True), 1e-9)
 
 
 _SUITE_FNS = {

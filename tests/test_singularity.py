@@ -7,7 +7,7 @@ from pedalkit import singularity as sg
 from pedalkit import transforms as tr
 from pedalkit.curve import builtin_curve, parse_curve, sample_grid
 from pedalkit.errors import (HypothesisViolated, InflectionPoint,
-                             IrregularPoint, RangeError)
+                             IrregularPoint, OriginSingularity, RangeError)
 
 CUBIC = parse_curve(
     "x = t\ny = t^3\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33")
@@ -134,6 +134,15 @@ def test_ellipse_primitive_cusps():
 
 def test_circle_primitive_has_no_cusps():
     assert sg.primitive_singularities(builtin_curve("circle")) == []
+
+
+def test_primitive_cusps_refuse_a_curve_through_the_origin():
+    # on a circle through the origin the criterion vanishes identically,
+    # so a sign scan would report rounding noise as cusps
+    through = parse_curve(
+        "x = 1 + cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*pi\nsamples = 64")
+    with pytest.raises(OriginSingularity):
+        sg.primitive_singularities(through)
 
 
 def test_ellipse_vertices_at_axes():

@@ -8,7 +8,7 @@ import pedalkit as pk
 from pedalkit import transforms as tr
 from pedalkit.curve import builtin_curve, parse_curve, position_xy, sample_grid
 from pedalkit.errors import OriginSingularity, RangeError
-from pedalkit.vec import perp_xy, rotate_xy
+from pedalkit.vec import invert_xy, perp_xy, rotate_xy
 
 RADIUS2 = parse_curve(
     "x = 2*cos(t)\ny = 2*sin(t)\nt_min = 0\nt_max = 2*pi\nsamples = 64")
@@ -176,3 +176,73 @@ def test_inversion_involution_on_curves():
     double = tr.invert_curve(tr.invert_curve(c))
     np.testing.assert_allclose(position_xy(double, ts), position_xy(c, ts),
                                rtol=1e-12, atol=1e-12)
+
+
+def test_frenet_frame_carries_the_frenet_normal():
+    ell = builtin_curve("ellipse")
+    ts = sample_grid(ell, 64)
+    frame = tr.frenet_frame(ell, ts)
+    fg = pk.frenet_grid(ell, ts)
+    np.testing.assert_array_equal(frame.points, fg.p)
+    np.testing.assert_array_equal(frame.nu, fg.n_hat)
+    assert frame.ok.all() and frame.closed
+
+
+def test_one_frame_serves_every_registered_kernel():
+    ell = builtin_curve("ellipse")
+    ts = sample_grid(ell, 64)
+    frame = tr.frenet_frame(ell, ts)
+    for kind, (_, param) in tr.TRANSFORMS.items():
+        value = {"angle": 0.4, "ratio": 2.0}.get(param)
+        direct = tr.apply_transform(ell, kind, angle=0.4, ratio=2.0, ts=ts)
+        shared = tr.transform_frame(frame, kind, value)
+        assert shared.kind == direct.kind
+        np.testing.assert_array_equal(shared.points, direct.points)
+        np.testing.assert_array_equal(shared.flags, direct.flags)
+    assert tr.TRANSFORM_KINDS == tuple(tr.TRANSFORMS)
+    with pytest.raises(RangeError, match="needs --ratio"):
+        tr.transform_frame(frame, "parallel")
+
+
+def test_polyline_frame_normal_is_nan_off_the_stencil():
+    # an open arc: the two samples at each end have no five-point stencil
+    arc = parse_curve("x = t\ny = t^2\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33")
+    ts = sample_grid(arc)
+    frame = tr.polyline_frames(tr.pedal(arc, ts))
+    assert np.isnan(frame.nu[[0, 1, -2, -1]]).all()
+    assert np.isfinite(frame.nu[2:-2]).all()
+    np.testing.assert_allclose(np.hypot(*frame.nu[2:-2].T), 1.0, atol=1e-12)
+    out = tr.mapped_pedal(tr.pedal(arc, ts))
+    assert not out.ok[[0, 1, -2, -1]].any()
+    assert np.isnan(out.points[~out.ok]).all()
+
+
+def test_shift_wraps_closed_and_repeats_open_ends():
+    a = np.arange(5.0)
+    np.testing.assert_array_equal(tr.shift(a, 2, closed=True), [2, 3, 4, 0, 1])
+    np.testing.assert_array_equal(tr.shift(a, 2, closed=False), [2, 3, 4, 4, 4])
+    np.testing.assert_array_equal(tr.shift(a, -1, closed=False), [0, 0, 1, 2, 3])
+
+
+def test_sampled_curve_through_the_origin_is_undefined_there_not_refused():
+    # the tangent line at t = 0 is the x-axis, so the pedal hits the origin
+    arc = parse_curve("x = 2 + t\ny = t^2\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33")
+    pe = tr.pedal(arc, sample_grid(arc))
+    assert not pe.points[16].any()
+    for out in (tr.mapped_primitive(pe), tr.mapped_slant(pe, 0.3)):
+        assert out.flags[16] == tr.FLAG_UNDEFINED
+        assert out.ok[2:16].all() and out.ok[17:-2].all()
+    with pytest.raises(OriginSingularity):
+        tr.primitive_kernel(tr.polyline_frames(pe))
+    out = tr.mapped_slant(pe, math.pi / 2)
+    assert out.kind.degenerate_angle
+    assert (out.points[out.flags != tr.FLAG_UNDEFINED] == 0.0).all()
+    assert np.isnan(out.points[out.flags == tr.FLAG_UNDEFINED]).all()
+
+
+def test_invert_kernel_inverts_points_and_keeps_the_normal_unit():
+    c = builtin_curve("offset_circle")
+    frame = tr.frenet_frame(c, sample_grid(c, 64))
+    inv = tr.invert_kernel(frame, "inverted")
+    np.testing.assert_allclose(inv.points, invert_xy(frame.points), rtol=1e-15)
+    np.testing.assert_allclose(np.hypot(*inv.nu.T), 1.0, atol=1e-12)
