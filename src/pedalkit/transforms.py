@@ -200,7 +200,7 @@ def pedal_kernel(frame: MappedCurve, name: str = "pedal") -> MappedCurve:
 
 def contrapedal_kernel(frame: MappedCurve, name: str = "contrapedal") -> MappedCurve:
     tangent = perp_xy(frame.nu)
-    tangent *= -1.0
+    tangent *= -1.0  # t = -J nu
     return _project(frame, tangent, TransformKind(name))
 
 
