@@ -166,3 +166,31 @@ def test_vertices_of_ellipse_are_axis_points():
     c = builtin_curve("ellipse")
     for t in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
         assert abs(frenet(c, t).kappa_prime_arc) < 1e-12
+
+
+# --- the scalar contract: one parameter, the errors of the grid rows ----------
+
+SCALAR_FNS = [pk.jet, pk.frenet, pk.inversion_curvature, pk.criterion]
+
+LOG_ARC = parse_curve("x = log(t)\ny = t\nt_min = -1\nt_max = 1\nclosed = false")
+
+
+@pytest.mark.parametrize("fn", SCALAR_FNS)
+def test_scalar_functions_reject_parameters_outside_the_interval(fn):
+    c = builtin_curve("ellipse")
+    for t in (-0.1, 2 * math.pi + 0.1):
+        with pytest.raises(RangeError, match="outside"):
+            fn(c, t)
+
+
+@pytest.mark.parametrize("fn", SCALAR_FNS)
+def test_scalar_functions_raise_eval_error_where_undefined(fn):
+    with pytest.raises(pk.EvalError):
+        fn(LOG_ARC, -0.5)
+
+
+@pytest.mark.parametrize("fn", SCALAR_FNS[1:])
+def test_scalar_functions_raise_irregular_point_at_a_stationary_point(fn):
+    cusp = parse_curve("x = t^2 + 1\ny = t^3\nt_min = -1\nt_max = 1\nclosed = false")
+    with pytest.raises(IrregularPoint):
+        fn(cusp, 0.0)

@@ -128,3 +128,13 @@ def test_simplify_preserves_value():
 def test_depends_on_t():
     assert ex.depends_on_t(ex.parse_expr("sin(t) + 1"))
     assert not ex.depends_on_t(ex.parse_expr("2*pi + e^2"))
+
+
+def test_scalar_evaluate_returns_a_float_or_raises():
+    value = ex.evaluate(ex.parse_expr("sin(t)"), 0.5)
+    assert type(value) is float
+    assert type(ex.evaluate(ex.parse_expr("2"), 0.5)) is float
+    with pytest.raises(EvalError):
+        ex.evaluate(ex.parse_expr("1/t"), 0.0)
+    with pytest.raises(EvalError):
+        ex.evaluate(ex.parse_expr("exp(t)"), 1000.0)
