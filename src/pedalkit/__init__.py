@@ -17,8 +17,8 @@ Core objects:
 
 from .curve import (BUILTIN_NAMES, CurveDef, CurveJet, FrenetData, FrenetGrid,
                     builtin_curve, curve_diameter, format_curve, frenet,
-                    frenet_grid, jet, load_curve, parse_curve, position_xy,
-                    sample_grid, velocity_xy)
+                    frenet_grid, jet, jet_grid, load_curve, parse_curve,
+                    position_xy, sample_grid, velocity_xy)
 from .envelope import FAMILY_KINDS, LineFamily, envelope, make_family
 from .errors import (EvalError, HypothesisViolated, InflectionPoint,
                      IrregularPoint, LiftFailure, OriginSingularity,
@@ -33,9 +33,9 @@ from .render import (Overlay, PlotSpec, overlay_from_curve,
                      overlay_from_frontal, overlay_from_mapped, render_svg,
                      render_to_file, write_legendrian_csv, write_mapped_csv)
 from .singularity import (CuspClassification, OsculatingCircle,
-                          SingularityReport, classify_cusp, criterion,
-                          criterion_grid, detect_cusps_numeric, find_roots,
-                          inflections, osculating_circle,
+                          SingularityReport, classify_cusp, classify_cusps,
+                          criterion, criterion_grid, detect_cusps_numeric,
+                          find_roots, inflections, osculating_circle,
                           primitive_singularities, vertices)
 from .transforms import (TRANSFORM_KINDS, TRANSFORMS, MappedCurve,
                          TransformKind, antipedal, antipedal_kernel,

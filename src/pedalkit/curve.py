@@ -9,6 +9,10 @@ from the raw jets, so curves need not be unit speed:
     dkappa/dt       = cross(d1, d3) / |d1|^3 - 3 kappa <d1, d2> / |d1|^2
     kappa_prime_arc = (dkappa/dt) / |d1|
 
+They have one implementation, `frenet_grid`, over a parameter grid; the
+scalar `jet` and `frenet` are one-row views of it, which raise where
+the grid row has no data (see `jet_rows` and `frenet_rows`).
+
 CurveDefs are immutable after construction and safe to share across
 threads.
 """
@@ -23,8 +27,8 @@ from typing import Iterator
 import numpy as np
 
 from . import expr as ex
-from .errors import IrregularPoint, ParseError, RangeError
-from .vec import Vec2
+from .errors import EvalError, IrregularPoint, ParseError, RangeError
+from .vec import Vec2, row_vec
 
 # speeds below this are treated as singular parameter values
 REGULAR_EPS = 1e-8
@@ -69,13 +73,22 @@ class CurveDef:
                 raise RangeError(
                     f"curve {self.name!r} declared closed but endpoints differ by {gap:.3e}")
 
+    @property
+    def period(self) -> float | None:
+        """t_max - t_min for a closed curve, None for an open one."""
+        return self.t_max - self.t_min if self.closed else None
+
     def point(self, t: float) -> Vec2:
         return Vec2(ex.evaluate(self.x, t), ex.evaluate(self.y, t))
 
-    def _check_param(self, t: float) -> None:
+    def _check_params(self, ts) -> np.ndarray:
+        """ts as a 1-d float array, each in [t_min, t_max]."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         slack = 1e-9 * (self.t_max - self.t_min)
-        if not (self.t_min - slack <= t <= self.t_max + slack):
-            raise RangeError(f"parameter {t} outside [{self.t_min}, {self.t_max}]")
+        outside = ~((self.t_min - slack <= ts) & (ts <= self.t_max + slack))
+        if outside.any():
+            raise RangeError(f"parameter {float(ts[outside][0])} outside [{self.t_min}, {self.t_max}]")
+        return ts
 
 
 @dataclass(frozen=True)
@@ -100,25 +113,17 @@ class FrenetData:
 
 def jet(curve: CurveDef, t: float) -> CurveJet:
     """Position and first three derivatives at one parameter."""
-    curve._check_param(t)
-    xs = [ex.evaluate(e, t) for e in curve._dx]
-    ys = [ex.evaluate(e, t) for e in curve._dy]
-    return CurveJet(t, Vec2(xs[0], ys[0]), Vec2(xs[1], ys[1]),
-                    Vec2(xs[2], ys[2]), Vec2(xs[3], ys[3]))
+    p, d1, d2, d3 = jet_rows(curve, t)
+    return CurveJet(t, row_vec(p), row_vec(d1), row_vec(d2), row_vec(d3))
 
 
 def frenet(curve: CurveDef, t: float) -> FrenetData:
     """Unit tangent, unit normal (J t_hat), speed, curvature and its
     arc-length derivative at one parameter."""
-    j = jet(curve, t)
-    speed = j.d1.norm()
-    if speed < REGULAR_EPS:
-        raise IrregularPoint(f"curve {curve.name!r} is singular at t={t}")
-    t_hat = j.d1 / speed
-    n_hat = Vec2(-t_hat.y, t_hat.x)
-    kappa = j.d1.cross(j.d2) / speed**3
-    dkappa_dt = j.d1.cross(j.d3) / speed**3 - 3.0 * kappa * j.d1.dot(j.d2) / speed**2
-    return FrenetData(t, j.p, t_hat, n_hat, speed, kappa, dkappa_dt / speed)
+    fg = frenet_rows(curve, t)
+    return FrenetData(t, row_vec(fg.p), row_vec(fg.t_hat), row_vec(fg.n_hat),
+                      float(fg.speed[0]), float(fg.kappa[0]),
+                      float(fg.kappa_prime_arc[0]))
 
 
 def sample_grid(curve: CurveDef, samples: int | None = None) -> np.ndarray:
@@ -171,10 +176,7 @@ def jet_grid(curve: CurveDef, ts: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def frenet_grid(curve: CurveDef, ts: np.ndarray) -> FrenetGrid:
-    p = _eval_xy(curve._dx[0], curve._dy[0], ts)
-    d1 = _eval_xy(curve._dx[1], curve._dy[1], ts)
-    d2 = _eval_xy(curve._dx[2], curve._dy[2], ts)
-    d3 = _eval_xy(curve._dx[3], curve._dy[3], ts)
+    p, d1, d2, d3 = jet_grid(curve, ts)
     speed = np.hypot(d1[:, 0], d1[:, 1])
     regular = np.isfinite(speed) & (speed >= REGULAR_EPS)
     with np.errstate(all="ignore"):
@@ -190,6 +192,34 @@ def frenet_grid(curve: CurveDef, ts: np.ndarray) -> FrenetGrid:
     kappa[~regular] = np.nan
     kappa_prime[~regular] = np.nan
     return FrenetGrid(ts, p, d1, d2, d3, speed, t_hat, n_hat, kappa, kappa_prime, regular)
+
+
+def check_defined(curve: CurveDef, ts: np.ndarray, rows) -> None:
+    """EvalError at the first of ts where one of the (n, 2) rows is not finite."""
+    undefined = ~np.isfinite(np.hstack(rows)).all(axis=1)
+    if undefined.any():
+        raise EvalError(f"curve {curve.name!r} is not defined at t={float(ts[undefined][0])}")
+
+
+def jet_rows(curve: CurveDef, ts) -> tuple[np.ndarray, ...]:
+    """jet_grid at parameters that must each lie in [t_min, t_max]
+    (else RangeError) and have finite jets (else EvalError)."""
+    ts = curve._check_params(ts)
+    rows = jet_grid(curve, ts)
+    check_defined(curve, ts, rows)
+    return rows
+
+
+def frenet_rows(curve: CurveDef, ts) -> FrenetGrid:
+    """frenet_grid at parameters that must each have a Frenet frame:
+    the errors of jet_rows, and IrregularPoint where the speed is below
+    REGULAR_EPS."""
+    ts = curve._check_params(ts)
+    fg = frenet_grid(curve, ts)
+    check_defined(curve, ts, (fg.p, fg.d1, fg.d2, fg.d3))
+    if not fg.regular.all():
+        raise IrregularPoint(f"curve {curve.name!r} is singular at t={float(ts[~fg.regular][0])}")
+    return fg
 
 
 # ---------------------------------------------------------------------------

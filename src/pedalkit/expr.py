@@ -10,12 +10,14 @@ and whose base may itself carry a unary minus):
     atom   := number | 'pi' | 'e' | 't' | ident '(' expr ')' | '(' expr ')'
 
 Note the base rule: "-t^2" parses as (-t)^2.  Functions: sin, cos, tan,
-sqrt, exp, log, abs.  Evaluation accepts a float or a numpy array; the
-scalar path raises EvalError on domain errors, the array path lets
-non-finite values propagate so callers can flag samples.  differentiate()
-returns a new tree (abs differentiates to a sign factor, so evaluating
-the derivative at a root of the argument is an EvalError).  to_text()
-prints a form that reparses to the identical tree.
+sqrt, exp, log, abs.  There is one evaluator, a walk of the tree with
+numpy operations.  On an array of parameters domain errors become
+non-finite entries, so callers can flag samples.  On a float it walks a
+0-d float64, and the scalar contract is that the result is a finite
+real float or EvalError is raised.  differentiate() returns a new tree
+(abs differentiates to a sign factor, so evaluating the derivative at a
+root of the argument is an EvalError).  to_text() prints a form that
+reparses to the identical tree.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ from .errors import EvalError, ParseError
 FUNCTIONS = ("sin", "cos", "tan", "sqrt", "exp", "log", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
-_MATH_FN = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sqrt": math.sqrt, "exp": math.exp, "log": math.log, "abs": abs,
-}
 _NUMPY_FN = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
     "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "abs": np.abs,
@@ -285,45 +283,17 @@ def parse_expr(text: str, line: int = 1, column: int = 1) -> Expr:
 
 
 def evaluate(e: Expr, t):
-    """Evaluate at a float (raises EvalError on domain errors) or at a
-    numpy array (domain errors become non-finite entries)."""
-    if isinstance(t, np.ndarray):
-        with np.errstate(all="ignore"):
+    """Evaluate at a numpy array (domain errors become non-finite
+    entries) or at a float (the value as a float; EvalError unless it is
+    a finite real)."""
+    with np.errstate(all="ignore"):
+        if isinstance(t, np.ndarray):
             return _eval_array(e, t)
-    try:
-        return _eval_scalar(e, float(t))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise EvalError(f"cannot evaluate {to_text(e)!r} at t={t!r}: {exc}") from exc
-
-
-def _eval_scalar(e: Expr, t: float) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Param):
-        return t
-    if isinstance(e, Neg):
-        return -_eval_scalar(e.arg, t)
-    if isinstance(e, Add):
-        return _eval_scalar(e.left, t) + _eval_scalar(e.right, t)
-    if isinstance(e, Sub):
-        return _eval_scalar(e.left, t) - _eval_scalar(e.right, t)
-    if isinstance(e, Mul):
-        return _eval_scalar(e.left, t) * _eval_scalar(e.right, t)
-    if isinstance(e, Div):
-        return _eval_scalar(e.left, t) / _eval_scalar(e.right, t)
-    if isinstance(e, Pow):
-        base = _eval_scalar(e.base, t)
-        expo = _eval_scalar(e.exponent, t)
-        value = base ** expo
-        if isinstance(value, complex):
-            # a negative base to a fractional power
-            raise ValueError("power has no real value")
-        return value
-    if isinstance(e, Call):
-        return _MATH_FN[e.func](_eval_scalar(e.arg, t))
-    raise TypeError(f"not an Expr node: {e!r}")
+        value = float(_eval_array(e, np.float64(t)))
+    if not math.isfinite(value):
+        raise EvalError(f"cannot evaluate {to_text(e)!r} at t={t!r}: "
+                        f"the value {value} is not a finite real")
+    return value
 
 
 def _eval_array(e: Expr, t: np.ndarray):

@@ -9,11 +9,15 @@ A frontal is a curve g together with a continuous unit normal nu with
 lift_front builds nu from the symbolic jets: on regular arcs
 nu = sigma (d1y, -d1x)/|d1| with a piecewise-constant sign sigma chosen
 for continuity; where the velocity vanishes the direction comes from
-d2 (then d3).  When continuity forces a sign flip between two grid
-samples the flip parameter is refined to the speed minimum in that
-cell, so that nu(t) stays continuous for off-grid t as well.  The lift
-fails (LiftFailure) when no +-1 sign choice keeps consecutive normals
+d2 (then d3).  As sigma^2 = 1, sigma flips exactly in the cells where
+consecutive raw normals point apart, which array operations find at
+once.  The flip parameter in a cell between regular samples is refined
+to the speed minimum there (one ternary search for all such cells), so
+that nu(t) stays continuous for off-grid t as well.  The lift fails
+(LiftFailure) when no +-1 sign choice keeps consecutive normals
 aligned, e.g. when the curve is too undersampled to track the normal.
+LegendrianCurve.nu and legendrian_curvature apply the same rules to one
+row.
 
 LegendrianCurve.sample() is the third frame provider of
 pedalkit.transforms, next to the Frenet and polyline frames: the sampled
@@ -35,37 +39,59 @@ from typing import Union
 import numpy as np
 
 from . import transforms as tr
-from .curve import (REGULAR_EPS, CurveDef, jet, jet_grid, position_xy,
-                    sample_grid)
+from .curve import (REGULAR_EPS, CurveDef, check_defined, jet_grid,
+                    jet_rows, position_xy, sample_grid, velocity_xy)
 from .errors import HypothesisViolated, LiftFailure
 from .transforms import (DEGENERATE_ANGLE_EPS, FLAG_OK, MappedCurve,
                          TransformKind)
-from .vec import Vec2, perp_xy
+from .vec import Vec2, perp_xy, row_vec
 
 # consecutive lifted normals must stay at least this aligned
 CONTINUITY_MIN_DOT = 0.5
 
 
-def _raw_normal_scalar(curve: CurveDef, t: float) -> tuple[Vec2, bool]:
-    """Unit normal direction up to sign; falls back to higher jets at
-    singular parameters.  Returns (direction, is_regular)."""
-    j = jet(curve, t)
-    for d, regular in ((j.d1, True), (j.d2, False), (j.d3, False)):
-        speed = d.norm()
-        if speed >= REGULAR_EPS:
-            return Vec2(d.y / speed, -d.x / speed), regular
-    raise LiftFailure(f"no direction data at t={t}: first three derivatives vanish")
+def _raw_normals(ts: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+                 d3: np.ndarray) -> np.ndarray:
+    """Unit normal directions up to sign, (d_y, -d_x)/|d| from d1, or at
+    singular parameters from d2, then d3."""
+    raw = np.empty_like(d1)
+    todo = np.ones(len(ts), dtype=bool)
+    with np.errstate(all="ignore"):
+        for d in (d1, d2, d3):
+            norm = np.hypot(d[:, 0], d[:, 1])
+            use = todo & (norm >= REGULAR_EPS)
+            raw[use, 0] = d[use, 1] / norm[use]
+            raw[use, 1] = -d[use, 0] / norm[use]
+            todo &= ~use
+    if todo.any():
+        raise LiftFailure(f"no direction data at t={float(ts[todo][0])}: "
+                          "first three derivatives vanish")
+    return raw
 
 
-def _refine_flip(curve: CurveDef, lo: float, hi: float) -> float:
-    """Speed minimum in [lo, hi] by ternary search."""
+def _ell(sigma: np.ndarray, d1: np.ndarray, d2: np.ndarray, speed: np.ndarray,
+         mu: np.ndarray) -> np.ndarray:
+    """ell = <nu', mu> on regular rows, from the quotient rule for
+    nu = sigma (d1y, -d1x)/|d1|."""
+    with np.errstate(all="ignore"):
+        w = np.column_stack([d1[:, 1], -d1[:, 0]])
+        wdot = np.column_stack([d2[:, 1], -d2[:, 0]])
+        sdot = (d1 * d2).sum(axis=1)  # = speed * d(speed)/dt
+        nudot = sigma[:, None] * (wdot * (speed ** 2)[:, None] - w * sdot[:, None]) / (speed ** 3)[:, None]
+        return (nudot * mu).sum(axis=1)
+
+
+def _refine_flips(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Speed minima in the cells [lo, hi], all at once, by ternary search."""
+    k = len(lo)
     for _ in range(60):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if jet(curve, m1).d1.norm() <= jet(curve, m2).d1.norm():
-            hi = m2
-        else:
-            lo = m1
+        v = velocity_xy(curve, np.concatenate([m1, m2]))
+        speed = np.hypot(v[:, 0], v[:, 1])
+        left = speed[:k] <= speed[k:]
+        hi = np.where(left, m2, hi)
+        lo = np.where(left, lo, m1)
     return 0.5 * (lo + hi)
 
 
@@ -86,8 +112,8 @@ class LegendrianCurve:
         return self.sign0 * (-1.0) ** count
 
     def nu(self, t: float) -> Vec2:
-        raw, _ = _raw_normal_scalar(self.curve, t)
-        return self.sigma(t) * raw
+        _, d1, d2, d3 = jet_rows(self.curve, t)
+        return self.sigma(t) * row_vec(_raw_normals(np.array([t]), d1, d2, d3))
 
     def mu(self, t: float) -> Vec2:
         n = self.nu(t)
@@ -112,99 +138,82 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
         raise LiftFailure(f"curve {curve.name!r} has non-finite derivatives on the grid")
     speed = np.hypot(d1[:, 0], d1[:, 1])
     regular = speed >= REGULAR_EPS
+    singular = ~regular
+    check_defined(curve, ts[singular], (p[singular], d2[singular], d3[singular]))
+    raw = _raw_normals(ts, d1, d2, d3)
 
-    raw = np.empty_like(d1)
-    with np.errstate(all="ignore"):
-        raw[regular, 0] = d1[regular, 1] / speed[regular]
-        raw[regular, 1] = -d1[regular, 0] / speed[regular]
-    for i in np.flatnonzero(~regular):
-        v, _ = _raw_normal_scalar(curve, float(ts[i]))
-        raw[i] = (v.x, v.y)
-
-    # continuity propagation of the sign
-    signs = np.ones(n)
-    flips: list[float] = []
-    median_speed = float(np.median(speed[regular])) if regular.any() else 0.0
-    for i in range(1, n):
-        sign = signs[i - 1]
-        # dot of the tentative nu_i with nu_{i-1}
-        dot = float((sign * raw[i]) @ (signs[i - 1] * raw[i - 1]))
-        if dot < 0.0:
-            sign = -sign
-            dot = -dot
-            if not regular[i]:
-                flips.append(float(ts[i]))
-            elif not regular[i - 1]:
-                # the singular sample before keeps its recorded sign
-                flips.append(float(np.nextafter(ts[i - 1], ts[i])))
-            else:
-                t_flip = _refine_flip(curve, float(ts[i - 1]), float(ts[i]))
-                flip_speed = jet(curve, t_flip).d1.norm()
-                if median_speed and flip_speed > 1e-3 * median_speed:
-                    raise LiftFailure(
-                        f"normal direction flips near t={t_flip:.6g} without a "
-                        f"singular point; the curve is undersampled")
-                flips.append(t_flip)
-        if dot < CONTINUITY_MIN_DOT:
+    # continuity propagation of the sign: sigma flips in the cells where
+    # consecutive raw normals point apart, and the aligned dot is |dot|
+    dots = (raw[1:] * raw[:-1]).sum(axis=1)
+    flip = dots < 0.0
+    signs = np.cumprod(np.concatenate(([1.0], np.where(flip, -1.0, 1.0))))
+    hi = np.flatnonzero(flip) + 1  # sigma flips between samples hi - 1 and hi
+    t_flip = ts[hi]
+    # a singular sample before the flip keeps its recorded sign
+    after_singular = ~regular[hi - 1] & regular[hi]
+    t_flip[after_singular] = np.nextafter(ts[hi - 1], ts[hi])[after_singular]
+    refined = regular[hi - 1] & regular[hi]
+    undersampled = np.zeros(n - 1, dtype=bool)  # per cell, like dots
+    if refined.any():
+        t_flip[refined] = _refine_flips(curve, ts[hi - 1][refined], ts[hi][refined])
+        v = velocity_xy(curve, t_flip[refined])
+        median_speed = float(np.median(speed[regular]))
+        if median_speed:
+            undersampled[hi[refined] - 1] = np.hypot(v[:, 0], v[:, 1]) > 1e-3 * median_speed
+    bad = np.flatnonzero(undersampled | (np.abs(dots) < CONTINUITY_MIN_DOT))
+    if bad.size:
+        c = bad[0]
+        if undersampled[c]:
+            t_bad = t_flip[np.searchsorted(hi, c + 1)]
             raise LiftFailure(
-                f"one-sided normal limits at t={ts[i]:.6g} disagree by more than "
-                f"a sign (cos angle = {dot:.3f})")
-        signs[i] = sign
+                f"normal direction flips near t={t_bad:.6g} without a "
+                f"singular point; the curve is undersampled")
+        raise LiftFailure(
+            f"one-sided normal limits at t={ts[c + 1]:.6g} disagree by more than "
+            f"a sign (cos angle = {abs(dots[c]):.3f})")
+    flips = tuple(float(t) for t in t_flip)
     nu = signs[:, None] * raw
 
     seam_consistent = True
     if curve.closed:
         seam_consistent = float(nu[-1] @ nu[0]) > 0.0
 
-    # frame curvatures: ell from the exact quotient rule on regular rows
+    # frame curvatures: ell from the exact quotient rule on regular rows,
+    # and from a central difference of the lifted normal across singular
+    # samples
     mu = perp_xy(nu)
-    ell = np.empty(n)
-    with np.errstate(all="ignore"):
-        w = np.column_stack([d1[:, 1], -d1[:, 0]])
-        wdot = np.column_stack([d2[:, 1], -d2[:, 0]])
-        sdot = (d1 * d2).sum(axis=1)  # = speed * d(speed)/dt
-        nudot = signs[:, None] * (wdot * (speed ** 2)[:, None] - w * sdot[:, None]) / (speed ** 3)[:, None]
-        ell_all = (nudot * mu).sum(axis=1)
-    ell[regular] = ell_all[regular]
+    ell = _ell(signs, d1, d2, speed, mu)
     h = ts[1] - ts[0] if n > 1 else 0.0
-    for i in np.flatnonzero(~regular):
-        # central difference of the lifted normal across the singular sample
-        j0, j1 = i - 1, i + 1
-        if curve.closed:
-            j0, j1 = j0 % n, j1 % n
-            span = 2.0 * h
-        else:
-            j0, j1 = max(j0, 0), min(j1, n - 1)
-            span = (j1 - j0) * h
-        if span == 0.0:
-            raise LiftFailure(f"cannot estimate ell at isolated sample t={ts[i]}")
-        dn = (nu[j1] - nu[j0]) / span
-        ell[i] = float(dn @ mu[i])
+    i = np.flatnonzero(singular)
+    if curve.closed:
+        j0, j1 = (i - 1) % n, (i + 1) % n
+        span = np.full(len(i), 2.0 * h)
+    else:
+        j0, j1 = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
+        span = (j1 - j0) * h
+    if (span == 0.0).any():
+        raise LiftFailure(f"cannot estimate ell at isolated sample t={ts[i[span == 0.0][0]]}")
+    dn = (nu[j1] - nu[j0]) / span[:, None]
+    ell[i] = (dn * mu[i]).sum(axis=1)
     beta = (d1 * mu).sum(axis=1)
 
-    return LegendrianCurve(curve, ts, nu, ell, beta, regular, 1.0, tuple(flips),
+    return LegendrianCurve(curve, ts, nu, ell, beta, regular, 1.0, flips,
                            seam_consistent)
 
 
 def legendrian_curvature(lc: LegendrianCurve, t: float) -> tuple[float, float]:
     """(ell, beta) at an arbitrary parameter."""
-    j = jet(lc.curve, t)
-    sigma = lc.sigma(t)
-    nu = lc.nu(t)
-    mu = Vec2(-nu.y, nu.x)
-    beta = j.d1.dot(mu)
-    speed = j.d1.norm()
-    if speed >= REGULAR_EPS:
-        w = Vec2(j.d1.y, -j.d1.x)
-        wdot = Vec2(j.d2.y, -j.d2.x)
-        sdot = j.d1.dot(j.d2)
-        nudot = sigma * (wdot * speed**2 - w * sdot) / speed**3
-        return nudot.dot(mu), beta
+    _, d1, d2, _ = jet_rows(lc.curve, t)
+    mu = perp_xy(lc.nu(t).as_array()[None])
+    beta = float((d1 * mu).sum(axis=1)[0])
+    speed = np.hypot(d1[:, 0], d1[:, 1])
+    if speed[0] >= REGULAR_EPS:
+        return float(_ell(np.array([lc.sigma(t)]), d1, d2, speed, mu)[0]), beta
     delta = 1e-6 * (lc.curve.t_max - lc.curve.t_min)
     lo = max(t - delta, lc.curve.t_min)
     hi = min(t + delta, lc.curve.t_max)
     dn = (lc.nu(hi) - lc.nu(lo)) / (hi - lo)
-    return dn.dot(mu), beta
+    return dn.dot(row_vec(mu)), beta
 
 
 def is_front(lc: LegendrianCurve, t: float) -> bool:

@@ -9,24 +9,29 @@ arc-length derivative of kappa is nonzero there.  Equivalently, the
 osculating circle of g at t passes through the origin, and the inverted
 curve has an ordinary inflection.  Roots are located by a sign-change
 scan over a grid followed by bisection, refined until |f| <= 1e-10 or
-80 iterations.  detect_cusps_numeric is the model-free cross-check: it
-sees cusps of a sampled curve purely from the points.
+80 iterations, for all brackets together: f is vectorized and called
+once per step.  On a closed curve the scan includes the closing cell
+from the last sample round to the first.  The scalar criterion,
+osculating_circle and classify_cusp are one-row cases of the array
+functions.  detect_cusps_numeric is the model-free cross-check: it sees
+cusps of a sampled curve purely from the points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .curve import CurveDef, curve_diameter, frenet, frenet_grid, sample_grid
-from .errors import (EvalError, HypothesisViolated, InflectionPoint,
-                     IrregularPoint, OriginSingularity, RangeError)
+from .curve import (CurveDef, FrenetGrid, curve_diameter, frenet_grid,
+                    frenet_rows, sample_grid)
+from .errors import HypothesisViolated, InflectionPoint, RangeError
 from .transforms import (DENOM_REL_EPS, MappedCurve, inversion_curvature,
-                         inversion_curvature_grid, shift, stencil_ok)
-from .vec import Vec2
+                         inversion_curvature_grid, inversion_curvature_rows,
+                         shift, stencil_ok)
+from .vec import Vec2, row_vec
 
 BISECT_TARGET = 1e-10
 BISECT_MAX_ITER = 80
@@ -43,29 +48,34 @@ CUSP_SPEED_FRACTION = 1e-3
 MIN_DETECT_SAMPLES = 1024
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float,
-            flo: float, fhi: float) -> Optional[tuple[float, float]]:
-    """Refine a sign-change bracket; returns (root, |f(root)|), or None
-    when the sign change is a pole, not a root: f is undefined somewhere
-    in the bracket, or |f| ends above its values at both ends."""
-    bound = max(abs(flo), abs(fhi))
-    try:
-        for _ in range(BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            fmid = f(mid)
-            if not math.isfinite(fmid):
-                return None
-            if abs(fmid) <= BISECT_TARGET:
-                return mid, abs(fmid)
-            if (flo < 0.0) != (fmid < 0.0):
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        mid = 0.5 * (lo + hi)
-        resid = abs(f(mid))
-        return (mid, resid) if resid <= bound else None
-    except (EvalError, IrregularPoint, OriginSingularity):
-        return None
+def _bisect(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+            hi: np.ndarray, flo: np.ndarray,
+            fhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refine sign-change brackets [lo, hi] together, with one call of f
+    per step over the brackets still open.  Returns (roots, residuals),
+    nan where the sign change is a pole, not a root: f is undefined
+    somewhere in the bracket, or |f| ends above its values at both ends."""
+    bound = np.maximum(np.abs(flo), np.abs(fhi))
+    roots = np.full(len(lo), np.nan)
+    resids = np.full(len(lo), np.nan)
+    live = np.arange(len(lo))
+    for step in range(BISECT_MAX_ITER + 1):
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fmid = np.asarray(f(mid), dtype=float)
+        # the step after the last halving takes any |f| within the end values
+        done = np.abs(fmid) <= (bound[live] if step == BISECT_MAX_ITER else BISECT_TARGET)
+        roots[live[done]] = mid[done]
+        resids[live[done]] = np.abs(fmid[done])
+        going = np.isfinite(fmid) & ~done
+        left = going & ((flo[live] < 0.0) != (fmid < 0.0))
+        right = going & ~left
+        hi[live[left]] = mid[left]
+        lo[live[right]] = mid[right]
+        flo[live[right]] = fmid[right]
+        live = live[going]
+    return roots, resids
 
 
 def _brackets(a: float, b: float) -> bool:
@@ -73,31 +83,45 @@ def _brackets(a: float, b: float) -> bool:
     return math.isfinite(a) and math.isfinite(b) and (a < 0.0) != (b < 0.0)
 
 
-def find_roots(f: Callable[[float], float], grid: Iterable[float],
-               values: np.ndarray | None = None) -> list[tuple[float, float]]:
+def find_roots(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
+               values: np.ndarray | None = None,
+               period: float | None = None) -> list[tuple[float, float]]:
     """Roots of f located by sign changes between adjacent grid points,
-    refined by bisection.  Returns (root, residual) pairs in grid order.
-    Precomputed grid values may be passed to skip the scan evaluations.
-    A cell with a non-finite end is not a bracket, and neither is one in
-    which f is undefined (a pole).
+    refined by bisection.  f is vectorized: it maps an array of
+    parameters to the array of its values, nan where it is undefined.
+    Returns (root, residual) pairs in grid order.  Precomputed grid
+    values may be passed to skip the scan evaluation.  A cell with a
+    non-finite end is not a bracket, and neither is one in which f is
+    undefined (a pole).
+
+    For a closed curve pass its period, t_max - t_min: the closing cell
+    [grid[-1], grid[0] + period] is scanned too, with f(grid[0]) as its
+    right end, and a root in it is reported once, in
+    [grid[0], grid[0] + period).
     """
-    grid = np.asarray(list(grid), dtype=float)
-    if values is None:
-        values = np.array([f(t) for t in grid], dtype=float)
-    values = np.asarray(values, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(f(grid) if values is None else values, dtype=float)
     n = len(grid)
+    ends, end_values = grid, values
+    if period is not None and grid[-1] < grid[0] + period:
+        ends = np.append(grid, grid[0] + period)
+        end_values = np.append(values, values[0])
+    live = np.isfinite(end_values) & (end_values != 0.0)
+    neg = end_values < 0.0
+    cells = np.flatnonzero(live[:-1] & live[1:] & (neg[:-1] != neg[1:]))
+    roots, resids = _bisect(f, ends[cells], ends[cells + 1],
+                            end_values[cells], end_values[cells + 1])
     found: list[tuple[int, tuple[float, float]]] = []  # (grid index, root)
-    zero = values == 0.0
-    live = np.isfinite(values) & ~zero
-    neg = values < 0.0
-    for i in np.flatnonzero(live[:-1] & live[1:] & (neg[:-1] != neg[1:])):
-        root = _bisect(f, float(grid[i]), float(grid[i + 1]),
-                       float(values[i]), float(values[i + 1]))
-        if root is not None:
-            found.append((i, root))
+    for i, t0, resid in zip(cells, roots, resids):
+        if np.isnan(t0):
+            continue
+        if i == n - 1 and t0 >= grid[0] + period:
+            i, t0 = -1, t0 - period
+        found.append((i, (float(t0), float(resid))))
     # A run of exact zeros is one root, and only if the sign actually
     # changes across it; tangential contact and identically-zero
     # stretches are out of contract.
+    zero = values == 0.0
     edges = np.flatnonzero(np.diff(np.concatenate(([0], zero.astype(np.int8), [0]))))
     for i, j in zip(edges[::2], edges[1::2]):
         before = values[i - 1] if i > 0 else None
@@ -120,12 +144,19 @@ class OsculatingCircle:
         return abs(self.center.norm() - self.radius)
 
 
+def _osculating_circles(fg: FrenetGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and radii of the osculating circles on the rows of fg."""
+    with np.errstate(all="ignore"):
+        return fg.p + fg.n_hat / fg.kappa[:, None], 1.0 / np.abs(fg.kappa)
+
+
 def osculating_circle(curve: CurveDef, t: float) -> OsculatingCircle:
-    fr = frenet(curve, t)
-    if abs(fr.kappa) < KAPPA_EPS:
-        raise InflectionPoint(f"no osculating circle at t={t}: curvature {fr.kappa:.3e}")
-    center = fr.p + fr.n_hat / fr.kappa
-    return OsculatingCircle(center, 1.0 / abs(fr.kappa))
+    fg = frenet_rows(curve, t)
+    kappa = float(fg.kappa[0])
+    if abs(kappa) < KAPPA_EPS:
+        raise InflectionPoint(f"no osculating circle at t={t}: curvature {kappa:.3e}")
+    center, radius = _osculating_circles(fg)
+    return OsculatingCircle(row_vec(center), float(radius[0]))
 
 
 def criterion(curve: CurveDef, t: float) -> float:
@@ -146,31 +177,41 @@ class CuspClassification:
     circle_witness: float  # | |center| - radius | of the osculating circle
 
 
-def classify_cusp(curve: CurveDef, t0: float,
-                  eps_d: float | None = None) -> CuspClassification:
-    """Classify a primitive-singularity candidate at t0.
+def classify_cusps(curve: CurveDef, ts: np.ndarray,
+                   eps_d: float | None = None) -> list[CuspClassification]:
+    """Classify primitive-singularity candidates at the parameters ts,
+    in one array call.
 
     Needs <g, n_hat> bounded away from zero there (else the primitive
-    itself is not defined at t0 and HypothesisViolated is raised).
+    itself is not defined and HypothesisViolated is raised for the first
+    such parameter); raises the errors of frenet as well.
     """
-    fr = frenet(curve, t0)
+    fg = frenet_rows(curve, ts)
     if eps_d is None:
         eps_d = DENOM_REL_EPS * curve_diameter(curve)
-    den = fr.p.dot(fr.n_hat)
-    if abs(den) < eps_d:
+    den = (fg.p * fg.n_hat).sum(axis=1)
+    undefined = np.abs(den) < eps_d
+    if undefined.any():
+        i = np.flatnonzero(undefined)[0]
         raise HypothesisViolated(
-            f"<g, n> = {den:.3e} at t={t0}; the primitive is undefined there")
-    crit = criterion(curve, t0)
-    if abs(crit) <= CRITERION_EPS:
-        label = "ordinary-cusp" if abs(fr.kappa_prime_arc) > KAPPA_PRIME_EPS else "degenerate"
-    else:
-        label = "not-singular"
-    if abs(fr.kappa) < KAPPA_EPS:
-        witness = math.inf
-    else:
-        circle = osculating_circle(curve, t0)
-        witness = circle.distance_from_origin_gap()
-    return CuspClassification(label, crit, fr.kappa_prime_arc, witness)
+            f"<g, n> = {den[i]:.3e} at t={fg.ts[i]}; the primitive is undefined there")
+    crit = -inversion_curvature_rows(fg)
+    kpa = fg.kappa_prime_arc
+    labels = np.where(np.abs(crit) <= CRITERION_EPS,
+                      np.where(np.abs(kpa) > KAPPA_PRIME_EPS, "ordinary-cusp", "degenerate"),
+                      "not-singular")
+    center, radius = _osculating_circles(fg)
+    witness = np.abs(np.hypot(center[:, 0], center[:, 1]) - radius)
+    witness[np.abs(fg.kappa) < KAPPA_EPS] = math.inf
+    return [CuspClassification(str(label), float(c), float(k), float(w))
+            for label, c, k, w in zip(labels, crit, kpa, witness)]
+
+
+def classify_cusp(curve: CurveDef, t0: float,
+                  eps_d: float | None = None) -> CuspClassification:
+    """Classify a primitive-singularity candidate at t0: the one-root
+    case of classify_cusps."""
+    return classify_cusps(curve, t0, eps_d)[0]
 
 
 @dataclass(frozen=True)
@@ -187,14 +228,13 @@ def primitive_singularities(curve: CurveDef,
     classified.  The curve must avoid the origin."""
     if ts is None:
         ts = sample_grid(curve)
-    values = criterion_grid(curve, ts)
-    roots = find_roots(lambda t: criterion(curve, t), ts, values=values)
+    roots = find_roots(lambda t: criterion_grid(curve, t), ts, period=curve.period)
+    if not roots:
+        return []
     eps_d = DENOM_REL_EPS * curve_diameter(curve, ts)
-    reports = []
-    for t0, resid in roots:
-        cls = classify_cusp(curve, t0, eps_d=eps_d)
-        reports.append(SingularityReport("primitive-cusp", t0, resid, cls.label))
-    return reports
+    classes = classify_cusps(curve, [t0 for t0, _ in roots], eps_d=eps_d)
+    return [SingularityReport("primitive-cusp", t0, resid, cls.label)
+            for (t0, resid), cls in zip(roots, classes)]
 
 
 def _frenet_roots(curve: CurveDef, ts: np.ndarray | None, field: str,
@@ -202,8 +242,8 @@ def _frenet_roots(curve: CurveDef, ts: np.ndarray | None, field: str,
     """Roots of one Frenet quantity (kappa, kappa_prime_arc) over the grid."""
     if ts is None:
         ts = sample_grid(curve)
-    values = getattr(frenet_grid(curve, ts), field)
-    roots = find_roots(lambda t: getattr(frenet(curve, t), field), ts, values=values)
+    roots = find_roots(lambda t: getattr(frenet_grid(curve, t), field), ts,
+                       period=curve.period)
     return [SingularityReport(kind, t0, r) for t0, r in roots]
 
 

@@ -38,8 +38,8 @@ from typing import Optional
 import numpy as np
 
 from . import expr as ex
-from .curve import (REGULAR_EPS, CurveDef, bbox_diameter, frenet, frenet_grid,
-                    sample_grid)
+from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, bbox_diameter,
+                    frenet_grid, frenet_rows, sample_grid)
 from .errors import OriginSingularity, RangeError
 from .vec import ORIGIN_EPS, invert_xy, perp_xy, rotate_xy
 
@@ -394,22 +394,26 @@ def mapped_slant(mc: MappedCurve, phi: float) -> MappedCurve:
 # inversion curvature
 
 
+def inversion_curvature_rows(fg: FrenetGrid) -> np.ndarray:
+    """inversion_curvature on the rows of a Frenet grid; a grid through
+    the origin is refused."""
+    n2 = (fg.p * fg.p).sum(axis=1)
+    _check_origin(fg.ts, n2, "inversion curvature")
+    return -fg.kappa * n2 - 2.0 * (fg.p * fg.n_hat).sum(axis=1)
+
+
 def inversion_curvature(curve: CurveDef, t: float) -> float:
     """Curvature of the inverted curve at parameter t:
-    -kappa |g|^2 - 2 <g, n>."""
-    fr = frenet(curve, t)
-    n2 = fr.p.norm_sq()
-    if n2 < ORIGIN_EPS * ORIGIN_EPS:
-        raise OriginSingularity(f"curve passes through the origin at t={t}")
-    return -fr.kappa * n2 - 2.0 * fr.p.dot(fr.n_hat)
+    -kappa |g|^2 - 2 <g, n>.  The row of inversion_curvature_grid, with
+    the errors of frenet, and OriginSingularity where g is the origin."""
+    return float(inversion_curvature_rows(frenet_rows(curve, t))[0])
 
 
 def inversion_curvature_grid(curve: CurveDef, ts: np.ndarray | None = None) -> np.ndarray:
+    """inversion_curvature over a grid; nan where the curve is singular.
+    A curve through the origin is refused."""
     ts = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
-    fg = frenet_grid(curve, ts)
-    n2 = (fg.p * fg.p).sum(axis=1)
-    _check_origin(ts, n2, "inversion curvature")
-    return -fg.kappa * n2 - 2.0 * (fg.p * fg.n_hat).sum(axis=1)
+    return inversion_curvature_rows(frenet_grid(curve, ts))
 
 
 # ---------------------------------------------------------------------------

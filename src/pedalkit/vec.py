@@ -57,6 +57,11 @@ class Vec2:
         return np.array([self.x, self.y], dtype=float)
 
 
+def row_vec(rows: np.ndarray) -> Vec2:
+    """Row 0 of an (n, 2) array as a Vec2 of floats."""
+    return Vec2(float(rows[0, 0]), float(rows[0, 1]))
+
+
 def perp(v: Vec2) -> Vec2:
     """Rotate v by +90 degrees (the complex-structure J)."""
     return Vec2(-v.y, v.x)

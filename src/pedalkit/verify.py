@@ -18,7 +18,7 @@ import numpy as np
 from . import frontal as fr
 from . import singularity as sg
 from . import transforms as tr
-from .curve import (CurveDef, builtin_curve, frenet, frenet_grid, position_xy,
+from .curve import (CurveDef, builtin_curve, frenet_grid, position_xy,
                     sample_grid, velocity_xy)
 from .envelope import circle_family_check, envelope, make_family
 from .errors import HypothesisViolated, RangeError
@@ -297,18 +297,24 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
     worst_resid = max((r.residual for r in reports), default=0.0)
     report.add("criterion roots refined to tolerance", worst_resid, 1e-10)
 
-    cusp_ts = [r.t for r in reports if r.classification == "ordinary-cusp"]
-    witness = 0.0
-    inflect = 0.0
-    sign_ok = True
+    cusp_ts = np.array([r.t for r in reports if r.classification == "ordinary-cusp"])
     h = ts[1] - ts[0]
-    for t0 in cusp_ts:
-        cls = sg.classify_cusp(curve, t0)
-        witness = max(witness, cls.circle_witness)
-        inflect = max(inflect, abs(tr.inversion_curvature(curve, t0)))
-        left = tr.inversion_curvature(curve, t0 - h)
-        right = tr.inversion_curvature(curve, t0 + h)
-        sign_ok &= (left < 0.0) != (right < 0.0)
+    classes = sg.classify_cusps(curve, cusp_ts)
+    witness = max((c.circle_witness for c in classes), default=0.0)
+    # inversion curvature at the cusps and one step to each side, in one
+    # call; a closed curve wraps the sides into [t_min, t_max), an open
+    # one leaves a cusp within h of an end out of the sign check
+    sides = np.concatenate([cusp_ts - h, cusp_ts + h])
+    inside = curve.closed | ((cusp_ts - h >= curve.t_min) & (cusp_ts + h <= curve.t_max))
+    if curve.closed:
+        sides = np.where(sides < curve.t_min, sides + curve.period,
+                         np.where(sides >= curve.t_max, sides - curve.period, sides))
+    else:
+        sides = np.clip(sides, curve.t_min, curve.t_max)
+    k_at, k_left, k_right = np.split(
+        tr.inversion_curvature_grid(curve, np.concatenate([cusp_ts, sides])), 3)
+    inflect = float(np.abs(k_at).max()) if len(cusp_ts) else 0.0
+    sign_ok = bool(((k_left < 0.0) != (k_right < 0.0))[inside].all())
     report.add("osculating circle passes through origin at cusps", witness, 1e-8)
     report.add("inverted curve has zero curvature at cusps", inflect, 1e-8)
     report.add("inverted-curve curvature changes sign at cusps",
@@ -323,16 +329,18 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
         report.add("vertices = extrema of inversion curvature", 0.0, 2 * h)
     else:
         vertex_roots = [t for t, _ in sg.find_roots(
-            lambda t: frenet(curve, t).kappa_prime_arc, ts, values=kpa)]
+            lambda t: frenet_grid(curve, t).kappa_prime_arc, ts, values=kpa,
+            period=curve.period)]
         delta = 1e-6 * (curve.t_max - curve.t_min)
 
-        def dk_scalar(t):
-            lo = max(t - delta, curve.t_min)
-            hi = min(t + delta, curve.t_max)
-            return (tr.inversion_curvature(curve, hi)
-                    - tr.inversion_curvature(curve, lo)) / (hi - lo)
+        def dk_grid(t):
+            lo = np.maximum(t - delta, curve.t_min)
+            hi = np.minimum(t + delta, curve.t_max)
+            k_hi, k_lo = np.split(tr.inversion_curvature_grid(curve, np.concatenate([hi, lo])), 2)
+            return (k_hi - k_lo) / (hi - lo)
 
-        ext_roots = [t for t, _ in sg.find_roots(dk_scalar, ts, values=dk)]
+        ext_roots = [t for t, _ in sg.find_roots(dk_grid, ts, values=dk,
+                                                 period=curve.period)]
         report.add("vertices = extrema of inversion curvature",
                    _root_gap(vertex_roots, ext_roots), 2 * h)
 

@@ -100,6 +100,31 @@ def test_detect_vertices_on_a_front_skips_its_cusps(capsys):
         frenet(front, float(t))  # raises IrregularPoint at a singular point
 
 
+def test_detect_vertices_finds_the_one_in_the_closing_cell(tmp_path, capsys):
+    # the vertex at 2 pi - 0.001 lies between the last sample and t_max
+    f = tmp_path / "shifted.curve"
+    f.write_text("x = cos(t + 0.001)\ny = sin(t + 0.001)/sqrt(3)\n"
+                 "t_min = 0\nt_max = 2*pi\n")
+    rc = main(["detect", "--curve", str(f), "--what", "vertices"])
+    assert rc == 0
+    ts = [float(ln.split("\t")[1]) for ln in capsys.readouterr().out.splitlines()]
+    np.testing.assert_allclose(ts, np.arange(1, 5) * math.pi / 2 - 0.001, atol=1e-9)
+
+
+def test_verify_singularity_with_a_cusp_within_a_step_of_t_min(tmp_path, capsys):
+    # the primitive cusp sits at t = 0.00113 < h = 2 pi / 4096; the sign
+    # check one step to its left wraps round the closed curve
+    f = tmp_path / "cusp.curve"
+    f.write_text("x = cos(t + 0.4194)\ny = sin(t + 0.4194)/sqrt(3)\n"
+                 "t_min = 0\nt_max = 2*pi\n")
+    rc = main(["verify", "--curve", str(f), "--suite", "singularity"])
+    out = capsys.readouterr().out
+    assert rc in (0, 1)
+    rows = {ln.split("  residual")[0].strip(): ln for ln in out.splitlines()[1:-1]}
+    assert len(rows) == 7
+    assert rows["inverted-curve curvature changes sign at cusps"].endswith("pass")
+
+
 def test_detect_writes_file(tmp_path, capsys):
     out = tmp_path / "vertices.tsv"
     rc = main(["detect", "--curve", "ellipse", "--what", "vertices",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pedalkit as pk
+from pedalkit.curve import jet_grid
 from pedalkit import (CurveDef, IrregularPoint, ParseError, RangeError,
                       builtin_curve, format_curve, frenet, frenet_grid,
                       load_curve, parse_curve, sample_grid)
@@ -194,3 +195,32 @@ def test_scalar_functions_raise_irregular_point_at_a_stationary_point(fn):
     cusp = parse_curve("x = t^2 + 1\ny = t^3\nt_min = -1\nt_max = 1\nclosed = false")
     with pytest.raises(IrregularPoint):
         fn(cusp, 0.0)
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+# one row of the jets of an inverted curve costs milliseconds (inv(front):
+# ~20 ms), so those curves are checked at fewer parameters
+@pytest.mark.parametrize("name, count", [(name, 300) for name in pk.BUILTIN_NAMES]
+                         + [("inv(ellipse)", 60), ("inv(front)", 30)])
+def test_scalar_functions_are_rows_of_the_grid_functions(name, count):
+    curve = (pk.invert_curve(builtin_curve(name[4:-1])) if name.startswith("inv(")
+             else builtin_curve(name))
+    ts = np.random.default_rng(7).uniform(curve.t_min, curve.t_max, count)
+    jets = jet_grid(curve, ts)
+    fg = frenet_grid(curve, ts)
+    kpsi = pk.inversion_curvature_grid(curve, ts)
+    crit = pk.criterion_grid(curve, ts)
+    for i, t in enumerate(ts):
+        j = pk.jet(curve, t)
+        assert _bits(*(c for v in (j.p, j.d1, j.d2, j.d3) for c in (v.x, v.y))) == \
+            _bits(*(c for d in jets for c in d[i]))
+        fr = frenet(curve, t)
+        assert _bits(fr.p.x, fr.p.y, fr.t_hat.x, fr.t_hat.y, fr.n_hat.x, fr.n_hat.y,
+                     fr.speed, fr.kappa, fr.kappa_prime_arc) == \
+            _bits(*fg.p[i], *fg.t_hat[i], *fg.n_hat[i],
+                  fg.speed[i], fg.kappa[i], fg.kappa_prime_arc[i])
+        assert _bits(pk.inversion_curvature(curve, t), pk.criterion(curve, t)) == \
+            _bits(kpsi[i], crit[i])

@@ -7,7 +7,7 @@ from pedalkit import singularity as sg
 from pedalkit import transforms as tr
 from pedalkit.curve import builtin_curve, parse_curve, sample_grid
 from pedalkit.errors import (HypothesisViolated, InflectionPoint,
-                             IrregularPoint, OriginSingularity, RangeError)
+                             OriginSingularity, RangeError)
 
 CUBIC = parse_curve(
     "x = t\ny = t^3\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33")
@@ -32,7 +32,7 @@ def test_find_roots_bisects_sign_changes():
 def test_find_roots_sine_counts_exact_zero_at_left_end():
     # sin(0) is exactly 0.0; sin(pi) is only ~1.2e-16 and gets bisected
     grid = np.linspace(0.0, 2.0 * math.pi, 33)
-    roots = sg.find_roots(math.sin, grid)
+    roots = sg.find_roots(np.sin, grid)
     assert len(roots) == 2
     assert roots[0] == (0.0, 0.0)
     assert abs(roots[1][0] - math.pi) < 1e-9
@@ -43,7 +43,7 @@ def test_find_roots_ignores_tangential_and_flat():
     grid = np.linspace(0.0, 2.0, 5)
     # touches zero at t=1 without crossing
     assert sg.find_roots(lambda t: (t - 1.0) ** 2, grid) == []
-    assert sg.find_roots(lambda t: 0.0, grid) == []
+    assert sg.find_roots(np.zeros_like, grid) == []
 
 
 def test_find_roots_zero_run_collapses_to_one_root():
@@ -77,11 +77,21 @@ def test_find_roots_skips_a_pole_where_the_function_is_undefined():
     # 1/(t - 0.55) changes sign across its pole; the midpoint of the
     # bracket hits the point where the function is undefined
     def f(t):
-        if t == 0.55:
-            raise IrregularPoint("undefined at the pole")
-        return 1.0 / (t - 0.55)
+        with np.errstate(divide="ignore"):
+            return np.where(t == 0.55, np.nan, 1.0 / (t - 0.55))
     grid = np.linspace(0.0, 1.1, 12)
     assert sg.find_roots(f, grid) == []
+
+
+def test_find_roots_bisects_all_brackets_together():
+    calls = []
+
+    def f(t):
+        calls.append(len(t))
+        return np.sin(t)
+    roots = sg.find_roots(f, np.linspace(0.0, 20.0, 201))
+    np.testing.assert_allclose([t for t, _ in roots], np.pi * np.arange(7), atol=1e-9)
+    assert len(calls) <= sg.BISECT_MAX_ITER + 2
 
 
 # --- osculating circle -----------------------------------------------------

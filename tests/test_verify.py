@@ -17,6 +17,14 @@ def test_all_suites_pass_on_builtins(name):
     assert len(report.results) > 30
 
 
+def test_vertices_match_inversion_curvature_extrema_on_a_rotated_ellipse():
+    # rotating about the origin moves no vertex; the extremum at t = 0 has
+    # its sign change in the closing cell of the grid
+    report = run_suite("singularity", tr.transform_curve(builtin_curve("ellipse"), 0.5, 1.0))
+    row = {r.name: r for r in report.results}["vertices = extrema of inversion curvature"]
+    assert row.passed, report.format()
+
+
 def test_front_skips_singularity_suite_inside_all():
     report = run_suite("all", builtin_curve("front"))
     skipped = [r.name for r in report.results if "skipped" in r.name]
