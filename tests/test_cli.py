@@ -111,12 +111,16 @@ def test_detect_vertices_finds_the_one_in_the_closing_cell(tmp_path, capsys):
     np.testing.assert_allclose(ts, np.arange(1, 5) * math.pi / 2 - 0.001, atol=1e-9)
 
 
-def test_verify_singularity_with_a_cusp_within_a_step_of_t_min(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
     # the primitive cusp sits at t = 0.00113 < h = 2 pi / 4096; the sign
     # check one step to its left wraps round the closed curve
+    "x = cos(t + 0.4194)\ny = sin(t + 0.4194)/sqrt(3)\nt_min = 0\nt_max = 2*pi\n",
+    # on an open arc a cusp at t = 0.00053 < h = 3 / 4095 is left out of it
+    "x = cos(t + 0.42)\ny = sin(t + 0.42)/sqrt(3)\nt_min = 0\nt_max = 3\nclosed = false\n",
+])
+def test_verify_singularity_with_a_cusp_within_a_step_of_t_min(tmp_path, capsys, text):
     f = tmp_path / "cusp.curve"
-    f.write_text("x = cos(t + 0.4194)\ny = sin(t + 0.4194)/sqrt(3)\n"
-                 "t_min = 0\nt_max = 2*pi\n")
+    f.write_text(text)
     rc = main(["verify", "--curve", str(f), "--suite", "singularity"])
     out = capsys.readouterr().out
     assert rc in (0, 1)
