@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import pedalkit as pk
-from pedalkit.curve import jet_grid
 from pedalkit import (CurveDef, IrregularPoint, ParseError, RangeError,
                       builtin_curve, format_curve, frenet, frenet_grid,
                       load_curve, parse_curve, sample_grid)
+from pedalkit.curve import jet_grid
 
 ELLIPSE_TEXT = """
 name = "squashed"
