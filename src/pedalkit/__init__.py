@@ -2,7 +2,8 @@
 
 Core objects:
 
-- CurveDef: symbolic plane curve with cached derivative jets.
+- CurveDef: symbolic plane curve; its derivative jets come from one
+  Taylor-mode walk of x(t) and y(t) (`expr.jets`).
 - transforms: one kernel per formula (pedal, contrapedal, pedaloid,
   antipedal, primitive, parallel and slant primitivoids, inversion) over
   a frame of points and unit normals, with Frenet and sampled-polyline
@@ -23,7 +24,8 @@ from .envelope import FAMILY_KINDS, LineFamily, envelope, make_family
 from .errors import (EvalError, HypothesisViolated, InflectionPoint,
                      IrregularPoint, LiftFailure, OriginSingularity,
                      ParseError, PedalkitError, RangeError)
-from .expr import Expr, differentiate, evaluate, parse_expr, simplify, to_text
+from .expr import (Expr, differentiate, evaluate, jets, parse_expr, simplify,
+                   to_text)
 from .frontal import (LegendrianCurve, SampledFrontal, composition_check,
                       frontal_antipedal, frontal_parallel_primitivoid,
                       frontal_pedal, frontal_primitive,

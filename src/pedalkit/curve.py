@@ -1,9 +1,11 @@
 """Curve definitions, parameter grids and Frenet data.
 
-A CurveDef holds symbolic x(t), y(t) plus a parameter interval; the
-first three derivative jets are differentiated symbolically once and
-cached.  All Frenet quantities use parametrization-invariant formulas
-from the raw jets, so curves need not be unit speed:
+A CurveDef holds symbolic x(t), y(t) plus a parameter interval.  The
+position and its first three derivatives come from one Taylor-mode walk
+of those trees (`expr.jets`) per block of JET_BLOCK parameters; no
+derivative tree is built.  All Frenet quantities use
+parametrization-invariant formulas from the raw jets, so curves need
+not be unit speed:
 
     kappa           = cross(d1, d2) / |d1|^3
     dkappa/dt       = cross(d1, d3) / |d1|^3 - 3 kappa <d1, d2> / |d1|^2
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -49,22 +51,12 @@ class CurveDef:
     name: str = "curve"
     samples: int = 1024
     closed: bool = True
-    # derivative jets, filled in by __post_init__
-    _dx: tuple = field(default=None, repr=False, compare=False)
-    _dy: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.t_min < self.t_max):
             raise RangeError(f"empty parameter interval [{self.t_min}, {self.t_max}]")
         if self.samples < MIN_SAMPLES:
             raise RangeError(f"need at least {MIN_SAMPLES} samples, got {self.samples}")
-        dx = [self.x]
-        dy = [self.y]
-        for _ in range(3):
-            dx.append(ex.differentiate(dx[-1]))
-            dy.append(ex.differentiate(dy[-1]))
-        object.__setattr__(self, "_dx", tuple(dx))
-        object.__setattr__(self, "_dy", tuple(dy))
         if self.closed:
             p0 = self.point(self.t_min)
             p1 = self.point(self.t_max)
@@ -158,21 +150,34 @@ class FrenetGrid:
     regular: np.ndarray
 
 
-def _eval_xy(xe: ex.Expr, ye: ex.Expr, ts: np.ndarray) -> np.ndarray:
-    return np.column_stack([ex.evaluate_array(xe, ts), ex.evaluate_array(ye, ts)])
+# parameters per jet walk: the jets of every node of a tree are alive
+# until its walk ends, so blocks bound the memory a long grid takes
+JET_BLOCK = 1 << 14
+
+
+def _jets_xy(curve: CurveDef, ts: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+    """(p, d1, ..., d_order), each (n, 2), filled block by block."""
+    ts = np.asarray(ts, dtype=float)
+    out = tuple(np.empty((len(ts), 2)) for _ in range(order + 1))
+    for start in range(0, len(ts), JET_BLOCK):
+        block = slice(start, start + JET_BLOCK)
+        for col, jet in enumerate(ex.jets((curve.x, curve.y), ts[block], order)):
+            for k, values in enumerate(jet):
+                out[k][block, col] = values
+    return out
 
 
 def position_xy(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
-    return _eval_xy(curve._dx[0], curve._dy[0], ts)
+    return np.column_stack([ex.evaluate_array(curve.x, ts), ex.evaluate_array(curve.y, ts)])
 
 
 def velocity_xy(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
-    return _eval_xy(curve._dx[1], curve._dy[1], ts)
+    return _jets_xy(curve, ts, 1)[1]
 
 
 def jet_grid(curve: CurveDef, ts: np.ndarray) -> tuple[np.ndarray, ...]:
     """(p, d1, d2, d3) arrays, each (n, 2)."""
-    return tuple(_eval_xy(curve._dx[k], curve._dy[k], ts) for k in range(4))
+    return _jets_xy(curve, ts, 3)
 
 
 def frenet_grid(curve: CurveDef, ts: np.ndarray) -> FrenetGrid:

@@ -14,8 +14,10 @@ sqrt, exp, log, abs.  There is one evaluator, a walk of the tree with
 numpy operations.  On an array of parameters domain errors become
 non-finite entries, so callers can flag samples.  On a float it walks a
 0-d float64, and the scalar contract is that the result is a finite
-real float or EvalError is raised.  differentiate() returns a new tree
-(abs differentiates to a sign factor, so evaluating the derivative at a
+real float or EvalError is raised.  jets() walks the same tree once
+for the value and the first three t-derivatives on an array, without
+building derivative trees.  differentiate() returns a new tree (abs
+differentiates to a sign factor, so evaluating the derivative at a
 root of the argument is an EvalError).  to_text() prints a form that
 reparses to the identical tree.
 """
@@ -493,6 +495,205 @@ def differentiate(e: Expr) -> Expr:
             # which the scalar evaluator reports as EvalError
             return mul(div(u, Call("abs", u)), du)
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# Taylor-mode jets (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+# SIAM 2008, ch. 13).  A node's jet is the list of its value and its
+# first t-derivatives, in derivative form (entry k is the k-th
+# derivative, not the k-th Taylor coefficient).  None is a structural
+# zero, the derivative of a constant: the arithmetic below skips it the
+# way the smart constructors fold zeros, so signed zeros come out as
+# the symbolic derivative has them.  Entry 0 is computed by the same
+# numpy operations as _eval_array, so it equals evaluate() bitwise.
+
+MAX_JET_ORDER = 3
+
+
+def jets(exprs, t: np.ndarray, order: int = MAX_JET_ORDER) -> list[list[np.ndarray]]:
+    """For each of exprs, its value and first `order` t-derivatives
+    (order <= MAX_JET_ORDER) at the array t, each an array of t's shape.
+    One walk of the trees: a node shared between or within them is
+    evaluated once.  Domain errors become non-finite entries; so does a
+    derivative of abs at a root of its argument."""
+    if not 0 <= order <= MAX_JET_ORDER:
+        raise ValueError(f"jet order must be 0..{MAX_JET_ORDER}, got {order}")
+    memo: dict[int, list] = {}
+    with np.errstate(all="ignore"):
+        walked = [_jet(e, t, order, memo) for e in exprs]
+    return [[_full(v, t) for v in w] for w in walked]
+
+
+def _full(v, t: np.ndarray) -> np.ndarray:
+    if v is None:
+        return np.zeros(t.shape)
+    if isinstance(v, np.ndarray) and v.shape == t.shape:
+        return v
+    return np.full(t.shape, float(v))
+
+
+def _jet(e: Expr, t: np.ndarray, order: int, memo: dict) -> list:
+    # keyed by identity: the trees keep every node alive during the walk,
+    # and hashing a frozen node would walk its whole subtree
+    key = id(e)
+    if key in memo:
+        return memo[key]
+    if isinstance(e, Num):
+        w = [e.value] + [None] * order
+    elif isinstance(e, Const):
+        w = [CONSTANTS[e.name]] + [None] * order
+    elif isinstance(e, Param):
+        w = [t, 1.0, None, None][:order + 1]
+    elif isinstance(e, Neg):
+        w = [_neg(a) for a in _jet(e.arg, t, order, memo)]
+    elif isinstance(e, Add):
+        w = [_add(a, b) for a, b in zip(_jet(e.left, t, order, memo),
+                                        _jet(e.right, t, order, memo))]
+    elif isinstance(e, Sub):
+        w = [_sub(a, b) for a, b in zip(_jet(e.left, t, order, memo),
+                                        _jet(e.right, t, order, memo))]
+    elif isinstance(e, Mul):
+        w = _product(_jet(e.left, t, order, memo), _jet(e.right, t, order, memo))
+    elif isinstance(e, Div):
+        w = _quotient(_jet(e.left, t, order, memo), _jet(e.right, t, order, memo))
+    elif isinstance(e, Pow):
+        w = _power(_jet(e.base, t, order, memo), _jet(e.exponent, t, order, memo))
+    elif isinstance(e, Call):
+        w = _call(e.func, _jet(e.arg, t, order, memo))
+    else:
+        raise TypeError(f"not an Expr node: {e!r}")
+    memo[key] = w
+    return w
+
+
+def _neg(a):
+    return None if a is None else -a
+
+
+def _add(a, b):
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _sub(a, b):
+    if b is None:
+        return a
+    return -b if a is None else a - b
+
+
+def _mul(a, b):
+    if a is None or b is None:
+        return None
+    if type(a) is float and a == 1.0:
+        return b
+    if type(b) is float and b == 1.0:
+        return a
+    return a * b
+
+
+def _is_constant(u: list) -> bool:
+    return all(d is None for d in u[1:])
+
+
+def _product(a: list, b: list) -> list:
+    """Leibniz rule.  Entry k sums the products a_i b_(k-i) grouped the
+    way k-fold differentiation of a*b groups them, (a'b + ab')' =
+    (a''b + a'b') + (a'b' + ab''), which keeps the rounding of the
+    symbolic derivative."""
+    order = len(a) - 1
+    # level k: the k-th derivative of each a_i b_j still needed
+    level = {(i, j): _mul(a[i], b[j]) for i in range(order + 1) for j in range(order + 1 - i)}
+    w = [level[0, 0]]
+    for k in range(1, order + 1):
+        level = {(i, j): _add(level[i + 1, j], level[i, j + 1])
+                 for i, j in level if i + j <= order - k}
+        w.append(level[0, 0])
+    return w
+
+
+def _quotient(a: list, b: list) -> list:
+    """w = a/b by the recurrence a_k = sum_j C(k, j) b_j w_(k-j), solved
+    for w_k; a constant denominator divides each entry."""
+    b0 = b[0]
+    if _is_constant(b):
+        return [a[0] / b0] + [None if ak is None else ak / b0 for ak in a[1:]]
+    w = [a[0] / b0]
+    for k in range(1, len(a)):
+        acc = a[k]
+        for j in range(1, k + 1):
+            acc = _sub(acc, _mul(float(math.comb(k, j)), _mul(b[j], w[k - j])))
+        w.append(None if acc is None else acc / b0)
+    return w
+
+
+def _power(u: list, v: list) -> list:
+    """u^v.  A constant exponent c takes the chain rule with
+    c (c-1) ... u^(c-k); a zero coefficient is a structural zero, so an
+    integer power never forms a negative power of u and t^2 at t = 0
+    has finite derivatives.  A varying exponent goes through
+    exp(v log u)."""
+    order = len(u) - 1
+    w0 = np.power(u[0], v[0])
+    if not _is_constant(v):
+        return _chain([w0] * (order + 1), _product(v, _call("log", u)))
+    if _is_constant(u):
+        return [w0] + [None] * order
+    c = float(v[0])
+    f, coef = [w0], 1.0
+    for k in range(1, order + 1):
+        coef *= c - (k - 1)
+        f.append(None if coef == 0.0 else coef * np.power(u[0], c - k))
+    return _chain(f, u)
+
+
+def _call(func: str, u: list) -> list:
+    order = len(u) - 1
+    w0 = _NUMPY_FN[func](u[0])
+    if _is_constant(u):
+        return [w0] + [None] * order
+    # the function and its first three derivatives at u_0
+    if func == "sin":
+        c = np.cos(u[0])
+        f = (w0, c, -w0, -c)
+    elif func == "cos":
+        s = np.sin(u[0])
+        f = (w0, -s, -w0, s)
+    elif func == "tan":
+        sec2 = 1.0 / np.cos(u[0]) ** 2
+        f = (w0, sec2, 2.0 * w0 * sec2, 2.0 * sec2 * (sec2 + 2.0 * w0 * w0))
+    elif func == "exp":
+        f = (w0, w0, w0, w0)
+    elif func == "log":
+        r = 1.0 / u[0]
+        f = (w0, r, -r * r, 2.0 * r * r * r)
+    elif func == "sqrt":
+        g1 = 0.5 / w0
+        r = 1.0 / u[0]
+        f = (w0, g1, -0.5 * g1 * r, 0.75 * g1 * r * r)
+    elif func == "abs":
+        # sign(u), nan at a root; the higher derivatives vanish elsewhere
+        f = (w0, u[0] / w0, None, None)
+    else:
+        raise TypeError(f"unknown function {func!r}")
+    return _chain(f, u)
+
+
+def _chain(f, u: list) -> list:
+    """Faa di Bruno to order 3: the jet of g(u) from g and its
+    derivatives f at u_0, with the products taken left to right as the
+    symbolic chain rule takes them."""
+    w = [f[0]]
+    order = len(u) - 1
+    if order >= 1:
+        w.append(_mul(f[1], u[1]))
+    if order >= 2:
+        w.append(_add(_mul(_mul(f[2], u[1]), u[1]), _mul(f[1], u[2])))
+    if order >= 3:
+        w.append(_add(_add(_mul(_mul(_mul(f[3], u[1]), u[1]), u[1]),
+                           _mul(3.0, _mul(_mul(f[2], u[1]), u[2]))),
+                      _mul(f[1], u[3])))
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ suites certify the formulas rather than re-deriving them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,34 +112,41 @@ def stable_mask(mc: tr.MappedCurve, frac: float = 0.05) -> np.ndarray:
 # suites
 
 
-def _suite_inversion(curve: CurveDef, report: VerifyReport) -> None:
+@functools.lru_cache(maxsize=1)
+def _plane_inversion_rows() -> tuple[tuple[str, float, float], ...]:
+    """(name, residual, tolerance) of the inversion rows that do not
+    depend on the curve; computed once per process."""
     rng = np.random.default_rng(20240811)
     n = 1_000_000
     radii = 10.0 ** rng.uniform(-3, 3, n)
     angles = rng.uniform(0, 2 * math.pi, n)
     pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     back = invert_xy(invert_xy(pts))
-    rel = np.hypot(*(back - pts).T) / radii
-    report.add("inversion is an involution (1e6 points)", rel.max(), 1e-12)
+    involution = float((np.hypot(*(back - pts).T) / radii).max())
 
     m = 10_000
     x, y = pts[:m], pts[m:2 * m]
     lhs = np.hypot(*(invert_xy(x) - invert_xy(y)).T)
     rhs = np.hypot(*(x - y).T) / (np.hypot(*x.T) * np.hypot(*y.T))
-    rel = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
-    report.add("inversion scales distances conformally", rel.max(), 1e-9)
+    conformal = float((np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)).max())
 
     v = Vec2(0.6832, -1.977)
-    report.add("perp twice negates", (perp(perp(v)) + v).norm(), 0.0)
-    report.add("quarter turn equals perp",
-               (rotate(v, math.pi / 2) - perp(v)).norm(), 1e-15 * v.norm())
     w = rotate(rotate(v, 0.71), -1.93)
-    report.add("rotations add angles", (w - rotate(v, 0.71 - 1.93)).norm(), 1e-12)
-
     a_one = invert(invert(Vec2(3.25, -0.125)))
-    report.add("scalar inversion involution",
-               (a_one - Vec2(3.25, -0.125)).norm(), 1e-12)
+    return (
+        ("inversion is an involution (1e6 points)", involution, 1e-12),
+        ("inversion scales distances conformally", conformal, 1e-9),
+        ("perp twice negates", (perp(perp(v)) + v).norm(), 0.0),
+        ("quarter turn equals perp",
+         (rotate(v, math.pi / 2) - perp(v)).norm(), 1e-15 * v.norm()),
+        ("rotations add angles", (w - rotate(v, 0.71 - 1.93)).norm(), 1e-12),
+        ("scalar inversion involution", (a_one - Vec2(3.25, -0.125)).norm(), 1e-12),
+    )
 
+
+def _suite_inversion(curve: CurveDef, report: VerifyReport) -> None:
+    for row in _plane_inversion_rows():
+        report.add(*row)
     double = tr.invert_curve(tr.invert_curve(curve))
     ts = sample_grid(curve)
     report.add("curve double-inversion returns the curve",
@@ -406,15 +414,9 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     h = ts[1] - ts[0]
     nu = lc.nu_grid
     mu = perp_xy(nu)
-    if curve.closed:
-        nudot = tr.five_point_derivative(nu, h, closed=True)
-        mudot = perp_xy(nudot)
-        inner = np.ones(len(ts), dtype=bool)
-    else:
-        nudot = np.gradient(nu, h, axis=0)
-        mudot = perp_xy(nudot)
-        inner = np.zeros(len(ts), dtype=bool)
-        inner[2:-2] = True
+    nudot = tr.five_point_derivative(nu, h, curve.closed)
+    mudot = perp_xy(nudot)
+    inner = tr.stencil_ok(np.ones(len(ts), dtype=bool), curve.closed)
     r1 = np.hypot(*(nudot - lc.ell_grid[:, None] * mu).T)
     r2 = np.hypot(*(mudot + lc.ell_grid[:, None] * nu).T)
     report.add("frame closure nu' = ell mu", float(r1[inner].max()), 1e-6)

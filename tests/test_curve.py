@@ -201,10 +201,8 @@ def _bits(*values):
     return np.array(values, dtype=float).tobytes()
 
 
-# one row of the jets of an inverted curve costs milliseconds (inv(front):
-# ~20 ms), so those curves are checked at fewer parameters
 @pytest.mark.parametrize("name, count", [(name, 300) for name in pk.BUILTIN_NAMES]
-                         + [("inv(ellipse)", 60), ("inv(front)", 30)])
+                         + [("inv(ellipse)", 300), ("inv(front)", 300)])
 def test_scalar_functions_are_rows_of_the_grid_functions(name, count):
     curve = (pk.invert_curve(builtin_curve(name[4:-1])) if name.startswith("inv(")
              else builtin_curve(name))
@@ -224,3 +222,33 @@ def test_scalar_functions_are_rows_of_the_grid_functions(name, count):
                   fg.speed[i], fg.kappa[i], fg.kappa_prime_arc[i])
         assert _bits(pk.inversion_curvature(curve, t), pk.criterion(curve, t)) == \
             _bits(kpsi[i], crit[i])
+
+
+@pytest.mark.parametrize("x", ["t^-1", "sqrt(t)", "abs(t)"])
+def test_scalar_jet_raises_where_a_derivative_is_undefined(x):
+    curve = parse_curve(f"x = {x}\ny = t\nt_min = 0\nt_max = 1\nclosed = false")
+    rows = jet_grid(curve, np.array([0.0, 0.5]))
+    assert not np.isfinite(np.hstack(rows)[0]).all()
+    assert np.isfinite(np.hstack(rows)[1]).all()
+    with pytest.raises(pk.EvalError):
+        pk.jet(curve, 0.0)
+
+
+def test_jets_of_an_inverted_curve_equal_those_of_its_parsed_copy():
+    # invert_curve shares the source's x and y between both coordinates;
+    # the text copy has no shared nodes
+    inv = pk.invert_curve(builtin_curve("front"))
+    again = parse_curve(format_curve(inv))
+    ts = sample_grid(inv, 512)
+    for a, b in zip(jet_grid(inv, ts), jet_grid(again, ts)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_jet_grid_blocks_do_not_change_the_result(monkeypatch):
+    c = pk.invert_curve(builtin_curve("ellipse"))
+    ts = sample_grid(c, 100)
+    whole = jet_grid(c, ts)
+    monkeypatch.setattr("pedalkit.curve.JET_BLOCK", 7)
+    for a, b in zip(whole, jet_grid(c, ts)):
+        assert a.tobytes() == b.tobytes()
+    assert pk.velocity_xy(c, ts).tobytes() == whole[1].tobytes()

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -138,3 +139,77 @@ def test_scalar_evaluate_returns_a_float_or_raises():
         ex.evaluate(ex.parse_expr("1/t"), 0.0)
     with pytest.raises(EvalError):
         ex.evaluate(ex.parse_expr("exp(t)"), 1000.0)
+
+
+@pytest.mark.parametrize("text", expression_corpus(seed=1202, count=40))
+def test_jets_match_the_symbolic_derivatives(text):
+    # order 0 is the plain evaluation bit for bit; orders 1 to 3 agree with
+    # the evaluated derivative trees to rounding
+    e = ex.parse_expr(text)
+    ts = np.linspace(0.15, 2.9, 64)
+    values = ex.jets([e], ts)[0]
+    assert len(values) == ex.MAX_JET_ORDER + 1
+    assert ex.evaluate_array(e, ts).tobytes() == values[0].tobytes()
+    d = e
+    for k in range(1, ex.MAX_JET_ORDER + 1):
+        d = ex.differentiate(d)
+        sym = ex.evaluate_array(d, ts)
+        assert np.isfinite(values[k]).all()
+        assert (np.abs(values[k] - sym) / np.maximum(1.0, np.abs(sym))).max() < 1e-12
+
+
+def test_jets_stop_at_the_order_asked_for():
+    e = ex.parse_expr("t^2*exp(sin(t))")
+    ts = np.linspace(-1.0, 1.0, 9)
+    full = ex.jets([e], ts)[0]
+    for order in range(ex.MAX_JET_ORDER + 1):
+        part = ex.jets([e], ts, order)[0]
+        assert len(part) == order + 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(part, full))
+    with pytest.raises(ValueError):
+        ex.jets([e], ts, ex.MAX_JET_ORDER + 1)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("t^2", (0.0, 0.0, 2.0, 0.0)),
+    ("t^3", (0.0, 0.0, 0.0, 6.0)),
+    ("(t - 1)^2", (1.0, -2.0, 2.0, 0.0)),
+])
+def test_jets_of_integer_powers_are_finite_at_zero(text, expected):
+    values = ex.jets([ex.parse_expr(text)], np.array([0.0]))[0]
+    assert tuple(float(v[0]) for v in values) == expected
+
+
+def test_jets_of_a_constant_keep_structural_zeros():
+    # d(2 + cos t)/dt at t = 0 is -sin 0 = -0.0; adding the constant's
+    # derivative as 0.0 would turn it into +0.0
+    values = ex.jets([ex.parse_expr("2 + cos(t)")], np.array([0.0]))[0]
+    assert math.copysign(1.0, values[1][0]) == -1.0
+    assert all(v.shape == (1,) for v in ex.jets([ex.parse_expr("pi")], np.array([0.0]))[0])
+
+
+def test_jets_of_a_varying_exponent():
+    ts = np.linspace(0.5, 2.5, 11)
+    values = ex.jets([ex.parse_expr("t^t")], ts)[0]
+    np.testing.assert_array_equal(values[0], np.power(ts, ts))
+    np.testing.assert_allclose(values[1], ts**ts * (np.log(ts) + 1.0), rtol=1e-14)
+    d = ex.parse_expr("sin(t)^cos(t)")
+    values = ex.jets([d], ts)[0]
+    for k in range(1, ex.MAX_JET_ORDER + 1):
+        d = ex.differentiate(d)
+        np.testing.assert_allclose(values[k], ex.evaluate_array(d, ts), rtol=1e-12, atol=1e-12)
+
+
+def test_jets_leave_no_reference_cycles():
+    # a walk's arrays are freed when it returns, not at the next cyclic
+    # collection; on a long grid that garbage would pile up across calls
+    e = ex.parse_expr("sin(t)*(23 + 4*cos(2*t))/(1 + t^2) + t^t")
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ex.jets([e], np.linspace(0.5, 1.0, 8))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

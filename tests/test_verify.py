@@ -25,6 +25,21 @@ def test_vertices_match_inversion_curvature_extrema_on_a_rotated_ellipse():
     assert row.passed, report.format()
 
 
+@pytest.mark.parametrize("text", [
+    "x = cos(t)\ny = sin(t)/sqrt(3)\nt_min = 0.3\nt_max = 5\nclosed = false",
+    "x = t\ny = t^3 + 2\nt_min = -1\nt_max = 1\nclosed = false",
+    "x = t\ny = t^2 + 1\nt_min = -1\nt_max = 1\nclosed = false",
+], ids=["ellipse-arc", "cubic", "parabola"])
+def test_frame_closure_on_open_arcs_uses_the_five_point_stencil(text):
+    # the lift is exact, so the rows measure the difference stencil alone:
+    # a second-order one leaves ~1e-6 at 4096 samples, the five-point one
+    # stays near 1e-11
+    report = run_suite("frontal", pk.parse_curve(text))
+    rows = [r for r in report.results if r.name.startswith("frame closure")]
+    assert len(rows) == 2
+    assert all(r.residual < 1e-9 for r in rows), report.format()
+
+
 def test_front_skips_singularity_suite_inside_all():
     report = run_suite("all", builtin_curve("front"))
     skipped = [r.name for r in report.results if "skipped" in r.name]

@@ -13,21 +13,29 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
 - `detect` for every kind on the built-ins, at the default sample count
   and at 65536 samples.
 
-Running it against two checkouts and comparing the directories with
-`diff -r` shows whether a change altered any of these outputs.
+Running it against two checkouts and comparing the directories shows
+whether a change altered any of these outputs:
+
+    python3 tools/golden.py --compare A B
+
+compares two such directories file by file.  Each file is split into
+numeric fields and the text between them.  A file whose text differs,
+or that is in one directory only, is reported as a text difference;
+for a file whose numbers alone differ it prints how many fields
+differ and the largest relative change |a - b| / max(|a|, |b|), with
+the line it is on (a field that differs only in the sign of a zero
+counts, with change 0).  The exit code is 1 if any text differs, else
+0.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
+import re
 import sys
-
-from pedalkit.cli import DETECT_KINDS, main
-from pedalkit.curve import BUILTIN_NAMES, builtin_curve, format_curve
-from pedalkit.figures import FIGURE_NUMBERS
-from pedalkit.transforms import TRANSFORM_KINDS, invert_curve
 
 # extra arguments per transform kind; one output per entry
 TRANSFORM_ARGS = {
@@ -44,6 +52,8 @@ DETECT_SAMPLES = (None, 65536)
 def run(name: str, argv: list[str]) -> None:
     """Run one command and write its stdout, stderr and exit code to
     the file `name` in the current directory."""
+    from pedalkit.cli import main
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -54,6 +64,12 @@ def run(name: str, argv: list[str]) -> None:
 
 
 def write_goldens(outdir: str) -> int:
+    # imported here so that --compare runs without pedalkit
+    from pedalkit.cli import DETECT_KINDS
+    from pedalkit.curve import BUILTIN_NAMES, builtin_curve, format_curve
+    from pedalkit.figures import FIGURE_NUMBERS
+    from pedalkit.transforms import TRANSFORM_KINDS, invert_curve
+
     os.makedirs(outdir, exist_ok=True)
     # curve files are passed by relative path, so outputs do not name outdir
     os.chdir(outdir)
@@ -81,7 +97,64 @@ def write_goldens(outdir: str) -> int:
     return 0
 
 
+# a number standing alone: not part of an identifier such as a colour
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])"
+                    r"|(?<![\w.])[-+]?(?:nan|inf)(?![\w.])")
+
+
+def _fields(text: str) -> tuple[list[str], list[str]]:
+    """The numeric fields of text and the text between them."""
+    return NUMBER.findall(text), NUMBER.split(text)
+
+
+def _relative_change(a: str, b: str) -> float:
+    x, y = float(a), float(b)
+    if x == y:
+        return 0.0  # the strings differ in the sign of a zero or in form
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare(dir_a: str, dir_b: str) -> int:
+    """Print the differences between two golden directories; 1 if any
+    text differs, else 0."""
+    names_a, names_b = set(os.listdir(dir_a)), set(os.listdir(dir_b))
+    text_diffs = 0
+    for name in sorted(names_a ^ names_b):
+        print(f"{name}: only in {dir_a if name in names_a else dir_b}")
+        text_diffs += 1
+    numeric_files = 0
+    for name in sorted(names_a & names_b):
+        with open(os.path.join(dir_a, name), encoding="utf-8") as fh:
+            text_a = fh.read()
+        with open(os.path.join(dir_b, name), encoding="utf-8") as fh:
+            text_b = fh.read()
+        if text_a == text_b:
+            continue
+        nums_a, rest_a = _fields(text_a)
+        nums_b, rest_b = _fields(text_b)
+        if rest_a != rest_b:
+            print(f"{name}: text differs")
+            text_diffs += 1
+            continue
+        changed = [(_relative_change(a, b), i) for i, (a, b) in enumerate(zip(nums_a, nums_b))
+                   if a != b]
+        worst, at = max(changed)
+        line = 1 + "".join(rest_a[k] + nums_a[k] for k in range(at)).count("\n") \
+            + rest_a[at].count("\n")
+        print(f"{name}: {len(changed)} numeric fields differ; largest relative change "
+              f"{worst:.3e} ({nums_a[at]} -> {nums_b[at]}, line {line})")
+        numeric_files += 1
+    total = len(names_a | names_b)
+    print(f"{total} files: {total - text_diffs - numeric_files} identical, "
+          f"{numeric_files} differ in numbers only, {text_diffs} differ in text")
+    return 1 if text_diffs else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit(__doc__.split("\n\n")[1])
+        sys.exit(__doc__.split("\n\n")[1] + "\n" + __doc__.split("\n\n")[5])
     sys.exit(write_goldens(sys.argv[1]))
