@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from pedalkit import builtin_curve, load_curve, make_family, sample_grid
 from pedalkit.cli import main
 
 ELLIPSE_FILE = (
@@ -201,6 +203,34 @@ def test_plot_overlays_and_family(tmp_path):
     assert body.count("<g data-label") == 4
     assert 'data-label="family-lines"' in body
     assert body.count("<line ") >= 8
+
+
+OPEN_ARC_FILE = "x = cos(t)\ny = sin(t)/sqrt(3)\nt_min = 0.3\nt_max = 5\nclosed = false\n"
+
+
+@pytest.mark.parametrize("text", [None, OPEN_ARC_FILE], ids=["ellipse", "open-arc"])
+def test_plot_family_lines_lie_on_their_members(tmp_path, text):
+    if text is None:
+        arg, curve = "ellipse", builtin_curve("ellipse")
+    else:
+        path = tmp_path / "arc.curve"
+        path.write_text(text)
+        arg, curve = str(path), load_curve(path)
+    svg = tmp_path / "plot.svg"
+    rc = main(["plot", "--curve", arg, "--overlay", "source", "--overlay", "primitive",
+               "--family-lines", "16", "--svg", str(svg)])
+    assert rc == 0
+    ends = np.array([[float(v) for v in m] for m in re.findall(
+        r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"/>', svg.read_text())])
+    # each line is tangent to the drawn primitive, so none is clipped away
+    assert ends.shape == (16, 4)
+    fam = make_family("primitive", curve)
+    ts = sample_grid(curve, 16)
+    a, c = fam.a(ts), fam.c(ts)
+    for p in (ends[:, 0:2], ends[:, 2:4]):
+        p = p * np.array([1.0, -1.0])  # SVG y grows downward
+        residual = np.abs((p * a).sum(axis=1) - c)
+        assert (residual <= 1e-6 * np.maximum(1.0, np.abs(c))).all()
 
 
 def test_plot_figure_stdout(capsys):

@@ -58,6 +58,13 @@ def test_curve_value_constraints(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_closed_curve_undefined_at_an_end_is_rejected():
+    # the closure check evaluates the end points with the scalar
+    # evaluator, which raises where the array evaluator gives nan
+    with pytest.raises(pk.EvalError):
+        parse_curve("x = log(t)\ny = t\nt_min = 0\nt_max = 1\nclosed = true")
+
+
 def test_format_parse_round_trip(tmp_path):
     c = parse_curve(ELLIPSE_TEXT)
     path = tmp_path / "squashed.curve"

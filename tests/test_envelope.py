@@ -7,7 +7,6 @@ from pedalkit import transforms as tr
 from pedalkit.envelope import circle_family_check, envelope, make_family
 from pedalkit.curve import builtin_curve, parse_curve, sample_grid
 from pedalkit.errors import OriginSingularity, RangeError
-from pedalkit.vec import Vec2
 
 
 def rel_err(a, b):
@@ -45,14 +44,12 @@ def test_envelope_flags_degenerate_members():
 
 def test_family_line_contains_transform_point():
     ell = builtin_curve("ellipse")
-    t = 0.7
-    pr = tr.primitive(ell, np.array([t])).points[0]
-    line = make_family("primitive", ell).line_at(t)
-    assert abs(line.eval(Vec2(*pr))) < 1e-12
-
-    sl = tr.slant_primitivoid(ell, 0.4, np.array([t])).points[0]
-    line = make_family("slant", ell, phi=0.4).line_at(t)
-    assert abs(line.eval(Vec2(*sl))) < 1e-12
+    ts = np.array([0.7, 2.0, 4.5])
+    for fam, mc in ((make_family("primitive", ell), tr.primitive(ell, ts)),
+                    (make_family("slant", ell, phi=0.4),
+                     tr.slant_primitivoid(ell, 0.4, ts))):
+        residual = (fam.a(ts) * mc.points).sum(axis=1) - fam.c(ts)
+        assert np.abs(residual).max() < 1e-12
 
 
 def test_make_family_rejects_bad_input():

@@ -8,6 +8,9 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
 - `transform` for every kind on the built-in curves (`--angle 0.4` for
   pedaloid and slant, slant also at pi/2, `--ratio 2` for parallel);
 - `plot --figure N` for every gallery figure;
+- `plot --curve` with source, primitive and slant overlays and 64
+  family lines, on the ellipse and on an open ellipse arc written as a
+  curve file;
 - `verify --suite all` on the built-ins and on the inverted ellipse and
   offset circle, passed as curve files written with `format_curve`;
 - `detect` for every kind on the built-ins, at the default sample count
@@ -48,6 +51,13 @@ INVERTED = ("ellipse", "offset_circle")
 
 DETECT_SAMPLES = (None, 65536)
 
+# the plot --curve cases: one closed and one open curve, since the
+# family-line grid of render_svg differs between the two
+PLOT_ARGS = ["--overlay", "source", "--overlay", "primitive",
+             "--overlay", "slant:0.4", "--family-lines", "64"]
+OPEN_ARC = ("x = cos(t)\ny = sin(t)/sqrt(3)\nt_min = 0.3\nt_max = 5\n"
+            "closed = false\n")
+
 
 def run(name: str, argv: list[str]) -> None:
     """Run one command and write its stdout, stderr and exit code to
@@ -80,6 +90,10 @@ def write_goldens(outdir: str) -> int:
                     ["transform", "--curve", curve, "--kind", kind] + extra)
     for number in FIGURE_NUMBERS:
         run(f"figure-{number}.txt", ["plot", "--figure", str(number)])
+    with open("open-arc.curve", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(OPEN_ARC)
+    for curve in ("ellipse", "open-arc.curve"):
+        run(f"plot-{curve}.txt", ["plot", "--curve", curve] + PLOT_ARGS)
     curves = list(BUILTIN_NAMES)
     for name in INVERTED:
         path = f"inv-{name}.curve"
