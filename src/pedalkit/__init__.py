@@ -14,6 +14,10 @@ Core objects:
 - frontal: Legendrian lifts of fronts, the third frame provider, and
   the transforms on lifted frames.
 - verify: named identity suites with residual reports.
+
+Points are float64 arrays: (n, 2) on a grid, and length 2 in what the
+scalar functions return (`CurveJet`, `FrenetData`, osculating centres,
+lifted normals).
 """
 
 from .curve import (BUILTIN_NAMES, CurveDef, CurveJet, FrenetData, FrenetGrid,
@@ -26,11 +30,11 @@ from .errors import (EvalError, HypothesisViolated, InflectionPoint,
                      ParseError, PedalkitError, RangeError)
 from .expr import (Expr, differentiate, evaluate, jets, parse_expr, simplify,
                    to_text)
-from .frontal import (LegendrianCurve, SampledFrontal, composition_check,
-                      frontal_antipedal, frontal_parallel_primitivoid,
-                      frontal_pedal, frontal_primitive,
-                      frontal_slant_primitivoid, invert_frontal, is_front,
-                      legendrian_curvature, legendrian_residual, lift_front)
+from .frontal import (LegendrianCurve, composition_check, frontal_antipedal,
+                      frontal_parallel_primitivoid, frontal_pedal,
+                      frontal_primitive, frontal_slant_primitivoid,
+                      invert_frontal, is_front, legendrian_curvature,
+                      legendrian_residual, lift_front)
 from .render import (Overlay, PlotSpec, overlay_from_curve,
                      overlay_from_frontal, overlay_from_mapped, render_svg,
                      render_to_file, write_legendrian_csv, write_mapped_csv)
@@ -50,7 +54,6 @@ from .transforms import (TRANSFORM_KINDS, TRANSFORMS, MappedCurve,
                          perp_primitive_kernel, polyline_frames, primitive,
                          primitive_kernel, primitive_of_perp, slant_kernel,
                          slant_primitivoid, transform_curve, transform_frame)
-from .vec import Line, Vec2, invert, perp, rotate
 from .verify import SUITES, IdentityResult, VerifyReport, run_suite, stable_mask
 
 __version__ = "0.1.0"

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import expr as ex
 from .errors import EvalError, IrregularPoint, ParseError, RangeError
-from .vec import Vec2, row_vec
 
 # speeds below this are treated as singular parameter values
 REGULAR_EPS = 1e-8
@@ -60,8 +59,8 @@ class CurveDef:
         if self.closed:
             p0 = self.point(self.t_min)
             p1 = self.point(self.t_max)
-            gap = (p0 - p1).norm()
-            if gap > CLOSURE_EPS * max(1.0, p0.norm(), p1.norm()):
+            gap = math.hypot(*(p0 - p1))
+            if gap > CLOSURE_EPS * max(1.0, math.hypot(*p0), math.hypot(*p1)):
                 raise RangeError(
                     f"curve {self.name!r} declared closed but endpoints differ by {gap:.3e}")
 
@@ -70,8 +69,10 @@ class CurveDef:
         """t_max - t_min for a closed curve, None for an open one."""
         return self.t_max - self.t_min if self.closed else None
 
-    def point(self, t: float) -> Vec2:
-        return Vec2(ex.evaluate(self.x, t), ex.evaluate(self.y, t))
+    def point(self, t: float) -> np.ndarray:
+        """(x(t), y(t)) from the scalar evaluator, which raises EvalError
+        where the curve is undefined."""
+        return np.array([ex.evaluate(self.x, t), ex.evaluate(self.y, t)])
 
     def _check_params(self, ts) -> np.ndarray:
         """ts as a 1-d float array, each in [t_min, t_max]."""
@@ -83,21 +84,22 @@ class CurveDef:
         return ts
 
 
+# the vectors of CurveJet and FrenetData are length-2 float64 arrays
 @dataclass(frozen=True)
 class CurveJet:
     t: float
-    p: Vec2
-    d1: Vec2
-    d2: Vec2
-    d3: Vec2
+    p: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    d3: np.ndarray
 
 
 @dataclass(frozen=True)
 class FrenetData:
     t: float
-    p: Vec2
-    t_hat: Vec2
-    n_hat: Vec2
+    p: np.ndarray
+    t_hat: np.ndarray
+    n_hat: np.ndarray
     speed: float
     kappa: float
     kappa_prime_arc: float
@@ -106,14 +108,14 @@ class FrenetData:
 def jet(curve: CurveDef, t: float) -> CurveJet:
     """Position and first three derivatives at one parameter."""
     p, d1, d2, d3 = jet_rows(curve, t)
-    return CurveJet(t, row_vec(p), row_vec(d1), row_vec(d2), row_vec(d3))
+    return CurveJet(t, p[0], d1[0], d2[0], d3[0])
 
 
 def frenet(curve: CurveDef, t: float) -> FrenetData:
     """Unit tangent, unit normal (J t_hat), speed, curvature and its
     arc-length derivative at one parameter."""
     fg = frenet_rows(curve, t)
-    return FrenetData(t, row_vec(fg.p), row_vec(fg.t_hat), row_vec(fg.n_hat),
+    return FrenetData(t, fg.p[0], fg.t_hat[0], fg.n_hat[0],
                       float(fg.speed[0]), float(fg.kappa[0]),
                       float(fg.kappa_prime_arc[0]))
 

@@ -30,7 +30,7 @@ from .curve import CurveDef, position_xy, sample_grid, velocity_xy
 from .errors import OriginSingularity, RangeError
 from .transforms import (FLAG_NEAR_SINGULAR, FLAG_OK, FLAG_UNDEFINED,
                          MappedCurve, TransformKind, pedal)
-from .vec import ORIGIN_EPS, Line, Vec2, perp_xy
+from .vec import ORIGIN_EPS, perp_xy
 
 # |det| below 1e-10 |a||a'| marks a degenerate family member
 DET_REL_EPS = 1e-10
@@ -46,12 +46,6 @@ class LineFamily:
     c: Callable[[np.ndarray], np.ndarray]
     a_prime: Callable[[np.ndarray], np.ndarray]
     c_prime: Callable[[np.ndarray], np.ndarray]
-
-    def line_at(self, t: float) -> Line:
-        ts = np.array([float(t)])
-        a = self.a(ts)[0]
-        c = float(self.c(ts)[0])
-        return Line(Vec2(float(a[0]), float(a[1])), c)
 
 
 def _as_scalar_array(vals, ts) -> np.ndarray:

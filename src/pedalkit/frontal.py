@@ -44,7 +44,7 @@ from .curve import (REGULAR_EPS, CurveDef, check_defined, jet_grid,
 from .errors import HypothesisViolated, LiftFailure
 from .transforms import (DEGENERATE_ANGLE_EPS, FLAG_OK, MappedCurve,
                          TransformKind)
-from .vec import Vec2, perp_xy, row_vec
+from .vec import perp_xy
 
 # consecutive lifted normals must stay at least this aligned
 CONTINUITY_MIN_DOT = 0.5
@@ -111,13 +111,12 @@ class LegendrianCurve:
         count = sum(1 for b in self.flips if b <= t)
         return self.sign0 * (-1.0) ** count
 
-    def nu(self, t: float) -> Vec2:
+    def nu(self, t: float) -> np.ndarray:
         _, d1, d2, d3 = jet_rows(self.curve, t)
-        return self.sigma(t) * row_vec(_raw_normals(np.array([t]), d1, d2, d3))
+        return self.sigma(t) * _raw_normals(np.array([t]), d1, d2, d3)[0]
 
-    def mu(self, t: float) -> Vec2:
-        n = self.nu(t)
-        return Vec2(-n.y, n.x)
+    def mu(self, t: float) -> np.ndarray:
+        return perp_xy(self.nu(t))
 
     def sample(self) -> MappedCurve:
         """The lifted frame: the sampled curve with its lifted normal."""
@@ -204,7 +203,7 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
 def legendrian_curvature(lc: LegendrianCurve, t: float) -> tuple[float, float]:
     """(ell, beta) at an arbitrary parameter."""
     _, d1, d2, _ = jet_rows(lc.curve, t)
-    mu = perp_xy(lc.nu(t).as_array()[None])
+    mu = perp_xy(lc.nu(t)[None])
     beta = float((d1 * mu).sum(axis=1)[0])
     speed = np.hypot(d1[:, 0], d1[:, 1])
     if speed[0] >= REGULAR_EPS:
@@ -213,7 +212,7 @@ def legendrian_curvature(lc: LegendrianCurve, t: float) -> tuple[float, float]:
     lo = max(t - delta, lc.curve.t_min)
     hi = min(t + delta, lc.curve.t_max)
     dn = (lc.nu(hi) - lc.nu(lo)) / (hi - lo)
-    return dn.dot(row_vec(mu)), beta
+    return float((dn * mu[0]).sum()), beta
 
 
 def is_front(lc: LegendrianCurve, t: float) -> bool:
@@ -233,10 +232,6 @@ def legendrian_residual(lc: LegendrianCurve) -> float:
 
 # ---------------------------------------------------------------------------
 # frontal transforms: the kernels of pedalkit.transforms on lifted frames
-
-
-# a sampled frontal is a frame: a MappedCurve with a continuous unit normal
-SampledFrontal = MappedCurve
 
 FrontalLike = Union[LegendrianCurve, MappedCurve]
 

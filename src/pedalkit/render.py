@@ -170,9 +170,8 @@ def render_svg(spec: PlotSpec) -> str:
             ts = curve.t_min + (curve.t_max - curve.t_min) * np.arange(spec.family_count) / spec.family_count
         else:
             ts = np.linspace(curve.t_min, curve.t_max, spec.family_count)
-        for t in ts:
-            ln = spec.family.line_at(float(t))
-            seg = _clip_line_to_box((ln.a.x, ln.a.y), ln.c, (x0, x1, y0, y1))
+        for a, c in zip(spec.family.a(ts).tolist(), spec.family.c(ts).tolist()):
+            seg = _clip_line_to_box(a, c, (x0, x1, y0, y1))
             if seg is None:
                 continue
             (px, py), (qx, qy) = seg

@@ -31,7 +31,6 @@ from .errors import HypothesisViolated, InflectionPoint, RangeError
 from .transforms import (DENOM_REL_EPS, MappedCurve, inversion_curvature,
                          inversion_curvature_grid, inversion_curvature_rows,
                          shift, stencil_ok)
-from .vec import Vec2, row_vec
 
 BISECT_TARGET = 1e-10
 BISECT_MAX_ITER = 80
@@ -135,13 +134,13 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
 
 @dataclass(frozen=True)
 class OsculatingCircle:
-    center: Vec2
+    center: np.ndarray  # length-2 float64
     radius: float
 
     def distance_from_origin_gap(self) -> float:
         """| |center| - radius |; zero iff the circle passes through
         the origin."""
-        return abs(self.center.norm() - self.radius)
+        return abs(math.hypot(*self.center) - self.radius)
 
 
 def _osculating_circles(fg: FrenetGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +155,7 @@ def osculating_circle(curve: CurveDef, t: float) -> OsculatingCircle:
     if abs(kappa) < KAPPA_EPS:
         raise InflectionPoint(f"no osculating circle at t={t}: curvature {kappa:.3e}")
     center, radius = _osculating_circles(fg)
-    return OsculatingCircle(row_vec(center), float(radius[0]))
+    return OsculatingCircle(center[0], float(radius[0]))
 
 
 def criterion(curve: CurveDef, t: float) -> float:

@@ -23,7 +23,7 @@ from .curve import (CurveDef, builtin_curve, frenet_grid, position_xy,
                     sample_grid, velocity_xy)
 from .envelope import circle_family_check, envelope, make_family
 from .errors import HypothesisViolated, RangeError
-from .vec import Vec2, invert, invert_xy, perp, perp_xy, rotate, rotate_xy
+from .vec import invert_xy, perp_xy, rotate_xy
 
 SUITES = ("inversion", "duality", "parallel", "slant", "inverse-pair",
           "oracle", "singularity", "frontal", "all")
@@ -130,17 +130,17 @@ def _plane_inversion_rows() -> tuple[tuple[str, float, float], ...]:
     rhs = np.hypot(*(x - y).T) / (np.hypot(*x.T) * np.hypot(*y.T))
     conformal = float((np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)).max())
 
-    v = Vec2(0.6832, -1.977)
-    w = rotate(rotate(v, 0.71), -1.93)
-    a_one = invert(invert(Vec2(3.25, -0.125)))
+    v = np.array([0.6832, -1.977])
+    w = rotate_xy(rotate_xy(v, 0.71), -1.93)
+    a = np.array([3.25, -0.125])
     return (
         ("inversion is an involution (1e6 points)", involution, 1e-12),
         ("inversion scales distances conformally", conformal, 1e-9),
-        ("perp twice negates", (perp(perp(v)) + v).norm(), 0.0),
+        ("perp twice negates", math.hypot(*(perp_xy(perp_xy(v)) + v)), 0.0),
         ("quarter turn equals perp",
-         (rotate(v, math.pi / 2) - perp(v)).norm(), 1e-15 * v.norm()),
-        ("rotations add angles", (w - rotate(v, 0.71 - 1.93)).norm(), 1e-12),
-        ("scalar inversion involution", (a_one - Vec2(3.25, -0.125)).norm(), 1e-12),
+         math.hypot(*(rotate_xy(v, math.pi / 2) - perp_xy(v))), 1e-15 * math.hypot(*v)),
+        ("rotations add angles", math.hypot(*(w - rotate_xy(v, 0.71 - 1.93))), 1e-12),
+        ("scalar inversion involution", math.hypot(*(invert_xy(invert_xy(a)) - a)), 1e-12),
     )
 
 
@@ -329,7 +329,7 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
                0.0 if sign_ok else math.inf, 0.0)
 
     kpa = fg.kappa_prime_arc
-    kpsi = tr.inversion_curvature_grid(curve, ts)
+    kpsi = tr.inversion_curvature_rows(fg)
     dk = (np.roll(kpsi, -1) - np.roll(kpsi, 1)) / (2 * h) if curve.closed else np.gradient(kpsi, h)
     if np.abs(kpa).max() < 1e-10 and np.abs(dk).max() < 1e-8:
         # Constant curvature: both sides vanish identically and sign scans

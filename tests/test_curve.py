@@ -115,9 +115,9 @@ def test_sample_grid_spacing():
 
 def test_frenet_ellipse_at_zero():
     fr = frenet(builtin_curve("ellipse"), 0.0)
-    assert (fr.p.x, fr.p.y) == (1.0, 0.0)
-    assert (fr.t_hat.x, fr.t_hat.y) == (0.0, 1.0)
-    assert (fr.n_hat.x, fr.n_hat.y) == (-1.0, 0.0)
+    assert (fr.p[0], fr.p[1]) == (1.0, 0.0)
+    assert (fr.t_hat[0], fr.t_hat[1]) == (0.0, 1.0)
+    assert (fr.n_hat[0], fr.n_hat[1]) == (-1.0, 0.0)
     assert fr.speed == pytest.approx(1 / math.sqrt(3), abs=0)
     # osculating radius b^2/a with a=1, b=1/sqrt(3)
     assert fr.kappa == pytest.approx(3.0, rel=1e-13)
@@ -220,10 +220,10 @@ def test_scalar_functions_are_rows_of_the_grid_functions(name, count):
     crit = pk.criterion_grid(curve, ts)
     for i, t in enumerate(ts):
         j = pk.jet(curve, t)
-        assert _bits(*(c for v in (j.p, j.d1, j.d2, j.d3) for c in (v.x, v.y))) == \
+        assert _bits(*(c for v in (j.p, j.d1, j.d2, j.d3) for c in (v[0], v[1]))) == \
             _bits(*(c for d in jets for c in d[i]))
         fr = frenet(curve, t)
-        assert _bits(fr.p.x, fr.p.y, fr.t_hat.x, fr.t_hat.y, fr.n_hat.x, fr.n_hat.y,
+        assert _bits(fr.p[0], fr.p[1], fr.t_hat[0], fr.t_hat[1], fr.n_hat[0], fr.n_hat[1],
                      fr.speed, fr.kappa, fr.kappa_prime_arc) == \
             _bits(*fg.p[i], *fg.t_hat[i], *fg.n_hat[i],
                   fg.speed[i], fg.kappa[i], fg.kappa_prime_arc[i])

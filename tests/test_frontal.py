@@ -25,14 +25,14 @@ def test_front_lift_flips_frozen():
     np.testing.assert_allclose(lc.flips, FRONT_FLIPS, atol=1e-8)
     assert lc.sign0 == 1.0
     nu0 = lc.nu(0.0)
-    assert (nu0.x, nu0.y) == (1.0, 0.0)
+    assert (nu0[0], nu0[1]) == (1.0, 0.0)
 
 
 def test_nu_continuous_across_flip():
     lc = fl.lift_front(builtin_curve("front"))
     d = 1e-5
     for t0 in lc.flips:
-        assert lc.nu(t0 - d).dot(lc.nu(t0 + d)) > 0.999
+        assert lc.nu(t0 - d) @ lc.nu(t0 + d) > 0.999
 
 
 def test_front_frame_curvatures_at_zero():

@@ -98,7 +98,7 @@ def test_find_roots_bisects_all_brackets_together():
 
 def test_osculating_circle_ellipse_apex():
     oc = sg.osculating_circle(builtin_curve("ellipse"), 0.0)
-    np.testing.assert_allclose((oc.center.x, oc.center.y), (2.0 / 3.0, 0.0),
+    np.testing.assert_allclose((oc.center[0], oc.center[1]), (2.0 / 3.0, 0.0),
                                rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(oc.radius, 1.0 / 3.0, rtol=1e-12)
 
