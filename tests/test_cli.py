@@ -241,6 +241,17 @@ def test_plot_figure_stdout(capsys):
     assert "slant primitivoid" in out
 
 
+@pytest.mark.parametrize("args", [["--figure", str(k)] for k in range(1, 11)] + [
+    ["--curve", "ellipse", "--overlay", "source", "--overlay", "primitive",
+     "--family-lines", "64"]], ids=[f"figure-{k}" for k in range(1, 11)] + ["family-lines"])
+def test_plot_svg_file_equals_stdout(tmp_path, capsys, args):
+    svg = tmp_path / "plot.svg"
+    assert main(["plot"] + args + ["--svg", str(svg)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["plot"] + args) == 0
+    assert svg.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
 def test_plot_figure_excludes_other_options(capsys):
     rc = main(["plot", "--figure", "2", "--curve", "ellipse"])
     assert rc == 3

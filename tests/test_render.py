@@ -7,10 +7,12 @@ import pytest
 from pedalkit import figures as fig
 from pedalkit import render as rd
 from pedalkit import transforms as tr
-from pedalkit.curve import builtin_curve, sample_grid
+from pedalkit.curve import builtin_curve, position_xy, sample_grid
+from pedalkit.envelope import make_family
 from pedalkit.errors import RangeError
-from pedalkit.transforms import (FLAG_NEAR_SINGULAR, FLAG_OK, MappedCurve,
-                                 TransformKind)
+from pedalkit.frontal import lift_front
+from pedalkit.transforms import (FLAG_NAMES, FLAG_NEAR_SINGULAR, FLAG_OK,
+                                 MappedCurve, TransformKind)
 
 
 def square_overlay():
@@ -121,3 +123,90 @@ def test_clip_line_to_box():
     assert px == qx == 0.5
     assert {py, qy} == {-2.0, 3.0}
     assert rd._clip_line_to_box((1.0, 0.0), 5.0, (0.0, 1.0, 0.0, 1.0)) is None
+
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time reference writers.  The writers format blocks of rows at
+# once; these format one numpy scalar at a time with f-strings, and the
+# two must agree byte for byte, across block edges too.
+
+EDGE_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e-300)
+
+
+def ref_mapped_csv(mc):
+    out = ["t,x,y,flag\n"]
+    for t, (x, y), flag in zip(mc.grid, mc.points, mc.flags):
+        out.append(f"{t:.17g},{x:.17g},{y:.17g},{FLAG_NAMES[flag]}\n")
+    return "".join(out)
+
+
+def ref_legendrian_csv(lc):
+    pts = position_xy(lc.curve, lc.ts)
+    out = ["t,x,y,nu_x,nu_y,ell,beta,flag\n"]
+    for i, t in enumerate(lc.ts):
+        out.append(f"{t:.17g},{pts[i, 0]:.17g},{pts[i, 1]:.17g},"
+                   f"{lc.nu_grid[i, 0]:.17g},{lc.nu_grid[i, 1]:.17g},"
+                   f"{lc.ell_grid[i]:.17g},{lc.beta_grid[i]:.17g},ok\n")
+    return "".join(out)
+
+
+def ref_polyline(seg):
+    coords = " ".join(f"{x:.8g},{-y:.8g}" for x, y in seg)
+    return f'<polyline points="{coords}"/>'
+
+
+def edge_column(rng, n, specials=EDGE_VALUES):
+    """Doubles of every magnitude, a third of them replaced by specials."""
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    return np.where(rng.random(n) < 1 / 3, rng.choice(np.array(specials), n), values)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+def test_mapped_csv_matches_row_reference(n):
+    rng = np.random.default_rng(n)
+    grid = edge_column(rng, n)
+    grid[:len(EDGE_VALUES)] = EDGE_VALUES[:n]
+    pts = np.column_stack([edge_column(rng, n), edge_column(rng, n)])
+    flags = (np.arange(n) % len(FLAG_NAMES)).astype(np.uint8)
+    mc = MappedCurve("demo", TransformKind("demo"), grid, pts, flags, False)
+    buf = io.StringIO()
+    rd.write_mapped_csv(mc, buf)
+    assert buf.getvalue() == ref_mapped_csv(mc)
+
+
+def test_legendrian_csv_matches_row_reference():
+    lc = lift_front(builtin_curve("front", samples=8193))
+    assert len(lc.ts) == 8193
+    buf = io.StringIO()
+    rd.write_legendrian_csv(lc, buf)
+    assert buf.getvalue() == ref_legendrian_csv(lc)
+
+
+def test_svg_polylines_match_row_reference():
+    rng = np.random.default_rng(7)
+    finite = tuple(v for v in EDGE_VALUES if math.isfinite(v))
+    segs = tuple(np.column_stack([edge_column(rng, n, finite), edge_column(rng, n, finite)])
+                 for n in (4095, 4096, 4097))
+    lines = rd.render_svg(rd.PlotSpec([rd.Overlay(segs, "edges", "#000000")])).split("\n")
+    assert lines[2].startswith('<g data-label="edges"')
+    assert lines[3:-3] == [ref_polyline(seg) for seg in segs]
+    assert lines[-3:] == ["</g>", "</svg>", ""]
+
+
+@pytest.mark.parametrize("number", fig.FIGURE_NUMBERS)
+def test_render_to_file_writes_render_svg(tmp_path, number):
+    spec = fig.figure_spec(number)
+    path = tmp_path / "out.svg"
+    rd.render_to_file(spec, str(path))
+    assert path.read_bytes() == rd.render_svg(spec).encode("utf-8")
+
+
+def test_render_to_file_writes_render_svg_with_family_lines(tmp_path):
+    c = builtin_curve("ellipse")
+    overlays = [rd.overlay_from_curve(c), rd.overlay_from_mapped(tr.primitive(c, sample_grid(c)))]
+    spec = rd.PlotSpec(overlays, family=make_family("primitive", c), family_count=64)
+    path = tmp_path / "out.svg"
+    rd.render_to_file(spec, str(path))
+    body = path.read_bytes()
+    assert body == rd.render_svg(spec).encode("utf-8")
+    assert body.count(b"<line ") == 64
