@@ -33,8 +33,8 @@ from . import transforms as tr
 from .curve import BUILTIN_NAMES, CurveDef, builtin_curve, load_curve, sample_grid
 from .envelope import make_family
 from .errors import PedalkitError, RangeError
-from .render import (PALETTE, PlotSpec, overlay_from_curve, overlay_from_mapped,
-                     render_svg, render_to_file, write_mapped_csv)
+from .render import (PALETTE, PlotSpec, _svg_chunks, overlay_from_curve, overlay_from_mapped,
+                     render_to_file, write_mapped_csv)
 from .transforms import FLAG_NAMES, TRANSFORM_KINDS, apply_transform
 from .verify import SUITES, run_suite
 
@@ -146,7 +146,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if args.svg:
         render_to_file(spec, args.svg)
     else:
-        sys.stdout.write(render_svg(spec))
+        sys.stdout.writelines(_svg_chunks(spec))
     return 0
 
 

@@ -5,13 +5,16 @@ enough to round-trip doubles).  SVG output is deterministic: the same
 inputs produce byte-identical files.  Sampled curves are drawn as
 polylines split at non-ok samples; the viewBox fits all finite overlay
 points with a 5% margin and strokes are 0.5% of the viewport diagonal.
+
+Both are formatted and written in blocks of rows (polyline points for
+SVG), so the text of a whole curve is never held in memory at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Optional, Sequence
+from typing import IO, Iterator, Optional
 
 import numpy as np
 
@@ -27,19 +30,29 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
 
 
+# rows (CSV) or points (SVG polylines) formatted per write
+_BLOCK = 4096
+
+
 def write_mapped_csv(mc: MappedCurve, fh: IO[str]) -> None:
     fh.write("t,x,y,flag\n")
-    for t, (x, y), flag in zip(mc.grid, mc.points, mc.flags):
-        fh.write(f"{t:.17g},{x:.17g},{y:.17g},{FLAG_NAMES[flag]}\n")
+    names = np.array(FLAG_NAMES, dtype=object)
+    for i in range(0, len(mc.grid), _BLOCK):
+        b = slice(i, i + _BLOCK)
+        rows = zip(mc.grid[b].tolist(), mc.points[b, 0].tolist(), mc.points[b, 1].tolist(),
+                   names[mc.flags[b]].tolist())
+        fh.write("".join(["%.17g,%.17g,%.17g,%s\n" % row for row in rows]))
 
 
 def write_legendrian_csv(lc: LegendrianCurve, fh: IO[str]) -> None:
     pts = position_xy(lc.curve, lc.ts)
+    cols = (lc.ts, pts[:, 0], pts[:, 1], lc.nu_grid[:, 0], lc.nu_grid[:, 1],
+            lc.ell_grid, lc.beta_grid)
     fh.write("t,x,y,nu_x,nu_y,ell,beta,flag\n")
-    for i, t in enumerate(lc.ts):
-        fh.write(f"{t:.17g},{pts[i, 0]:.17g},{pts[i, 1]:.17g},"
-                 f"{lc.nu_grid[i, 0]:.17g},{lc.nu_grid[i, 1]:.17g},"
-                 f"{lc.ell_grid[i]:.17g},{lc.beta_grid[i]:.17g},ok\n")
+    for i in range(0, len(lc.ts), _BLOCK):
+        rows = zip(*(c[i:i + _BLOCK].tolist() for c in cols))
+        fh.write("".join(["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,ok\n" % row
+                          for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +151,16 @@ def _clip_line_to_box(a: tuple[float, float], c: float,
     return best
 
 
-def render_svg(spec: PlotSpec) -> str:
+def _svg_chunks(spec: PlotSpec) -> Iterator[str]:
+    """The SVG text of spec in pieces.  Everything that can raise runs
+    before the first piece is yielded; the rest only formats points."""
     all_pts = [seg for ov in spec.overlays for seg in ov.segments]
     if not all_pts:
         raise RangeError("nothing to plot: no finite overlay points")
     stacked = np.vstack(all_pts)
     xmin, ymin = stacked.min(axis=0)
     xmax, ymax = stacked.max(axis=0)
+    del stacked  # the generator keeps its locals alive until the last chunk
     span_x = xmax - xmin
     span_y = ymax - ymin
     pad_x = 0.05 * span_x if span_x > 0 else 0.5
@@ -164,34 +180,45 @@ def render_svg(spec: PlotSpec) -> str:
         f'viewBox="{fmt(x0)} {fmt(-y1)} {fmt(w)} {fmt(h)}">',
     ]
     if spec.family is not None and spec.family_count > 0:
-        fam_lines = []
         curve = spec.family.curve
         if curve.closed:
             ts = curve.t_min + (curve.t_max - curve.t_min) * np.arange(spec.family_count) / spec.family_count
         else:
             ts = np.linspace(curve.t_min, curve.t_max, spec.family_count)
+        lines.append(f'<g data-label="family-lines" stroke="{spec.family_color}" '
+                     f'stroke-width="{fmt(0.5 * stroke)}">')
         for a, c in zip(spec.family.a(ts).tolist(), spec.family.c(ts).tolist()):
             seg = _clip_line_to_box(a, c, (x0, x1, y0, y1))
             if seg is None:
                 continue
             (px, py), (qx, qy) = seg
-            fam_lines.append(
+            lines.append(
                 f'<line x1="{fmt(px)}" y1="{fmt(-py)}" x2="{fmt(qx)}" y2="{fmt(-qy)}"/>')
-        lines.append(f'<g data-label="family-lines" stroke="{spec.family_color}" '
-                     f'stroke-width="{fmt(0.5 * stroke)}">')
-        lines.extend(fam_lines)
         lines.append("</g>")
+    yield "\n".join(lines) + "\n"
     for ov in spec.overlays:
-        lines.append(f'<g data-label="{ov.label}" fill="none" stroke="{ov.color}" '
-                     f'stroke-width="{fmt(stroke * ov.width_scale)}">')
+        # escaped as xml.sax.saxutils.escape would, without importing urllib.request
+        label = ov.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        label = label.replace('"', "&quot;")
+        yield (f'<g data-label="{label}" fill="none" stroke="{ov.color}" '
+               f'stroke-width="{fmt(stroke * ov.width_scale)}">\n')
         for seg in ov.segments:
-            coords = " ".join(f"{fmt(x)},{fmt(-y)}" for x, y in seg)
-            lines.append(f'<polyline points="{coords}"/>')
-        lines.append("</g>")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            yield '<polyline points="'
+            for i in range(0, len(seg), _BLOCK):
+                xs, ys = seg[i:i + _BLOCK, 0].tolist(), (-seg[i:i + _BLOCK, 1]).tolist()
+                yield (" " if i else "") + " ".join(["%.8g,%.8g" % xy for xy in zip(xs, ys)])
+            yield '"/>\n'
+        yield "</g>\n"
+    yield "</svg>\n"
+
+
+def render_svg(spec: PlotSpec) -> str:
+    return "".join(_svg_chunks(spec))
 
 
 def render_to_file(spec: PlotSpec, path: str) -> None:
+    chunks = _svg_chunks(spec)
+    head = next(chunks)  # raises before path is opened, so a failure leaves it alone
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_svg(spec))
+        fh.write(head)
+        fh.writelines(chunks)

@@ -252,6 +252,18 @@ def test_plot_svg_file_equals_stdout(tmp_path, capsys, args):
     assert svg.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
 
+def test_plot_escapes_the_curve_name_in_its_label(tmp_path):
+    from xml.etree import ElementTree
+
+    f = tmp_path / "odd.curve"
+    f.write_text(ELLIPSE_FILE.replace('"squashed"', '"a<b & c "q""'))
+    assert load_curve(f).name == 'a<b & c "q"'
+    svg = tmp_path / "odd.svg"
+    assert main(["plot", "--curve", str(f), "--svg", str(svg)]) == 0
+    group = ElementTree.parse(svg).getroot()[0]
+    assert group.get("data-label") == 'a<b & c "q"'
+
+
 def test_plot_figure_excludes_other_options(capsys):
     rc = main(["plot", "--figure", "2", "--curve", "ellipse"])
     assert rc == 3

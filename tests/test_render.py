@@ -42,6 +42,14 @@ def test_render_rejects_empty():
         rd.render_svg(rd.PlotSpec([]))
 
 
+def test_failed_render_leaves_the_target_file_alone(tmp_path):
+    path = tmp_path / "keep.svg"
+    path.write_bytes(b"earlier plot")
+    with pytest.raises(RangeError):
+        rd.render_to_file(rd.PlotSpec([]), str(path))
+    assert path.read_bytes() == b"earlier plot"
+
+
 def test_segments_split_at_flagged_samples():
     grid = np.linspace(0.0, 1.0, 6)
     pts = np.column_stack([grid, grid ** 2])

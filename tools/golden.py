@@ -7,6 +7,10 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
 
 - `transform` for every kind on the built-in curves (`--angle 0.4` for
   pedaloid and slant, slant also at pi/2, `--ratio 2` for parallel);
+- `transform --kind primitive --samples 10000 --svg FILE` on the
+  ellipse and on an open parabola arc written as a curve file, whose
+  end rows are undefined and left out of its polyline: CSV and SVG
+  that span several write blocks (the SVG is a file of its own);
 - `plot --figure N` for every gallery figure;
 - `plot --curve` with source, primitive and slant overlays and 64
   family lines, on the ellipse and on an open ellipse arc written as a
@@ -58,6 +62,10 @@ PLOT_ARGS = ["--overlay", "source", "--overlay", "primitive",
 OPEN_ARC = ("x = cos(t)\ny = sin(t)/sqrt(3)\nt_min = 0.3\nt_max = 5\n"
             "closed = false\n")
 
+# the transform --svg cases: more samples than one write block holds
+BLOCK_SAMPLES = "10000"
+PARABOLA_ARC = "x = t\ny = t^2 + 1\nt_min = -1\nt_max = 1\nclosed = false\n"
+
 
 def run(name: str, argv: list[str]) -> None:
     """Run one command and write its stdout, stderr and exit code to
@@ -88,6 +96,12 @@ def write_goldens(outdir: str) -> int:
             for i, extra in enumerate(TRANSFORM_ARGS.get(kind, ([],))):
                 run(f"transform-{curve}-{kind}-{i}.txt",
                     ["transform", "--curve", curve, "--kind", kind] + extra)
+    with open("parabola-arc.curve", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(PARABOLA_ARC)
+    for curve in ("ellipse", "parabola-arc.curve"):
+        name = f"transform-{curve}-primitive-{BLOCK_SAMPLES}"
+        run(f"{name}.txt", ["transform", "--curve", curve, "--kind", "primitive",
+                            "--samples", BLOCK_SAMPLES, "--svg", f"{name}.svg"])
     for number in FIGURE_NUMBERS:
         run(f"figure-{number}.txt", ["plot", "--figure", str(number)])
     with open("open-arc.curve", "w", encoding="utf-8", newline="\n") as fh:
