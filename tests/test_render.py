@@ -201,20 +201,15 @@ def test_svg_polylines_match_row_reference():
     assert lines[-3:] == ["</g>", "</svg>", ""]
 
 
-@pytest.mark.parametrize("number", fig.FIGURE_NUMBERS)
+def ellipse_with_family_lines():
+    c = builtin_curve("ellipse")
+    overlays = [rd.overlay_from_curve(c), rd.overlay_from_mapped(tr.primitive(c, sample_grid(c)))]
+    return rd.PlotSpec(overlays, family=make_family("primitive", c), family_count=64)
+
+
+@pytest.mark.parametrize("number", fig.FIGURE_NUMBERS + (None,))
 def test_render_to_file_writes_render_svg(tmp_path, number):
-    spec = fig.figure_spec(number)
+    spec = ellipse_with_family_lines() if number is None else fig.figure_spec(number)
     path = tmp_path / "out.svg"
     rd.render_to_file(spec, str(path))
     assert path.read_bytes() == rd.render_svg(spec).encode("utf-8")
-
-
-def test_render_to_file_writes_render_svg_with_family_lines(tmp_path):
-    c = builtin_curve("ellipse")
-    overlays = [rd.overlay_from_curve(c), rd.overlay_from_mapped(tr.primitive(c, sample_grid(c)))]
-    spec = rd.PlotSpec(overlays, family=make_family("primitive", c), family_count=64)
-    path = tmp_path / "out.svg"
-    rd.render_to_file(spec, str(path))
-    body = path.read_bytes()
-    assert body == rd.render_svg(spec).encode("utf-8")
-    assert body.count(b"<line ") == 64
