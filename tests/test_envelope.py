@@ -5,8 +5,11 @@ import pytest
 
 from pedalkit import transforms as tr
 from pedalkit.envelope import circle_family_check, envelope, make_family
-from pedalkit.curve import builtin_curve, parse_curve, sample_grid
+from pedalkit.curve import (builtin_curve, parse_curve, position_xy,
+                            sample_grid, velocity_xy)
 from pedalkit.errors import OriginSingularity, RangeError
+from pedalkit.transforms import invert_curve
+from pedalkit.vec import perp_xy
 
 
 def rel_err(a, b):
@@ -71,3 +74,76 @@ def test_circle_family_check_small_on_builtins():
     # residual carries a 1/|x|^2 amplification; 1e-9 is the honest bound
     for name in ("circle", "ellipse", "offset_circle"):
         assert circle_family_check(builtin_curve(name)) < 1e-9
+
+
+# Reference: each family written out on its own, with the 2x2 solve of
+# envelope(); the one-formula families must reproduce it bit for bit.
+
+
+def _reference_coefficients(kind, curve, ts, value):
+    """(a, a', c, c') of the named family, one branch per kind."""
+    p, v = position_xy(curve, ts), velocity_xy(curve, ts)
+    n2, dot = (p ** 2).sum(axis=1), (p * v).sum(axis=1)
+    if kind == "primitive":
+        return p, v, n2, 2.0 * dot
+    if kind == "parallel":
+        return p, v, value * n2, 2.0 * value * dot
+    if kind == "slant":
+        cp, sp = math.cos(value), math.sin(value)
+        return (cp * p + sp * perp_xy(p), cp * v + sp * perp_xy(v),
+                cp * n2, 2.0 * cp * dot)
+    return p, v, np.ones_like(ts), np.zeros_like(ts)
+
+
+def _reference_envelope(a, ap, b0, b1):
+    """(points, flags) of the per-sample system [a; a'] x = [c; c']."""
+    r0, r1, bb0, bb1 = a.copy(), ap.copy(), b0.copy(), b1.copy()
+    swap = np.abs(r1[:, 0]) > np.abs(r0[:, 0])
+    r0[swap], r1[swap] = ap[swap], a[swap]
+    bb0[swap], bb1[swap] = b1[swap], b0[swap]
+    with np.errstate(all="ignore"):
+        m = r1[:, 0] / r0[:, 0]
+        y = (bb1 - m * bb0) / (r1[:, 1] - m * r0[:, 1])
+        x = (bb0 - r0[:, 1] * y) / r0[:, 0]
+        points = np.column_stack([x, y])
+        det = a[:, 0] * ap[:, 1] - a[:, 1] * ap[:, 0]
+        bound = 1e-10 * np.hypot(a[:, 0], a[:, 1]) * np.hypot(ap[:, 0], ap[:, 1])
+    flags = np.where(np.abs(det) < bound, tr.FLAG_NEAR_SINGULAR, tr.FLAG_OK).astype(np.uint8)
+    undefined = ~np.isfinite(points).all(axis=1)
+    flags[undefined] = tr.FLAG_UNDEFINED
+    points[undefined] = np.nan
+    return points, flags
+
+
+_REFERENCE_CURVES = {
+    **{name: (lambda name=name: builtin_curve(name))
+       for name in ("circle", "ellipse", "front", "offset_circle")},
+    "inv-ellipse": lambda: invert_curve(builtin_curve("ellipse")),
+    "parabola-arc": lambda: parse_curve(
+        "x = t\ny = t^2 + 1\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 257"),
+}
+
+_REFERENCE_FAMILIES = [
+    ("primitive", None), ("parallel", 2.0), ("parallel", -1.0),
+    ("slant", 0.0), ("slant", math.pi / 10), ("slant", math.pi / 2),
+    ("slant", 2.0), ("antipedal", None),
+]
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind,value", _REFERENCE_FAMILIES)
+@pytest.mark.parametrize("curve_name", sorted(_REFERENCE_CURVES))
+def test_family_matches_reference_bitwise(curve_name, kind, value):
+    curve = _REFERENCE_CURVES[curve_name]()
+    fam = make_family(kind, curve, r=value, phi=value)
+    for ts in (sample_grid(curve), sample_grid(curve, 97)):
+        a, ap, c, cp = _reference_coefficients(kind, curve, ts, value)
+        assert _same_bits(fam.a(ts), a)
+        assert _same_bits(fam.c(ts), c)
+        points, flags = _reference_envelope(a, ap, c, cp)
+        env = envelope(fam, ts)
+        assert _same_bits(env.points, points)
+        assert _same_bits(env.flags, flags)
