@@ -10,27 +10,27 @@ family derivatives come from symbolic curve jets, never from finite
 differences, which is what makes this an independent check on the
 closed-form transforms.  Samples with |det| < 1e-10 |a||a'| are flagged.
 
-Families (J is the +90 degree rotation):
+Every family is one formula in g and g' (R(phi) is the rotation by phi):
 
-    primitive     a = g,                        c = |g|^2
-    parallel(r)   a = g,                        c = r |g|^2
-    slant(phi)    a = cos(phi) g + sin(phi) Jg, c = cos(phi) |g|^2
-    antipedal     a = g,                        c = 1
+    a = R(phi) g,   c = k |g|^2,   c' = 2 k <g, g'>
+
+with phi = 0 and k = 1 for the primitive, k = r for parallel(r), and
+k = cos(phi) for slant(phi).  The antipedal family has a = g and c = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .curve import CurveDef, position_xy, sample_grid, velocity_xy
-from .errors import OriginSingularity, RangeError
+from .curve import CurveDef, _jets_xy, position_xy, sample_grid
+from .errors import RangeError
 from .transforms import (FLAG_NEAR_SINGULAR, FLAG_OK, FLAG_UNDEFINED,
-                         MappedCurve, TransformKind, pedal)
-from .vec import ORIGIN_EPS, perp_xy
+                         MappedCurve, TransformKind, _check_origin,
+                         frenet_frame, pedal_kernel)
+from .vec import rotate_xy
 
 # |det| below 1e-10 |a||a'| marks a degenerate family member
 DET_REL_EPS = 1e-10
@@ -40,84 +40,57 @@ FAMILY_KINDS = ("primitive", "parallel", "slant", "antipedal")
 
 @dataclass(frozen=True)
 class LineFamily:
+    """The family of lines of a curve whose envelope is kind; its
+    coefficients follow from kind.angle and kind.ratio."""
+
     kind: TransformKind
     curve: CurveDef
-    a: Callable[[np.ndarray], np.ndarray]
-    c: Callable[[np.ndarray], np.ndarray]
-    a_prime: Callable[[np.ndarray], np.ndarray]
-    c_prime: Callable[[np.ndarray], np.ndarray]
 
+    def _members(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(a, c, a', c') of the members at ts, from one jet walk of the
+        curve.  A curve point at the origin is refused."""
+        g, gp = _jets_xy(self.curve, ts, 1)
+        n2 = (g * g).sum(axis=1)
+        _check_origin(ts, n2, f"the {self.kind.name} line family")
+        if self.kind.name == "antipedal":
+            return g, np.ones_like(ts), gp, np.zeros_like(ts)
+        phi = self.kind.angle
+        k = (self.kind.ratio or 1.0) if phi is None else math.cos(phi)
+        c, cp = k * n2, 2.0 * k * (g * gp).sum(axis=1)
+        if phi is None:
+            return g, c, gp, cp
+        return rotate_xy(g, phi), c, rotate_xy(gp, phi), cp
 
-def _as_scalar_array(vals, ts) -> np.ndarray:
-    out = np.asarray(vals, dtype=float)
-    if out.shape != ts.shape:
-        out = np.full(ts.shape, float(out))
-    return out
+    def a(self, ts: np.ndarray) -> np.ndarray:
+        return self._members(np.asarray(ts, dtype=float))[0]
+
+    def c(self, ts: np.ndarray) -> np.ndarray:
+        return self._members(np.asarray(ts, dtype=float))[1]
 
 
 def make_family(kind: str, curve: CurveDef, r: float | None = None,
                 phi: float | None = None) -> LineFamily:
-    """Build the line family whose envelope is the named transform."""
-    _check_curve_origin(curve)
-    if kind == "primitive":
-        return LineFamily(
-            TransformKind("primitive"), curve,
-            a=lambda ts: position_xy(curve, ts),
-            c=lambda ts: (position_xy(curve, ts) ** 2).sum(axis=1),
-            a_prime=lambda ts: velocity_xy(curve, ts),
-            c_prime=lambda ts: 2.0 * (position_xy(curve, ts) * velocity_xy(curve, ts)).sum(axis=1),
-        )
-    if kind == "parallel":
-        if r is None or r == 0.0:
-            raise RangeError("parallel family needs a nonzero ratio")
-        return LineFamily(
-            TransformKind("parallel", ratio=r), curve,
-            a=lambda ts: position_xy(curve, ts),
-            c=lambda ts: r * (position_xy(curve, ts) ** 2).sum(axis=1),
-            a_prime=lambda ts: velocity_xy(curve, ts),
-            c_prime=lambda ts: 2.0 * r * (position_xy(curve, ts) * velocity_xy(curve, ts)).sum(axis=1),
-        )
-    if kind == "slant":
-        if phi is None:
-            raise RangeError("slant family needs an angle")
-        cp, sp = math.cos(phi), math.sin(phi)
-        return LineFamily(
-            TransformKind("slant", angle=phi), curve,
-            a=lambda ts: cp * position_xy(curve, ts) + sp * perp_xy(position_xy(curve, ts)),
-            c=lambda ts: cp * (position_xy(curve, ts) ** 2).sum(axis=1),
-            a_prime=lambda ts: cp * velocity_xy(curve, ts) + sp * perp_xy(velocity_xy(curve, ts)),
-            c_prime=lambda ts: 2.0 * cp * (position_xy(curve, ts) * velocity_xy(curve, ts)).sum(axis=1),
-        )
-    if kind == "antipedal":
-        return LineFamily(
-            TransformKind("antipedal"), curve,
-            a=lambda ts: position_xy(curve, ts),
-            c=lambda ts: np.ones_like(ts),
-            a_prime=lambda ts: velocity_xy(curve, ts),
-            c_prime=lambda ts: np.zeros_like(ts),
-        )
-    raise RangeError(f"unknown family kind {kind!r}; choices: {', '.join(FAMILY_KINDS)}")
-
-
-def _check_curve_origin(curve: CurveDef) -> None:
-    p = position_xy(curve, sample_grid(curve))
-    n2 = (p * p).sum(axis=1)
-    hit = np.isfinite(n2) & (n2 < ORIGIN_EPS * ORIGIN_EPS)
-    if hit.any():
-        raise OriginSingularity(
-            f"line families of {curve.name!r} need the curve away from the origin")
+    """Build the line family whose envelope is the named transform: r is
+    the ratio of a parallel family, phi the angle of a slant one.  A
+    curve whose own sample grid meets the origin is refused."""
+    if kind not in FAMILY_KINDS:
+        raise RangeError(f"unknown family kind {kind!r}; choices: {', '.join(FAMILY_KINDS)}")
+    if kind == "parallel" and (r is None or r == 0.0 or not math.isfinite(r)):
+        raise RangeError("parallel family needs a finite nonzero ratio")
+    if kind == "slant" and (phi is None or not math.isfinite(phi)):
+        raise RangeError("slant family needs a finite angle")
+    ts = sample_grid(curve)
+    g = position_xy(curve, ts)
+    _check_origin(ts, (g * g).sum(axis=1), f"the {kind} line family")
+    return LineFamily(TransformKind(kind, angle=phi if kind == "slant" else None,
+                                    ratio=r if kind == "parallel" else None), curve)
 
 
 def envelope(family: LineFamily, ts: np.ndarray | None = None) -> MappedCurve:
-    """Solve the 2x2 system at each parameter."""
+    """Solve the 2x2 system at each parameter, from one jet walk."""
     curve = family.curve
-    if ts is None:
-        ts = sample_grid(curve)
-    ts = np.asarray(ts, dtype=float)
-    a = family.a(ts)
-    ap = family.a_prime(ts)
-    b0 = _as_scalar_array(family.c(ts), ts)
-    b1 = _as_scalar_array(family.c_prime(ts), ts)
+    ts = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
+    a, b0, ap, b1 = family._members(ts)
 
     # rows of the per-sample matrix [[a], [a']]
     r0, r1 = a.copy(), ap.copy()
@@ -155,13 +128,12 @@ def circle_family_check(curve: CurveDef, ts: np.ndarray | None = None,
     must (1) pass through the pedal point: G(s, Pe(s)) = <Pe, Pe - g> = 0,
     and (2) invert onto the line <y, g(s)> = 1: every sampled circle
     point x (away from the origin) must satisfy <x/|x|^2, g(s)> = 1.
+    A g at the origin is refused.
     """
-    if ts is None:
-        ts = sample_grid(curve)
-    ts = np.asarray(ts, dtype=float)
-    _check_curve_origin(curve)
-    pe = pedal(curve, ts)
-    g = position_xy(curve, ts)
+    frame = frenet_frame(curve, ts)
+    g = frame.points
+    _check_origin(frame.grid, (g * g).sum(axis=1), "the pedal-circle check")
+    pe = pedal_kernel(frame)
     ok = pe.ok
     resid_g = np.abs((pe.points[ok] * (pe.points[ok] - g[ok])).sum(axis=1))
 

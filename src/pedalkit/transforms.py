@@ -319,6 +319,8 @@ def transform_frame(frame: MappedCurve, kind: str,
         return kernel(frame)
     if value is None:
         raise RangeError(f"{kind} needs --{param}")
+    if not math.isfinite(value):
+        raise RangeError(f"{kind} needs a finite {param}, got {value!r}")
     return kernel(frame, value)
 
 

@@ -193,6 +193,24 @@ def test_origin_curve_exits_3(tmp_path, capsys):
     assert "origin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["transform", "--kind", "slant", "--angle", "inf"],
+    ["transform", "--kind", "slant", "--angle", "nan"],
+    ["transform", "--kind", "pedaloid", "--angle=-inf"],
+    ["transform", "--kind", "parallel", "--ratio", "nan"],
+    ["transform", "--kind", "parallel", "--ratio", "inf"],
+    ["plot", "--overlay", "slant:inf"],
+    ["plot", "--overlay", "pedaloid:nan"],
+])
+def test_non_finite_parameter_exits_3(args, capsys):
+    rc = main(args + ["--curve", "ellipse", "--samples", "64"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "pedalkit: error:" in captured.err and "needs a finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_plot_overlays_and_family(tmp_path):
     svg = tmp_path / "plot.svg"
     rc = main(["plot", "--curve", "ellipse", "--overlay", "source",

@@ -147,3 +147,29 @@ def test_family_matches_reference_bitwise(curve_name, kind, value):
         env = envelope(fam, ts)
         assert _same_bits(env.points, points)
         assert _same_bits(env.flags, flags)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "slant", "phi": math.inf}, {"kind": "slant", "phi": math.nan},
+    {"kind": "parallel", "r": -math.inf}, {"kind": "parallel", "r": math.nan},
+])
+def test_make_family_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(RangeError):
+        make_family(curve=builtin_curve("ellipse"), **kwargs)
+
+
+_THROUGH_ORIGIN = "x = 1 + cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*pi\nsamples = {}"
+
+
+def test_origin_guard_checks_the_evaluated_grid():
+    # the grid of 64 hits the origin at t = pi, the grid of 63 misses it
+    c63 = parse_curve(_THROUGH_ORIGIN.format(63))
+    with pytest.raises(OriginSingularity):
+        circle_family_check(c63, sample_grid(c63, 64))
+    with pytest.raises(OriginSingularity):
+        envelope(make_family("primitive", c63), sample_grid(c63, 64))
+
+
+def test_origin_guard_passes_a_grid_that_misses_the_origin():
+    c64 = parse_curve(_THROUGH_ORIGIN.format(64))
+    assert circle_family_check(c64, sample_grid(c64, 63)) < 1e-9
