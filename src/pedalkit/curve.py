@@ -16,7 +16,9 @@ scalar `jet` and `frenet` are one-row views of it, which raise where
 the grid row has no data (see `jet_rows` and `frenet_rows`).
 
 CurveDefs are immutable after construction and safe to share across
-threads.
+threads.  `transforms.frenet_frame` keeps the Frenet frame of a curve's
+last grid on the instance, outside the fields; the frame is read-only,
+so sharing stays safe (two threads may at worst build it twice).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import EvalError, IrregularPoint, ParseError, RangeError
+from .vec import finite_xy, perp_xy
 
 # speeds below this are treated as singular parameter values
 REGULAR_EPS = 1e-8
@@ -182,20 +185,28 @@ def jet_grid(curve: CurveDef, ts: np.ndarray) -> tuple[np.ndarray, ...]:
     return _jets_xy(curve, ts, 3)
 
 
-def frenet_grid(curve: CurveDef, ts: np.ndarray) -> FrenetGrid:
-    p, d1, d2, d3 = jet_grid(curve, ts)
+def _unit_frame(d1: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(speed, regular, t_hat, n_hat) from the velocities d1; t_hat and
+    n_hat = J t_hat are nan on rows that are not regular."""
     speed = np.hypot(d1[:, 0], d1[:, 1])
     regular = np.isfinite(speed) & (speed >= REGULAR_EPS)
     with np.errstate(all="ignore"):
         t_hat = d1 / speed[:, None]
-        n_hat = np.column_stack([-t_hat[:, 1], t_hat[:, 0]])
+    n_hat = perp_xy(t_hat)
+    for arr in (t_hat, n_hat):
+        arr[~regular] = np.nan
+    return speed, regular, t_hat, n_hat
+
+
+def frenet_grid(curve: CurveDef, ts: np.ndarray) -> FrenetGrid:
+    p, d1, d2, d3 = jet_grid(curve, ts)
+    speed, regular, t_hat, n_hat = _unit_frame(d1)
+    with np.errstate(all="ignore"):
         cross12 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         cross13 = d1[:, 0] * d3[:, 1] - d1[:, 1] * d3[:, 0]
         kappa = cross12 / speed**3
         dkappa_dt = cross13 / speed**3 - 3.0 * kappa * (d1 * d2).sum(axis=1) / speed**2
         kappa_prime = dkappa_dt / speed
-    for arr in (t_hat, n_hat):
-        arr[~regular] = np.nan
     kappa[~regular] = np.nan
     kappa_prime[~regular] = np.nan
     return FrenetGrid(ts, p, d1, d2, d3, speed, t_hat, n_hat, kappa, kappa_prime, regular)
@@ -383,13 +394,13 @@ def builtin_curve(name: str, samples: int | None = None) -> CurveDef:
 def bbox_diameter(points: np.ndarray, mask: np.ndarray | None = None) -> float:
     """Bounding-box diagonal of the finite points (of those in mask); the
     scale used by denominator guards."""
-    good = np.isfinite(points).all(axis=1)
+    good = finite_xy(points)
     if mask is not None:
         good &= mask
     if not good.any():
         raise RangeError("no finite points to measure")
-    span = points[good].max(axis=0) - points[good].min(axis=0)
-    return float(math.hypot(span[0], span[1]))
+    x, y = points[good, 0], points[good, 1]
+    return float(math.hypot(x.max() - x.min(), y.max() - y.min()))
 
 
 def curve_diameter(curve: CurveDef, ts: np.ndarray | None = None) -> float:

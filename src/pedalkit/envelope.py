@@ -5,10 +5,11 @@ A LineFamily is { x : <x, a(s)> = c(s) }.  Its envelope solves
     [ a(s)  ] x = [ c(s)  ]
     [ a'(s) ]     [ c'(s) ]
 
-per parameter by 2x2 Gaussian elimination with partial pivoting; the
-family derivatives come from symbolic curve jets, never from finite
-differences, which is what makes this an independent check on the
-closed-form transforms.  Samples with |det| < 1e-10 |a||a'| are flagged.
+per parameter by 2x2 Gaussian elimination with partial pivoting, in
+blocks of JET_BLOCK parameters; the family derivatives come from
+symbolic curve jets, never from finite differences, which is what makes
+this an independent check on the closed-form transforms.  Samples with
+|det| < 1e-10 |a||a'| are flagged.
 
 Every family is one formula in g and g' (R(phi) is the rotation by phi):
 
@@ -25,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveDef, _jets_xy, position_xy, sample_grid
+from .curve import JET_BLOCK, CurveDef, _jets_xy, position_xy, sample_grid
 from .errors import RangeError
 from .transforms import (FLAG_NEAR_SINGULAR, FLAG_OK, FLAG_UNDEFINED,
                          MappedCurve, TransformKind, _check_origin,
                          frenet_frame, pedal_kernel)
-from .vec import rotate_xy
+from .vec import dot_xy, finite_xy, rotate_xy
 
 # |det| below 1e-10 |a||a'| marks a degenerate family member
 DET_REL_EPS = 1e-10
@@ -50,13 +51,13 @@ class LineFamily:
         """(a, c, a', c') of the members at ts, from one jet walk of the
         curve.  A curve point at the origin is refused."""
         g, gp = _jets_xy(self.curve, ts, 1)
-        n2 = (g * g).sum(axis=1)
+        n2 = dot_xy(g, g)
         _check_origin(ts, n2, f"the {self.kind.name} line family")
         if self.kind.name == "antipedal":
             return g, np.ones_like(ts), gp, np.zeros_like(ts)
         phi = self.kind.angle
         k = (self.kind.ratio or 1.0) if phi is None else math.cos(phi)
-        c, cp = k * n2, 2.0 * k * (g * gp).sum(axis=1)
+        c, cp = k * n2, 2.0 * k * dot_xy(g, gp)
         if phi is None:
             return g, c, gp, cp
         return rotate_xy(g, phi), c, rotate_xy(gp, phi), cp
@@ -81,43 +82,50 @@ def make_family(kind: str, curve: CurveDef, r: float | None = None,
         raise RangeError("slant family needs a finite angle")
     ts = sample_grid(curve)
     g = position_xy(curve, ts)
-    _check_origin(ts, (g * g).sum(axis=1), f"the {kind} line family")
+    _check_origin(ts, dot_xy(g, g), f"the {kind} line family")
     return LineFamily(TransformKind(kind, angle=phi if kind == "slant" else None,
                                     ratio=r if kind == "parallel" else None), curve)
 
 
 def envelope(family: LineFamily, ts: np.ndarray | None = None) -> MappedCurve:
-    """Solve the 2x2 system at each parameter, from one jet walk."""
+    """Solve the 2x2 system at each parameter, one jet walk and one solve
+    per block of JET_BLOCK parameters, so the temporaries of a long grid
+    stay the size of a block."""
     curve = family.curve
     ts = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
-    a, b0, ap, b1 = family._members(ts)
-
-    # rows of the per-sample matrix [[a], [a']]
-    r0, r1 = a.copy(), ap.copy()
-    bb0, bb1 = b0.copy(), b1.copy()
-    swap = np.abs(r1[:, 0]) > np.abs(r0[:, 0])
-    r0[swap], r1[swap] = ap[swap], a[swap]
-    bb0[swap], bb1[swap] = b1[swap], b0[swap]
-
-    with np.errstate(all="ignore"):
-        m = r1[:, 0] / r0[:, 0]
-        u11 = r1[:, 1] - m * r0[:, 1]
-        rhs1 = bb1 - m * bb0
-        y = rhs1 / u11
-        x = (bb0 - r0[:, 1] * y) / r0[:, 0]
-        points = np.column_stack([x, y])
-        det = a[:, 0] * ap[:, 1] - a[:, 1] * ap[:, 0]
-        norm_a = np.hypot(a[:, 0], a[:, 1])
-        norm_ap = np.hypot(ap[:, 0], ap[:, 1])
-
-    flags = np.full(len(ts), FLAG_OK, dtype=np.uint8)
-    flags[np.abs(det) < DET_REL_EPS * norm_a * norm_ap] = FLAG_NEAR_SINGULAR
-    undefined = ~np.isfinite(points).all(axis=1)
-    flags[undefined] = FLAG_UNDEFINED
-    points[undefined] = np.nan
+    points = np.empty((len(ts), 2))
+    flags = np.empty(len(ts), dtype=np.uint8)
+    for start in range(0, len(ts), JET_BLOCK):
+        block = slice(start, start + JET_BLOCK)
+        points[block], flags[block] = _solve(*family._members(ts[block]))
     kind = TransformKind(f"envelope-{family.kind.name}", angle=family.kind.angle,
                          ratio=family.kind.ratio)
     return MappedCurve(curve.name, kind, ts, points, flags, curve.closed)
+
+
+def _solve(a: np.ndarray, b0: np.ndarray, ap: np.ndarray,
+           b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(points, flags) of the systems [a; a'] x = [b0; b1], one per row,
+    column by column."""
+    ax, ay, apx, apy = a[:, 0], a[:, 1], ap[:, 0], ap[:, 1]
+    # the pivot row (r0 | c0) has the larger first coefficient
+    swap = np.abs(apx) > np.abs(ax)
+    r0x, r0y, c0 = np.where(swap, apx, ax), np.where(swap, apy, ay), np.where(swap, b1, b0)
+    r1x, r1y, c1 = np.where(swap, ax, apx), np.where(swap, ay, apy), np.where(swap, b0, b1)
+
+    with np.errstate(all="ignore"):
+        m = r1x / r0x
+        y = (c1 - m * c0) / (r1y - m * r0y)
+        x = (c0 - r0y * y) / r0x
+        points = np.column_stack([x, y])
+        det = ax * apy - ay * apx
+        singular = np.abs(det) < DET_REL_EPS * np.hypot(ax, ay) * np.hypot(apx, apy)
+
+    flags = np.where(singular, FLAG_NEAR_SINGULAR, FLAG_OK).astype(np.uint8)
+    undefined = ~finite_xy(points)
+    flags[undefined] = FLAG_UNDEFINED
+    points[undefined] = np.nan
+    return points, flags
 
 
 def circle_family_check(curve: CurveDef, ts: np.ndarray | None = None,
@@ -132,19 +140,19 @@ def circle_family_check(curve: CurveDef, ts: np.ndarray | None = None,
     """
     frame = frenet_frame(curve, ts)
     g = frame.points
-    _check_origin(frame.grid, (g * g).sum(axis=1), "the pedal-circle check")
+    _check_origin(frame.grid, dot_xy(g, g), "the pedal-circle check")
     pe = pedal_kernel(frame)
     ok = pe.ok
-    resid_g = np.abs((pe.points[ok] * (pe.points[ok] - g[ok])).sum(axis=1))
+    resid_g = np.abs(dot_xy(pe.points[ok], pe.points[ok] - g[ok]))
 
     center = 0.5 * g
     radius = 0.5 * np.hypot(g[:, 0], g[:, 1])
     angles = 2.0 * math.pi * np.arange(points_per_circle) / points_per_circle + 0.7
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     pts = center[:, None, :] + radius[:, None, None] * ring[None, :, :]
-    n2 = (pts ** 2).sum(axis=2)
+    n2 = dot_xy(pts, pts)
     with np.errstate(all="ignore"):
-        dot = (pts * g[:, None, :]).sum(axis=2)
+        dot = dot_xy(pts, g[:, None, :])
         resid_line = np.abs(dot / n2 - 1.0)
     # circle points too close to the origin are skipped (the origin
     # itself lies on every one of these circles)

@@ -154,6 +154,9 @@ def _clip_line_to_box(a: tuple[float, float], c: float,
 def _svg_chunks(spec: PlotSpec) -> Iterator[str]:
     """The SVG text of spec in pieces.  Everything that can raise runs
     before the first piece is yielded; the rest only formats points."""
+    if spec.family_count < 0:
+        raise RangeError(f"need a non-negative number of family lines, "
+                         f"got {spec.family_count}")
     all_pts = [seg for ov in spec.overlays for seg in ov.segments]
     if not all_pts:
         raise RangeError("nothing to plot: no finite overlay points")

@@ -10,6 +10,13 @@ kernel: `pedal(curve)` and friends use Frenet frames, `mapped_*` polyline
 frames, `frontal_*` lifted ones.  TRANSFORMS maps each kind name to its
 kernel and the parameter it takes.
 
+A Frenet frame needs only the order-1 jets, p and p', and is built once
+per (curve, grid): `frenet_frame` keeps the frame of the last grid on
+the CurveDef (not a field, so equality, hash and repr ignore it) and
+returns it again for a grid with the same bits.  A kept frame is
+shared, so its arrays, a copy of the grid among them, are read-only.
+Kernel outputs share the frame's grid and own their points and flags.
+
     pedal            <g, nu> nu
     contrapedal      <g, t> t
     pedaloid(psi)    <g, d> d,  d = cos(psi) t + sin(psi) nu
@@ -20,6 +27,7 @@ kernel and the parameter it takes.
     perp-primitive   J primitive   (the primitive of J g)
     invert           g / |g|^2, with nu reflected in the inverted point
 
+Kernels do their row arithmetic one column at a time (`vec.dot_xy`).
 An output starts from the frame's flags.  Denominator guards use eps_d =
 1e-6 times the diameter (bounding-box diagonal) of the frame's ok
 points; samples where a denominator is smaller are flagged
@@ -38,10 +46,10 @@ from typing import Optional
 import numpy as np
 
 from . import expr as ex
-from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, bbox_diameter,
-                    frenet_grid, frenet_rows, sample_grid)
+from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, _jets_xy, _unit_frame,
+                    bbox_diameter, frenet_grid, frenet_rows, sample_grid)
 from .errors import OriginSingularity, RangeError
-from .vec import ORIGIN_EPS, invert_xy, perp_xy, rotate_xy
+from .vec import ORIGIN_EPS, dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy
 
 # denominator guard scale, relative to curve diameter
 DENOM_REL_EPS = 1e-6
@@ -131,12 +139,24 @@ def stencil_ok(good: np.ndarray, closed: bool) -> np.ndarray:
 
 def frenet_frame(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
     """The curve on its grid with the Frenet normal; samples without a
-    Frenet frame get a nan normal."""
+    Frenet frame get a nan normal.  The frame of the curve's last grid
+    is kept on the curve and returned again for a grid with the same
+    bits; its arrays, a copy of ts among them, are read-only."""
     ts = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
-    fg = frenet_grid(curve, ts)
-    flags = np.full(len(ts), FLAG_OK, dtype=np.uint8)
-    return MappedCurve(curve.name, TransformKind("source"), ts, fg.p, flags,
-                       curve.closed, fg.n_hat)
+    last = getattr(curve, "_frame", None)
+    # compared as bits, so that -0.0 and 0.0 are different grids
+    if last is not None and np.array_equal(last.grid.view(np.int64), ts.view(np.int64)):
+        return last
+    grid = ts.copy()
+    p, d1 = _jets_xy(curve, grid, 1)
+    nu = _unit_frame(d1)[3]
+    flags = np.full(len(grid), FLAG_OK, dtype=np.uint8)
+    for arr in (grid, p, nu, flags):
+        arr.flags.writeable = False
+    frame = MappedCurve(curve.name, TransformKind("source"), grid, p, flags,
+                        curve.closed, nu)
+    object.__setattr__(curve, "_frame", frame)  # CurveDef is frozen; _frame is no field
+    return frame
 
 
 def polyline_frames(mc: MappedCurve) -> MappedCurve:
@@ -150,7 +170,7 @@ def polyline_frames(mc: MappedCurve) -> MappedCurve:
         d1 = five_point_derivative(mc.points, mc.grid[1] - mc.grid[0], mc.closed)
         speed = np.hypot(d1[:, 0], d1[:, 1])
         nu = perp_xy(d1 / speed[:, None])
-    valid = stencil_ok(mc.ok & np.isfinite(mc.points).all(axis=1), mc.closed)
+    valid = stencil_ok(mc.ok & finite_xy(mc.points), mc.closed)
     valid &= np.isfinite(speed) & (speed > REGULAR_EPS)
     nu[~valid] = np.nan
     return dataclasses.replace(mc, nu=nu)
@@ -178,7 +198,7 @@ def _output(frame: MappedCurve, kind: TransformKind, points: np.ndarray,
     if den is not None:
         eps_d = DENOM_REL_EPS * bbox_diameter(frame.points, frame.ok)
         flags[(np.abs(den) < eps_d) & (flags == FLAG_OK)] = FLAG_NEAR_SINGULAR
-    undefined = (flags == FLAG_UNDEFINED) | ~np.isfinite(points).all(axis=1)
+    undefined = (flags == FLAG_UNDEFINED) | ~finite_xy(points)
     flags[undefined] = FLAG_UNDEFINED
     points[undefined] = np.nan
     return MappedCurve(frame.source_name, kind, frame.grid, points, flags,
@@ -189,7 +209,7 @@ def _project(frame: MappedCurve, direction: np.ndarray,
              kind: TransformKind) -> MappedCurve:
     """<g, d> d for a unit direction field d."""
     with np.errstate(all="ignore"):
-        q = (frame.points * direction).sum(axis=1)
+        q = dot_xy(frame.points, direction)
         points = q[:, None] * direction
     return _output(frame, kind, points)
 
@@ -214,7 +234,7 @@ def pedaloid_kernel(frame: MappedCurve, psi: float,
 
 def antipedal_kernel(frame: MappedCurve, name: str = "antipedal") -> MappedCurve:
     with np.errstate(all="ignore"):
-        den = (frame.points * frame.nu).sum(axis=1)
+        den = dot_xy(frame.points, frame.nu)
         points = frame.nu / den[:, None]
     return _output(frame, TransformKind(name), points, den)
 
@@ -226,11 +246,11 @@ def _primitive(frame: MappedCurve, kind: TransformKind, normal: bool,
     is refused, unless refuse_origin is False: samples at the origin
     then come out undefined."""
     p, nu = frame.points, frame.nu
-    n2 = (p * p).sum(axis=1)
+    n2 = dot_xy(p, p)
     if refuse_origin:
         _check_origin(frame.grid, n2, f"the {kind.name} transform")
     with np.errstate(all="ignore"):
-        den = (p * nu).sum(axis=1)
+        den = dot_xy(p, nu)
         points = 2.0 * p - (n2 / den)[:, None] * nu
         out_nu = p / np.sqrt(n2)[:, None] if normal else None
     return points, den, out_nu
@@ -288,7 +308,7 @@ def invert_kernel(frame: MappedCurve, name: str) -> MappedCurve:
     nu - 2 <g, nu> g/|g|^2, which stays unit."""
     p = frame.points
     with np.errstate(all="ignore"):
-        nu = frame.nu - 2.0 * ((p * frame.nu).sum(axis=1) / (p * p).sum(axis=1))[:, None] * p
+        nu = frame.nu - 2.0 * (dot_xy(p, frame.nu) / dot_xy(p, p))[:, None] * p
     return _output(frame, TransformKind(name), invert_xy(p), nu=nu)
 
 
@@ -399,9 +419,9 @@ def mapped_slant(mc: MappedCurve, phi: float) -> MappedCurve:
 def inversion_curvature_rows(fg: FrenetGrid) -> np.ndarray:
     """inversion_curvature on the rows of a Frenet grid; a grid through
     the origin is refused."""
-    n2 = (fg.p * fg.p).sum(axis=1)
+    n2 = dot_xy(fg.p, fg.p)
     _check_origin(fg.ts, n2, "inversion curvature")
-    return -fg.kappa * n2 - 2.0 * (fg.p * fg.n_hat).sum(axis=1)
+    return -fg.kappa * n2 - 2.0 * dot_xy(fg.p, fg.n_hat)
 
 
 def inversion_curvature(curve: CurveDef, t: float) -> float:

@@ -1,4 +1,4 @@
-"""Quarter turns, rotations and inversion of plane points.
+"""Dot products, quarter turns, rotations and inversion of plane points.
 
 A point or vector is a float64 array whose last axis has length 2: an
 (n, 2) array on a grid, a length-2 array for one point (what the
@@ -14,6 +14,21 @@ import numpy as np
 
 # Points closer to the origin than this cannot be inverted.
 ORIGIN_EPS = 1e-9
+
+
+def dot_xy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product, computed one column at a time.  It has the
+    bits of (a * b).sum(axis=-1): a sum of two terms rounds once either
+    way, and adding 0.0 gives the sum's +0.0 where both terms are -0.0."""
+    out = a[..., 0] * b[..., 0]
+    out += a[..., 1] * b[..., 1]
+    out += 0.0
+    return out
+
+
+def finite_xy(pts: np.ndarray) -> np.ndarray:
+    """Row-wise: both coordinates finite."""
+    return np.isfinite(pts[..., 0]) & np.isfinite(pts[..., 1])
 
 
 def perp_xy(pts: np.ndarray) -> np.ndarray:

@@ -291,6 +291,17 @@ def test_plot_figure_excludes_other_options(capsys):
     assert rc == 3
 
 
+def test_plot_negative_family_lines_exits_3(tmp_path, capsys):
+    svg = tmp_path / "plot.svg"
+    for out in ([], ["--svg", str(svg)]):
+        rc = main(["plot", "--curve", "ellipse", "--family-lines", "-3"] + out)
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "family lines" in captured.err
+    assert not svg.exists()
+
+
 def test_plot_bad_overlay(capsys):
     rc = main(["plot", "--curve", "ellipse", "--overlay", "evolute"])
     assert rc == 3

@@ -5,7 +5,7 @@ import pytest
 
 from pedalkit import transforms as tr
 from pedalkit.envelope import circle_family_check, envelope, make_family
-from pedalkit.curve import (builtin_curve, parse_curve, position_xy,
+from pedalkit.curve import (JET_BLOCK, builtin_curve, parse_curve, position_xy,
                             sample_grid, velocity_xy)
 from pedalkit.errors import OriginSingularity, RangeError
 from pedalkit.transforms import invert_curve
@@ -134,12 +134,18 @@ def _same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+# envelope() solves in blocks of JET_BLOCK parameters: grids on each
+# side of one and two block edges
+_BLOCK_EDGE_SAMPLES = (JET_BLOCK - 1, JET_BLOCK, JET_BLOCK + 1, 2 * JET_BLOCK + 1)
+
+
 @pytest.mark.parametrize("kind,value", _REFERENCE_FAMILIES)
 @pytest.mark.parametrize("curve_name", sorted(_REFERENCE_CURVES))
 def test_family_matches_reference_bitwise(curve_name, kind, value):
     curve = _REFERENCE_CURVES[curve_name]()
     fam = make_family(kind, curve, r=value, phi=value)
-    for ts in (sample_grid(curve), sample_grid(curve, 97)):
+    for n in (None, 97) + _BLOCK_EDGE_SAMPLES:
+        ts = sample_grid(curve, n)
         a, ap, c, cp = _reference_coefficients(kind, curve, ts, value)
         assert _same_bits(fam.a(ts), a)
         assert _same_bits(fam.c(ts), c)
@@ -168,6 +174,19 @@ def test_origin_guard_checks_the_evaluated_grid():
         circle_family_check(c63, sample_grid(c63, 64))
     with pytest.raises(OriginSingularity):
         envelope(make_family("primitive", c63), sample_grid(c63, 64))
+
+
+def test_origin_hit_in_a_later_block_names_the_first_hit():
+    # through the origin at t = pi and t = 3 pi, at grid indices
+    # JET_BLOCK + 1 and 3 JET_BLOCK + 3: in the second and fourth blocks
+    twice = parse_curve("x = 1 + cos(t)\ny = sin(t)\nt_min = 0\nt_max = 4*pi\n"
+                        "closed = false\nsamples = 63")
+    ts = sample_grid(twice, 4 * JET_BLOCK + 5)
+    g = position_xy(twice, ts)
+    hits = np.flatnonzero(np.hypot(g[:, 0], g[:, 1]) < 1e-9)
+    assert list(hits) == [JET_BLOCK + 1, 3 * JET_BLOCK + 3]
+    with pytest.raises(OriginSingularity, match=f"near t={ts[hits[0]]:.6g}$"):
+        envelope(make_family("primitive", twice), ts)
 
 
 def test_origin_guard_passes_a_grid_that_misses_the_origin():

@@ -188,6 +188,68 @@ def test_frenet_frame_carries_the_frenet_normal():
     assert frame.ok.all() and frame.closed
 
 
+_FRAME_CURVES = {
+    **{name: (lambda name=name: builtin_curve(name))
+       for name in ("circle", "ellipse", "front", "offset_circle")},
+    "inv-ellipse": lambda: tr.invert_curve(builtin_curve("ellipse")),
+    "parabola-arc": lambda: parse_curve(
+        "x = t\ny = t^2 + 1\nt_min = -1\nt_max = 1\nclosed = false"),
+    # a cusp at t = 0, a sample of both grids: a nan row in the normal
+    "cusp": lambda: parse_curve(
+        "x = t^2\ny = t^3\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33"),
+}
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("curve_name", sorted(_FRAME_CURVES))
+def test_frenet_frame_normal_is_the_frenet_grid_normal_bitwise(curve_name):
+    curve = _FRAME_CURVES[curve_name]()
+    for ts in (sample_grid(curve), sample_grid(curve, 97)):
+        fg = pk.frenet_grid(curve, ts)
+        frame = tr.frenet_frame(curve, ts)
+        assert fg.regular.all() == (curve_name != "cusp")
+        assert _same_bits(frame.nu, fg.n_hat)
+        assert _same_bits(frame.points, fg.p)
+
+
+def test_frenet_frame_is_kept_for_an_equal_grid():
+    ell = builtin_curve("ellipse")
+    ts = sample_grid(ell, 64)
+    before = hash(ell), repr(ell)
+    frame = tr.frenet_frame(ell, ts)
+    assert (hash(ell), repr(ell)) == before  # the kept frame is not a field
+    assert tr.frenet_frame(ell, ts.copy()) is frame
+    assert tr.frenet_frame(ell, list(ts)) is frame
+    default = tr.frenet_frame(ell)
+    assert default is not frame
+    assert tr.frenet_frame(ell) is default  # a new but equal default grid
+    assert tr.frenet_frame(ell, ts) is not frame  # only the last grid is kept
+    other = builtin_curve("ellipse")
+    assert other == ell
+    assert tr.frenet_frame(other) is not tr.frenet_frame(ell)
+
+
+def test_frenet_frame_owns_its_grid_and_is_read_only():
+    ell = builtin_curve("ellipse")
+    ts = sample_grid(ell, 64)
+    frame = tr.frenet_frame(ell, ts)
+    want = frame.grid.copy()
+    ts[:] = 0.0
+    np.testing.assert_array_equal(frame.grid, want)
+    assert tr.frenet_frame(ell, ts) is not frame
+    for arr in (frame.points, frame.nu, frame.grid, frame.flags):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    out = tr.pedal_kernel(frame)
+    assert out.grid is frame.grid
+    out.points[0] = 0.0  # the kernel's own arrays stay writeable
+    out.flags[0] = tr.FLAG_UNDEFINED
+    assert frame.ok[0]
+
+
 def test_one_frame_serves_every_registered_kernel():
     ell = builtin_curve("ellipse")
     ts = sample_grid(ell, 64)

@@ -17,6 +17,8 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   curve file;
 - `verify --suite all` on the built-ins and on the inverted ellipse and
   offset circle, passed as curve files written with `format_curve`;
+- `verify --suite oracle --samples 40000` on the ellipse and the front:
+  envelopes that span three solve blocks;
 - `detect` for every kind on the built-ins, at the default sample count
   and at 65536 samples.
 
@@ -65,6 +67,9 @@ OPEN_ARC = ("x = cos(t)\ny = sin(t)/sqrt(3)\nt_min = 0.3\nt_max = 5\n"
 # the transform --svg cases: more samples than one write block holds
 BLOCK_SAMPLES = "10000"
 PARABOLA_ARC = "x = t\ny = t^2 + 1\nt_min = -1\nt_max = 1\nclosed = false\n"
+
+# the verify --suite oracle cases: more samples than two jet blocks hold
+ORACLE_SAMPLES = "40000"
 
 
 def run(name: str, argv: list[str]) -> None:
@@ -116,6 +121,9 @@ def write_goldens(outdir: str) -> int:
         curves.append(path)
     for curve in curves:
         run(f"verify-{curve}.txt", ["verify", "--curve", curve, "--suite", "all"])
+    for curve in ("ellipse", "front"):
+        run(f"verify-{curve}-oracle-{ORACLE_SAMPLES}.txt",
+            ["verify", "--curve", curve, "--suite", "oracle", "--samples", ORACLE_SAMPLES])
     for curve in BUILTIN_NAMES:
         for what in DETECT_KINDS:
             for samples in DETECT_SAMPLES:
