@@ -13,7 +13,8 @@ not be unit speed:
 
 They have one implementation, `frenet_grid`, over a parameter grid; the
 scalar `jet` and `frenet` are one-row views of it, which raise where
-the grid row has no data (see `jet_rows` and `frenet_rows`).
+the grid row has no data (see `jet_rows` and `frenet_rows`).  Grid
+walks raise RangeError outside [t_min, t_max], as the scalar ones do.
 
 CurveDefs are immutable after construction and safe to share across
 threads.  `transforms.frenet_frame` keeps the Frenet frame of a curve's
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import EvalError, IrregularPoint, ParseError, RangeError
-from .vec import finite_xy, perp_xy
+from .vec import dot_xy, finite_xy, perp_xy
 
 # speeds below this are treated as singular parameter values
 REGULAR_EPS = 1e-8
@@ -162,7 +163,7 @@ JET_BLOCK = 1 << 14
 
 def _jets_xy(curve: CurveDef, ts: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """(p, d1, ..., d_order), each (n, 2), filled block by block."""
-    ts = np.asarray(ts, dtype=float)
+    ts = curve._check_params(ts)
     out = tuple(np.empty((len(ts), 2)) for _ in range(order + 1))
     for start in range(0, len(ts), JET_BLOCK):
         block = slice(start, start + JET_BLOCK)
@@ -173,6 +174,7 @@ def _jets_xy(curve: CurveDef, ts: np.ndarray, order: int) -> tuple[np.ndarray, .
 
 
 def position_xy(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
+    ts = curve._check_params(ts)
     return np.column_stack([ex.evaluate_array(curve.x, ts), ex.evaluate_array(curve.y, ts)])
 
 
@@ -198,14 +200,16 @@ def _unit_frame(d1: np.ndarray) -> tuple[np.ndarray, ...]:
     return speed, regular, t_hat, n_hat
 
 
-def frenet_grid(curve: CurveDef, ts: np.ndarray) -> FrenetGrid:
+def frenet_grid(curve: CurveDef, ts: np.ndarray | None = None) -> FrenetGrid:
+    """The one carrier of a curve's jets and Frenet data on a grid."""
+    ts = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
     p, d1, d2, d3 = jet_grid(curve, ts)
     speed, regular, t_hat, n_hat = _unit_frame(d1)
     with np.errstate(all="ignore"):
         cross12 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         cross13 = d1[:, 0] * d3[:, 1] - d1[:, 1] * d3[:, 0]
         kappa = cross12 / speed**3
-        dkappa_dt = cross13 / speed**3 - 3.0 * kappa * (d1 * d2).sum(axis=1) / speed**2
+        dkappa_dt = cross13 / speed**3 - 3.0 * kappa * dot_xy(d1, d2) / speed**2
         kappa_prime = dkappa_dt / speed
     kappa[~regular] = np.nan
     kappa_prime[~regular] = np.nan

@@ -36,6 +36,8 @@ from .vec import dot_xy, finite_xy, rotate_xy
 # |det| below 1e-10 |a||a'| marks a degenerate family member
 DET_REL_EPS = 1e-10
 
+CIRCLE_POINTS = 8  # sampled points per circle in circle_family_check
+
 FAMILY_KINDS = ("primitive", "parallel", "slant", "antipedal")
 
 
@@ -128,8 +130,7 @@ def _solve(a: np.ndarray, b0: np.ndarray, ap: np.ndarray,
     return points, flags
 
 
-def circle_family_check(curve: CurveDef, ts: np.ndarray | None = None,
-                        points_per_circle: int = 8) -> float:
+def circle_family_check(curve: CurveDef, ts: np.ndarray | None = None) -> float:
     """Max residual of the pedal-circle picture.
 
     For each sample s the circle with diameter from the origin to g(s)
@@ -147,7 +148,7 @@ def circle_family_check(curve: CurveDef, ts: np.ndarray | None = None,
 
     center = 0.5 * g
     radius = 0.5 * np.hypot(g[:, 0], g[:, 1])
-    angles = 2.0 * math.pi * np.arange(points_per_circle) / points_per_circle + 0.7
+    angles = 2.0 * math.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS + 0.7
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     pts = center[:, None, :] + radius[:, None, None] * ring[None, :, :]
     n2 = dot_xy(pts, pts)

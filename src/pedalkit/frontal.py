@@ -6,7 +6,8 @@ A frontal is a curve g together with a continuous unit normal nu with
     nu' = ell mu,   mu' = -ell nu,   g' = beta mu,
     ell = <nu', mu>,   beta = <g', mu>.
 
-lift_front builds nu from the symbolic jets: on regular arcs
+lift_front builds nu from the Frenet grid of the curve, which it keeps
+as LegendrianCurve.frenet for later use on that grid: on regular arcs
 nu = sigma (d1y, -d1x)/|d1| with a piecewise-constant sign sigma chosen
 for continuity; where the velocity vanishes the direction comes from
 d2 (then d3).  As sigma^2 = 1, sigma flips exactly in the cells where
@@ -39,12 +40,12 @@ from typing import Union
 import numpy as np
 
 from . import transforms as tr
-from .curve import (REGULAR_EPS, CurveDef, check_defined, jet_grid,
-                    jet_rows, position_xy, sample_grid, velocity_xy)
+from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, check_defined,
+                    frenet_grid, jet_rows, velocity_xy)
 from .errors import HypothesisViolated, LiftFailure
 from .transforms import (DEGENERATE_ANGLE_EPS, FLAG_OK, MappedCurve,
                          TransformKind)
-from .vec import perp_xy
+from .vec import dot_xy, perp_xy
 
 # consecutive lifted normals must stay at least this aligned
 CONTINUITY_MIN_DOT = 0.5
@@ -76,9 +77,9 @@ def _ell(sigma: np.ndarray, d1: np.ndarray, d2: np.ndarray, speed: np.ndarray,
     with np.errstate(all="ignore"):
         w = np.column_stack([d1[:, 1], -d1[:, 0]])
         wdot = np.column_stack([d2[:, 1], -d2[:, 0]])
-        sdot = (d1 * d2).sum(axis=1)  # = speed * d(speed)/dt
+        sdot = dot_xy(d1, d2)  # = speed * d(speed)/dt
         nudot = sigma[:, None] * (wdot * (speed ** 2)[:, None] - w * sdot[:, None]) / (speed ** 3)[:, None]
-        return (nudot * mu).sum(axis=1)
+        return dot_xy(nudot, mu)
 
 
 def _refine_flips(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -98,18 +99,20 @@ def _refine_flips(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 @dataclass(frozen=True)
 class LegendrianCurve:
     curve: CurveDef
-    ts: np.ndarray
+    frenet: FrenetGrid        # the jets of the curve on the sample grid
     nu_grid: np.ndarray       # lifted continuous normal at the samples
     ell_grid: np.ndarray
     beta_grid: np.ndarray
-    regular_grid: np.ndarray  # where |d1| >= REGULAR_EPS
-    sign0: float
     flips: tuple[float, ...]  # parameters where sigma changes sign
     seam_consistent: bool     # closed curves: nu returns to +nu(t_min)
 
+    @property
+    def ts(self) -> np.ndarray:
+        return self.frenet.ts
+
     def sigma(self, t: float) -> float:
-        count = sum(1 for b in self.flips if b <= t)
-        return self.sign0 * (-1.0) ** count
+        """+1 at t_min, flipping sign at each of the flips up to t."""
+        return (-1.0) ** sum(1 for b in self.flips if b <= t)
 
     def nu(self, t: float) -> np.ndarray:
         _, d1, d2, d3 = jet_rows(self.curve, t)
@@ -122,28 +125,25 @@ class LegendrianCurve:
         """The lifted frame: the sampled curve with its lifted normal."""
         flags = np.full(len(self.ts), FLAG_OK, dtype=np.uint8)
         return MappedCurve(self.curve.name, TransformKind("lift"), self.ts,
-                           position_xy(self.curve, self.ts), flags,
-                           self.curve.closed, self.nu_grid.copy())
+                           self.frenet.p.copy(), flags, self.curve.closed,
+                           self.nu_grid.copy())
 
 
 def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve:
-    """Continuous unit-normal lift along the sample grid."""
-    if ts is None:
-        ts = sample_grid(curve)
-    ts = np.asarray(ts, dtype=float)
+    """Continuous unit-normal lift along ts, by default the sample grid."""
+    fg = frenet_grid(curve, ts)
+    ts, p, d1, d2, d3, speed = fg.ts, fg.p, fg.d1, fg.d2, fg.d3, fg.speed
     n = len(ts)
-    p, d1, d2, d3 = jet_grid(curve, ts)
     if not np.isfinite(d1).all():
         raise LiftFailure(f"curve {curve.name!r} has non-finite derivatives on the grid")
-    speed = np.hypot(d1[:, 0], d1[:, 1])
-    regular = speed >= REGULAR_EPS
+    regular = fg.regular
     singular = ~regular
     check_defined(curve, ts[singular], (p[singular], d2[singular], d3[singular]))
     raw = _raw_normals(ts, d1, d2, d3)
 
     # continuity propagation of the sign: sigma flips in the cells where
     # consecutive raw normals point apart, and the aligned dot is |dot|
-    dots = (raw[1:] * raw[:-1]).sum(axis=1)
+    dots = dot_xy(raw[1:], raw[:-1])
     flip = dots < 0.0
     signs = np.cumprod(np.concatenate(([1.0], np.where(flip, -1.0, 1.0))))
     hi = np.flatnonzero(flip) + 1  # sigma flips between samples hi - 1 and hi
@@ -193,18 +193,17 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
     if (span == 0.0).any():
         raise LiftFailure(f"cannot estimate ell at isolated sample t={ts[i[span == 0.0][0]]}")
     dn = (nu[j1] - nu[j0]) / span[:, None]
-    ell[i] = (dn * mu[i]).sum(axis=1)
-    beta = (d1 * mu).sum(axis=1)
+    ell[i] = dot_xy(dn, mu[i])
+    beta = dot_xy(d1, mu)
 
-    return LegendrianCurve(curve, ts, nu, ell, beta, regular, 1.0, flips,
-                           seam_consistent)
+    return LegendrianCurve(curve, fg, nu, ell, beta, flips, seam_consistent)
 
 
 def legendrian_curvature(lc: LegendrianCurve, t: float) -> tuple[float, float]:
     """(ell, beta) at an arbitrary parameter."""
     _, d1, d2, _ = jet_rows(lc.curve, t)
     mu = perp_xy(lc.nu(t)[None])
-    beta = float((d1 * mu).sum(axis=1)[0])
+    beta = float(dot_xy(d1, mu)[0])
     speed = np.hypot(d1[:, 0], d1[:, 1])
     if speed[0] >= REGULAR_EPS:
         return float(_ell(np.array([lc.sigma(t)]), d1, d2, speed, mu)[0]), beta
@@ -224,9 +223,8 @@ def is_front(lc: LegendrianCurve, t: float) -> bool:
 def legendrian_residual(lc: LegendrianCurve) -> float:
     """max |<g', nu>| / max(1, |g'|) over the grid; zero for a valid
     lift up to rounding."""
-    _, d1, _, _ = jet_grid(lc.curve, lc.ts)
-    num = np.abs((d1 * lc.nu_grid).sum(axis=1))
-    den = np.maximum(1.0, np.hypot(d1[:, 0], d1[:, 1]))
+    num = np.abs(dot_xy(lc.frenet.d1, lc.nu_grid))
+    den = np.maximum(1.0, lc.frenet.speed)
     return float((num / den).max())
 
 
@@ -265,6 +263,18 @@ def invert_frontal(fr: FrontalLike) -> MappedCurve:
     return tr.invert_kernel(sf, f"inverted-{sf.kind.name}")
 
 
+def _composition_sides(fr: FrontalLike, psi: float,
+                       phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(psi+phi) Pr[psi](Pr[phi](fr)), cos(psi) cos(phi) Pr[psi+phi](fr)
+    and the samples where both are ok (the outer primitivoid is ok only
+    where the inner one is)."""
+    sf = _frame(fr)
+    outer = frontal_slant_primitivoid(frontal_slant_primitivoid(sf, phi), psi)
+    rhs = frontal_slant_primitivoid(sf, psi + phi)
+    return (math.cos(psi + phi) * outer.points,
+            math.cos(psi) * math.cos(phi) * rhs.points, outer.ok & rhs.ok)
+
+
 def composition_check(fr: FrontalLike, psi: float, phi: float) -> float:
     """Max over commonly-ok samples of
 
@@ -276,13 +286,7 @@ def composition_check(fr: FrontalLike, psi: float, phi: float) -> float:
     if abs(math.cos(phi)) < DEGENERATE_ANGLE_EPS:
         raise HypothesisViolated(
             "inner angle phi = pi/2 + n pi collapses the first primitivoid to the origin")
-    sf = _frame(fr)
-    inner = frontal_slant_primitivoid(sf, phi)
-    outer = frontal_slant_primitivoid(inner, psi)
-    lhs = math.cos(psi + phi) * outer.points
-    rhs_f = frontal_slant_primitivoid(sf, psi + phi)
-    rhs = math.cos(psi) * math.cos(phi) * rhs_f.points
-    ok = outer.ok & rhs_f.ok & inner.ok
+    lhs, rhs, ok = _composition_sides(fr, psi, phi)
     if not ok.any():
         raise HypothesisViolated("no commonly defined samples to compare")
     diff = np.hypot(lhs[ok, 0] - rhs[ok, 0], lhs[ok, 1] - rhs[ok, 1])

@@ -23,6 +23,7 @@ from .envelope import LineFamily
 from .errors import RangeError
 from .frontal import LegendrianCurve
 from .transforms import FLAG_NAMES, FLAG_OK, MappedCurve
+from .vec import finite_xy
 
 MIN_PLOT_SAMPLES = 1024
 
@@ -45,7 +46,7 @@ def write_mapped_csv(mc: MappedCurve, fh: IO[str]) -> None:
 
 
 def write_legendrian_csv(lc: LegendrianCurve, fh: IO[str]) -> None:
-    pts = position_xy(lc.curve, lc.ts)
+    pts = lc.frenet.p
     cols = (lc.ts, pts[:, 0], pts[:, 1], lc.nu_grid[:, 0], lc.nu_grid[:, 1],
             lc.ell_grid, lc.beta_grid)
     fh.write("t,x,y,nu_x,nu_y,ell,beta,flag\n")
@@ -66,7 +67,6 @@ class Overlay:
     segments: tuple[np.ndarray, ...]
     label: str
     color: str
-    width_scale: float = 1.0
 
 
 def _segments_from(points: np.ndarray, keep: np.ndarray, closed: bool) -> tuple[np.ndarray, ...]:
@@ -95,12 +95,12 @@ def _segments_from(points: np.ndarray, keep: np.ndarray, closed: bool) -> tuple[
 
 
 def overlay_from_mapped(mc: MappedCurve, label: str | None = None,
-                        color: str = PALETTE[0], width_scale: float = 1.0) -> Overlay:
-    keep = (mc.flags == FLAG_OK) & np.isfinite(mc.points).all(axis=1)
+                        color: str = PALETTE[0]) -> Overlay:
+    keep = (mc.flags == FLAG_OK) & finite_xy(mc.points)
     segs = _segments_from(mc.points, keep, mc.closed)
     if label is None:
         label = f"{mc.kind.name} of {mc.source_name}"
-    return Overlay(segs, label, color, width_scale)
+    return Overlay(segs, label, color)
 
 
 # sampled frontals are mapped curves with a normal
@@ -108,13 +108,12 @@ overlay_from_frontal = overlay_from_mapped
 
 
 def overlay_from_curve(curve: CurveDef, label: str | None = None,
-                       color: str = PALETTE[0], width_scale: float = 1.0) -> Overlay:
+                       color: str = PALETTE[0]) -> Overlay:
     n = max(curve.samples, MIN_PLOT_SAMPLES)
     ts = sample_grid(curve, n)
     pts = position_xy(curve, ts)
-    keep = np.isfinite(pts).all(axis=1)
-    segs = _segments_from(pts, keep, curve.closed)
-    return Overlay(segs, label or curve.name, color, width_scale)
+    segs = _segments_from(pts, finite_xy(pts), curve.closed)
+    return Overlay(segs, label or curve.name, color)
 
 
 @dataclass
@@ -122,7 +121,6 @@ class PlotSpec:
     overlays: list[Overlay] = field(default_factory=list)
     family: Optional[LineFamily] = None
     family_count: int = 0
-    family_color: str = "#bbbbbb"
 
 
 def _clip_line_to_box(a: tuple[float, float], c: float,
@@ -188,7 +186,7 @@ def _svg_chunks(spec: PlotSpec) -> Iterator[str]:
             ts = curve.t_min + (curve.t_max - curve.t_min) * np.arange(spec.family_count) / spec.family_count
         else:
             ts = np.linspace(curve.t_min, curve.t_max, spec.family_count)
-        lines.append(f'<g data-label="family-lines" stroke="{spec.family_color}" '
+        lines.append(f'<g data-label="family-lines" stroke="#bbbbbb" '
                      f'stroke-width="{fmt(0.5 * stroke)}">')
         for a, c in zip(spec.family.a(ts).tolist(), spec.family.c(ts).tolist()):
             seg = _clip_line_to_box(a, c, (x0, x1, y0, y1))
@@ -204,7 +202,7 @@ def _svg_chunks(spec: PlotSpec) -> Iterator[str]:
         label = ov.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         label = label.replace('"', "&quot;")
         yield (f'<g data-label="{label}" fill="none" stroke="{ov.color}" '
-               f'stroke-width="{fmt(stroke * ov.width_scale)}">\n')
+               f'stroke-width="{fmt(stroke)}">\n')
         for seg in ov.segments:
             yield '<polyline points="'
             for i in range(0, len(seg), _BLOCK):

@@ -13,8 +13,9 @@ scan over a grid followed by bisection, refined until |f| <= 1e-10 or
 once per step.  On a closed curve the scan includes the closing cell
 from the last sample round to the first.  The scalar criterion,
 osculating_circle and classify_cusp are one-row cases of the array
-functions.  detect_cusps_numeric is the model-free cross-check: it sees
-cusps of a sampled curve purely from the points.
+functions.  The detectors and the verify suite scan the rows of one
+FrenetGrid (`_criterion_scan`, `_frenet_scan`).  detect_cusps_numeric is the model-free cross-check: it sees cusps of a
+sampled curve purely from the points.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curve import (CurveDef, FrenetGrid, curve_diameter, frenet_grid,
-                    frenet_rows, sample_grid)
+from .curve import (CurveDef, FrenetGrid, bbox_diameter, curve_diameter,
+                    frenet_grid, frenet_rows)
 from .errors import HypothesisViolated, InflectionPoint, RangeError
 from .transforms import (DENOM_REL_EPS, MappedCurve, inversion_curvature,
                          inversion_curvature_grid, inversion_curvature_rows,
                          shift, stencil_ok)
+from .vec import dot_xy, finite_xy
 
 BISECT_TARGET = 1e-10
 BISECT_MAX_ITER = 80
@@ -188,7 +190,7 @@ def classify_cusps(curve: CurveDef, ts: np.ndarray,
     fg = frenet_rows(curve, ts)
     if eps_d is None:
         eps_d = DENOM_REL_EPS * curve_diameter(curve)
-    den = (fg.p * fg.n_hat).sum(axis=1)
+    den = dot_xy(fg.p, fg.n_hat)
     undefined = np.abs(den) < eps_d
     if undefined.any():
         i = np.flatnonzero(undefined)[0]
@@ -221,37 +223,40 @@ class SingularityReport:
     classification: Optional[str] = None
 
 
+def _criterion_scan(curve: CurveDef, fg: FrenetGrid) -> tuple[
+        list[tuple[float, float]], list[CuspClassification]]:
+    """The (root, residual) pairs of the criterion over the rows of fg,
+    and their classifications.  The curve must avoid the origin."""
+    roots = find_roots(lambda t: criterion_grid(curve, t), fg.ts,
+                       values=-inversion_curvature_rows(fg), period=curve.period)
+    if not roots:
+        return [], []
+    eps_d = DENOM_REL_EPS * bbox_diameter(fg.p)
+    return roots, classify_cusps(curve, [t0 for t0, _ in roots], eps_d=eps_d)
+
+
+def _frenet_scan(curve: CurveDef, fg: FrenetGrid, field: str,
+                 kind: str) -> list[SingularityReport]:
+    """The roots of one Frenet field of fg (kappa, kappa_prime_arc)."""
+    roots = find_roots(lambda t: getattr(frenet_grid(curve, t), field), fg.ts,
+                       values=getattr(fg, field), period=curve.period)
+    return [SingularityReport(kind, t0, r) for t0, r in roots]
+
+
 def primitive_singularities(curve: CurveDef,
                             ts: np.ndarray | None = None) -> list[SingularityReport]:
     """Parameters where the primitive of the curve is singular,
     classified.  The curve must avoid the origin."""
-    if ts is None:
-        ts = sample_grid(curve)
-    roots = find_roots(lambda t: criterion_grid(curve, t), ts, period=curve.period)
-    if not roots:
-        return []
-    eps_d = DENOM_REL_EPS * curve_diameter(curve, ts)
-    classes = classify_cusps(curve, [t0 for t0, _ in roots], eps_d=eps_d)
     return [SingularityReport("primitive-cusp", t0, resid, cls.label)
-            for (t0, resid), cls in zip(roots, classes)]
-
-
-def _frenet_roots(curve: CurveDef, ts: np.ndarray | None, field: str,
-                  kind: str) -> list[SingularityReport]:
-    """Roots of one Frenet quantity (kappa, kappa_prime_arc) over the grid."""
-    if ts is None:
-        ts = sample_grid(curve)
-    roots = find_roots(lambda t: getattr(frenet_grid(curve, t), field), ts,
-                       period=curve.period)
-    return [SingularityReport(kind, t0, r) for t0, r in roots]
+            for (t0, resid), cls in zip(*_criterion_scan(curve, frenet_grid(curve, ts)))]
 
 
 def inflections(curve: CurveDef, ts: np.ndarray | None = None) -> list[SingularityReport]:
-    return _frenet_roots(curve, ts, "kappa", "inflection")
+    return _frenet_scan(curve, frenet_grid(curve, ts), "kappa", "inflection")
 
 
 def vertices(curve: CurveDef, ts: np.ndarray | None = None) -> list[SingularityReport]:
-    return _frenet_roots(curve, ts, "kappa_prime_arc", "vertex")
+    return _frenet_scan(curve, frenet_grid(curve, ts), "kappa_prime_arc", "vertex")
 
 
 def detect_cusps_numeric(mc: MappedCurve) -> list[float]:
@@ -266,14 +271,14 @@ def detect_cusps_numeric(mc: MappedCurve) -> list[float]:
         raise RangeError(f"cusp detection needs >= {MIN_DETECT_SAMPLES} samples, got {n}")
     h = mc.grid[1] - mc.grid[0]
     p, closed = mc.points, mc.closed
-    window_ok = stencil_ok(mc.ok & np.isfinite(p).all(axis=1), closed)
+    window_ok = stencil_ok(mc.ok & finite_xy(p), closed)
 
     with np.errstate(all="ignore"):
         central = (shift(p, 1, closed) - shift(p, -1, closed)) / (2.0 * h)
         speed = np.hypot(central[:, 0], central[:, 1])
         before = p - shift(p, -2, closed)
         after = shift(p, 2, closed) - p
-        reversal = (before * after).sum(axis=1) < 0.0
+        reversal = dot_xy(before, after) < 0.0
 
     if not window_ok.any():
         return []

@@ -432,9 +432,8 @@ def inversion_curvature(curve: CurveDef, t: float) -> float:
 
 
 def inversion_curvature_grid(curve: CurveDef, ts: np.ndarray | None = None) -> np.ndarray:
-    """inversion_curvature over a grid; nan where the curve is singular.
-    A curve through the origin is refused."""
-    ts = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
+    """inversion_curvature over a grid, by default the sample grid; nan
+    where the curve is singular.  A curve through the origin is refused."""
     return inversion_curvature_rows(frenet_grid(curve, ts))
 
 

@@ -19,11 +19,10 @@ import numpy as np
 from . import frontal as fr
 from . import singularity as sg
 from . import transforms as tr
-from .curve import (CurveDef, builtin_curve, frenet_grid, position_xy,
-                    sample_grid, velocity_xy)
+from .curve import CurveDef, builtin_curve, frenet_grid, position_xy, sample_grid
 from .envelope import circle_family_check, envelope, make_family
 from .errors import HypothesisViolated, RangeError
-from .vec import invert_xy, perp_xy, rotate_xy
+from .vec import dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy
 
 SUITES = ("inversion", "duality", "parallel", "slant", "inverse-pair",
           "oracle", "singularity", "frontal", "all")
@@ -93,18 +92,22 @@ def _root_gap(found: list[float], expected: list[float]) -> float:
                default=0.0)
 
 
-def stable_mask(mc: tr.MappedCurve, frac: float = 0.05) -> np.ndarray:
+STABLE_FRAC = 0.05
+
+
+def stable_mask(mc: tr.MappedCurve) -> np.ndarray:
     """Samples on the 'regular part' of a sampled curve: ok, away from
     speed collapses (cusps) and blow-ups (poles), with a two-sample
-    buffer.  Outside frac*median .. median/frac the polyline no longer
-    resolves the curve and difference frames are meaningless."""
-    good = mc.ok & np.isfinite(mc.points).all(axis=1)
+    buffer.  Outside STABLE_FRAC * median .. median / STABLE_FRAC the
+    polyline no longer resolves the curve and difference frames are
+    meaningless."""
+    good = mc.ok & finite_xy(mc.points)
     with np.errstate(all="ignore"):
         central = tr.shift(mc.points, 1, mc.closed) - tr.shift(mc.points, -1, mc.closed)
         speed = np.hypot(central[:, 0], central[:, 1])
     ref = np.median(speed[good]) if good.any() else 0.0
     slow = (~good | ~np.isfinite(speed)
-            | (speed < frac * ref) | (speed * frac > ref))
+            | (speed < STABLE_FRAC * ref) | (speed * STABLE_FRAC > ref))
     return good & tr.stencil_ok(~slow, mc.closed)
 
 
@@ -165,17 +168,17 @@ def _suite_duality(curve: CurveDef, report: VerifyReport) -> None:
 
     pe_inv = tr.pedal_kernel(inv_frame)
     lifted = invert_xy(pe_inv.points.copy())
-    mask = pr.ok & pe_inv.ok & np.isfinite(lifted).all(axis=1)
+    mask = pr.ok & pe_inv.ok & finite_xy(lifted)
     report.add("primitive = inversion of pedal of inverted curve",
                _diff(pr.points, lifted, mask, relative=True), 1e-9)
 
     pe = tr.pedal_kernel(frame)
     ape = tr.antipedal_kernel(frame)
     inv_ape = invert_xy(ape.points.copy())
-    mask = pe.ok & ape.ok & np.isfinite(inv_ape).all(axis=1)
+    mask = pe.ok & ape.ok & finite_xy(inv_ape)
     report.add("pedal = inversion of antipedal", _diff(pe.points, inv_ape, mask), 1e-9)
     inv_pe = invert_xy(pe.points.copy())
-    mask = pe.ok & ape.ok & np.isfinite(inv_pe).all(axis=1)
+    mask = pe.ok & ape.ok & finite_xy(inv_pe)
     report.add("antipedal = inversion of pedal",
                _diff(ape.points, inv_pe, mask, relative=True), 1e-9)
 
@@ -291,9 +294,8 @@ def _suite_oracle(curve: CurveDef, report: VerifyReport) -> None:
 
 
 def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
-    n = max(4096, curve.samples)
-    ts = sample_grid(curve, n)
-    fg = frenet_grid(curve, ts)
+    fg = frenet_grid(curve, sample_grid(curve, max(4096, curve.samples)))
+    ts = fg.ts
     speeds = fg.speed[fg.regular]
     if (~fg.regular).any() or speeds.min() < 1e-3 * np.median(speeds):
         # Cusp criterion, vertex matching, and bisection refinement all
@@ -301,15 +303,16 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
         raise HypothesisViolated(
             f"curve '{curve.name}' has singular or near-singular samples;"
             " the singularity suite needs a regular curve")
-    reports = sg.primitive_singularities(curve, ts)
-    worst_resid = max((r.residual for r in reports), default=0.0)
+    roots, classes = sg._criterion_scan(curve, fg)
+    worst_resid = max((resid for _, resid in roots), default=0.0)
     report.add("criterion roots refined to tolerance", worst_resid, 1e-10)
 
-    cusp_ts = np.array([r.t for r in reports if r.classification == "ordinary-cusp"])
+    cusps = [(t0, c) for (t0, _), c in zip(roots, classes) if c.label == "ordinary-cusp"]
+    cusp_ts = np.array([t0 for t0, _ in cusps])
     h = ts[1] - ts[0]
-    classes = sg.classify_cusps(curve, cusp_ts)
-    witness = max((c.circle_witness for c in classes), default=0.0)
-    # inversion curvature at the cusps and one step to each side, in one
+    witness = max((c.circle_witness for _, c in cusps), default=0.0)
+    inflect = max((abs(c.criterion) for _, c in cusps), default=0.0)
+    # inversion curvature one step to each side of the cusps, in one
     # call; a closed curve wraps the sides into [t_min, t_max), an open
     # one leaves a cusp within h of an end out of the sign check
     sides = np.concatenate([cusp_ts - h, cusp_ts + h])
@@ -319,26 +322,21 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
                          np.where(sides >= curve.t_max, sides - curve.period, sides))
     else:
         sides = np.clip(sides, curve.t_min, curve.t_max)
-    k_at, k_left, k_right = np.split(
-        tr.inversion_curvature_grid(curve, np.concatenate([cusp_ts, sides])), 3)
-    inflect = float(np.abs(k_at).max()) if len(cusp_ts) else 0.0
+    k_left, k_right = np.split(tr.inversion_curvature_grid(curve, sides), 2)
     sign_ok = bool(((k_left < 0.0) != (k_right < 0.0))[inside].all())
     report.add("osculating circle passes through origin at cusps", witness, 1e-8)
     report.add("inverted curve has zero curvature at cusps", inflect, 1e-8)
     report.add("inverted-curve curvature changes sign at cusps",
                0.0 if sign_ok else math.inf, 0.0)
 
-    kpa = fg.kappa_prime_arc
     kpsi = tr.inversion_curvature_rows(fg)
     dk = (np.roll(kpsi, -1) - np.roll(kpsi, 1)) / (2 * h) if curve.closed else np.gradient(kpsi, h)
-    if np.abs(kpa).max() < 1e-10 and np.abs(dk).max() < 1e-8:
+    if np.abs(fg.kappa_prime_arc).max() < 1e-10 and np.abs(dk).max() < 1e-8:
         # Constant curvature: both sides vanish identically and sign scans
         # would chase rounding noise.
         report.add("vertices = extrema of inversion curvature", 0.0, 2 * h)
     else:
-        vertex_roots = [t for t, _ in sg.find_roots(
-            lambda t: frenet_grid(curve, t).kappa_prime_arc, ts, values=kpa,
-            period=curve.period)]
+        vertex_roots = [r.t for r in sg._frenet_scan(curve, fg, "kappa_prime_arc", "vertex")]
         delta = 1e-6 * (curve.t_max - curve.t_min)
 
         def dk_grid(t):
@@ -353,10 +351,9 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
                    _root_gap(vertex_roots, ext_roots), 2 * h)
 
     fd = _fd_curvature_of_inverted(curve, ts)
-    closed = kpsi
-    scale = np.abs(closed).max()
+    scale = np.abs(kpsi).max()
     mask = np.isfinite(fd)
-    rel = np.abs(fd[mask] - closed[mask]) / np.maximum(np.abs(closed[mask]), 1e-3 * scale)
+    rel = np.abs(fd[mask] - kpsi[mask]) / np.maximum(np.abs(kpsi[mask]), 1e-3 * scale)
     report.add("inversion curvature matches finite differences", rel.max(), 1e-5)
 
     pr = tr.primitive(curve, ts)
@@ -386,28 +383,26 @@ def _output_normal_residual(lc: "fr.LegendrianCurve", mask: np.ndarray) -> float
     analytically through the lift (nu' = ell mu), so cusps of the output
     cost nothing.  A rotation R(phi) cancels from both factors, so this
     one residual covers every slant angle."""
-    gamma = position_xy(lc.curve, lc.ts)
-    dgamma = velocity_xy(lc.curve, lc.ts)
+    gamma, dgamma = lc.frenet.p, lc.frenet.d1
     nu = lc.nu_grid
     mu = perp_xy(nu)
-    n2 = (gamma * gamma).sum(axis=1)
-    q = (gamma * nu).sum(axis=1)
-    n2p = 2.0 * (gamma * dgamma).sum(axis=1)
-    qp = (dgamma * nu).sum(axis=1) + lc.ell_grid * (gamma * mu).sum(axis=1)
+    n2 = dot_xy(gamma, gamma)
+    q = dot_xy(gamma, nu)
+    n2p = 2.0 * dot_xy(gamma, dgamma)
+    qp = dot_xy(dgamma, nu) + lc.ell_grid * dot_xy(gamma, mu)
     with np.errstate(all="ignore"):
         coef = (n2p * q - n2 * qp) / (q * q)
         dpr = (2.0 * dgamma - coef[:, None] * nu
                - (n2 / q * lc.ell_grid)[:, None] * mu)
-        num = np.abs((dpr * gamma).sum(axis=1)) / np.sqrt(n2)
+        num = np.abs(dot_xy(dpr, gamma)) / np.sqrt(n2)
         resid = num / np.maximum(1.0, np.hypot(dpr[:, 0], dpr[:, 1]))
     mask = mask & np.isfinite(resid)
     return float(resid[mask].max()) if mask.any() else math.inf
 
 
 def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
-    n = max(4096, curve.samples)
-    ts = sample_grid(curve, n)
-    lc = fr.lift_front(curve, ts)
+    lc = fr.lift_front(curve, sample_grid(curve, max(4096, curve.samples)))
+    ts = lc.ts
     report.add("legendrian residual of the lift", fr.legendrian_residual(lc), 1e-8)
 
     # frame closure, with the normal derivative from finite differences
@@ -422,9 +417,8 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     report.add("frame closure nu' = ell mu", float(r1[inner].max()), 1e-6)
     report.add("frame closure mu' = -ell nu", float(r2[inner].max()), 1e-6)
 
-    fg = frenet_grid(curve, ts)
-    reg = fg.regular
-    gap = np.abs(lc.ell_grid[reg] - fg.speed[reg] * fg.kappa[reg])
+    fg = lc.frenet
+    gap = np.abs(lc.ell_grid - fg.speed * fg.kappa)[fg.regular]
     report.add("ell = speed x curvature on regular arcs", float(gap.max()), 1e-9)
 
     sf = lc.sample()
@@ -458,13 +452,7 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     report.add("circle slant composition adds angles (pi/6, pi/6)",
                fr.composition_check(circle_lift, math.pi / 6, math.pi / 6), 1e-9)
 
-    psi = phi = math.pi / 4
-    inner_f = fr.frontal_slant_primitivoid(sf, phi)
-    outer_f = fr.frontal_slant_primitivoid(inner_f, psi)
-    lhs = math.cos(psi + phi) * outer_f.points
-    rhs_f = fr.frontal_slant_primitivoid(sf, psi + phi)
-    rhs = math.cos(psi) * math.cos(phi) * rhs_f.points
-    both = outer_f.ok & rhs_f.ok
+    lhs, rhs, both = fr._composition_sides(sf, math.pi / 4, math.pi / 4)
     lhs_n = float(np.hypot(*lhs[both].T).max()) if both.any() else math.inf
     rhs_n = float(np.hypot(*rhs[both].T).max()) if both.any() else math.inf
     report.add("degenerate composition: both sides vanish", max(lhs_n, rhs_n), 1e-9)
@@ -472,7 +460,7 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     inv_sf = fr.invert_frontal(sf)
     pe_inv = fr.frontal_pedal(inv_sf)
     lifted = invert_xy(pe_inv.points.copy())
-    mask = pr_f.ok & pe_inv.ok & np.isfinite(lifted).all(axis=1)
+    mask = pr_f.ok & pe_inv.ok & finite_xy(lifted)
     report.add("primitive = inversion of pedal of inverted frontal",
                _diff(lifted, pr_f.points, mask, relative=True), 1e-9)
 

@@ -191,6 +191,19 @@ def test_scalar_functions_reject_parameters_outside_the_interval(fn):
             fn(c, t)
 
 
+PARABOLA_ARC = parse_curve("x = t\ny = t^2 + 1\nt_min = -1\nt_max = 1\nclosed = false")
+
+
+@pytest.mark.parametrize("fn", [
+    pk.frenet_grid, pk.position_xy, pk.primitive,
+    lambda c, ts: pk.envelope(pk.make_family("primitive", c), ts),
+], ids=["frenet_grid", "position_xy", "primitive", "envelope"])
+def test_grid_functions_reject_parameters_outside_the_interval(fn):
+    # a grid walk past t_max used to return finite points flagged ok
+    with pytest.raises(RangeError, match="outside"):
+        fn(PARABOLA_ARC, np.array([0.0, 5.0]))
+
+
 @pytest.mark.parametrize("fn", SCALAR_FNS)
 def test_scalar_functions_raise_eval_error_where_undefined(fn):
     with pytest.raises(pk.EvalError):

@@ -23,7 +23,6 @@ def test_lift_front_residual_and_seam():
 def test_front_lift_flips_frozen():
     lc = fl.lift_front(builtin_curve("front"))
     np.testing.assert_allclose(lc.flips, FRONT_FLIPS, atol=1e-8)
-    assert lc.sign0 == 1.0
     nu0 = lc.nu(0.0)
     assert (nu0[0], nu0[1]) == (1.0, 0.0)
 

@@ -1,11 +1,14 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
 import pedalkit as pk
+from pedalkit import expr as ex
 from pedalkit import transforms as tr
-from pedalkit.curve import builtin_curve, sample_grid
+from pedalkit.curve import (builtin_curve, format_curve, parse_curve,
+                            position_xy, sample_grid)
 from pedalkit.errors import HypothesisViolated, RangeError
 from pedalkit.verify import SUITES, VerifyReport, run_suite, stable_mask
 
@@ -38,6 +41,50 @@ def test_frame_closure_on_open_arcs_uses_the_five_point_stencil(text):
     rows = [r for r in report.results if r.name.startswith("frame closure")]
     assert len(rows) == 2
     assert all(r.residual < 1e-9 for r in rows), report.format()
+
+
+def _grid_walks(monkeypatch, suite, curve):
+    """Counter of the walks run_suite(suite, curve) makes over grids of
+    1024 samples or more: ("jets", order, n) per jet walk, ("position", n)
+    per coordinate that evaluate_array walks (two per position walk)."""
+    walks = collections.Counter()
+    jets, evaluate_array = ex.jets, ex.evaluate_array
+
+    def counted_jets(exprs, t, order=ex.MAX_JET_ORDER):
+        if np.size(t) >= 1024:
+            walks["jets", order, np.size(t)] += 1
+        return jets(exprs, t, order)
+
+    def counted_evaluate_array(e, ts):
+        if np.size(ts) >= 1024:
+            walks["position", np.size(ts)] += 1
+        return evaluate_array(e, ts)
+
+    monkeypatch.setattr(ex, "jets", counted_jets)
+    monkeypatch.setattr(ex, "evaluate_array", counted_evaluate_array)
+    run_suite(suite, curve)
+    return walks
+
+
+def test_singularity_and_frontal_suites_walk_each_grid_once(monkeypatch):
+    ellipse = builtin_curve("ellipse")
+    # the Frenet grid, the order-1 frame of the primitive, and the
+    # position walk of the finite-difference row
+    assert _grid_walks(monkeypatch, "singularity", ellipse) == {
+        ("jets", 3, 4096): 1, ("jets", 1, 4096): 1, ("position", 4096): 2}
+    # the lifts of the curve and of the 1024-sample circle, nothing more
+    assert _grid_walks(monkeypatch, "frontal", ellipse) == {
+        ("jets", 3, 4096): 1, ("jets", 3, 1024): 1}
+
+
+@pytest.mark.parametrize("curve", [
+    builtin_curve("front"),
+    parse_curve(format_curve(tr.invert_curve(builtin_curve("ellipse")))),
+], ids=["front", "inv-ellipse"])
+def test_lifted_points_are_the_sampled_curve_bitwise(curve):
+    lc = pk.lift_front(curve)
+    points = lc.sample().points
+    assert points.tobytes() == position_xy(curve, lc.ts).tobytes()
 
 
 def test_front_skips_singularity_suite_inside_all():

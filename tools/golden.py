@@ -15,12 +15,14 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
 - `plot --curve` with source, primitive and slant overlays and 64
   family lines, on the ellipse and on an open ellipse arc written as a
   curve file;
-- `verify --suite all` on the built-ins and on the inverted ellipse and
-  offset circle, passed as curve files written with `format_curve`;
+- `verify --suite all` on the built-ins, on the inverted ellipse and
+  offset circle, passed as curve files written with `format_curve`, and
+  on the open ellipse and parabola arcs (the open-grid branches of the
+  singularity and frontal suites);
 - `verify --suite oracle --samples 40000` on the ellipse and the front:
   envelopes that span three solve blocks;
 - `detect` for every kind on the built-ins, at the default sample count
-  and at 65536 samples.
+  and at 65536 samples, and on the inverted ellipse.
 
 Running it against two checkouts and comparing the directories shows
 whether a change altered any of these outputs:
@@ -119,7 +121,7 @@ def write_goldens(outdir: str) -> int:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(format_curve(invert_curve(builtin_curve(name))))
         curves.append(path)
-    for curve in curves:
+    for curve in curves + ["open-arc.curve", "parabola-arc.curve"]:
         run(f"verify-{curve}.txt", ["verify", "--curve", curve, "--suite", "all"])
     for curve in ("ellipse", "front"):
         run(f"verify-{curve}-oracle-{ORACLE_SAMPLES}.txt",
@@ -130,6 +132,9 @@ def write_goldens(outdir: str) -> int:
                 extra = [] if samples is None else ["--samples", str(samples)]
                 run(f"detect-{curve}-{what}-{samples or 'default'}.txt",
                     ["detect", "--curve", curve, "--what", what] + extra)
+    for what in DETECT_KINDS:
+        run(f"detect-inv-ellipse.curve-{what}.txt",
+            ["detect", "--curve", "inv-ellipse.curve", "--what", what])
     return 0
 
 
