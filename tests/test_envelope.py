@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from pedalkit.envelope import circle_family_check, envelope, make_family
 from pedalkit.curve import (JET_BLOCK, builtin_curve, parse_curve, position_xy,
                             sample_grid, velocity_xy)
 from pedalkit.errors import OriginSingularity, RangeError
-from pedalkit.transforms import invert_curve
-from pedalkit.vec import perp_xy
+from pedalkit.transforms import frenet_frame, invert_curve, pedal_kernel
+from pedalkit.vec import dot_xy, perp_xy
 
 
 def rel_err(a, b):
@@ -66,7 +67,7 @@ def test_make_family_rejects_bad_input():
     through_origin = parse_curve(
         "x = 1 + cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*pi\nsamples = 64")
     with pytest.raises(OriginSingularity):
-        make_family("primitive", through_origin)
+        envelope(make_family("primitive", through_origin))
 
 
 def test_circle_family_check_small_on_builtins():
@@ -192,3 +193,57 @@ def test_origin_hit_in_a_later_block_names_the_first_hit():
 def test_origin_guard_passes_a_grid_that_misses_the_origin():
     c64 = parse_curve(_THROUGH_ORIGIN.format(64))
     assert circle_family_check(c64, sample_grid(c64, 63)) < 1e-9
+
+
+def test_family_of_a_curve_through_the_origin_solves_a_grid_that_misses_it():
+    # the curve's own grid of 64 hits the origin, the grid of 63 misses it
+    c64 = parse_curve(_THROUGH_ORIGIN.format(64))
+    ts = sample_grid(c64, 63)
+    env = envelope(make_family("primitive", c64), ts)
+    assert env.ok.all()
+    assert rel_err(env.points, tr.primitive(c64, ts).points) < 1e-9
+
+
+def _one_shot_circle_check(curve, ts):
+    """circle_family_check with the rings of the whole grid at once."""
+    frame = frenet_frame(curve, ts)
+    g = frame.points
+    pe = pedal_kernel(frame)
+    ok = pe.ok
+    resid_g = np.abs(dot_xy(pe.points[ok], pe.points[ok] - g[ok]))
+    radius = 0.5 * np.hypot(g[:, 0], g[:, 1])
+    angles = 2.0 * math.pi * np.arange(8) / 8 + 0.7
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    pts = 0.5 * g[:, None, :] + radius[:, None, None] * ring[None, :, :]
+    n2 = dot_xy(pts, pts)
+    with np.errstate(all="ignore"):
+        resid_line = np.abs(dot_xy(pts, g[:, None, :]) / n2 - 1.0)
+    usable = n2 > (1e-3 * radius[:, None]) ** 2
+    resid_line = resid_line[usable & np.isfinite(resid_line)]
+    worst = 0.0
+    if resid_g.size:
+        worst = max(worst, float(resid_g.max()))
+    if resid_line.size:
+        worst = max(worst, float(resid_line.max()))
+    return worst
+
+
+@pytest.mark.parametrize("curve_name", ["circle", "ellipse", "front", "inv-ellipse"])
+def test_blocked_circle_check_equals_one_shot(curve_name):
+    curve = _REFERENCE_CURVES[curve_name]()
+    ts = sample_grid(curve, 3 * JET_BLOCK + 5)
+    assert circle_family_check(curve, ts) == _one_shot_circle_check(curve, ts)
+
+
+def test_circle_check_runs_in_bounded_memory():
+    # the rings of the whole grid at once peak near 56 MB
+    ell = builtin_curve("ellipse")
+    ts = sample_grid(ell, 1 << 17)
+    frenet_frame(ell, ts)
+    tracemalloc.start()
+    try:
+        circle_family_check(ell, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pedalkit.vec import invert_xy, perp_xy, rotate_xy
+from pedalkit.vec import ORIGIN_EPS, invert_xy, perp_xy, rotate_xy
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 nonzero_pt = st.tuples(finite, finite).filter(lambda p: math.hypot(*p) > 1e-6)
@@ -70,3 +71,17 @@ def test_invert_xy_flags_origin_rows_as_nan():
     out = invert_xy(pts)
     assert not np.isfinite(out[0]).any()
     assert tuple(out[1]) == (1.0, 0.0)
+
+
+def test_invert_xy_is_x_over_its_squared_norm_bitwise_at_every_scale():
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(100_000, 2)) * 10.0 ** rng.uniform(-160, 150, (100_000, 1))
+    pts[:4] = [[0.0, 0.0], [-0.0, -0.0], [1e200, 1e200], [1e-200, -1e-200]]
+    with np.errstate(all="ignore"):
+        n2 = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+        expected = pts / n2[:, None]
+    expected[n2 < ORIGIN_EPS * ORIGIN_EPS] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = invert_xy(pts)
+    assert out.tobytes() == expected.tobytes()

@@ -1,5 +1,6 @@
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ import pytest
 import pedalkit as pk
 from pedalkit import expr as ex
 from pedalkit import transforms as tr
-from pedalkit.curve import (builtin_curve, format_curve, parse_curve,
+from pedalkit.curve import (JET_BLOCK, builtin_curve, format_curve, parse_curve,
                             position_xy, sample_grid)
 from pedalkit.errors import HypothesisViolated, RangeError
-from pedalkit.verify import SUITES, VerifyReport, run_suite, stable_mask
+from pedalkit.verify import (SUITES, VerifyReport, _diff, _plane_inversion_rows,
+                             run_suite, stable_mask)
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "offset_circle", "front"])
@@ -147,3 +149,69 @@ def test_stable_mask_keeps_smooth_output():
     c = builtin_curve("ellipse")
     pe = tr.pedal(c, sample_grid(c, 256))
     assert stable_mask(pe).all()
+
+
+def test_plane_inversion_rows_are_pinned():
+    # the 1e6 points are drawn block by block; the rows keep the bits of
+    # one draw of all of them
+    expected = (
+        ("inversion is an involution (1e6 points)", 4.446743333363605e-16, 1e-12),
+        ("inversion scales distances conformally", 5.053508225746989e-15, 1e-09),
+        ("perp twice negates", 0.0, 0.0),
+        ("quarter turn equals perp", 1.1102230246251565e-16, 2.0917196848526337e-15),
+        ("rotations add angles", 2.220446049250313e-16, 1e-12),
+        ("scalar inversion involution", 0.0, 1e-12),
+    )
+    assert repr(_plane_inversion_rows()) == repr(expected)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced while fn(*args) runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_plane_inversion_rows_run_in_bounded_memory():
+    # one draw of all 1e6 points peaks near 70 MB
+    peak, _ = _traced_peak(_plane_inversion_rows.__wrapped__)
+    assert peak < 8e6
+
+
+def _one_shot_diff(a, b, mask, relative=False):
+    """_diff on the whole grid at once."""
+    if not mask.any():
+        return math.inf
+    d = a[mask] - b[mask]
+    dist = np.hypot(d[:, 0], d[:, 1])
+    if relative:
+        dist = dist / np.maximum(1.0, np.hypot(b[mask][:, 0], b[mask][:, 1]))
+    return float(dist.max())
+
+
+def _diff_cases():
+    """(a, b, mask) on a grid of three blocks and five rows."""
+    n = 3 * JET_BLOCK + 5
+    rng = np.random.default_rng(11)
+    b = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    a = b + rng.normal(size=(n, 2)) * 1e-9
+    full = np.ones(n, dtype=bool)
+    holed = full.copy()
+    holed[JET_BLOCK:2 * JET_BLOCK] = False  # one block with no sample
+    yield a, b, full
+    yield a, b, holed
+    late = a.copy()
+    late[-2] += 1e-3  # the worst sample, in the last partial block
+    yield late, b, holed
+    yield a, b, np.zeros(n, dtype=bool)
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_blocked_diff_equals_one_shot(relative):
+    for a, b, mask in _diff_cases():
+        expected = _one_shot_diff(a, b, mask, relative)
+        assert _diff(a, b, mask, relative) == expected
+    assert expected == math.inf
