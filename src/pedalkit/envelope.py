@@ -17,16 +17,20 @@ Every family is one formula in g and g' (R(phi) is the rotation by phi):
 
 with phi = 0 and k = 1 for the primitive, k = r for parallel(r), and
 k = cos(phi) for slant(phi).  The antipedal family has a = g and c = 1.
+
+The pedal-circle check builds its rings of circle points per block of
+JET_BLOCK samples too, and takes its max residual over the blocks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import JET_BLOCK, CurveDef, _jets_xy, position_xy, sample_grid
+from .curve import JET_BLOCK, CurveDef, _jets_xy, sample_grid
 from .errors import RangeError
 from .transforms import (FLAG_NEAR_SINGULAR, FLAG_OK, FLAG_UNDEFINED,
                          MappedCurve, TransformKind, _check_origin,
@@ -74,17 +78,14 @@ class LineFamily:
 def make_family(kind: str, curve: CurveDef, r: float | None = None,
                 phi: float | None = None) -> LineFamily:
     """Build the line family whose envelope is the named transform: r is
-    the ratio of a parallel family, phi the angle of a slant one.  A
-    curve whose own sample grid meets the origin is refused."""
+    the ratio of a parallel family, phi the angle of a slant one.  The
+    origin is refused on the grids the family is evaluated on, not here."""
     if kind not in FAMILY_KINDS:
         raise RangeError(f"unknown family kind {kind!r}; choices: {', '.join(FAMILY_KINDS)}")
     if kind == "parallel" and (r is None or r == 0.0 or not math.isfinite(r)):
         raise RangeError("parallel family needs a finite nonzero ratio")
     if kind == "slant" and (phi is None or not math.isfinite(phi)):
         raise RangeError("slant family needs a finite angle")
-    ts = sample_grid(curve)
-    g = position_xy(curve, ts)
-    _check_origin(ts, dot_xy(g, g), f"the {kind} line family")
     return LineFamily(TransformKind(kind, angle=phi if kind == "slant" else None,
                                     ratio=r if kind == "parallel" else None), curve)
 
@@ -137,32 +138,43 @@ def circle_family_check(curve: CurveDef, ts: np.ndarray | None = None) -> float:
     must (1) pass through the pedal point: G(s, Pe(s)) = <Pe, Pe - g> = 0,
     and (2) invert onto the line <y, g(s)> = 1: every sampled circle
     point x (away from the origin) must satisfy <x/|x|^2, g(s)> = 1.
-    A g at the origin is refused.
+    A g at the origin is refused.  The rings and residuals are built per
+    block of JET_BLOCK samples, so they stay the size of a block; a max
+    over blocks is the max over the grid.
     """
     frame = frenet_frame(curve, ts)
-    g = frame.points
-    _check_origin(frame.grid, dot_xy(g, g), "the pedal-circle check")
-    pe = pedal_kernel(frame)
-    ok = pe.ok
-    resid_g = np.abs(dot_xy(pe.points[ok], pe.points[ok] - g[ok]))
-
-    center = 0.5 * g
-    radius = 0.5 * np.hypot(g[:, 0], g[:, 1])
     angles = 2.0 * math.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS + 0.7
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    pts = center[:, None, :] + radius[:, None, None] * ring[None, :, :]
-    n2 = dot_xy(pts, pts)
-    with np.errstate(all="ignore"):
-        dot = dot_xy(pts, g[:, None, :])
-        resid_line = np.abs(dot / n2 - 1.0)
-    # circle points too close to the origin are skipped (the origin
-    # itself lies on every one of these circles)
-    usable = n2 > (1e-3 * radius[:, None]) ** 2
-    resid_line = resid_line[usable & np.isfinite(resid_line)]
+    incidence, line = [], []
+    for start in range(0, len(frame.grid), JET_BLOCK):
+        block = slice(start, start + JET_BLOCK)
+        rows = dataclasses.replace(frame, grid=frame.grid[block], points=frame.points[block],
+                                   flags=frame.flags[block], nu=frame.nu[block])
+        g = rows.points
+        _check_origin(rows.grid, dot_xy(g, g), "the pedal-circle check")
+        pe = pedal_kernel(rows)
+        ok = pe.ok
+        resid_g = np.abs(dot_xy(pe.points[ok], pe.points[ok] - g[ok]))
+
+        center = 0.5 * g
+        radius = 0.5 * np.hypot(g[:, 0], g[:, 1])
+        pts = center[:, None, :] + radius[:, None, None] * ring[None, :, :]
+        n2 = dot_xy(pts, pts)
+        with np.errstate(all="ignore"):
+            dot = dot_xy(pts, g[:, None, :])
+            resid_line = np.abs(dot / n2 - 1.0)
+        # circle points too close to the origin are skipped (the origin
+        # itself lies on every one of these circles)
+        usable = n2 > (1e-3 * radius[:, None]) ** 2
+        resid_line = resid_line[usable & np.isfinite(resid_line)]
+        if resid_g.size:
+            incidence.append(resid_g.max())
+        if resid_line.size:
+            line.append(resid_line.max())
 
     worst = 0.0
-    if resid_g.size:
-        worst = max(worst, float(resid_g.max()))
-    if resid_line.size:
-        worst = max(worst, float(resid_line.max()))
+    if incidence:
+        worst = max(worst, float(np.max(incidence)))
+    if line:
+        worst = max(worst, float(np.max(line)))
     return worst

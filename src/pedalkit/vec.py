@@ -51,8 +51,8 @@ def rotate_xy(pts: np.ndarray, phi: float) -> np.ndarray:
 def invert_xy(pts: np.ndarray) -> np.ndarray:
     """Row-wise inversion in the unit circle, x / |x|^2; rows within
     ORIGIN_EPS of the origin come back nan."""
-    n2 = np.einsum("...i,...i->...", pts, pts)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n2 = dot_xy(pts, pts)
         out = pts / n2[..., None]
     out[n2 < ORIGIN_EPS * ORIGIN_EPS] = np.nan
     return out

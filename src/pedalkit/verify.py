@@ -6,6 +6,12 @@ tolerance it must meet, and pass/fail.  Closed-form transforms are
 checked against independent constructions (envelopes, inversion
 round-trips, finite differences of sampled output curves), so the
 suites certify the formulas rather than re-deriving them.
+
+A residual is a max over samples.  The point distances of a row, the
+pedal-circle check and the 1e6 random points of the plane inversion
+rows take it block by block, JET_BLOCK rows at a time, so their
+temporaries stay the size of a block; a max over blocks is the max over
+the grid, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import numpy as np
 from . import frontal as fr
 from . import singularity as sg
 from . import transforms as tr
-from .curve import CurveDef, builtin_curve, frenet_grid, position_xy, sample_grid
+from .curve import (JET_BLOCK, CurveDef, builtin_curve, frenet_grid, position_xy,
+                    sample_grid)
 from .envelope import circle_family_check, envelope, make_family
 from .errors import HypothesisViolated, RangeError
 from .vec import dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy
@@ -69,14 +76,22 @@ def _diff(a: np.ndarray, b: np.ndarray, mask: np.ndarray,
     # (primitive, antipedal) reach magnitudes ~ 1/q near q -> 0 where every
     # evaluation scheme carries O(eps / q^2) absolute error; dividing by the
     # local magnitude keeps the comparison meaningful there while staying
-    # equal to the absolute distance wherever points are O(1).
-    if not mask.any():
-        return math.inf
-    d = a[mask] - b[mask]
-    dist = np.hypot(d[:, 0], d[:, 1])
-    if relative:
-        dist = dist / np.maximum(1.0, np.hypot(b[mask][:, 0], b[mask][:, 1]))
-    return float(dist.max())
+    # equal to the absolute distance wherever points are O(1).  The max is
+    # taken per block of JET_BLOCK rows, so no masked copy spans the grid;
+    # it equals the max over the grid, a nan included.
+    maxima = []
+    for start in range(0, len(mask), JET_BLOCK):
+        block = slice(start, start + JET_BLOCK)
+        rows = mask[block]
+        if not rows.any():
+            continue
+        ma, mb = a[block][rows], b[block][rows]
+        d = ma - mb
+        dist = np.hypot(d[:, 0], d[:, 1])
+        if relative:
+            dist = dist / np.maximum(1.0, np.hypot(mb[:, 0], mb[:, 1]))
+        maxima.append(dist.max())
+    return float(np.max(maxima)) if maxima else math.inf
 
 
 def _pair_diff(ma: tr.MappedCurve, mb: tr.MappedCurve,
@@ -115,20 +130,38 @@ def stable_mask(mc: tr.MappedCurve) -> np.ndarray:
 # suites
 
 
+PLANE_SEED = 20240811
+PLANE_POINTS = 1_000_000
+
+
+def _plane_points(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, points) of the random plane points start..stop-1.  The
+    radii, log-uniform in [1e-3, 1e3], are draws start..stop-1 of
+    PCG64(PLANE_SEED); the angles are the PLANE_POINTS draws after them."""
+    radii_rng, angle_rng = (np.random.Generator(np.random.PCG64(PLANE_SEED))
+                            for _ in range(2))
+    radii_rng.bit_generator.advance(start)
+    angle_rng.bit_generator.advance(PLANE_POINTS + start)
+    radii = 10.0 ** radii_rng.uniform(-3, 3, stop - start)
+    angles = angle_rng.uniform(0, 2 * math.pi, stop - start)
+    return radii, np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
 @functools.lru_cache(maxsize=1)
 def _plane_inversion_rows() -> tuple[tuple[str, float, float], ...]:
     """(name, residual, tolerance) of the inversion rows that do not
-    depend on the curve; computed once per process."""
-    rng = np.random.default_rng(20240811)
-    n = 1_000_000
-    radii = 10.0 ** rng.uniform(-3, 3, n)
-    angles = rng.uniform(0, 2 * math.pi, n)
-    pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    back = invert_xy(invert_xy(pts))
-    involution = float((np.hypot(*(back - pts).T) / radii).max())
+    depend on the curve; computed once per process, on PLANE_POINTS
+    points drawn block by block."""
+    maxima = []
+    for start in range(0, PLANE_POINTS, JET_BLOCK):
+        radii, pts = _plane_points(start, min(start + JET_BLOCK, PLANE_POINTS))
+        back = invert_xy(invert_xy(pts))
+        maxima.append((np.hypot(*(back - pts).T) / radii).max())
+    involution = float(np.max(maxima))
 
     m = 10_000
-    x, y = pts[:m], pts[m:2 * m]
+    _, pts = _plane_points(0, 2 * m)
+    x, y = pts[:m], pts[m:]
     lhs = np.hypot(*(invert_xy(x) - invert_xy(y)).T)
     rhs = np.hypot(*(x - y).T) / (np.hypot(*x.T) * np.hypot(*y.T))
     conformal = float((np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)).max())

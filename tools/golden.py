@@ -20,7 +20,8 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   on the open ellipse and parabola arcs (the open-grid branches of the
   singularity and frontal suites);
 - `verify --suite oracle --samples 40000` on the ellipse and the front:
-  envelopes that span three solve blocks;
+  envelopes that span three solve blocks; and at 1048576 samples on the
+  ellipse, whose maxima are taken over 64 blocks;
 - `detect` for every kind on the built-ins, at the default sample count
   and at 65536 samples, and on the inverted ellipse.
 
@@ -72,6 +73,8 @@ PARABOLA_ARC = "x = t\ny = t^2 + 1\nt_min = -1\nt_max = 1\nclosed = false\n"
 
 # the verify --suite oracle cases: more samples than two jet blocks hold
 ORACLE_SAMPLES = "40000"
+# and the one at 2^20 samples
+LARGE_ORACLE_SAMPLES = "1048576"
 
 
 def run(name: str, argv: list[str]) -> None:
@@ -126,6 +129,8 @@ def write_goldens(outdir: str) -> int:
     for curve in ("ellipse", "front"):
         run(f"verify-{curve}-oracle-{ORACLE_SAMPLES}.txt",
             ["verify", "--curve", curve, "--suite", "oracle", "--samples", ORACLE_SAMPLES])
+    run(f"verify-ellipse-oracle-{LARGE_ORACLE_SAMPLES}.txt",
+        ["verify", "--curve", "ellipse", "--suite", "oracle", "--samples", LARGE_ORACLE_SAMPLES])
     for curve in BUILTIN_NAMES:
         for what in DETECT_KINDS:
             for samples in DETECT_SAMPLES:
