@@ -85,8 +85,8 @@ def _diff(a: np.ndarray, b: np.ndarray, mask: np.ndarray,
         rows = mask[block]
         if not rows.any():
             continue
-        ma, mb = a[block][rows], b[block][rows]
-        d = ma - mb
+        mb = b[block][rows]
+        d = a[block][rows] - mb
         dist = np.hypot(d[:, 0], d[:, 1])
         if relative:
             dist = dist / np.maximum(1.0, np.hypot(mb[:, 0], mb[:, 1]))
@@ -137,9 +137,9 @@ PLANE_POINTS = 1_000_000
 def _plane_points(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """(radii, points) of the random plane points start..stop-1.  The
     radii, log-uniform in [1e-3, 1e3], are draws start..stop-1 of
-    PCG64(PLANE_SEED); the angles are the PLANE_POINTS draws after them."""
-    radii_rng, angle_rng = (np.random.Generator(np.random.PCG64(PLANE_SEED))
-                            for _ in range(2))
+    PCG64(PLANE_SEED), the angles draws PLANE_POINTS + start.. of it."""
+    radii_rng = np.random.Generator(np.random.PCG64(PLANE_SEED))
+    angle_rng = np.random.Generator(np.random.PCG64(PLANE_SEED))
     radii_rng.bit_generator.advance(start)
     angle_rng.bit_generator.advance(PLANE_POINTS + start)
     radii = 10.0 ** radii_rng.uniform(-3, 3, stop - start)
