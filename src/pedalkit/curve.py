@@ -17,9 +17,10 @@ the grid row has no data (see `jet_rows` and `frenet_rows`).  Grid
 walks raise RangeError outside [t_min, t_max], as the scalar ones do.
 
 CurveDefs are immutable after construction and safe to share across
-threads.  `transforms.frenet_frame` keeps the Frenet frame of a curve's
-last grid on the instance, outside the fields; the frame is read-only,
-so sharing stays safe (two threads may at worst build it twice).
+threads.  `transforms.frenet_frame` keeps the Frenet frames of a
+curve's default grid and of its last grid on the instance, outside
+the fields; the frames are read-only, so sharing stays safe (two
+threads may at worst build one twice).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import EvalError, IrregularPoint, ParseError, RangeError
-from .vec import dot_xy, finite_xy, perp_xy
+from .vec import dot_xy, finite_xy, perp_xy, scale_xy
 
 # speeds below this are treated as singular parameter values
 REGULAR_EPS = 1e-8
@@ -193,7 +194,7 @@ def _unit_frame(d1: np.ndarray) -> tuple[np.ndarray, ...]:
     speed = np.hypot(d1[:, 0], d1[:, 1])
     regular = np.isfinite(speed) & (speed >= REGULAR_EPS)
     with np.errstate(all="ignore"):
-        t_hat = d1 / speed[:, None]
+        t_hat = scale_xy(np.divide, d1, speed)
     n_hat = perp_xy(t_hat)
     for arr in (t_hat, n_hat):
         arr[~regular] = np.nan
@@ -288,13 +289,14 @@ def parse_curve(text: str, name: str = "curve") -> CurveDef:
     """Parse curve-definition text.  See the module docstring of
     `pedalkit.cli` for the file format."""
     seen: dict[str, object] = {}
+    table: dict = {}  # x and y share their equal subtrees
     for lineno, key, value, vcol in _parse_lines(text):
         if key not in _KNOWN:
             raise ParseError(f"unknown key {key!r}", lineno, 1, _KNOWN)
         if key in seen:
             raise ParseError(f"duplicate key {key!r}", lineno, 1)
         if key in ("x", "y"):
-            seen[key] = ex.parse_expr(value, line=lineno, column=vcol)
+            seen[key] = ex.parse_expr(value, line=lineno, column=vcol, table=table)
         elif key in ("t_min", "t_max"):
             seen[key] = _const_value(value, lineno, key)
         elif key == "name":

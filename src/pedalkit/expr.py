@@ -181,9 +181,19 @@ def _tokenize(text: str, line_offset: int = 1, col_offset: int = 1) -> list[_Tok
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], table: dict):
         self.tokens = tokens
         self.pos = 0
+        self.table = table
+
+    def node(self, cls: type, *fields) -> Expr:
+        """cls(*fields), interned: equal subtrees come out as one node, so
+        that a jet walk evaluates them once."""
+        key = (cls,) + tuple(map(_intern_key, fields))
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = cls(*fields)
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -208,7 +218,7 @@ class _Parser:
             if tok.kind == "op" and tok.text in "+-":
                 self.take()
                 rhs = self.parse_term()
-                node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
+                node = self.node(Add if tok.text == "+" else Sub, node, rhs)
             else:
                 return node
 
@@ -219,7 +229,7 @@ class _Parser:
             if tok.kind == "op" and tok.text in "*/":
                 self.take()
                 rhs = self.parse_factor()
-                node = Mul(node, rhs) if tok.text == "*" else Div(node, rhs)
+                node = self.node(Mul if tok.text == "*" else Div, node, rhs)
             else:
                 return node
 
@@ -228,7 +238,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.take()
-            return Pow(base, self.parse_factor())
+            return self.node(Pow, base, self.parse_factor())
         return base
 
     def parse_unary(self) -> Expr:
@@ -239,24 +249,24 @@ class _Parser:
             # fold a negated literal so that printing Num(-3.0) as
             # "-3.0" reparses to the identical tree
             if isinstance(arg, Num):
-                return Num(-arg.value)
-            return Neg(arg)
+                return self.node(Num, -arg.value)
+            return self.node(Neg, arg)
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
         tok = self.take()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return self.node(Num, float(tok.text))
         if tok.kind == "ident":
             if tok.text == "t":
                 return T
             if tok.text in CONSTANTS:
-                return Const(tok.text)
+                return self.node(Const, tok.text)
             if tok.text in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.parse_expr()
                 self.expect_op(")")
-                return Call(tok.text, arg)
+                return self.node(Call, tok.text, arg)
             raise ParseError(f"unknown identifier {tok.text!r}", tok.line, tok.column,
                              ("t", "pi", "e") + FUNCTIONS)
         if tok.kind == "op" and tok.text == "(":
@@ -268,10 +278,23 @@ class _Parser:
                          ("number", "'t'", "function", "'('", "'-'"))
 
 
-def parse_expr(text: str, line: int = 1, column: int = 1) -> Expr:
+def _intern_key(field):
+    """A node field as part of an intern-table key: a child, interned
+    already, by identity (the table keeps it alive), a number by value
+    and sign, so that 0.0 and -0.0 stay two nodes, and a name as is."""
+    if isinstance(field, Expr):
+        return id(field)
+    if isinstance(field, float):
+        return field, math.copysign(1.0, field)
+    return field
+
+
+def parse_expr(text: str, line: int = 1, column: int = 1,
+               table: dict | None = None) -> Expr:
     """Parse one expression; line/column seed error locations when the
-    text is embedded in a larger file."""
-    parser = _Parser(_tokenize(text, line, column))
+    text is embedded in a larger file.  Equal subtrees are one node;
+    expressions parsed with the same table share theirs too."""
+    parser = _Parser(_tokenize(text, line, column), {} if table is None else table)
     node = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
@@ -514,11 +537,13 @@ def jets(exprs, t: np.ndarray, order: int = MAX_JET_ORDER) -> list[list[np.ndarr
     """For each of exprs, its value and first `order` t-derivatives
     (order <= MAX_JET_ORDER) at the array t, each an array of t's shape.
     One walk of the trees: a node shared between or within them is
-    evaluated once.  Domain errors become non-finite entries; so does a
+    evaluated once, and so are the sin and cos of one argument, which
+    the derivatives of sin, cos and tan share.  Domain errors become non-finite entries; so does a
     derivative of abs at a root of its argument."""
     if not 0 <= order <= MAX_JET_ORDER:
         raise ValueError(f"jet order must be 0..{MAX_JET_ORDER}, got {order}")
-    memo: dict[int, list] = {}
+    # jets by node identity, and the sin and cos of the walk's arguments
+    memo: dict = {}
     with np.errstate(all="ignore"):
         walked = [_jet(e, t, order, memo) for e in exprs]
     return [[_full(v, t) for v in w] for w in walked]
@@ -557,9 +582,9 @@ def _jet(e: Expr, t: np.ndarray, order: int, memo: dict) -> list:
     elif isinstance(e, Div):
         w = _quotient(_jet(e.left, t, order, memo), _jet(e.right, t, order, memo))
     elif isinstance(e, Pow):
-        w = _power(_jet(e.base, t, order, memo), _jet(e.exponent, t, order, memo))
+        w = _power(_jet(e.base, t, order, memo), _jet(e.exponent, t, order, memo), memo)
     elif isinstance(e, Call):
-        w = _call(e.func, _jet(e.arg, t, order, memo))
+        w = _call(e.func, _jet(e.arg, t, order, memo), memo)
     else:
         raise TypeError(f"not an Expr node: {e!r}")
     memo[key] = w
@@ -627,7 +652,7 @@ def _quotient(a: list, b: list) -> list:
     return w
 
 
-def _power(u: list, v: list) -> list:
+def _power(u: list, v: list, memo: dict) -> list:
     """u^v.  A constant exponent c takes the chain rule with
     c (c-1) ... u^(c-k); a zero coefficient is a structural zero, so an
     integer power never forms a negative power of u and t^2 at t = 0
@@ -636,7 +661,7 @@ def _power(u: list, v: list) -> list:
     order = len(u) - 1
     w0 = np.power(u[0], v[0])
     if not _is_constant(v):
-        return _chain([w0] * (order + 1), _product(v, _call("log", u)))
+        return _chain([w0] * (order + 1), _product(v, _call("log", u, memo)))
     if _is_constant(u):
         return [w0] + [None] * order
     c = float(v[0])
@@ -647,20 +672,31 @@ def _power(u: list, v: list) -> list:
     return _chain(f, u)
 
 
-def _call(func: str, u: list) -> list:
+def _trig(func: str, u0, memo: dict):
+    """sin or cos of a jet's value u0, once per walk: the derivative of
+    either is the other.  Keyed by the identity of u0, which the walk's
+    memo keeps alive; an equal value at another identity is computed
+    again, with the same bits."""
+    key = (func, id(u0))
+    if key not in memo:
+        memo[key] = _NUMPY_FN[func](u0)
+    return memo[key]
+
+
+def _call(func: str, u: list, memo: dict) -> list:
     order = len(u) - 1
-    w0 = _NUMPY_FN[func](u[0])
+    w0 = _trig(func, u[0], memo) if func in ("sin", "cos") else _NUMPY_FN[func](u[0])
     if _is_constant(u):
         return [w0] + [None] * order
     # the function and its first three derivatives at u_0
     if func == "sin":
-        c = np.cos(u[0])
+        c = _trig("cos", u[0], memo)
         f = (w0, c, -w0, -c)
     elif func == "cos":
-        s = np.sin(u[0])
+        s = _trig("sin", u[0], memo)
         f = (w0, -s, -w0, s)
     elif func == "tan":
-        sec2 = 1.0 / np.cos(u[0]) ** 2
+        sec2 = 1.0 / _trig("cos", u[0], memo) ** 2
         f = (w0, sec2, 2.0 * w0 * sec2, 2.0 * sec2 * (sec2 + 2.0 * w0 * w0))
     elif func == "exp":
         f = (w0, w0, w0, w0)

@@ -45,7 +45,7 @@ from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, check_defined,
 from .errors import HypothesisViolated, LiftFailure
 from .transforms import (DEGENERATE_ANGLE_EPS, FLAG_OK, MappedCurve,
                          TransformKind)
-from .vec import dot_xy, perp_xy
+from .vec import dot_xy, perp_xy, scale_xy
 
 # consecutive lifted normals must stay at least this aligned
 CONTINUITY_MIN_DOT = 0.5
@@ -78,7 +78,9 @@ def _ell(sigma: np.ndarray, d1: np.ndarray, d2: np.ndarray, speed: np.ndarray,
         w = np.column_stack([d1[:, 1], -d1[:, 0]])
         wdot = np.column_stack([d2[:, 1], -d2[:, 0]])
         sdot = dot_xy(d1, d2)  # = speed * d(speed)/dt
-        nudot = sigma[:, None] * (wdot * (speed ** 2)[:, None] - w * sdot[:, None]) / (speed ** 3)[:, None]
+        # sigma (wdot speed^2 - w sdot) / speed^3
+        nudot = scale_xy(np.multiply, wdot, speed ** 2) - scale_xy(np.multiply, w, sdot)
+        nudot = scale_xy(np.divide, scale_xy(np.multiply, sigma, nudot), speed ** 3)
         return dot_xy(nudot, mu)
 
 
@@ -171,7 +173,7 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
             f"one-sided normal limits at t={ts[c + 1]:.6g} disagree by more than "
             f"a sign (cos angle = {abs(dots[c]):.3f})")
     flips = tuple(float(t) for t in t_flip)
-    nu = signs[:, None] * raw
+    nu = scale_xy(np.multiply, signs, raw)
 
     seam_consistent = True
     if curve.closed:
@@ -192,7 +194,7 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
         span = (j1 - j0) * h
     if (span == 0.0).any():
         raise LiftFailure(f"cannot estimate ell at isolated sample t={ts[i[span == 0.0][0]]}")
-    dn = (nu[j1] - nu[j0]) / span[:, None]
+    dn = scale_xy(np.divide, nu[j1] - nu[j0], span)
     ell[i] = dot_xy(dn, mu[i])
     beta = dot_xy(d1, mu)
 

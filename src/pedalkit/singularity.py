@@ -32,7 +32,7 @@ from .errors import HypothesisViolated, InflectionPoint, RangeError
 from .transforms import (DENOM_REL_EPS, MappedCurve, inversion_curvature,
                          inversion_curvature_grid, inversion_curvature_rows,
                          shift, stencil_ok)
-from .vec import dot_xy, finite_xy
+from .vec import dot_xy, finite_xy, scale_xy
 
 BISECT_TARGET = 1e-10
 BISECT_MAX_ITER = 80
@@ -148,7 +148,7 @@ class OsculatingCircle:
 def _osculating_circles(fg: FrenetGrid) -> tuple[np.ndarray, np.ndarray]:
     """Centers and radii of the osculating circles on the rows of fg."""
     with np.errstate(all="ignore"):
-        return fg.p + fg.n_hat / fg.kappa[:, None], 1.0 / np.abs(fg.kappa)
+        return fg.p + scale_xy(np.divide, fg.n_hat, fg.kappa), 1.0 / np.abs(fg.kappa)
 
 
 def osculating_circle(curve: CurveDef, t: float) -> OsculatingCircle:

@@ -13,9 +13,11 @@ kernel and the parameter it takes.
 A Frenet frame needs only the order-1 jets, p and p', and is built once
 per (curve, grid): `frenet_frame` keeps the frame of the last grid on
 the CurveDef (not a field, so equality, hash and repr ignore it) and
-returns it again for a grid with the same bits.  A kept frame is
-shared, so its arrays, a copy of the grid among them, are read-only.
-Kernel outputs share the frame's grid and own their points and flags.
+returns it again for a grid with the same bits.  It also keeps the
+frame of the default grid, so a call without a grid neither builds
+nor compares a grid.  A kept frame is shared, so its arrays, a copy of
+the grid among them, are read-only.  Kernel outputs share the frame's
+grid and own their points and flags.
 
     pedal            <g, nu> nu
     contrapedal      <g, t> t
@@ -27,13 +29,16 @@ Kernel outputs share the frame's grid and own their points and flags.
     perp-primitive   J primitive   (the primitive of J g)
     invert           g / |g|^2, with nu reflected in the inverted point
 
-Kernels do their row arithmetic one column at a time (`vec.dot_xy`).
-An output starts from the frame's flags.  Denominator guards use eps_d =
-1e-6 times the diameter (bounding-box diagonal) of the frame's ok
-points; samples where a denominator is smaller are flagged
-near_singular, samples with non-finite values (a frame row without a
-normal among them) are undefined.  Everything is sign-invariant under
-nu -> -nu, so no orientation convention leaks into the results.
+Kernels do their row arithmetic one column at a time: `vec.dot_xy`
+for dot products, `vec.scale_xy` to scale each row by a per-sample
+factor.  An output starts from the frame's flags.  Denominator guards
+use eps_d = 1e-6 times the diameter (bounding-box diagonal) of the
+frame's ok points, measured once per frame (`MappedCurve.eps_d`) and
+shared by every kernel run on it; samples where a denominator is
+smaller are flagged near_singular, samples with non-finite values (a
+frame row without a normal among them) are undefined.  Everything is
+sign-invariant under nu -> -nu, so no orientation convention leaks
+into the results.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -49,7 +55,8 @@ from . import expr as ex
 from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, _jets_xy, _unit_frame,
                     bbox_diameter, frenet_grid, frenet_rows, sample_grid)
 from .errors import OriginSingularity, RangeError
-from .vec import ORIGIN_EPS, dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy
+from .vec import (ORIGIN_EPS, dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy,
+                  scale_xy)
 
 # denominator guard scale, relative to curve diameter
 DENOM_REL_EPS = 1e-6
@@ -98,6 +105,14 @@ class MappedCurve:
     def ok(self) -> np.ndarray:
         return self.flags == FLAG_OK
 
+    @cached_property
+    def eps_d(self) -> float:
+        """The denominator guard scale of the kernels on this frame:
+        DENOM_REL_EPS times the bounding-box diagonal of the ok points.
+        Computed on first use and kept, as a frame's points and flags do
+        not change once it is made."""
+        return DENOM_REL_EPS * bbox_diameter(self.points, self.ok)
+
     def flip_nu(self) -> "MappedCurve":
         return dataclasses.replace(self, nu=-self.nu, flags=self.flags.copy())
 
@@ -141,22 +156,34 @@ def frenet_frame(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
     """The curve on its grid with the Frenet normal; samples without a
     Frenet frame get a nan normal.  The frame of the curve's last grid
     is kept on the curve and returned again for a grid with the same
-    bits; its arrays, a copy of ts among them, are read-only."""
-    ts = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
-    last = getattr(curve, "_frame", None)
-    # compared as bits, so that -0.0 and 0.0 are different grids
-    if last is not None and np.array_equal(last.grid.view(np.int64), ts.view(np.int64)):
-        return last
-    grid = ts.copy()
+    bits; the frame of the default grid is kept as well, and ts=None
+    returns it without building the grid again.  A kept frame's arrays,
+    a copy of ts among them, are read-only."""
+    if ts is None:
+        frame = getattr(curve, "_default_frame", None)
+        if frame is None:
+            frame = _frenet_frame(curve, sample_grid(curve))
+            object.__setattr__(curve, "_default_frame", frame)
+    else:
+        ts = np.asarray(ts, dtype=float)
+        last = getattr(curve, "_frame", None)
+        # compared as bits, so that -0.0 and 0.0 are different grids
+        if last is not None and np.array_equal(last.grid.view(np.int64), ts.view(np.int64)):
+            return last
+        frame = _frenet_frame(curve, ts.copy())
+    object.__setattr__(curve, "_frame", frame)  # CurveDef is frozen; the kept frames are no fields
+    return frame
+
+
+def _frenet_frame(curve: CurveDef, grid: np.ndarray) -> MappedCurve:
+    """The read-only Frenet frame on grid, which it takes over."""
     p, d1 = _jets_xy(curve, grid, 1)
     nu = _unit_frame(d1)[3]
     flags = np.full(len(grid), FLAG_OK, dtype=np.uint8)
     for arr in (grid, p, nu, flags):
         arr.flags.writeable = False
-    frame = MappedCurve(curve.name, TransformKind("source"), grid, p, flags,
-                        curve.closed, nu)
-    object.__setattr__(curve, "_frame", frame)  # CurveDef is frozen; _frame is no field
-    return frame
+    return MappedCurve(curve.name, TransformKind("source"), grid, p, flags,
+                       curve.closed, nu)
 
 
 def polyline_frames(mc: MappedCurve) -> MappedCurve:
@@ -169,7 +196,7 @@ def polyline_frames(mc: MappedCurve) -> MappedCurve:
     with np.errstate(all="ignore"):
         d1 = five_point_derivative(mc.points, mc.grid[1] - mc.grid[0], mc.closed)
         speed = np.hypot(d1[:, 0], d1[:, 1])
-        nu = perp_xy(d1 / speed[:, None])
+        nu = perp_xy(scale_xy(np.divide, d1, speed))
     valid = stencil_ok(mc.ok & finite_xy(mc.points), mc.closed)
     valid &= np.isfinite(speed) & (speed > REGULAR_EPS)
     nu[~valid] = np.nan
@@ -196,7 +223,7 @@ def _output(frame: MappedCurve, kind: TransformKind, points: np.ndarray,
     where |den| < eps_d, then undefined (and nan) where not finite."""
     flags = frame.flags.copy()
     if den is not None:
-        eps_d = DENOM_REL_EPS * bbox_diameter(frame.points, frame.ok)
+        eps_d = frame.eps_d  # measured, on first use, before |den| is held
         flags[(np.abs(den) < eps_d) & (flags == FLAG_OK)] = FLAG_NEAR_SINGULAR
     undefined = (flags == FLAG_UNDEFINED) | ~finite_xy(points)
     flags[undefined] = FLAG_UNDEFINED
@@ -210,7 +237,7 @@ def _project(frame: MappedCurve, direction: np.ndarray,
     """<g, d> d for a unit direction field d."""
     with np.errstate(all="ignore"):
         q = dot_xy(frame.points, direction)
-        points = q[:, None] * direction
+        points = scale_xy(np.multiply, q, direction)
     return _output(frame, kind, points)
 
 
@@ -235,7 +262,7 @@ def pedaloid_kernel(frame: MappedCurve, psi: float,
 def antipedal_kernel(frame: MappedCurve, name: str = "antipedal") -> MappedCurve:
     with np.errstate(all="ignore"):
         den = dot_xy(frame.points, frame.nu)
-        points = frame.nu / den[:, None]
+        points = scale_xy(np.divide, frame.nu, den)
     return _output(frame, TransformKind(name), points, den)
 
 
@@ -251,8 +278,8 @@ def _primitive(frame: MappedCurve, kind: TransformKind, normal: bool,
         _check_origin(frame.grid, n2, f"the {kind.name} transform")
     with np.errstate(all="ignore"):
         den = dot_xy(p, nu)
-        points = 2.0 * p - (n2 / den)[:, None] * nu
-        out_nu = p / np.sqrt(n2)[:, None] if normal else None
+        points = 2.0 * p - scale_xy(np.multiply, n2 / den, nu)
+        out_nu = scale_xy(np.divide, p, np.sqrt(n2)) if normal else None
     return points, den, out_nu
 
 
@@ -308,7 +335,7 @@ def invert_kernel(frame: MappedCurve, name: str) -> MappedCurve:
     nu - 2 <g, nu> g/|g|^2, which stays unit."""
     p = frame.points
     with np.errstate(all="ignore"):
-        nu = frame.nu - 2.0 * (dot_xy(p, frame.nu) / dot_xy(p, p))[:, None] * p
+        nu = frame.nu - scale_xy(np.multiply, 2.0 * (dot_xy(p, frame.nu) / dot_xy(p, p)), p)
     return _output(frame, TransformKind(name), invert_xy(p), nu=nu)
 
 

@@ -3,7 +3,10 @@
 A point or vector is a float64 array whose last axis has length 2: an
 (n, 2) array on a grid, a length-2 array for one point (what the
 scalar functions of the package return).  The helpers act on the last
-axis, so they take either.  All functions are pure.
+axis, so they take either.  Row arithmetic goes one column at a time:
+numpy's loop over a broadcast (n, 1) by (n, 2) operation runs along
+the rows' two entries, and is slower than two loops down the columns.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -23,6 +26,22 @@ def dot_xy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = a[..., 0] * b[..., 0]
     out += a[..., 1] * b[..., 1]
     out += 0.0
+    return out
+
+
+def scale_xy(op: np.ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """op(a, b) for points and one factor per row, in either order,
+    computed one column at a time: the bits of op(s[..., None], pts) or
+    op(pts, s[..., None]), as the operands keep their order (a nan's
+    payload comes from the first).  Each column warns on its own, so a
+    floating-point warning may come twice."""
+    points_first = np.ndim(a) > np.ndim(b)
+    out = np.empty(np.shape(a if points_first else b), dtype=np.result_type(a, b))
+    for k in (0, 1):
+        if points_first:
+            op(a[..., k], b, out=out[..., k])
+        else:
+            op(a, b[..., k], out=out[..., k])
     return out
 
 
@@ -53,6 +72,6 @@ def invert_xy(pts: np.ndarray) -> np.ndarray:
     ORIGIN_EPS of the origin come back nan."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n2 = dot_xy(pts, pts)
-        out = pts / n2[..., None]
+        out = scale_xy(np.divide, pts, n2)
     out[n2 < ORIGIN_EPS * ORIGIN_EPS] = np.nan
     return out

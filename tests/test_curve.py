@@ -272,3 +272,19 @@ def test_jet_grid_blocks_do_not_change_the_result(monkeypatch):
     for a, b in zip(whole, jet_grid(c, ts)):
         assert a.tobytes() == b.tobytes()
     assert pk.velocity_xy(c, ts).tobytes() == whole[1].tobytes()
+
+
+@pytest.mark.parametrize("name", ["ellipse", "front", "offset_circle"])
+def test_parsed_curves_share_subtrees_and_keep_their_jets(name):
+    # a curve file written from invert_curve(c) parses back to a tree
+    # that shares |g|^2 between x and y as the in-memory one does, with
+    # the same jets bit for bit
+    c = builtin_curve(name)
+    ts = sample_grid(c, 1000)
+    for mem in (pk.invert_curve(c), pk.invert_curve(pk.invert_curve(c))):
+        parsed = parse_curve(format_curve(mem))
+        assert parsed == mem
+        assert parsed.x.right is parsed.y.right
+        assert format_curve(parsed) == format_curve(mem)
+        for a, b in zip(jet_grid(parsed, ts), jet_grid(mem, ts)):
+            assert a.tobytes() == b.tobytes()

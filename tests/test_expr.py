@@ -213,3 +213,64 @@ def test_jets_leave_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+def _count_trig(monkeypatch, shape):
+    """Counts the sin and cos arrays of shape `shape` that the walk makes."""
+    made = []
+    for name in ("sin", "cos"):
+        def counted(u, fn=ex._NUMPY_FN[name]):
+            out = fn(u)
+            if np.shape(out) == shape:
+                made.append(out)
+            return out
+        monkeypatch.setitem(ex._NUMPY_FN, name, counted)
+    return made
+
+
+@pytest.mark.parametrize("name, joint, apart", [("ellipse", 2, 4), ("front", 10, 12)])
+def test_a_jet_walk_takes_sin_and_cos_once_per_argument(monkeypatch, name, joint, apart):
+    # d sin(u) needs cos(u) and d cos(u) needs sin(u): one walk of x and
+    # y keeps both per argument; walking x and y apart cannot share them
+    from pedalkit.curve import builtin_curve, sample_grid
+    curve = builtin_curve(name)
+    ts = sample_grid(curve)
+    made = _count_trig(monkeypatch, ts.shape)
+    together = ex.jets((curve.x, curve.y), ts, 1)
+    assert len(made) == joint
+    made.clear()
+    separate = ex.jets((curve.x,), ts, 1) + ex.jets((curve.y,), ts, 1)
+    assert len(made) == apart
+    for a, b in zip(together, separate):
+        assert [v.tobytes() for v in a] == [v.tobytes() for v in b]
+    if name == "ellipse":
+        r3 = np.sqrt(3.0)
+        want = [[np.cos(ts), -np.sin(ts)], [np.sin(ts) / r3, np.cos(ts) / r3]]
+        assert [[v.tobytes() for v in w] for w in together] == \
+            [[v.tobytes() for v in w] for w in want]
+
+
+def test_tan_shares_the_cos_of_its_argument(monkeypatch):
+    ts = np.linspace(0.1, 1.2, 17)
+    e = ex.parse_expr("tan(t) + cos(t)")
+    made = _count_trig(monkeypatch, ts.shape)
+    together = ex.jets([e], ts)[0]
+    assert len(made) == 2
+    tan, cos = ex.jets([e.left], ts)[0], ex.jets([e.right], ts)[0]
+    assert len(made) == 5
+    assert [v.tobytes() for v in together] == [(a + b).tobytes() for a, b in zip(tan, cos)]
+
+
+def test_parsing_interns_equal_subtrees():
+    e = ex.parse_expr("cos(3*t)*sin(3*t) + cos(3*t)")
+    assert e.left.left is e.right
+    assert e.left.left.arg is e.left.right.arg
+    table = {}
+    x = ex.parse_expr("cos(t) + 2", table=table)
+    y = ex.parse_expr("sin(t)/(cos(t) + 2)", table=table)
+    assert y.right is x
+    assert ex.parse_expr("cos(t) + 2") == x and ex.parse_expr("cos(t) + 2") is not x
+    # numbers are told apart by sign, so 0.0 and -0.0 stay two nodes
+    z = ex.parse_expr("t*0.0 + t*-0.0")
+    assert z.left.right is not z.right.right
+    assert math.copysign(1.0, z.right.right.value) == -1.0

@@ -5,6 +5,7 @@ import pytest
 
 from pedalkit import frontal as fl
 from pedalkit.curve import builtin_curve, parse_curve, position_xy
+from pedalkit.vec import dot_xy, perp_xy
 from pedalkit.errors import (HypothesisViolated, LiftFailure, OriginSingularity,
                              RangeError)
 
@@ -156,3 +157,34 @@ def test_frenet_and_lifted_normal_paths_agree_bitwise(name):
     for frenet_out, lifted_out in pairs:
         assert np.array_equal(frenet_out.points, lifted_out.points, equal_nan=True)
         assert np.array_equal(frenet_out.flags, lifted_out.flags)
+
+
+@pytest.mark.parametrize("curve", [
+    builtin_curve("front", samples=4099),
+    # a cusp at t = 0, a sample of the grid
+    parse_curve("x = t^2\ny = t^3\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33"),
+], ids=["front", "cusp"])
+def test_lift_rows_match_broadcast_formulas_bitwise(curve):
+    # nu = sigma raw, ell on regular rows from the quotient rule, and the
+    # central difference of nu across singular samples, each with its
+    # rows scaled by s[:, None] broadcasts
+    lc = fl.lift_front(curve)
+    fg = lc.frenet
+    raw = fl._raw_normals(fg.ts, fg.d1, fg.d2, fg.d3)
+    sigma = np.where(dot_xy(raw, lc.nu_grid) < 0, -1.0, 1.0)
+    assert lc.nu_grid.tobytes() == (sigma[:, None] * raw).tobytes()
+    d1, d2, speed = fg.d1, fg.d2, fg.speed
+    mu = perp_xy(lc.nu_grid)
+    with np.errstate(all="ignore"):
+        w = np.column_stack([d1[:, 1], -d1[:, 0]])
+        wdot = np.column_stack([d2[:, 1], -d2[:, 0]])
+        nudot = sigma[:, None] * (wdot * (speed ** 2)[:, None]
+                                  - w * dot_xy(d1, d2)[:, None]) / (speed ** 3)[:, None]
+    want = dot_xy(nudot, mu)
+    assert fl._ell(sigma, d1, d2, speed, mu).tobytes() == want.tobytes()
+    assert lc.ell_grid[fg.regular].tobytes() == want[fg.regular].tobytes()
+    i = np.flatnonzero(~fg.regular)
+    assert i.size == (not curve.closed)
+    h = fg.ts[1] - fg.ts[0]
+    dn = (lc.nu_grid[i + 1] - lc.nu_grid[i - 1]) / np.full(len(i), 2.0 * h)[:, None]
+    assert lc.ell_grid[i].tobytes() == dot_xy(dn, mu[i]).tobytes()

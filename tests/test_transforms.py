@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pedalkit as pk
+from pedalkit import frontal as fr
 from pedalkit import transforms as tr
-from pedalkit.curve import builtin_curve, parse_curve, position_xy, sample_grid
+from pedalkit.curve import (JET_BLOCK, REGULAR_EPS, bbox_diameter, builtin_curve,
+                            parse_curve, position_xy, sample_grid, velocity_xy)
 from pedalkit.errors import OriginSingularity, RangeError
-from pedalkit.vec import invert_xy, perp_xy, rotate_xy
+from pedalkit.vec import ORIGIN_EPS, dot_xy, invert_xy, perp_xy, rotate_xy
 
 RADIUS2 = parse_curve(
     "x = 2*cos(t)\ny = 2*sin(t)\nt_min = 0\nt_max = 2*pi\nsamples = 64")
@@ -308,3 +311,155 @@ def test_invert_kernel_inverts_points_and_keeps_the_normal_unit():
     inv = tr.invert_kernel(frame, "inverted")
     np.testing.assert_allclose(inv.points, invert_xy(frame.points), rtol=1e-15)
     np.testing.assert_allclose(np.hypot(*inv.nu.T), 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the kernels against broadcast reference formulas: rows scaled with
+# s[:, None] * pts and pts / s[:, None], the guard scale measured per call
+
+
+def _ref_output(frame, points, den=None):
+    flags = frame.flags.copy()
+    if den is not None:
+        eps_d = tr.DENOM_REL_EPS * bbox_diameter(frame.points, frame.ok)
+        flags[(np.abs(den) < eps_d) & (flags == tr.FLAG_OK)] = tr.FLAG_NEAR_SINGULAR
+    undefined = (flags == tr.FLAG_UNDEFINED) | ~np.isfinite(points).all(axis=1)
+    flags[undefined] = tr.FLAG_UNDEFINED
+    points[undefined] = np.nan
+    return points, flags
+
+
+def _ref_primitive(frame):
+    p, nu = frame.points, frame.nu
+    den = dot_xy(p, nu)
+    return 2.0 * p - (dot_xy(p, p) / den)[:, None] * nu, den
+
+
+def _ref_kernel(frame, kind, value):
+    """(points, flags, normal) of a kernel, from broadcast formulas."""
+    p, nu = frame.points, frame.nu
+    with np.errstate(all="ignore"):
+        if kind in ("pedal", "contrapedal", "pedaloid"):
+            if kind == "pedal":
+                d = nu
+            elif kind == "contrapedal":
+                d = perp_xy(nu) * -1.0
+            else:
+                d = perp_xy(nu) * -math.cos(value) + math.sin(value) * nu
+            return (*_ref_output(frame, dot_xy(p, d)[:, None] * d), None)
+        if kind == "antipedal":
+            den = dot_xy(p, nu)
+            return (*_ref_output(frame, nu / den[:, None], den), None)
+        if kind == "invert":
+            n2 = dot_xy(p, p)
+            points = p / n2[:, None]
+            points[n2 < ORIGIN_EPS * ORIGIN_EPS] = np.nan
+            normal = nu - 2.0 * (dot_xy(p, nu) / n2)[:, None] * p
+            return (*_ref_output(frame, points), normal)
+        points, den = _ref_primitive(frame)
+        normal = p / np.sqrt(dot_xy(p, p))[:, None]
+        if kind == "parallel":
+            points = points * value
+        elif kind == "slant":
+            points = rotate_xy(points, value) * math.cos(value)
+            normal = rotate_xy(normal, value)
+        elif kind == "perp-primitive":
+            points = perp_xy(points)
+        return (*_ref_output(frame, points, den), normal)
+
+
+def _ref_unit_normal(d1):
+    with np.errstate(all="ignore"):
+        return perp_xy(d1 / np.hypot(d1[:, 0], d1[:, 1])[:, None])
+
+
+_BLOCKS_SAMPLES = 3 * JET_BLOCK + 5
+
+
+@pytest.fixture(scope="module", params=["ellipse", "front"])
+def block_frames(request):
+    """The curve's Frenet, polyline and lifted frames at 3 JET_BLOCK + 5
+    samples, each with its normal from broadcast formulas."""
+    curve = builtin_curve(request.param, samples=_BLOCKS_SAMPLES)
+    frenet = tr.frenet_frame(curve)
+    d1 = velocity_xy(curve, frenet.grid)
+    want = _ref_unit_normal(d1)
+    want[np.hypot(d1[:, 0], d1[:, 1]) < REGULAR_EPS] = np.nan
+    prim = tr.primitive(curve)
+    poly = tr.polyline_frames(prim)
+    with np.errstate(all="ignore"):
+        poly_want = _ref_unit_normal(
+            tr.five_point_derivative(prim.points, prim.grid[1] - prim.grid[0], True))
+    poly_want[~tr.stencil_ok(prim.ok & np.isfinite(prim.points).all(axis=1), True)] = np.nan
+    lift = fr.lift_front(curve).sample()
+    # moved so that the origin lies 1e-9 off one tangent line, below
+    # eps_d, with some rows flagged and some normals nan: every branch of
+    # the output flags
+    k = _BLOCKS_SAMPLES // 3
+    flags = frenet.flags.copy()
+    flags[5::97] = tr.FLAG_UNDEFINED
+    flags[7::89] = tr.FLAG_NEAR_SINGULAR
+    nu = frenet.nu.copy()
+    nu[11::101] = np.nan
+    moved = dataclasses.replace(
+        frenet, points=frenet.points - (frenet.points[k] + 0.5 * perp_xy(frenet.nu[k])
+                                  + 1e-9 * frenet.nu[k]),
+        flags=flags, nu=nu)
+    return {"frenet": (frenet, want), "polyline": (poly, poly_want),
+            "lift": (lift, lift.nu), "moved": (moved, nu)}
+
+
+@pytest.mark.parametrize("provider", ["frenet", "polyline", "lift", "moved"])
+def test_kernels_match_broadcast_formulas_bitwise(block_frames, provider):
+    frame, want_nu = block_frames[provider]
+    assert _same_bits(frame.nu, want_nu)
+    values = {"pedaloid": 0.4, "slant": 0.7, "parallel": 1.7}
+    cases = [(kind, tr.transform_frame(frame, kind, values.get(kind)))
+             for kind in tr.TRANSFORM_KINDS]
+    cases += [(kind, tr.TRANSFORMS[kind][0](frame, values[kind], normal=True))
+              for kind in ("parallel", "slant")]
+    cases += [("primitive", tr.primitive_kernel(frame, normal=True)),
+              ("invert", tr.invert_kernel(frame, "inverted"))]
+    for kind, out in cases:
+        points, flags, normal = _ref_kernel(frame, kind, values.get(kind))
+        assert _same_bits(out.points, points), kind
+        assert _same_bits(out.flags, flags), kind
+        assert out.nu is None or _same_bits(out.nu, normal), kind
+    if provider == "moved":
+        flags = tr.antipedal_kernel(frame).flags
+        assert flags[_BLOCKS_SAMPLES // 3] == tr.FLAG_NEAR_SINGULAR
+        assert set(np.unique(flags)) == {tr.FLAG_OK, tr.FLAG_NEAR_SINGULAR, tr.FLAG_UNDEFINED}
+
+
+def test_eps_d_is_measured_once_per_frame(monkeypatch):
+    calls = []
+
+    def counted(points, mask=None):
+        calls.append(len(points))
+        return bbox_diameter(points, mask)
+
+    monkeypatch.setattr(tr, "bbox_diameter", counted)
+    curve = builtin_curve("front", samples=256)
+    for kind in tr.TRANSFORM_KINDS:
+        tr.apply_transform(curve, kind, angle=0.4, ratio=2.0)
+    frame = tr.frenet_frame(curve)
+    tr.invert_kernel(frame, "inverted")
+    tr.primitive_kernel(frame, normal=True)
+    assert calls == [256]
+    poly = tr.polyline_frames(frame)
+    for kind in tr.TRANSFORM_KINDS:
+        tr.transform_frame(poly, kind, 0.4)
+    assert calls == [256, 256]
+
+
+def test_default_frame_is_kept_across_other_grids(monkeypatch):
+    curve = builtin_curve("ellipse")
+    default = tr.frenet_frame(curve)
+    assert _same_bits(default.grid, sample_grid(curve))
+    grids = []
+    monkeypatch.setattr(tr, "sample_grid", lambda *a: grids.append(a) or sample_grid(*a))
+    other = tr.frenet_frame(curve, sample_grid(curve, 97))
+    assert tr.frenet_frame(curve) is default
+    assert tr.frenet_frame(curve, other.grid) is not other  # the last grid was the default
+    assert tr.frenet_frame(curve) is default
+    assert grids == []  # the default grid is not built again

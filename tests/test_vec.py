@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pedalkit.vec import ORIGIN_EPS, invert_xy, perp_xy, rotate_xy
+from pedalkit.vec import ORIGIN_EPS, invert_xy, perp_xy, rotate_xy, scale_xy
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 nonzero_pt = st.tuples(finite, finite).filter(lambda p: math.hypot(*p) > 1e-6)
@@ -85,3 +85,51 @@ def test_invert_xy_is_x_over_its_squared_norm_bitwise_at_every_scale():
         warnings.simplefilter("error")
         out = invert_xy(pts)
     assert out.tobytes() == expected.tobytes()
+
+
+# the specials of the writer tests and the scales of the inversion test,
+# and a nan with its sign bit set: of two nans, the first operand's
+# comes out, so the order of the operands shows
+EDGE_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e-300,
+               -math.nan)
+
+
+def _edge_column(rng, n):
+    values = rng.normal(size=n) * 10.0 ** rng.uniform(-160, 150, n)
+    values[rng.random(n) < 0.1] = 1e300
+    values[rng.random(n) < 0.1] = 1e-300
+    return np.where(rng.random(n) < 1 / 3, rng.choice(np.array(EDGE_VALUES), n), values)
+
+
+def _outcome(fn):
+    """fn's result bytes and the distinct warnings it gives, and whether
+    it raises under errstate(all="raise")."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    with np.errstate(all="raise"):
+        try:
+            fn()
+            raised = False
+        except FloatingPointError:
+            raised = True
+    return out.tobytes(), {(w.category, str(w.message)) for w in caught}, raised
+
+
+@pytest.mark.parametrize("op", [np.multiply, np.divide])
+def test_scale_xy_is_the_broadcast_bitwise_warnings_included(op):
+    rng = np.random.default_rng(12)
+    n = 20_000
+    s = _edge_column(rng, n)
+    pts = np.column_stack([_edge_column(rng, n), _edge_column(rng, n)])
+    s[:len(EDGE_VALUES)] = EDGE_VALUES
+    # every special against every special, in both columns
+    pts[:len(EDGE_VALUES) ** 2] = np.repeat(EDGE_VALUES, len(EDGE_VALUES))[:, None]
+    s[:len(EDGE_VALUES) ** 2] = np.tile(EDGE_VALUES, len(EDGE_VALUES))
+    cases = [(lambda: scale_xy(op, s, pts), lambda: op(s[:, None], pts)),
+             (lambda: scale_xy(op, pts, s), lambda: op(pts, s[:, None])),
+             (lambda: scale_xy(op, pts[7], s[7]), lambda: op(pts[7], s[7, None]))]
+    for got, want in cases:
+        expected = _outcome(want)
+        assert _outcome(got) == expected
+    assert _outcome(cases[0][1])[1]  # the edge values do make op warn

@@ -11,6 +11,9 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   ellipse and on an open parabola arc written as a curve file, whose
   end rows are undefined and left out of its polyline: CSV and SVG
   that span several write blocks (the SVG is a file of its own);
+- `transform --kind primitive|antipedal --samples 20000` on the front:
+  frames that span two jet blocks, with flags that depend on the
+  denominator guard scale eps_d;
 - `plot --figure N` for every gallery figure;
 - `plot --curve` with source, primitive and slant overlays and 64
   family lines, on the ellipse and on an open ellipse arc written as a
@@ -71,6 +74,10 @@ OPEN_ARC = ("x = cos(t)\ny = sin(t)/sqrt(3)\nt_min = 0.3\nt_max = 5\n"
 BLOCK_SAMPLES = "10000"
 PARABOLA_ARC = "x = t\ny = t^2 + 1\nt_min = -1\nt_max = 1\nclosed = false\n"
 
+# the two-jet-block transform cases on the front, whose flags depend on eps_d
+JET_BLOCKS_SAMPLES = "20000"
+JET_BLOCKS_KINDS = ("primitive", "antipedal")
+
 # the verify --suite oracle cases: more samples than two jet blocks hold
 ORACLE_SAMPLES = "40000"
 # and the one at 2^20 samples
@@ -112,6 +119,9 @@ def write_goldens(outdir: str) -> int:
         name = f"transform-{curve}-primitive-{BLOCK_SAMPLES}"
         run(f"{name}.txt", ["transform", "--curve", curve, "--kind", "primitive",
                             "--samples", BLOCK_SAMPLES, "--svg", f"{name}.svg"])
+    for kind in JET_BLOCKS_KINDS:
+        run(f"transform-front-{kind}-{JET_BLOCKS_SAMPLES}.txt",
+            ["transform", "--curve", "front", "--kind", kind, "--samples", JET_BLOCKS_SAMPLES])
     for number in FIGURE_NUMBERS:
         run(f"figure-{number}.txt", ["plot", "--figure", str(number)])
     with open("open-arc.curve", "w", encoding="utf-8", newline="\n") as fh:
