@@ -21,9 +21,9 @@ lifted normals).
 """
 
 from .curve import (BUILTIN_NAMES, CurveDef, CurveJet, FrenetData, FrenetGrid,
-                    builtin_curve, curve_diameter, format_curve, frenet,
-                    frenet_grid, jet, jet_grid, load_curve, parse_curve,
-                    position_xy, sample_grid, velocity_xy)
+                    builtin_curve, format_curve, frenet, frenet_grid, jet,
+                    jet_grid, load_curve, parse_curve, position_xy,
+                    sample_grid, velocity_xy)
 from .envelope import FAMILY_KINDS, LineFamily, envelope, make_family
 from .errors import (EvalError, HypothesisViolated, InflectionPoint,
                      IrregularPoint, LiftFailure, OriginSingularity,

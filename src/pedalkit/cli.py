@@ -123,8 +123,8 @@ def _parse_overlay(spec: str) -> tuple[str, float | None]:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     if args.figure is not None:
-        if args.overlay or args.family_lines or args.curve:
-            raise RangeError("--figure picks its own curve and overlays")
+        if args.overlay or args.family_lines or args.curve or args.samples is not None:
+            raise RangeError("--figure picks its own curve, samples and overlays")
         spec = fig.figure_spec(args.figure)
     else:
         if not args.curve:
@@ -156,17 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pedals, primitives and primitivoids of plane curves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p, curve_required=True):
+    # each command takes only the options it reads: --svg where it writes one
+    def shared(p, curve_required=True, out=True):
         p.add_argument("--curve", required=curve_required, default=None,
                        help="curve file or built-in name "
                             f"({', '.join(BUILTIN_NAMES)})")
         p.add_argument("--samples", type=int, default=None,
                        help="override the sample count")
-        p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument("--svg", default=None, help="also write an SVG plot here")
+        if out:
+            p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("transform", help="map a curve and emit CSV")
     shared(p)
+    p.add_argument("--svg", default=None, help="also write an SVG plot here")
     p.add_argument("--kind", required=True, choices=TRANSFORM_KINDS)
     p.add_argument("--angle", type=float, default=None,
                    help="angle for slant/pedaloid (radians)")
@@ -184,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("plot", help="render overlays to SVG")
-    shared(p, curve_required=False)
+    shared(p, curve_required=False, out=False)
+    p.add_argument("--svg", default=None, help="write the SVG here instead of stdout")
     p.add_argument("--overlay", action="append", default=None,
                    metavar="KIND[:PARAM]",
                    help="repeatable; source or a transform kind, with the "

@@ -3,9 +3,11 @@
 A CurveDef holds symbolic x(t), y(t) plus a parameter interval.  The
 position and its first three derivatives come from one Taylor-mode walk
 of those trees (`expr.jets`) per block of JET_BLOCK parameters; no
-derivative tree is built.  All Frenet quantities use
-parametrization-invariant formulas from the raw jets, so curves need
-not be unit speed:
+derivative tree is built.  `position_xy` is that walk at order 0, and
+so is the closure check of a closed CurveDef: one two-row walk of
+[t_min, t_max], which raises EvalError where an end is undefined.  All
+Frenet quantities use parametrization-invariant formulas from the raw
+jets, so curves need not be unit speed:
 
     kappa           = cross(d1, d2) / |d1|^3
     dkappa/dt       = cross(d1, d3) / |d1|^3 - 3 kappa <d1, d2> / |d1|^2
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -62,10 +64,11 @@ class CurveDef:
         if self.samples < MIN_SAMPLES:
             raise RangeError(f"need at least {MIN_SAMPLES} samples, got {self.samples}")
         if self.closed:
-            p0 = self.point(self.t_min)
-            p1 = self.point(self.t_max)
-            gap = math.hypot(*(p0 - p1))
-            if gap > CLOSURE_EPS * max(1.0, math.hypot(*p0), math.hypot(*p1)):
+            ends = np.array([self.t_min, self.t_max])
+            p = position_xy(self, ends)
+            check_defined(self, ends, (p,))
+            gap = math.hypot(*(p[0] - p[1]))
+            if gap > CLOSURE_EPS * max(1.0, math.hypot(*p[0]), math.hypot(*p[1])):
                 raise RangeError(
                     f"curve {self.name!r} declared closed but endpoints differ by {gap:.3e}")
 
@@ -73,11 +76,6 @@ class CurveDef:
     def period(self) -> float | None:
         """t_max - t_min for a closed curve, None for an open one."""
         return self.t_max - self.t_min if self.closed else None
-
-    def point(self, t: float) -> np.ndarray:
-        """(x(t), y(t)) from the scalar evaluator, which raises EvalError
-        where the curve is undefined."""
-        return np.array([ex.evaluate(self.x, t), ex.evaluate(self.y, t)])
 
     def _check_params(self, ts) -> np.ndarray:
         """ts as a 1-d float array, each in [t_min, t_max]."""
@@ -175,8 +173,7 @@ def _jets_xy(curve: CurveDef, ts: np.ndarray, order: int) -> tuple[np.ndarray, .
 
 
 def position_xy(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
-    ts = curve._check_params(ts)
-    return np.column_stack([ex.evaluate_array(curve.x, ts), ex.evaluate_array(curve.y, ts)])
+    return _jets_xy(curve, ts, 0)[0]
 
 
 def velocity_xy(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
@@ -317,13 +314,7 @@ def parse_curve(text: str, name: str = "curve") -> CurveDef:
     for key in _REQUIRED:
         if key not in seen:
             raise ParseError(f"missing required key {key!r}", 1, 1)
-    return CurveDef(
-        x=seen["x"], y=seen["y"],
-        t_min=seen["t_min"], t_max=seen["t_max"],
-        name=seen.get("name", name),
-        samples=seen.get("samples", 1024),
-        closed=seen.get("closed", True),
-    )
+    return CurveDef(**{"name": name, **seen})  # the keys are the field names
 
 
 def load_curve(path: str | os.PathLike) -> CurveDef:
@@ -391,10 +382,7 @@ def builtin_curve(name: str, samples: int | None = None) -> CurveDef:
         raise RangeError(f"no built-in curve named {name!r}; "
                          f"choices: {', '.join(BUILTIN_NAMES)}") from None
     curve = parse_curve(text)
-    if samples is not None:
-        curve = CurveDef(curve.x, curve.y, curve.t_min, curve.t_max,
-                         curve.name, samples, curve.closed)
-    return curve
+    return curve if samples is None else replace(curve, samples=samples)
 
 
 def bbox_diameter(points: np.ndarray, mask: np.ndarray | None = None) -> float:
@@ -408,7 +396,3 @@ def bbox_diameter(points: np.ndarray, mask: np.ndarray | None = None) -> float:
     x, y = points[good, 0], points[good, 1]
     return float(math.hypot(x.max() - x.min(), y.max() - y.min()))
 
-
-def curve_diameter(curve: CurveDef, ts: np.ndarray | None = None) -> float:
-    """bbox_diameter of the sampled curve."""
-    return bbox_diameter(position_xy(curve, sample_grid(curve) if ts is None else ts))

@@ -10,16 +10,17 @@ and whose base may itself carry a unary minus):
     atom   := number | 'pi' | 'e' | 't' | ident '(' expr ')' | '(' expr ')'
 
 Note the base rule: "-t^2" parses as (-t)^2.  Functions: sin, cos, tan,
-sqrt, exp, log, abs.  There is one evaluator, a walk of the tree with
-numpy operations.  On an array of parameters domain errors become
-non-finite entries, so callers can flag samples.  On a float it walks a
-0-d float64, and the scalar contract is that the result is a finite
-real float or EvalError is raised.  jets() walks the same tree once
-for the value and the first three t-derivatives on an array, without
-building derivative trees.  differentiate() returns a new tree (abs
-differentiates to a sign factor, so evaluating the derivative at a
-root of the argument is an EvalError).  to_text() prints a form that
-reparses to the identical tree.
+sqrt, exp, log, abs.  There is one tree walk, the Taylor-mode jet
+walk: jets() takes the value and the first three t-derivatives on an
+array in one pass, without building derivative trees, and evaluate()
+is the same walk at order 0.  On an array of parameters domain errors
+become non-finite entries, so callers can flag samples.  On a float
+evaluate() walks a 0-d float64, and the scalar contract is that the
+result is a finite real float or EvalError is raised.  A node shared
+within a tree is evaluated once per walk.  differentiate() returns a
+new tree (abs differentiates to a sign factor, so evaluating the
+derivative at a root of the argument is an EvalError).  to_text()
+prints a form that reparses to the identical tree.
 """
 
 from __future__ import annotations
@@ -310,48 +311,21 @@ def parse_expr(text: str, line: int = 1, column: int = 1,
 def evaluate(e: Expr, t):
     """Evaluate at a numpy array (domain errors become non-finite
     entries) or at a float (the value as a float; EvalError unless it is
-    a finite real)."""
+    a finite real).  Both are the order-0 jet walk."""
     with np.errstate(all="ignore"):
         if isinstance(t, np.ndarray):
-            return _eval_array(e, t)
-        value = float(_eval_array(e, np.float64(t)))
+            return _jet(e, t, 0, {})[0]
+        value = float(_jet(e, np.float64(t), 0, {})[0])
     if not math.isfinite(value):
         raise EvalError(f"cannot evaluate {to_text(e)!r} at t={t!r}: "
                         f"the value {value} is not a finite real")
     return value
 
 
-def _eval_array(e: Expr, t: np.ndarray):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Param):
-        return t
-    if isinstance(e, Neg):
-        return -_eval_array(e.arg, t)
-    if isinstance(e, Add):
-        return _eval_array(e.left, t) + _eval_array(e.right, t)
-    if isinstance(e, Sub):
-        return _eval_array(e.left, t) - _eval_array(e.right, t)
-    if isinstance(e, Mul):
-        return _eval_array(e.left, t) * _eval_array(e.right, t)
-    if isinstance(e, Div):
-        return _eval_array(e.left, t) / _eval_array(e.right, t)
-    if isinstance(e, Pow):
-        return np.power(_eval_array(e.base, t), _eval_array(e.exponent, t))
-    if isinstance(e, Call):
-        return _NUMPY_FN[e.func](_eval_array(e.arg, t))
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
 def evaluate_array(e: Expr, ts: np.ndarray) -> np.ndarray:
     """Like evaluate() on an array, but the result is always an array
     of ts's shape (constants are broadcast)."""
-    val = evaluate(e, ts)
-    if not isinstance(val, np.ndarray):
-        val = np.full(ts.shape, float(val))
-    return val
+    return jets((e,), ts, 0)[0][0]
 
 
 def depends_on_t(e: Expr) -> bool:
@@ -515,7 +489,7 @@ def differentiate(e: Expr) -> Expr:
             return div(du, u)
         if e.func == "abs":
             # sign(u) away from zero; at a root this divides by zero,
-            # which the scalar evaluator reports as EvalError
+            # which evaluate() at a float reports as EvalError
             return mul(div(u, Call("abs", u)), du)
     raise TypeError(f"not an Expr node: {e!r}")
 
@@ -527,8 +501,9 @@ def differentiate(e: Expr) -> Expr:
 # derivative, not the k-th Taylor coefficient).  None is a structural
 # zero, the derivative of a constant: the arithmetic below skips it the
 # way the smart constructors fold zeros, so signed zeros come out as
-# the symbolic derivative has them.  Entry 0 is computed by the same
-# numpy operations as _eval_array, so it equals evaluate() bitwise.
+# the symbolic derivative has them.  Entry 0 takes the same numpy
+# operations at every order, and evaluate() is the order-0 walk, so
+# entry 0 equals evaluate() bitwise.
 
 MAX_JET_ORDER = 3
 

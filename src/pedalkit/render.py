@@ -77,16 +77,10 @@ def _segments_from(points: np.ndarray, keep: np.ndarray, closed: bool) -> tuple[
         if closed:
             return (np.vstack([points, points[:1]]),)
         return (points.copy(),)
-    runs = []
     idx = np.flatnonzero(keep)
     if idx.size == 0:
         return ()
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    start = 0
-    for b in breaks:
-        runs.append(idx[start:b + 1])
-        start = b + 1
-    runs.append(idx[start:])
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
     # a closed curve whose first and last samples are kept wraps around
     if closed and len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
         runs[0] = np.concatenate([runs[-1], runs[0]])

@@ -64,6 +64,20 @@ def test_transform_usage_errors_exit_2():
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["plot", "--figure", "1", "--out", "f.svg"],
+    ["detect", "--curve", "ellipse", "--what", "vertices", "--svg", "d.svg"],
+    ["verify", "--curve", "ellipse", "--suite", "inversion", "--svg", "v.svg"],
+], ids=["plot-out", "detect-svg", "verify-svg"])
+def test_options_a_command_does_not_read_exit_2(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as ei:
+        main(args)
+    assert ei.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_detect_golden_primitive_cusps(capsys):
     rc = main(["detect", "--curve", "ellipse", "--what", "primitive-cusps"])
     assert rc == 0
@@ -289,6 +303,9 @@ def test_plot_figure_excludes_other_options(capsys):
     assert rc == 3
     rc = main(["plot"])
     assert rc == 3
+    rc = main(["plot", "--figure", "1", "--samples", "4096"])
+    assert rc == 3
+    assert "samples" in capsys.readouterr().err
 
 
 def test_plot_negative_family_lines_exits_3(tmp_path, capsys):

@@ -59,10 +59,27 @@ def test_curve_value_constraints(text, fragment):
 
 
 def test_closed_curve_undefined_at_an_end_is_rejected():
-    # the closure check evaluates the end points with the scalar
-    # evaluator, which raises where the array evaluator gives nan
-    with pytest.raises(pk.EvalError):
+    # the closure check walks both end points as one array, where an
+    # undefined end is a non-finite row, and check_defined raises there
+    with pytest.raises(pk.EvalError, match="not defined at t=0.0"):
         parse_curve("x = log(t)\ny = t\nt_min = 0\nt_max = 1\nclosed = true")
+
+
+def test_closure_check_is_one_order_0_walk(monkeypatch):
+    walks = []
+    jets = pk.expr.jets
+
+    def counted_jets(exprs, t, order=pk.expr.MAX_JET_ORDER):
+        walks.append((order, len(t)))
+        return jets(exprs, t, order)
+
+    def no_scalar_evaluate(e, t):
+        raise AssertionError("scalar evaluate called")
+
+    monkeypatch.setattr(pk.expr, "jets", counted_jets)
+    monkeypatch.setattr(pk.expr, "evaluate", no_scalar_evaluate)
+    CurveDef(pk.parse_expr("cos(t)"), pk.parse_expr("sin(t)/sqrt(3)"), 0.0, 2 * math.pi)
+    assert walks == [(0, 2)]
 
 
 def test_format_parse_round_trip(tmp_path):

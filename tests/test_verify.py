@@ -47,8 +47,9 @@ def test_frame_closure_on_open_arcs_uses_the_five_point_stencil(text):
 
 def _grid_walks(monkeypatch, suite, curve):
     """Counter of the walks run_suite(suite, curve) makes over grids of
-    1024 samples or more: ("jets", order, n) per jet walk, ("position", n)
-    per coordinate that evaluate_array walks (two per position walk)."""
+    1024 samples or more: ("jets", order, n) per jet walk, a position walk
+    of both coordinates being one at order 0, and ("position", n) per
+    coordinate that evaluate_array walks on its own."""
     walks = collections.Counter()
     jets, evaluate_array = ex.jets, ex.evaluate_array
 
@@ -73,7 +74,7 @@ def test_singularity_and_frontal_suites_walk_each_grid_once(monkeypatch):
     # the Frenet grid, the order-1 frame of the primitive, and the
     # position walk of the finite-difference row
     assert _grid_walks(monkeypatch, "singularity", ellipse) == {
-        ("jets", 3, 4096): 1, ("jets", 1, 4096): 1, ("position", 4096): 2}
+        ("jets", 3, 4096): 1, ("jets", 1, 4096): 1, ("jets", 0, 4096): 1}
     # the lifts of the curve and of the 1024-sample circle, nothing more
     assert _grid_walks(monkeypatch, "frontal", ellipse) == {
         ("jets", 3, 4096): 1, ("jets", 3, 1024): 1}

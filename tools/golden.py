@@ -18,6 +18,9 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
 - `plot --curve` with source, primitive and slant overlays and 64
   family lines, on the ellipse and on an open ellipse arc written as a
   curve file;
+- `plot --curve --samples 65536` with the source overlay on the
+  inverted front written as a curve file: a position walk over the
+  shared nodes of a parsed tree that spans four jet blocks;
 - `verify --suite all` on the built-ins, on the inverted ellipse and
   offset circle, passed as curve files written with `format_curve`, and
   on the open ellipse and parabola arcs (the open-grid branches of the
@@ -69,6 +72,9 @@ PLOT_ARGS = ["--overlay", "source", "--overlay", "primitive",
              "--overlay", "slant:0.4", "--family-lines", "64"]
 OPEN_ARC = ("x = cos(t)\ny = sin(t)/sqrt(3)\nt_min = 0.3\nt_max = 5\n"
             "closed = false\n")
+
+# the plot case of the parsed inverted front: four jet blocks
+INV_FRONT_SAMPLES = "65536"
 
 # the transform --svg cases: more samples than one write block holds
 BLOCK_SAMPLES = "10000"
@@ -128,6 +134,11 @@ def write_goldens(outdir: str) -> int:
         fh.write(OPEN_ARC)
     for curve in ("ellipse", "open-arc.curve"):
         run(f"plot-{curve}.txt", ["plot", "--curve", curve] + PLOT_ARGS)
+    with open("inv-front.curve", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(format_curve(invert_curve(builtin_curve("front"))))
+    run(f"plot-inv-front.curve-{INV_FRONT_SAMPLES}.txt",
+        ["plot", "--curve", "inv-front.curve", "--overlay", "source",
+         "--samples", INV_FRONT_SAMPLES])
     curves = list(BUILTIN_NAMES)
     for name in INVERTED:
         path = f"inv-{name}.curve"
