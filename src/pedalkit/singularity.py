@@ -26,11 +26,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curve import CurveDef, FrenetGrid, bbox_diameter, frenet_grid, frenet_rows
+from .curve import (CurveDef, FrenetGrid, bbox_diameter, frenet_grid, frenet_rows,
+                    position_xy, sample_grid)
 from .errors import HypothesisViolated, InflectionPoint, RangeError
-from .transforms import (DENOM_REL_EPS, MappedCurve, frenet_frame,
-                         inversion_curvature, inversion_curvature_grid,
-                         inversion_curvature_rows, shift, stencil_ok)
+from .transforms import (DENOM_REL_EPS, MappedCurve, inversion_curvature,
+                         inversion_curvature_grid, inversion_curvature_rows,
+                         shift, stencil_ok)
 from .vec import dot_xy, finite_xy, scale_xy
 
 BISECT_TARGET = 1e-10
@@ -184,12 +185,11 @@ def classify_cusps(curve: CurveDef, ts: np.ndarray,
 
     Needs <g, n_hat> bounded away from zero there (else the primitive
     itself is not defined and HypothesisViolated is raised for the first
-    such parameter); raises the errors of frenet as well.  eps_d
-    defaults to the guard scale of the curve's default Frenet frame.
+    such parameter); raises the errors of frenet as well.
     """
     fg = frenet_rows(curve, ts)
     if eps_d is None:
-        eps_d = frenet_frame(curve).eps_d
+        eps_d = DENOM_REL_EPS * bbox_diameter(position_xy(curve, sample_grid(curve)))
     den = dot_xy(fg.p, fg.n_hat)
     undefined = np.abs(den) < eps_d
     if undefined.any():

@@ -131,18 +131,9 @@ def shift(arr: np.ndarray, k: int, closed: bool) -> np.ndarray:
 
 def five_point_derivative(arr: np.ndarray, h: float, closed: bool) -> np.ndarray:
     """Five-point central difference along the first axis of a uniform
-    grid; on open grids the two samples at each end are not meaningful.
-    The sum ((a - 8b) + 8c) - d accumulates in place in the shifted copy
-    a, so at most one other shifted copy is alive beside it."""
-    out = shift(arr, -2, closed)
-    for k, accumulate in ((-1, np.subtract), (1, np.add)):
-        term = shift(arr, k, closed)
-        term *= 8.0
-        accumulate(out, term, out=out)
-        del term  # before the next shifted copy is made
-    out -= shift(arr, 2, closed)
-    out /= 12.0 * h
-    return out
+    grid; on open grids the two samples at each end are not meaningful."""
+    return (shift(arr, -2, closed) - 8.0 * shift(arr, -1, closed)
+            + 8.0 * shift(arr, 1, closed) - shift(arr, 2, closed)) / (12.0 * h)
 
 
 def stencil_ok(good: np.ndarray, closed: bool) -> np.ndarray:

@@ -9,6 +9,42 @@ from pedalkit.errors import EvalError, ParseError
 
 from _exprgen import expression_corpus
 
+_REFERENCE_FN = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "abs": np.abs,
+}
+
+
+def reference_evaluate(e, t):
+    """Plain recursive numpy evaluation of a tree, the reference that the
+    jet walk's entry 0 is checked against."""
+    if isinstance(e, ex.Num):
+        return e.value
+    if isinstance(e, ex.Const):
+        return ex.CONSTANTS[e.name]
+    if isinstance(e, ex.Param):
+        return t
+    if isinstance(e, ex.Neg):
+        return -reference_evaluate(e.arg, t)
+    if isinstance(e, ex.Add):
+        return reference_evaluate(e.left, t) + reference_evaluate(e.right, t)
+    if isinstance(e, ex.Sub):
+        return reference_evaluate(e.left, t) - reference_evaluate(e.right, t)
+    if isinstance(e, ex.Mul):
+        return reference_evaluate(e.left, t) * reference_evaluate(e.right, t)
+    if isinstance(e, ex.Div):
+        return reference_evaluate(e.left, t) / reference_evaluate(e.right, t)
+    if isinstance(e, ex.Pow):
+        return np.power(reference_evaluate(e.base, t), reference_evaluate(e.exponent, t))
+    if isinstance(e, ex.Call):
+        return _REFERENCE_FN[e.func](reference_evaluate(e.arg, t))
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def reference_array(e, ts):
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(np.float64(reference_evaluate(e, ts)), ts.shape)
+
 
 @pytest.mark.parametrize("text, t, expected", [
     ("2+3*4^2", 0.0, 50.0),
@@ -143,19 +179,46 @@ def test_scalar_evaluate_returns_a_float_or_raises():
 
 @pytest.mark.parametrize("text", expression_corpus(seed=1202, count=40))
 def test_jets_match_the_symbolic_derivatives(text):
-    # order 0 is the plain evaluation bit for bit; orders 1 to 3 agree with
-    # the evaluated derivative trees to rounding
+    # entry 0 is the reference evaluation bit for bit; orders 1 to 3 agree
+    # with the derivative trees, evaluated by the reference, to rounding
     e = ex.parse_expr(text)
     ts = np.linspace(0.15, 2.9, 64)
     values = ex.jets([e], ts)[0]
     assert len(values) == ex.MAX_JET_ORDER + 1
-    assert ex.evaluate_array(e, ts).tobytes() == values[0].tobytes()
+    assert reference_array(e, ts).tobytes() == values[0].tobytes()
     d = e
     for k in range(1, ex.MAX_JET_ORDER + 1):
         d = ex.differentiate(d)
-        sym = ex.evaluate_array(d, ts)
+        sym = reference_array(d, ts)
         assert np.isfinite(values[k]).all()
         assert (np.abs(values[k] - sym) / np.maximum(1.0, np.abs(sym))).max() < 1e-12
+
+
+_EDGE_TEXTS = ["-t^2", "tan(t) - t", "t^t", "sin(t)^cos(t)", "(0-8)^(1/3) + t",
+               "1/t", "log(t - 1)", "sqrt(1 - t^2)", "exp(1000*t)/exp(1000*t)",
+               "2*pi + e^2", "abs(t)/t"]
+
+
+@pytest.mark.parametrize("text", expression_corpus(seed=1202, count=40) + _EDGE_TEXTS)
+def test_evaluate_is_the_reference_evaluation_bitwise(text):
+    # over the corpus, its derivative trees and trees that are undefined
+    # or overflow on part of the grid: evaluate, evaluate_array and entry
+    # 0 of the jets at every order have the reference's bits
+    ts = np.concatenate([np.linspace(-1.5, 2.9, 45), [0.0, -0.0, 1.0, 0.5]])
+    d = ex.parse_expr(text)
+    for _ in range(2):
+        want = reference_array(d, ts)
+        assert ex.evaluate_array(d, ts).tobytes() == want.tobytes()
+        assert np.broadcast_to(ex.evaluate(d, ts), ts.shape).tobytes() == want.tobytes()
+        for order in range(ex.MAX_JET_ORDER + 1):
+            assert ex.jets([d], ts, order)[0][0].tobytes() == want.tobytes()
+        for t, v in zip(ts[::7], want[::7]):
+            if math.isfinite(v):
+                assert ex.evaluate(d, float(t)) == v
+            else:
+                with pytest.raises(EvalError):
+                    ex.evaluate(d, float(t))
+        d = ex.differentiate(d)
 
 
 def test_jets_stop_at_the_order_asked_for():
@@ -197,7 +260,7 @@ def test_jets_of_a_varying_exponent():
     values = ex.jets([d], ts)[0]
     for k in range(1, ex.MAX_JET_ORDER + 1):
         d = ex.differentiate(d)
-        np.testing.assert_allclose(values[k], ex.evaluate_array(d, ts), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(values[k], reference_array(d, ts), rtol=1e-12, atol=1e-12)
 
 
 def test_jets_leave_no_reference_cycles():

@@ -289,24 +289,6 @@ def test_shift_wraps_closed_and_repeats_open_ends():
     np.testing.assert_array_equal(tr.shift(a, -1, closed=False), [0, 0, 1, 2, 3])
 
 
-@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
-@pytest.mark.parametrize("n", [37, 40000])
-def test_five_point_derivative_is_the_stencil_bitwise(closed, n):
-    # the in-place sum against the stencil as one expression, nan and
-    # infinite rows and signed zeros included
-    rng = np.random.default_rng(n)
-    arr = rng.standard_normal((n, 2))
-    arr[3] = np.nan
-    arr[n // 2, 1] = -np.inf
-    arr[n - 4] = -0.0
-    h = 2 * math.pi / n
-    s = [tr.shift(arr, k, closed) for k in (-2, -1, 1, 2)]
-    with np.errstate(all="ignore"):
-        want = (s[0] - 8.0 * s[1] + 8.0 * s[2] - s[3]) / (12.0 * h)
-        got = tr.five_point_derivative(arr, h, closed)
-    assert got.tobytes() == want.tobytes()
-
-
 def test_sampled_curve_through_the_origin_is_undefined_there_not_refused():
     # the tangent line at t = 0 is the x-axis, so the pedal hits the origin
     arc = parse_curve("x = 2 + t\ny = t^2\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33")
