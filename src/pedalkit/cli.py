@@ -3,7 +3,7 @@
 Subcommands: transform, detect, verify, plot.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 input/runtime error.
 
-Curve files are plain text, one `key = value` per line, `#` comments:
+Curve files are UTF-8 text, one `key = value` per line, `#` comments:
 
     name = "ellipse"        # optional, double-quoted
     x = cos(t)              # expression in t
@@ -66,6 +66,10 @@ def _flag_summary(mc: tr.MappedCurve) -> str:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    param = tr.TRANSFORMS[args.kind][1]
+    for name in ("angle", "ratio"):
+        if name != param and getattr(args, name) is not None:
+            raise RangeError(f"{args.kind} takes no --{name}")
     curve = _resolve_curve(args.curve, args.samples)
     mc = apply_transform(curve, args.kind, angle=args.angle, ratio=args.ratio)
     if args.out:
@@ -114,6 +118,8 @@ def _parse_overlay(spec: str) -> tuple[str, float | None]:
             f"unknown overlay kind {kind!r}; choices: source, {', '.join(TRANSFORM_KINDS)}")
     value = None
     if param:
+        if kind == "source" or tr.TRANSFORMS[kind][1] is None:
+            raise RangeError(f"overlay {kind!r} takes no parameter")
         try:
             value = float(param)
         except ValueError:
@@ -138,8 +144,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
             if kind == "source":
                 overlays.append(overlay_from_curve(curve, color=color))
                 continue
-            # the kind's entry in TRANSFORMS picks the parameter it takes
-            mc = apply_transform(curve, kind, angle=value, ratio=value)
+            mc = tr.transform_frame(tr.frenet_frame(curve), kind, value)
             overlays.append(overlay_from_mapped(mc, color=color))
         family = make_family("primitive", curve) if args.family_lines else None
         spec = PlotSpec(overlays, family=family, family_count=args.family_lines)
@@ -206,10 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PedalkitError as exc:
-        print(f"pedalkit: error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (PedalkitError, OSError) as exc:
         print(f"pedalkit: error: {exc}", file=sys.stderr)
         return 3
 

@@ -19,10 +19,10 @@ the grid row has no data (see `jet_rows` and `frenet_rows`).  Grid
 walks raise RangeError outside [t_min, t_max], as the scalar ones do.
 
 CurveDefs are immutable after construction and safe to share across
-threads.  `transforms.frenet_frame` keeps the Frenet frames of a
-curve's default grid and of its last grid on the instance, outside
-the fields; the frames are read-only, so sharing stays safe (two
-threads may at worst build one twice).
+threads.  `transforms.frenet_frame` keeps the Frenet frame of a
+curve's default grid on the instance, outside the fields; the frame is
+read-only, so sharing stays safe (two threads may at worst build it
+twice).
 """
 
 from __future__ import annotations
@@ -318,8 +318,15 @@ def parse_curve(text: str, name: str = "curve") -> CurveDef:
 
 
 def load_curve(path: str | os.PathLike) -> CurveDef:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # at the first byte that is not UTF-8
+        # the lines as parse_curve counts them, "?" standing for that byte
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text",
+                         len(lines), len(lines[-1])) from None
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return parse_curve(text, name=stem)
 

@@ -10,10 +10,11 @@ and whose base may itself carry a unary minus):
     atom   := number | 'pi' | 'e' | 't' | ident '(' expr ')' | '(' expr ')'
 
 Note the base rule: "-t^2" parses as (-t)^2.  Functions: sin, cos, tan,
-sqrt, exp, log, abs.  There is one tree walk, the Taylor-mode jet
-walk: jets() takes the value and the first three t-derivatives on an
-array in one pass, without building derivative trees, and evaluate()
-is the same walk at order 0.  On an array of parameters domain errors
+sqrt, exp, log, abs.  An expression nested deeper than MAX_DEPTH is a
+ParseError.  There is one tree walk, the Taylor-mode jet walk: jets()
+takes the value and the first three t-derivatives on an array in one
+pass, without building derivative trees, and evaluate() is the same
+walk at order 0.  On an array of parameters domain errors
 become non-finite entries, so callers can flag samples.  On a float
 evaluate() walks a 0-d float64, and the scalar contract is that the
 result is a finite real float or EvalError is raised.  A node shared
@@ -34,6 +35,12 @@ from .errors import EvalError, ParseError
 
 FUNCTIONS = ("sin", "cos", "tan", "sqrt", "exp", "log", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
+
+# parse_expr takes at most this many nested parentheses and a tree at
+# most this many operator nodes deep: the parser recurses five frames a
+# parenthesis, a tree walk one or two a level, well inside the default
+# recursion limit of 1000
+MAX_DEPTH = 100
 
 _NUMPY_FN = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -126,6 +133,7 @@ def _tokenize(text: str, line_offset: int = 1, col_offset: int = 1) -> list[_Tok
     toks = []
     i, n = 0, len(text)
     line, col = line_offset, col_offset
+    depth = 0  # of parentheses
     while i < n:
         ch = text[i]
         if ch == "\n":
@@ -167,6 +175,9 @@ def _tokenize(text: str, line_offset: int = 1, col_offset: int = 1) -> list[_Tok
             i = j
             continue
         if ch in "+-*/^()":
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_DEPTH:
+                raise ParseError(f"more than {MAX_DEPTH} nested parentheses", line, col)
             toks.append(_Token("op", ch, line, col))
             i += 1
             col += 1
@@ -186,14 +197,22 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.table = table
+        self.depths: dict[int, int] = {}  # tree depth by node identity
 
     def node(self, cls: type, *fields) -> Expr:
         """cls(*fields), interned: equal subtrees come out as one node, so
         that a jet walk evaluates them once."""
+        depth = 1 + max((self.depths.get(id(f), 0) for f in fields if isinstance(f, Expr)),
+                        default=-1)
+        if depth > MAX_DEPTH:
+            tok = self.tokens[self.pos - 1]
+            raise ParseError(f"expression more than {MAX_DEPTH} levels deep",
+                             tok.line, tok.column)
         key = (cls,) + tuple(map(_intern_key, fields))
         node = self.table.get(key)
         if node is None:
             node = self.table[key] = cls(*fields)
+        self.depths[id(node)] = depth
         return node
 
     def peek(self) -> _Token:
@@ -235,24 +254,27 @@ class _Parser:
                 return node
 
     def parse_factor(self) -> Expr:
-        base = self.parse_unary()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        # '^' is right-associative: a^b^c folds its bases from the right
+        bases = [self.parse_unary()]
+        while self.peek().kind == "op" and self.peek().text == "^":
             self.take()
-            return self.node(Pow, base, self.parse_factor())
-        return base
+            bases.append(self.parse_unary())
+        node = bases.pop()
+        while bases:
+            node = self.node(Pow, bases.pop(), node)
+        return node
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        signs = 0
+        while self.peek().kind == "op" and self.peek().text == "-":
             self.take()
-            arg = self.parse_unary()
+            signs += 1
+        node = self.parse_atom()
+        for _ in range(signs):
             # fold a negated literal so that printing Num(-3.0) as
             # "-3.0" reparses to the identical tree
-            if isinstance(arg, Num):
-                return self.node(Num, -arg.value)
-            return self.node(Neg, arg)
-        return self.parse_atom()
+            node = self.node(Num, -node.value) if isinstance(node, Num) else self.node(Neg, node)
+        return node
 
     def parse_atom(self) -> Expr:
         tok = self.take()

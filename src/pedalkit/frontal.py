@@ -40,7 +40,7 @@ from typing import Union
 import numpy as np
 
 from . import transforms as tr
-from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, check_defined,
+from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, _unit_frame, check_defined,
                     frenet_grid, jet_rows, velocity_xy)
 from .errors import HypothesisViolated, LiftFailure
 from .transforms import (DEGENERATE_ANGLE_EPS, FLAG_OK, MappedCurve,
@@ -53,19 +53,17 @@ CONTINUITY_MIN_DOT = 0.5
 
 def _raw_normals(ts: np.ndarray, d1: np.ndarray, d2: np.ndarray,
                  d3: np.ndarray) -> np.ndarray:
-    """Unit normal directions up to sign, (d_y, -d_x)/|d| from d1, or at
-    singular parameters from d2, then d3."""
-    raw = np.empty_like(d1)
-    todo = np.ones(len(ts), dtype=bool)
-    with np.errstate(all="ignore"):
-        for d in (d1, d2, d3):
-            norm = np.hypot(d[:, 0], d[:, 1])
-            use = todo & (norm >= REGULAR_EPS)
-            raw[use, 0] = d[use, 1] / norm[use]
-            raw[use, 1] = -d[use, 0] / norm[use]
-            todo &= ~use
-    if todo.any():
-        raise LiftFailure(f"no direction data at t={float(ts[todo][0])}: "
+    """Unit normal directions up to sign, (d_y, -d_x)/|d| = -n_hat from
+    d1, or at singular parameters from d2, then d3."""
+    _, regular, _, n_hat = _unit_frame(d1)
+    raw = -n_hat
+    todo = np.flatnonzero(~regular)
+    for d in (d2, d3):
+        _, regular, _, n_hat = _unit_frame(d[todo])
+        raw[todo[regular]] = -n_hat[regular]
+        todo = todo[~regular]
+    if todo.size:
+        raise LiftFailure(f"no direction data at t={float(ts[todo[0]])}: "
                           "first three derivatives vanish")
     return raw
 

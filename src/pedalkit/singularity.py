@@ -26,10 +26,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curve import (CurveDef, FrenetGrid, bbox_diameter, frenet_grid, frenet_rows,
-                    position_xy, sample_grid)
+from .curve import CurveDef, FrenetGrid, bbox_diameter, frenet_grid, frenet_rows
 from .errors import HypothesisViolated, InflectionPoint, RangeError
-from .transforms import (DENOM_REL_EPS, MappedCurve, inversion_curvature,
+from .transforms import (DENOM_REL_EPS, MappedCurve, frenet_frame, inversion_curvature,
                          inversion_curvature_grid, inversion_curvature_rows,
                          shift, stencil_ok)
 from .vec import dot_xy, finite_xy, scale_xy
@@ -189,7 +188,7 @@ def classify_cusps(curve: CurveDef, ts: np.ndarray,
     """
     fg = frenet_rows(curve, ts)
     if eps_d is None:
-        eps_d = DENOM_REL_EPS * bbox_diameter(position_xy(curve, sample_grid(curve)))
+        eps_d = frenet_frame(curve).eps_d
     den = dot_xy(fg.p, fg.n_hat)
     undefined = np.abs(den) < eps_d
     if undefined.any():

@@ -5,19 +5,19 @@ a unit normal per sample (the tangent t = -J nu is exact).  Three
 providers build frames: `frenet_frame` (n_hat from the symbolic jets),
 `polyline_frames` (five-point differences on an already sampled curve)
 and `LegendrianCurve.sample` (the lifted normal of a front, see
-pedalkit.frontal).  The public transforms compose one provider with one
+pedalkit.frontal); each turns its velocities into unit normals with
+`curve._unit_frame`.  The public transforms compose one provider with one
 kernel: `pedal(curve)` and friends use Frenet frames, `mapped_*` polyline
 frames, `frontal_*` lifted ones.  TRANSFORMS maps each kind name to its
 kernel and the parameter it takes.
 
-A Frenet frame needs only the order-1 jets, p and p', and is built once
-per (curve, grid): `frenet_frame` keeps the frame of the last grid on
-the CurveDef (not a field, so equality, hash and repr ignore it) and
-returns it again for a grid with the same bits.  It also keeps the
-frame of the default grid, so a call without a grid neither builds
-nor compares a grid.  A kept frame is shared, so its arrays, a copy of
-the grid among them, are read-only.  Kernel outputs share the frame's
-grid and own their points and flags.
+A Frenet frame needs only the order-1 jets, p and p'.  A curve keeps
+one frame, that of its default grid: `frenet_frame(curve)` builds it
+on first use and keeps it on the CurveDef (not a field, so equality,
+hash and repr ignore it).  A frame on an explicit grid is built on
+each call and kept by its caller.  Either frame's arrays, its own copy
+of the grid among them, are read-only.  Kernel outputs share the
+frame's grid and own their points and flags.
 
     pedal            <g, nu> nu
     contrapedal      <g, t> t
@@ -27,7 +27,7 @@ grid and own their points and flags.
     parallel(r)      r * primitive
     slant(phi)       cos(phi) R(phi) primitive
     perp-primitive   J primitive   (the primitive of J g)
-    invert           g / |g|^2, with nu reflected in the inverted point
+    invert           g / |g|^2, with nu (if the input has one) reflected
 
 Kernels do their row arithmetic one column at a time: `vec.dot_xy`
 for dot products, `vec.scale_xy` to scale each row by a per-sample
@@ -52,8 +52,8 @@ from typing import Optional
 import numpy as np
 
 from . import expr as ex
-from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, _jets_xy, _unit_frame,
-                    bbox_diameter, frenet_grid, frenet_rows, sample_grid)
+from .curve import (CurveDef, FrenetGrid, _jets_xy, _unit_frame, bbox_diameter,
+                    frenet_grid, frenet_rows, sample_grid)
 from .errors import OriginSingularity, RangeError
 from .vec import (ORIGIN_EPS, dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy,
                   scale_xy)
@@ -154,36 +154,22 @@ def stencil_ok(good: np.ndarray, closed: bool) -> np.ndarray:
 
 def frenet_frame(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
     """The curve on its grid with the Frenet normal; samples without a
-    Frenet frame get a nan normal.  The frame of the curve's last grid
-    is kept on the curve and returned again for a grid with the same
-    bits; the frame of the default grid is kept as well, and ts=None
-    returns it without building the grid again.  A kept frame's arrays,
-    a copy of ts among them, are read-only."""
-    if ts is None:
-        frame = getattr(curve, "_default_frame", None)
-        if frame is None:
-            frame = _frenet_frame(curve, sample_grid(curve))
-            object.__setattr__(curve, "_default_frame", frame)
-    else:
-        ts = np.asarray(ts, dtype=float)
-        last = getattr(curve, "_frame", None)
-        # compared as bits, so that -0.0 and 0.0 are different grids
-        if last is not None and np.array_equal(last.grid.view(np.int64), ts.view(np.int64)):
-            return last
-        frame = _frenet_frame(curve, ts.copy())
-    object.__setattr__(curve, "_frame", frame)  # CurveDef is frozen; the kept frames are no fields
-    return frame
-
-
-def _frenet_frame(curve: CurveDef, grid: np.ndarray) -> MappedCurve:
-    """The read-only Frenet frame on grid, which it takes over."""
+    Frenet frame get a nan normal.  ts=None gives the frame of the
+    default grid, which is built once and kept on the curve; a frame on
+    an explicit grid, a copy of ts, is built on each call and is not
+    kept.  The frame's arrays are read-only."""
+    if ts is None and hasattr(curve, "_frame"):
+        return curve._frame
+    grid = sample_grid(curve) if ts is None else np.array(ts, dtype=float)
     p, d1 = _jets_xy(curve, grid, 1)
     nu = _unit_frame(d1)[3]
     flags = np.full(len(grid), FLAG_OK, dtype=np.uint8)
     for arr in (grid, p, nu, flags):
         arr.flags.writeable = False
-    return MappedCurve(curve.name, TransformKind("source"), grid, p, flags,
-                       curve.closed, nu)
+    frame = MappedCurve(curve.name, TransformKind("source"), grid, p, flags, curve.closed, nu)
+    if ts is None:
+        object.__setattr__(curve, "_frame", frame)  # CurveDef is frozen; _frame is no field
+    return frame
 
 
 def polyline_frames(mc: MappedCurve) -> MappedCurve:
@@ -195,11 +181,8 @@ def polyline_frames(mc: MappedCurve) -> MappedCurve:
         raise RangeError("need at least 5 samples for derived frames")
     with np.errstate(all="ignore"):
         d1 = five_point_derivative(mc.points, mc.grid[1] - mc.grid[0], mc.closed)
-        speed = np.hypot(d1[:, 0], d1[:, 1])
-        nu = perp_xy(scale_xy(np.divide, d1, speed))
-    valid = stencil_ok(mc.ok & finite_xy(mc.points), mc.closed)
-    valid &= np.isfinite(speed) & (speed > REGULAR_EPS)
-    nu[~valid] = np.nan
+        nu = _unit_frame(d1)[3]
+    nu[~stencil_ok(mc.ok & finite_xy(mc.points), mc.closed)] = np.nan
     return dataclasses.replace(mc, nu=nu)
 
 
@@ -331,11 +314,13 @@ def perp_primitive_kernel(frame: MappedCurve,
 
 
 def invert_kernel(frame: MappedCurve, name: str) -> MappedCurve:
-    """Pointwise inversion g/|g|^2; the normal maps to its reflection
-    nu - 2 <g, nu> g/|g|^2, which stays unit."""
-    p = frame.points
-    with np.errstate(all="ignore"):
-        nu = frame.nu - scale_xy(np.multiply, 2.0 * (dot_xy(p, frame.nu) / dot_xy(p, p)), p)
+    """Pointwise inversion g/|g|^2 of a sampled curve: undefined where
+    the inverted point is not finite.  A normal, if the input has one,
+    maps to its reflection nu - 2 <g, nu> g/|g|^2, which stays unit."""
+    p, nu = frame.points, frame.nu
+    if nu is not None:
+        with np.errstate(all="ignore"):
+            nu = nu - scale_xy(np.multiply, 2.0 * (dot_xy(p, nu) / dot_xy(p, p)), p)
     return _output(frame, TransformKind(name), invert_xy(p), nu=nu)
 
 

@@ -191,46 +191,38 @@ def _suite_inversion(curve: CurveDef, report: VerifyReport) -> None:
 
 
 def _suite_duality(curve: CurveDef, report: VerifyReport) -> None:
-    ts = sample_grid(curve)
-    frame = tr.frenet_frame(curve, ts)
-    inv_frame = tr.frenet_frame(tr.invert_curve(curve), ts)
+    frame = tr.frenet_frame(curve)
+    inv_frame = tr.frenet_frame(tr.invert_curve(curve))
     pr = tr.primitive_kernel(frame)
     ape_inv = tr.antipedal_kernel(inv_frame)
     report.add("primitive = antipedal of inverted curve",
                _pair_diff(pr, ape_inv, relative=True), 1e-9)
 
-    pe_inv = tr.pedal_kernel(inv_frame)
-    lifted = invert_xy(pe_inv.points.copy())
-    mask = pr.ok & pe_inv.ok & finite_xy(lifted)
+    inv_pe_inv = tr.invert_kernel(tr.pedal_kernel(inv_frame), "inverted")
     report.add("primitive = inversion of pedal of inverted curve",
-               _diff(pr.points, lifted, mask, relative=True), 1e-9)
+               _pair_diff(pr, inv_pe_inv, relative=True), 1e-9)
 
     pe = tr.pedal_kernel(frame)
     ape = tr.antipedal_kernel(frame)
-    inv_ape = invert_xy(ape.points.copy())
-    mask = pe.ok & ape.ok & finite_xy(inv_ape)
-    report.add("pedal = inversion of antipedal", _diff(pe.points, inv_ape, mask), 1e-9)
-    inv_pe = invert_xy(pe.points.copy())
-    mask = pe.ok & ape.ok & finite_xy(inv_pe)
+    report.add("pedal = inversion of antipedal",
+               _pair_diff(pe, tr.invert_kernel(ape, "inverted")), 1e-9)
     report.add("antipedal = inversion of pedal",
-               _diff(ape.points, inv_pe, mask, relative=True), 1e-9)
+               _pair_diff(ape, tr.invert_kernel(pe, "inverted"), relative=True), 1e-9)
 
     lam = -2.5
-    scaled = tr.transform_curve(curve, 0.0, lam)
-    pe_scaled = tr.pedal(scaled, ts)
+    pe_scaled = tr.pedal(tr.transform_curve(curve, 0.0, lam))
     report.add("pedal commutes with scaling",
                _diff(pe_scaled.points, lam * pe.points, pe.ok & pe_scaled.ok), 1e-9)
 
 
 def _suite_parallel(curve: CurveDef, report: VerifyReport) -> None:
-    ts = sample_grid(curve)
-    frame = tr.frenet_frame(curve, ts)
+    frame = tr.frenet_frame(curve)
     pr = tr.primitive_kernel(frame)
     for r in (2.0, -1.0):
         par = tr.parallel_kernel(frame, r)
         report.add(f"parallel({r:g}) = {r:g} x primitive",
                    _diff(par.points, r * pr.points, par.ok & pr.ok), 1e-12)
-        pr_scaled = tr.primitive(tr.transform_curve(curve, 0.0, r), ts)
+        pr_scaled = tr.primitive(tr.transform_curve(curve, 0.0, r))
         report.add(f"parallel({r:g}) = primitive of scaled curve",
                    _pair_diff(par, pr_scaled), 1e-9)
     one = tr.parallel_kernel(frame, 1.0)
@@ -238,8 +230,7 @@ def _suite_parallel(curve: CurveDef, report: VerifyReport) -> None:
 
 
 def _suite_slant(curve: CurveDef, report: VerifyReport) -> None:
-    ts = sample_grid(curve)
-    frame = tr.frenet_frame(curve, ts)
+    frame = tr.frenet_frame(curve)
     pr = tr.primitive_kernel(frame)
     pr_perp = tr.perp_primitive_kernel(frame)
     report.add("perp-primitive = J primitive",
@@ -252,7 +243,7 @@ def _suite_slant(curve: CurveDef, report: VerifyReport) -> None:
         rotated_parallel = rotate_xy(tr.parallel_kernel(frame, math.cos(phi)).points, phi)
         report.add(f"slant({phi:.4g}) = rotated parallel(cos phi)",
                    _diff(sl.points, rotated_parallel, sl.ok & pr.ok), 1e-12)
-        ape_inv_rot = tr.antipedal(tr.invert_curve(tr.transform_curve(curve, phi, 1.0)), ts)
+        ape_inv_rot = tr.antipedal(tr.invert_curve(tr.transform_curve(curve, phi, 1.0)))
         report.add(f"slant({phi:.4g}) = cos phi antipedal of inverted rotated curve",
                    _diff(sl.points, math.cos(phi) * ape_inv_rot.points,
                          sl.ok & ape_inv_rot.ok, relative=True), 1e-9)
@@ -309,12 +300,11 @@ _ORACLE_CASES = (
 
 
 def _suite_oracle(curve: CurveDef, report: VerifyReport) -> None:
-    ts = sample_grid(curve)
-    frame = tr.frenet_frame(curve, ts)
+    frame = tr.frenet_frame(curve)
     flag_mismatch = 0
     for kind, value in _ORACLE_CASES:
         fam = make_family(kind, curve, r=value, phi=value)
-        env = envelope(fam, ts)
+        env = envelope(fam)
         closed = tr.transform_frame(frame, kind, value)
         tag = fam.kind.label()
         report.add(f"envelope matches closed form {tag}",
@@ -323,7 +313,7 @@ def _suite_oracle(curve: CurveDef, report: VerifyReport) -> None:
     report.add("envelope degeneracies are flagged by the closed form too",
                float(flag_mismatch), 0.0)
     report.add("pedal circles: incidence and inversion to lines",
-               circle_family_check(curve, ts), 1e-9)
+               circle_family_check(curve), 1e-9)
 
 
 def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
@@ -490,12 +480,9 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     rhs_n = float(np.hypot(*rhs[both].T).max()) if both.any() else math.inf
     report.add("degenerate composition: both sides vanish", max(lhs_n, rhs_n), 1e-9)
 
-    inv_sf = fr.invert_frontal(sf)
-    pe_inv = fr.frontal_pedal(inv_sf)
-    lifted = invert_xy(pe_inv.points.copy())
-    mask = pr_f.ok & pe_inv.ok & finite_xy(lifted)
+    inv_pe_inv = tr.invert_kernel(fr.frontal_pedal(fr.invert_frontal(sf)), "inverted")
     report.add("primitive = inversion of pedal of inverted frontal",
-               _diff(lifted, pr_f.points, mask, relative=True), 1e-9)
+               _pair_diff(inv_pe_inv, pr_f, relative=True), 1e-9)
 
 
 _SUITE_FNS = {

@@ -225,6 +225,42 @@ def test_non_finite_parameter_exits_3(args, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("args, fragment", [
+    (["transform", "--kind", "pedal", "--angle", "0.3"], "pedal takes no --angle"),
+    (["transform", "--kind", "slant", "--angle", "0.4", "--ratio", "2"], "slant takes no --ratio"),
+    (["plot", "--overlay", "pedal:0.3"], "overlay 'pedal' takes no parameter"),
+    (["plot", "--overlay", "source:1"], "overlay 'source' takes no parameter"),
+])
+def test_a_parameter_the_kind_does_not_take_exits_3(args, fragment, capsys):
+    rc = main(args + ["--curve", "ellipse", "--samples", "64"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert f"pedalkit: error: {fragment}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+_CURVE_TAIL = b"y = sin(t)\nt_min = 0\nt_max = 2*pi\n"
+
+
+@pytest.mark.parametrize("content, fragment", [
+    (b"x = " + b"(" * 400 + b"cos(t)" + b")" * 400 + b"\n" + _CURVE_TAIL,
+     "line 1, column 104: more than 100 nested parentheses"),
+    (b'name = "\xff\xfe"\nx = cos(t)\n' + _CURVE_TAIL,
+     "line 1, column 9: byte 0xff is not UTF-8 text"),
+    (b"x = cos(t)\r\n# caf\xc3\xa9 \xe9\n" + _CURVE_TAIL,
+     "line 2, column 8: byte 0xe9 is not UTF-8 text"),
+], ids=["nested", "not-utf8", "not-utf8-after-a-two-byte-character"])
+def test_a_curve_file_that_cannot_be_read_exits_3(tmp_path, capsys, content, fragment):
+    f = tmp_path / "bad.curve"
+    f.write_bytes(content)
+    rc = main(["transform", "--curve", str(f), "--kind", "pedal"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"pedalkit: error: {fragment}\n"
+    assert captured.out == ""
+
+
 def test_plot_overlays_and_family(tmp_path):
     svg = tmp_path / "plot.svg"
     rc = main(["plot", "--curve", "ellipse", "--overlay", "source",

@@ -237,12 +237,11 @@ def test_blocked_circle_check_equals_one_shot(curve_name):
 
 def test_circle_check_runs_in_bounded_memory():
     # the rings of the whole grid at once peak near 56 MB
-    ell = builtin_curve("ellipse")
-    ts = sample_grid(ell, 1 << 17)
-    frenet_frame(ell, ts)
+    ell = builtin_curve("ellipse", samples=1 << 17)
+    frenet_frame(ell)  # the kept frame, built before the count starts
     tracemalloc.start()
     try:
-        circle_family_check(ell, ts)
+        circle_family_check(ell)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import pedalkit.expr as ex
+from pedalkit.curve import CurveDef, format_curve
 from pedalkit.errors import EvalError, ParseError
+from pedalkit.transforms import invert_curve
 
 from _exprgen import expression_corpus
 
@@ -75,6 +77,36 @@ def test_parse_errors_carry_position(bad, fragment):
         ex.parse_expr(bad)
     assert fragment in str(err.value)
     assert "line 1" in str(err.value)
+
+
+# each shape as (text nested d levels deep, the column at which a text
+# one level past MAX_DEPTH is refused): parentheses are counted as the
+# text is read, the depth of the tree as it is built
+_NESTED = {
+    "parentheses": (lambda d: "(" * (d - 1) + "cos(t)" + ")" * (d - 1), lambda d: d + 3),
+    "calls": (lambda d: "cos(" * d + "t" + ")" * d, lambda d: 4 * d),
+    "sum": (lambda d: "+".join(["t"] * (d + 1)), lambda d: 2 * d + 1),
+    "power": (lambda d: "^".join(["t"] * (d + 1)), lambda d: 2 * d + 1),
+    "unary-minus": (lambda d: "-" * d + "t", lambda d: d + 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_nesting_is_bounded_where_every_walk_still_runs(shape):
+    text, column = _NESTED[shape]
+    e = ex.parse_expr(text(ex.MAX_DEPTH))
+    ex.jets((e,), np.linspace(0.1, 0.9, 5))
+    ex.to_text(ex.differentiate(e))
+    format_curve(invert_curve(CurveDef(e, ex.T, 0.1, 0.9, closed=False)))
+    with pytest.raises(ParseError, match=f"more than {ex.MAX_DEPTH} ") as err:
+        ex.parse_expr(text(ex.MAX_DEPTH + 1), line=3, column=5)
+    assert (err.value.line, err.value.column) == (3, 4 + column(ex.MAX_DEPTH + 1))
+
+
+def test_long_chains_of_unary_minus_and_powers_parse_without_recursion():
+    assert ex.parse_expr("-" * 5001 + "3") == ex.Num(-3.0)
+    assert ex.parse_expr("-t^2") == ex.Pow(ex.Neg(ex.T), ex.Num(2.0))
+    assert ex.parse_expr("2^-3^t") == ex.Pow(ex.Num(2.0), ex.Pow(ex.Num(-3.0), ex.T))
 
 
 @pytest.mark.parametrize("text, dtext", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pedalkit import frontal as fl
-from pedalkit.curve import builtin_curve, parse_curve, position_xy
+from pedalkit.curve import REGULAR_EPS, builtin_curve, parse_curve, position_xy
 from pedalkit.vec import dot_xy, perp_xy
 from pedalkit.errors import (HypothesisViolated, LiftFailure, OriginSingularity,
                              RangeError)
@@ -53,6 +53,10 @@ def test_lift_failures():
         "x = cos(9*t)\ny = sin(9*t)\nt_min = 0\nt_max = 2*pi\nsamples = 16")
     with pytest.raises(LiftFailure, match="undersampled"):
         fl.lift_front(coarse)
+    # d1, d2 and d3 all vanish at t = 0, a sample of the grid
+    flat = parse_curve("x = t^4\ny = t^5\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33")
+    with pytest.raises(LiftFailure, match="no direction data at t=0.0"):
+        fl.lift_front(flat)
 
 
 def test_circle_lift_pedal_and_antipedal_fixed():
@@ -171,6 +175,12 @@ def test_lift_rows_match_broadcast_formulas_bitwise(curve):
     lc = fl.lift_front(curve)
     fg = lc.frenet
     raw = fl._raw_normals(fg.ts, fg.d1, fg.d2, fg.d3)
+    want_raw = np.full_like(raw, np.nan)
+    for d in (fg.d3, fg.d2, fg.d1):  # the first of d1, d2, d3 that is not zero
+        norm = np.hypot(d[:, 0], d[:, 1])
+        use = norm >= REGULAR_EPS
+        want_raw[use] = np.column_stack([d[use, 1], -d[use, 0]]) / norm[use, None]
+    assert raw.tobytes() == want_raw.tobytes()
     sigma = np.where(dot_xy(raw, lc.nu_grid) < 0, -1.0, 1.0)
     assert lc.nu_grid.tobytes() == (sigma[:, None] * raw).tobytes()
     d1, d2, speed = fg.d1, fg.d2, fg.speed

@@ -218,18 +218,22 @@ def test_frenet_frame_normal_is_the_frenet_grid_normal_bitwise(curve_name):
         assert _same_bits(frame.points, fg.p)
 
 
-def test_frenet_frame_is_kept_for_an_equal_grid():
+def test_frenet_frame_is_built_anew_for_an_explicit_grid():
     ell = builtin_curve("ellipse")
     ts = sample_grid(ell, 64)
     before = hash(ell), repr(ell)
     frame = tr.frenet_frame(ell, ts)
-    assert (hash(ell), repr(ell)) == before  # the kept frame is not a field
-    assert tr.frenet_frame(ell, ts.copy()) is frame
-    assert tr.frenet_frame(ell, list(ts)) is frame
     default = tr.frenet_frame(ell)
-    assert default is not frame
-    assert tr.frenet_frame(ell) is default  # a new but equal default grid
-    assert tr.frenet_frame(ell, ts) is not frame  # only the last grid is kept
+    assert (hash(ell), repr(ell)) == before  # the kept frame is not a field
+    again = tr.frenet_frame(ell, ts)
+    assert again is not frame  # a frame on an explicit grid is the caller's
+    assert _same_bits(again.points, frame.points) and _same_bits(again.nu, frame.nu)
+    assert tr.frenet_frame(ell, list(ts)) is not frame
+    assert tr.frenet_frame(ell, default.grid) is not default  # even on the default grid
+    assert tr.frenet_frame(ell) is default
+    for arr in (again.points, again.nu, again.grid, again.flags):
+        with pytest.raises(ValueError):
+            arr[0] = 1
     other = builtin_curve("ellipse")
     assert other == ell
     assert tr.frenet_frame(other) is not tr.frenet_frame(ell)
@@ -460,6 +464,28 @@ def test_default_frame_is_kept_across_other_grids(monkeypatch):
     monkeypatch.setattr(tr, "sample_grid", lambda *a: grids.append(a) or sample_grid(*a))
     other = tr.frenet_frame(curve, sample_grid(curve, 97))
     assert tr.frenet_frame(curve) is default
-    assert tr.frenet_frame(curve, other.grid) is not other  # the last grid was the default
+    assert tr.frenet_frame(curve, other.grid) is not other  # a frame on a grid is not kept
     assert tr.frenet_frame(curve) is default
     assert grids == []  # the default grid is not built again
+    for arr in (default.points, default.nu, default.grid, default.flags):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_invert_kernel_without_a_normal_flags_what_it_cannot_invert():
+    pe = tr.pedal(builtin_curve("offset_circle", samples=64))
+    points, flags = pe.points.copy(), pe.flags.copy()
+    points[3] = 0.0  # the origin
+    points[5] = 1e-10  # within ORIGIN_EPS of it
+    points[7] = np.nan
+    flags[11] = tr.FLAG_NEAR_SINGULAR
+    flags[13] = tr.FLAG_UNDEFINED
+    mc = dataclasses.replace(pe, points=points, flags=flags)
+    out = tr.invert_kernel(mc, "inverted")
+    assert out.nu is None and mc.nu is None
+    inv = invert_xy(points)
+    mask = mc.ok & np.isfinite(inv).all(axis=1)
+    assert np.array_equal(out.ok, mask)
+    assert not mask[[3, 5, 7, 11, 13]].any() and mask.sum() == 59
+    assert out.flags[11] == tr.FLAG_NEAR_SINGULAR
+    assert _same_bits(out.points[mask], inv[mask])

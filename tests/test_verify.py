@@ -80,6 +80,24 @@ def test_singularity_and_frontal_suites_walk_each_grid_once(monkeypatch):
         ("jets", 3, 4096): 1, ("jets", 3, 1024): 1}
 
 
+def test_all_suites_build_the_default_frame_of_the_curve_once(monkeypatch):
+    # duality, parallel, slant, oracle and the pedal-circle check share
+    # the kept frame of the curve's own 1024-sample grid; the 4096-sample
+    # suites build theirs
+    ellipse = builtin_curve("ellipse")
+    builds = collections.Counter()
+    jets_xy = tr._jets_xy
+
+    def counted(curve, ts, order):
+        if curve is ellipse:
+            builds[len(ts)] += 1
+        return jets_xy(curve, ts, order)
+
+    monkeypatch.setattr(tr, "_jets_xy", counted)
+    run_suite("all", ellipse)
+    assert builds == {1024: 1, 4096: 2}
+
+
 @pytest.mark.parametrize("curve", [
     builtin_curve("front"),
     parse_curve(format_curve(tr.invert_curve(builtin_curve("ellipse")))),

@@ -29,21 +29,29 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   envelopes that span three solve blocks; and at 1048576 samples on the
   ellipse, whose maxima are taken over 64 blocks;
 - `detect` for every kind on the built-ins, at the default sample count
-  and at 65536 samples, and on the inverted ellipse.
+  and at 65536 samples, and on the inverted ellipse;
+- input errors: a curve file whose x is nested 400 parentheses deep, a
+  curve file that is not UTF-8, and `transform --kind pedal --angle`,
+  a parameter the kind does not take.
 
 Running it against two checkouts and comparing the directories shows
 whether a change altered any of these outputs:
 
     python3 tools/golden.py --compare A B
 
-compares two such directories file by file.  Each file is split into
-numeric fields and the text between them.  A file whose text differs,
-or that is in one directory only, is reported as a text difference;
+compares two such directories file by file, read as UTF-8 with any
+other byte kept as it is.  Each file is split into numeric fields and
+the text between them.  A file whose text differs, or that is in one
+directory only, is reported as a text difference;
 for a file whose numbers alone differ it prints how many fields
 differ and the largest relative change |a - b| / max(|a|, |b|), with
 the line it is on (a field that differs only in the sign of a zero
 counts, with change 0).  The exit code is 1 if any text differs, else
 0.
+
+A command that raises instead of returning an exit code gets `exit
+traceback <ExceptionType>`, without the stack, so that the file stays
+the same from run to run and the run goes on.
 """
 
 from __future__ import annotations
@@ -84,6 +92,14 @@ PARABOLA_ARC = "x = t\ny = t^2 + 1\nt_min = -1\nt_max = 1\nclosed = false\n"
 JET_BLOCKS_SAMPLES = "20000"
 JET_BLOCKS_KINDS = ("primitive", "antipedal")
 
+# the input-error cases: curve files by name and content, and arguments
+ERROR_FILES = {
+    "nested.curve": ("x = " + "(" * 400 + "cos(t)" + ")" * 400
+                     + "\ny = sin(t)\nt_min = 0\nt_max = 2*pi\n").encode(),
+    "not-utf8.curve": b'name = "\xff\xfe"\nx = cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*pi\n',
+}
+ERROR_ARGS = ["transform", "--curve", "ellipse", "--kind", "pedal", "--angle", "0.3"]
+
 # the verify --suite oracle cases: more samples than two jet blocks hold
 ORACLE_SAMPLES = "40000"
 # and the one at 2^20 samples
@@ -97,7 +113,10 @@ def run(name: str, argv: list[str]) -> None:
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:
+            code = f"traceback {type(exc).__name__}"
     with open(name, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"$ pedalkit {' '.join(argv)}\nexit {code}\n")
         fh.write("--- stderr\n" + err.getvalue())
@@ -161,6 +180,11 @@ def write_goldens(outdir: str) -> int:
     for what in DETECT_KINDS:
         run(f"detect-inv-ellipse.curve-{what}.txt",
             ["detect", "--curve", "inv-ellipse.curve", "--what", what])
+    for path, content in ERROR_FILES.items():
+        with open(path, "wb") as fh:
+            fh.write(content)
+        run(f"error-{path}.txt", ["transform", "--curve", path, "--kind", "pedal"])
+    run("error-pedal-angle.txt", ERROR_ARGS)
     return 0
 
 
@@ -193,9 +217,9 @@ def compare(dir_a: str, dir_b: str) -> int:
         text_diffs += 1
     numeric_files = 0
     for name in sorted(names_a & names_b):
-        with open(os.path.join(dir_a, name), encoding="utf-8") as fh:
+        with open(os.path.join(dir_a, name), encoding="utf-8", errors="surrogateescape") as fh:
             text_a = fh.read()
-        with open(os.path.join(dir_b, name), encoding="utf-8") as fh:
+        with open(os.path.join(dir_b, name), encoding="utf-8", errors="surrogateescape") as fh:
             text_b = fh.read()
         if text_a == text_b:
             continue
