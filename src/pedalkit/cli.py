@@ -117,8 +117,11 @@ def _parse_overlay(spec: str) -> tuple[str, float | None]:
         raise RangeError(
             f"unknown overlay kind {kind!r}; choices: source, {', '.join(TRANSFORM_KINDS)}")
     value = None
+    takes = None if kind == "source" else tr.TRANSFORMS[kind][1]
+    if not param and takes is not None:
+        raise RangeError(f"overlay {kind} needs a value: {kind}:{takes.upper()}")
     if param:
-        if kind == "source" or tr.TRANSFORMS[kind][1] is None:
+        if takes is None:
             raise RangeError(f"overlay {kind!r} takes no parameter")
         try:
             value = float(param)

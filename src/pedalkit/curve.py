@@ -272,7 +272,8 @@ def _parse_lines(text: str) -> Iterator[tuple[int, str, str, int]]:
         key, value = line.split("=", 1)
         if not key.strip():
             raise ParseError("missing key before '='", lineno, 1)
-        yield lineno, key.strip(), value.strip(), line.index("=") + 2
+        # the 1-based column of the value's first non-blank character
+        yield lineno, key.strip(), value.strip(), len(line) - len(value.lstrip()) + 1
 
 
 def _const_value(text: str, lineno: int, key: str) -> float:

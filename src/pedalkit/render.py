@@ -8,10 +8,15 @@ points with a 5% margin and strokes are 0.5% of the viewport diagonal.
 
 Both are formatted and written in blocks of rows (polyline points for
 SVG), so the text of a whole curve is never held in memory at once.
+The numbers of a block are formatted by one numpy kernel,
+`_format_rows`, byte for byte as '%.17g' (CSV) or '%.8g' (SVG) would;
+its lookup tables are built on the first write.  The few values it
+cannot round with certainty are formatted by Python's '%' instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Optional
@@ -34,15 +39,127 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 # rows (CSV) or points (SVG polylines) formatted per write
 _BLOCK = 4096
 
+# '%.Pg' in numpy.  The P-digit mantissa of x is |x| * 10^(P-1-e),
+# e = floor(log10|x|), taken as a double-double product (Dekker's split,
+# as numpy has no fused multiply-add) with a (hi, lo) table of powers of
+# ten.  Each number becomes a row of uint64 words of text: separator,
+# sign and "0.000" prefix, "d.d.d.d." digit quads and an exponent; a
+# mask chosen by the number's notation, e and significant digits zeroes
+# the bytes it does not print, and the zero bytes are then dropped.
+# Zeros, non-finite values, |e| >= _EMAX, exponent estimates that were
+# off and mantissas within 1e-7 of a rounding tie go to Python's '%'.
+_EMAX = 256
+_SPLIT = 134217729.0  # 2^27 + 1
+
+
+def _ten_to(s: int) -> tuple[float, float]:
+    """10^s as hi + lo, each correctly rounded by exact integer division."""
+    num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+@functools.cache
+def _tables(P: int) -> tuple[np.ndarray, ...]:
+    """The lookup tables of '%.Pg', built on first use: powers of ten
+    (hi, its split halves, lo) and exponent words for e in [-_EMAX,
+    _EMAX], digit quads and their significant lengths, and byte masks."""
+    Q = -(-P // 4)
+    es = range(-_EMAX, _EMAX + 1)
+    hi, lo = np.array([_ten_to(P - 1 - e) for e in es]).T
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    digits = [f"{g:04d}" for g in range(10000)]
+    quads = np.frombuffer((".".join("".join(digits)) + ".").encode(), np.uint64)
+    # a quad of zeros counts -P, below any quad that holds the last significant digit
+    sig = np.array([len(d.rstrip("0")) or -P for d in digits], np.int8)
+    exps = np.frombuffer(b"".join(f"e{e:+03d}".encode().ljust(8, b"\0") for e in es),
+                         np.uint64)
+    masks = bytearray()
+    for neg in (0, 1):
+        for X in range(-5, P + 1):  # -5 and P stand for every scientific exponent
+            sci = not -4 <= X < P
+            for nsig in range(1, P + 1):
+                m = bytearray(8 * (Q + 2))
+                m[0] = 0xFF  # separator
+                m[1] = 0xFF * neg  # sign
+                if not sci and X < 0:
+                    m[2:3 - X] = b"\xff" * (1 - X)  # "0." and -X-1 zeros
+                keep = nsig if sci or X < 0 else max(nsig, X + 1)
+                m[8:8 + 2 * keep:2] = b"\xff" * keep
+                point = 0 if sci else X
+                if 0 <= point < nsig - 1:
+                    m[9 + 2 * point] = 0xFF
+                if sci:
+                    m[-8:] = b"\xff" * 8
+                masks += m
+    masks = np.frombuffer(bytes(masks), np.uint64).reshape(-1, Q + 2)
+    return hi, hh, hi - hh, lo, quads, sig, exps, masks
+
+
+def _format_rows(cols, P: int, seps, tail) -> str:
+    """The text of rows `seps[0] cols[0][i] seps[1] cols[1][i] ... tail[i]`,
+    each number as '%.{P}g' % v formats it.  Each separator is at most
+    one character; tail is one bytes string or an array of them, one per
+    row."""
+    *ten, quads, sig, exps, masks = _tables(P)
+    n, w = len(cols[0]), masks.shape[1]
+    tail = np.asarray(tail)
+    tw = -(-tail.itemsize // 8)
+    buf = bytearray(8 * n * (len(cols) * w + tw))
+    rows = np.frombuffer(buf, np.uint64).reshape(n, -1)
+    rows[:, len(cols) * w:] = tail.astype(f"S{8 * tw}").view(np.uint64).reshape(-1, tw)
+    for col, (v, sep) in enumerate(zip(cols, seps)):
+        W = rows[:, col * w:(col + 1) * w]
+        a = np.abs(v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = np.floor(np.log10(a))
+        ok = np.abs(e) < _EMAX
+        a[~ok] = 1.0
+        e = np.where(ok, e, 0.0).astype(np.int64)
+        hi, hh, hl, lo = (np.take(t, e + _EMAX) for t in ten)
+        p = a * hi
+        s = _SPLIT * a
+        ah = s - (s - a)
+        al = a - ah
+        err = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo  # p + err ~ a * 10^(P-1-e)
+        whole = np.floor(p)
+        frac = (p - whole) + err
+        carry = np.floor(frac)
+        frac -= carry
+        m = whole.astype(np.int64) + carry.astype(np.int64)
+        ok &= (m >= 10 ** (P - 1)) & (m < 10 ** P) & (np.abs(frac - 0.5) > 1e-7)
+        m = np.where(ok, m + (frac > 0.5), 10 ** (P - 1))
+        up = m == 10 ** P  # rounded into the next decade
+        m[up] = 10 ** (P - 1)
+        e += up
+        nsig = 0
+        for j, k in enumerate(range(P - 4, -4, -4)):  # k digits follow quad j
+            if k > 0:
+                g = m // 10 ** k
+                m -= g * 10 ** k
+            else:
+                g = m * 10 ** -k
+            W[:, 1 + j] = np.take(quads, g)
+            nsig = np.maximum(nsig, np.take(sig, g) + 4 * j)
+        W[:, 0] = np.frombuffer(sep.encode().ljust(1, b"\0") + b"-0.000\0", np.uint64)
+        W[:, -1] = np.take(exps, e + _EMAX)
+        W &= np.take(masks, (np.signbit(v) * (P + 6) + np.clip(e, -5, P) + 5) * P + nsig - 1,
+                     axis=0)
+        for i in np.flatnonzero(~ok).tolist():
+            text = (sep + "%.*g" % (P, v[i])).encode()
+            W[i] = np.frombuffer(text.ljust(8 * w, b"\0"), np.uint64)
+    return buf.translate(None, b"\0").decode("ascii")
+
 
 def write_mapped_csv(mc: MappedCurve, fh: IO[str]) -> None:
     fh.write("t,x,y,flag\n")
-    names = np.array(FLAG_NAMES, dtype=object)
+    tails = np.array([f",{name}\n".encode() for name in FLAG_NAMES])
     for i in range(0, len(mc.grid), _BLOCK):
         b = slice(i, i + _BLOCK)
-        rows = zip(mc.grid[b].tolist(), mc.points[b, 0].tolist(), mc.points[b, 1].tolist(),
-                   names[mc.flags[b]].tolist())
-        fh.write("".join(["%.17g,%.17g,%.17g,%s\n" % row for row in rows]))
+        fh.write(_format_rows((mc.grid[b], mc.points[b, 0], mc.points[b, 1]), 17,
+                              ("", ",", ","), tails[mc.flags[b]]))
 
 
 def write_legendrian_csv(lc: LegendrianCurve, fh: IO[str]) -> None:
@@ -51,9 +168,8 @@ def write_legendrian_csv(lc: LegendrianCurve, fh: IO[str]) -> None:
             lc.ell_grid, lc.beta_grid)
     fh.write("t,x,y,nu_x,nu_y,ell,beta,flag\n")
     for i in range(0, len(lc.ts), _BLOCK):
-        rows = zip(*(c[i:i + _BLOCK].tolist() for c in cols))
-        fh.write("".join(["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,ok\n" % row
-                          for row in rows]))
+        fh.write(_format_rows([c[i:i + _BLOCK] for c in cols], 17, ("",) + (",",) * 6,
+                              b",ok\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +316,9 @@ def _svg_chunks(spec: PlotSpec) -> Iterator[str]:
         for seg in ov.segments:
             yield '<polyline points="'
             for i in range(0, len(seg), _BLOCK):
-                xs, ys = seg[i:i + _BLOCK, 0].tolist(), (-seg[i:i + _BLOCK, 1]).tolist()
-                yield (" " if i else "") + " ".join(["%.8g,%.8g" % xy for xy in zip(xs, ys)])
+                text = _format_rows((seg[i:i + _BLOCK, 0], -seg[i:i + _BLOCK, 1]), 8,
+                                    (" ", ","), b"")
+                yield text if i else text[1:]
             yield '"/>\n'
         yield "</g>\n"
     yield "</svg>\n"

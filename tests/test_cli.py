@@ -226,6 +226,21 @@ def test_non_finite_parameter_exits_3(args, capsys):
 
 
 @pytest.mark.parametrize("args, fragment", [
+    (["plot", "--overlay", "slant"], "overlay slant needs a value: slant:ANGLE"),
+    (["plot", "--overlay", "pedaloid:"], "overlay pedaloid needs a value: pedaloid:ANGLE"),
+    (["plot", "--overlay", "parallel"], "overlay parallel needs a value: parallel:RATIO"),
+    (["transform", "--kind", "slant"], "slant needs --angle"),
+    (["transform", "--kind", "parallel"], "parallel needs --ratio"),
+])
+def test_a_kind_without_its_parameter_exits_3(args, fragment, capsys):
+    rc = main(args + ["--curve", "ellipse", "--samples", "64"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"pedalkit: error: {fragment}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args, fragment", [
     (["transform", "--kind", "pedal", "--angle", "0.3"], "pedal takes no --angle"),
     (["transform", "--kind", "slant", "--angle", "0.4", "--ratio", "2"], "slant takes no --ratio"),
     (["plot", "--overlay", "pedal:0.3"], "overlay 'pedal' takes no parameter"),
@@ -245,12 +260,17 @@ _CURVE_TAIL = b"y = sin(t)\nt_min = 0\nt_max = 2*pi\n"
 
 @pytest.mark.parametrize("content, fragment", [
     (b"x = " + b"(" * 400 + b"cos(t)" + b")" * 400 + b"\n" + _CURVE_TAIL,
-     "line 1, column 104: more than 100 nested parentheses"),
+     "line 1, column 105: more than 100 nested parentheses"),
     (b'name = "\xff\xfe"\nx = cos(t)\n' + _CURVE_TAIL,
      "line 1, column 9: byte 0xff is not UTF-8 text"),
     (b"x = cos(t)\r\n# caf\xc3\xa9 \xe9\n" + _CURVE_TAIL,
      "line 2, column 8: byte 0xe9 is not UTF-8 text"),
-], ids=["nested", "not-utf8", "not-utf8-after-a-two-byte-character"])
+    (b"x =    cos(t) + $\n" + _CURVE_TAIL,
+     "line 1, column 17: unexpected character '$' (expected number or identifier or operator)"),
+    (b"x = cos(t)\ny =\t sin(t) + $\n" + _CURVE_TAIL[11:],
+     "line 2, column 15: unexpected character '$' (expected number or identifier or operator)"),
+], ids=["nested", "not-utf8", "not-utf8-after-a-two-byte-character", "blanks-after-equals",
+        "tab-after-equals"])
 def test_a_curve_file_that_cannot_be_read_exits_3(tmp_path, capsys, content, fragment):
     f = tmp_path / "bad.curve"
     f.write_bytes(content)

@@ -1,8 +1,12 @@
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pedalkit import figures as fig
 from pedalkit import render as rd
@@ -213,3 +217,64 @@ def test_render_to_file_writes_render_svg(tmp_path, number):
     path = tmp_path / "out.svg"
     rd.render_to_file(spec, str(path))
     assert path.read_bytes() == rd.render_svg(spec).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# The numpy '%.Pg' formatter behind the three writers, against Python's '%'.
+
+def formatted(values, P):
+    """The formatter's text of values, one per row, and '%.{P}g' of each."""
+    values = np.asarray(values, dtype=np.float64)
+    got = rd._format_rows((values,), P, ("",), b"\n").split("\n")
+    assert got.pop() == ""
+    return got, ["%.*g" % (P, v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize("P", [17, 8])
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_format_rows_is_percent_on_any_bit_pattern(P, bits):
+    got, want = formatted(np.array(bits, dtype=np.uint64).view(np.float64), P)
+    assert got == want
+
+
+def _powers_of_ten():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+
+
+_SUBNORMALS = [5e-324, 1e-323, 2.5e-320, 1e-310, 2.2250738585072009e-308]
+_TIES = [12345678.5, 123456785.0, 1234567.85, 0.5, 2.5, 99999999.5, 999999995.0]
+_CARRIES = [9.99999995e-5, 9.9999999e-5, 0.99999999999999999, 9999999.95, 99999.999999999]
+_SWITCHES = [1e-5, 1e-4, 1e7, 1e8, 1e16, 1e17, 0.0001, 0.00001, 1.5e16, 1.5e7, 9.5e-5]
+_THREE_DIGIT_EXPONENTS = [1e100, 1.5e-100, 2.5e-123, -7.25e255, 3e-256, 1e290, -1e-300,
+                          1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("P", [17, 8])
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf],
+    _SUBNORMALS + [-v for v in _SUBNORMALS],
+    _powers_of_ten(),
+    _TIES + [-v for v in _TIES],
+    np.random.default_rng(8).integers(10 ** 7, 10 ** 8, 2000) + 0.5,
+    _CARRIES + [-v for v in _CARRIES],
+    _SWITCHES + [-v for v in _SWITCHES],
+    _THREE_DIGIT_EXPONENTS,
+], ids=["zeros-nan-inf", "subnormals", "powers-of-ten", "ties", "ties-8-digit", "carries",
+        "g-switch-points", "three-digit-exponents"])
+def test_format_rows_is_percent_on_edge_values(P, values):
+    got, want = formatted(values, P)
+    assert got == want
+
+
+def test_importing_pedalkit_builds_no_formatting_table():
+    # the tables cost import time and memory that commands which print
+    # no number (verify, and the benchmark's certify and sweep) would pay
+    code = ("import pedalkit, pedalkit.cli\n"
+            "from pedalkit import render\n"
+            "assert render._tables.cache_info().currsize == 0\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rd.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr

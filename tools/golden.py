@@ -11,6 +11,9 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   ellipse and on an open parabola arc written as a curve file, whose
   end rows are undefined and left out of its polyline: CSV and SVG
   that span several write blocks (the SVG is a file of its own);
+- `transform --kind pedal --samples 64 --svg FILE` on an ellipse of
+  radius 1e290 written as a curve file: CSV and SVG numbers beyond the
+  exponent range of the numpy formatter, which Python formats instead;
 - `transform --kind primitive|antipedal --samples 20000` on the front:
   frames that span two jet blocks, with flags that depend on the
   denominator guard scale eps_d;
@@ -88,6 +91,9 @@ INV_FRONT_SAMPLES = "65536"
 BLOCK_SAMPLES = "10000"
 PARABOLA_ARC = "x = t\ny = t^2 + 1\nt_min = -1\nt_max = 1\nclosed = false\n"
 
+# the transform --svg case whose numbers the numpy formatter leaves to Python
+HUGE_ELLIPSE = "x = 1e290*cos(t)\ny = 1e290*sin(t)/sqrt(3)\nt_min = 0\nt_max = 2*pi\n"
+
 # the two-jet-block transform cases on the front, whose flags depend on eps_d
 JET_BLOCKS_SAMPLES = "20000"
 JET_BLOCKS_KINDS = ("primitive", "antipedal")
@@ -144,6 +150,11 @@ def write_goldens(outdir: str) -> int:
         name = f"transform-{curve}-primitive-{BLOCK_SAMPLES}"
         run(f"{name}.txt", ["transform", "--curve", curve, "--kind", "primitive",
                             "--samples", BLOCK_SAMPLES, "--svg", f"{name}.svg"])
+    with open("huge-ellipse.curve", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(HUGE_ELLIPSE)
+    run("transform-huge-ellipse.curve-pedal-64.txt",
+        ["transform", "--curve", "huge-ellipse.curve", "--kind", "pedal", "--samples", "64",
+         "--svg", "transform-huge-ellipse.curve-pedal-64.svg"])
     for kind in JET_BLOCKS_KINDS:
         run(f"transform-front-{kind}-{JET_BLOCKS_SAMPLES}.txt",
             ["transform", "--curve", "front", "--kind", kind, "--samples", JET_BLOCKS_SAMPLES])
