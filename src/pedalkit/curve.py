@@ -160,12 +160,16 @@ class FrenetGrid:
 JET_BLOCK = 1 << 14
 
 
+def row_blocks(n: int) -> list[slice]:
+    """The slices of JET_BLOCK rows that cover n rows, in order."""
+    return [slice(start, start + JET_BLOCK) for start in range(0, n, JET_BLOCK)]
+
+
 def _jets_xy(curve: CurveDef, ts: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """(p, d1, ..., d_order), each (n, 2), filled block by block."""
     ts = curve._check_params(ts)
     out = tuple(np.empty((len(ts), 2)) for _ in range(order + 1))
-    for start in range(0, len(ts), JET_BLOCK):
-        block = slice(start, start + JET_BLOCK)
+    for block in row_blocks(len(ts)):
         for col, jet in enumerate(ex.jets((curve.x, curve.y), ts[block], order)):
             for k, values in enumerate(jet):
                 out[k][block, col] = values
@@ -401,6 +405,6 @@ def bbox_diameter(points: np.ndarray, mask: np.ndarray | None = None) -> float:
         good &= mask
     if not good.any():
         raise RangeError("no finite points to measure")
-    x, y = points[good, 0], points[good, 1]
-    return float(math.hypot(x.max() - x.min(), y.max() - y.min()))
+    return float(math.hypot(*(c.max(where=good, initial=-np.inf)
+                              - c.min(where=good, initial=np.inf) for c in points.T)))
 

@@ -24,16 +24,15 @@ JET_BLOCK samples too, and takes its max residual over the blocks.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import JET_BLOCK, CurveDef, _jets_xy, sample_grid
+from .curve import CurveDef, _jets_xy, row_blocks, sample_grid
 from .errors import RangeError
 from .transforms import (FLAG_NEAR_SINGULAR, FLAG_OK, FLAG_UNDEFINED,
-                         MappedCurve, TransformKind, _check_origin,
+                         MappedCurve, TransformKind, _check_origin, _frame_rows,
                          frenet_frame, pedal_kernel)
 from .vec import dot_xy, finite_xy, rotate_xy
 
@@ -98,8 +97,7 @@ def envelope(family: LineFamily, ts: np.ndarray | None = None) -> MappedCurve:
     ts = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
     points = np.empty((len(ts), 2))
     flags = np.empty(len(ts), dtype=np.uint8)
-    for start in range(0, len(ts), JET_BLOCK):
-        block = slice(start, start + JET_BLOCK)
+    for block in row_blocks(len(ts)):
         points[block], flags[block] = _solve(*family._members(ts[block]))
     kind = TransformKind(f"envelope-{family.kind.name}", angle=family.kind.angle,
                          ratio=family.kind.ratio)
@@ -145,20 +143,16 @@ def circle_family_check(curve: CurveDef, ts: np.ndarray | None = None) -> float:
     frame = frenet_frame(curve, ts)
     angles = 2.0 * math.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS + 0.7
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    incidence, line = [], []
-    for start in range(0, len(frame.grid), JET_BLOCK):
-        block = slice(start, start + JET_BLOCK)
-        rows = dataclasses.replace(frame, grid=frame.grid[block], points=frame.points[block],
-                                   flags=frame.flags[block], nu=frame.nu[block])
+    maxima = []
+    for block in row_blocks(len(frame.grid)):
+        rows = _frame_rows(frame, block)
         g = rows.points
         _check_origin(rows.grid, dot_xy(g, g), "the pedal-circle check")
         pe = pedal_kernel(rows)
         ok = pe.ok
         resid_g = np.abs(dot_xy(pe.points[ok], pe.points[ok] - g[ok]))
-
-        center = 0.5 * g
         radius = 0.5 * np.hypot(g[:, 0], g[:, 1])
-        pts = center[:, None, :] + radius[:, None, None] * ring[None, :, :]
+        pts = 0.5 * g[:, None, :] + radius[:, None, None] * ring[None, :, :]
         n2 = dot_xy(pts, pts)
         with np.errstate(all="ignore"):
             dot = dot_xy(pts, g[:, None, :])
@@ -167,14 +161,5 @@ def circle_family_check(curve: CurveDef, ts: np.ndarray | None = None) -> float:
         # itself lies on every one of these circles)
         usable = n2 > (1e-3 * radius[:, None]) ** 2
         resid_line = resid_line[usable & np.isfinite(resid_line)]
-        if resid_g.size:
-            incidence.append(resid_g.max())
-        if resid_line.size:
-            line.append(resid_line.max())
-
-    worst = 0.0
-    if incidence:
-        worst = max(worst, float(np.max(incidence)))
-    if line:
-        worst = max(worst, float(np.max(line)))
-    return worst
+        maxima += [r.max() for r in (resid_g, resid_line) if r.size]
+    return float(max(maxima, default=0.0))

@@ -106,10 +106,11 @@ def _format_rows(cols, P: int, seps, tail) -> str:
     *ten, quads, sig, exps, masks = _tables(P)
     n, w = len(cols[0]), masks.shape[1]
     tail = np.asarray(tail)
-    tw = -(-tail.itemsize // 8)
+    tw = -(-tail.itemsize // 8) if tail.ndim or tail.item() else 0  # b"" takes no word
     buf = bytearray(8 * n * (len(cols) * w + tw))
     rows = np.frombuffer(buf, np.uint64).reshape(n, -1)
-    rows[:, len(cols) * w:] = tail.astype(f"S{8 * tw}").view(np.uint64).reshape(-1, tw)
+    if tw:
+        rows[:, len(cols) * w:] = tail.astype(f"S{8 * tw}").view(np.uint64).reshape(-1, tw)
     for col, (v, sep) in enumerate(zip(cols, seps)):
         W = rows[:, col * w:(col + 1) * w]
         a = np.abs(v)

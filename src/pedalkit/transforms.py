@@ -29,16 +29,18 @@ frame's grid and own their points and flags.
     perp-primitive   J primitive   (the primitive of J g)
     invert           g / |g|^2, with nu (if the input has one) reflected
 
-Kernels do their row arithmetic one column at a time: `vec.dot_xy`
-for dot products, `vec.scale_xy` to scale each row by a per-sample
-factor.  An output starts from the frame's flags.  Denominator guards
-use eps_d = 1e-6 times the diameter (bounding-box diagonal) of the
-frame's ok points, measured once per frame (`MappedCurve.eps_d`) and
-shared by every kernel run on it; samples where a denominator is
-smaller are flagged near_singular, samples with non-finite values (a
-frame row without a normal among them) are undefined.  Everything is
-sign-invariant under nu -> -nu, so no orientation convention leaks
-into the results.
+Frames are built and kernels run JET_BLOCK rows at a time, so their
+temporaries stay the size of a block; as each row is a formula in that
+row alone, the bits are those of one run over the whole frame.  Row
+arithmetic goes one column at a time (`vec.dot_xy`, `vec.scale_xy`),
+and an output starts from the frame's flags.  Denominator guards use
+eps_d = 1e-6 times the diameter (bounding-box diagonal) of the frame's
+ok points, measured once per frame (`MappedCurve.eps_d`, read by its
+row views) and shared by every kernel run on it; samples where a
+denominator is smaller are flagged near_singular, samples with
+non-finite values (a frame row without a normal among them) are
+undefined.  Everything is sign-invariant under nu -> -nu, so no
+orientation convention leaks into the results.
 """
 
 from __future__ import annotations
@@ -46,14 +48,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional
 
 import numpy as np
 
 from . import expr as ex
-from .curve import (CurveDef, FrenetGrid, _jets_xy, _unit_frame, bbox_diameter,
-                    frenet_grid, frenet_rows, sample_grid)
+from .curve import (JET_BLOCK, CurveDef, FrenetGrid, _jets_xy, _unit_frame,
+                    bbox_diameter, frenet_grid, frenet_rows, row_blocks, sample_grid)
 from .errors import OriginSingularity, RangeError
 from .vec import (ORIGIN_EPS, dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy,
                   scale_xy)
@@ -110,7 +112,9 @@ class MappedCurve:
         """The denominator guard scale of the kernels on this frame:
         DENOM_REL_EPS times the bounding-box diagonal of the ok points.
         Computed on first use and kept, as a frame's points and flags do
-        not change once it is made."""
+        not change once it is made; a row view reads its frame's."""
+        if "_whole" in self.__dict__:  # set by _frame_rows
+            return self._whole.eps_d
         return DENOM_REL_EPS * bbox_diameter(self.points, self.ok)
 
     def flip_nu(self) -> "MappedCurve":
@@ -161,8 +165,10 @@ def frenet_frame(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
     if ts is None and hasattr(curve, "_frame"):
         return curve._frame
     grid = sample_grid(curve) if ts is None else np.array(ts, dtype=float)
-    p, d1 = _jets_xy(curve, grid, 1)
-    nu = _unit_frame(d1)[3]
+    p, nu = np.empty((len(grid), 2)), np.empty((len(grid), 2))
+    for block in row_blocks(len(grid)):
+        p[block], d1 = _jets_xy(curve, grid[block], 1)
+        nu[block] = _unit_frame(d1)[3]
     flags = np.full(len(grid), FLAG_OK, dtype=np.uint8)
     for arr in (grid, p, nu, flags):
         arr.flags.writeable = False
@@ -177,17 +183,52 @@ def polyline_frames(mc: MappedCurve) -> MappedCurve:
     central differences on the uniform grid.  Closed grids wrap; open
     ends, samples whose stencil touches a non-ok sample and samples
     where the polyline stalls get a nan normal."""
-    if len(mc.grid) < 5:
+    n = len(mc.grid)
+    if n < 5:
         raise RangeError("need at least 5 samples for derived frames")
-    with np.errstate(all="ignore"):
-        d1 = five_point_derivative(mc.points, mc.grid[1] - mc.grid[0], mc.closed)
-        nu = _unit_frame(d1)[3]
-    nu[~stencil_ok(mc.ok & finite_xy(mc.points), mc.closed)] = np.nan
+    good, nu = mc.ok & finite_xy(mc.points), np.empty((n, 2))
+    for block in row_blocks(n):
+        rows = np.arange(block.start - 2, min(block.stop, n) + 2)
+        pts, ok = (np.take(a, rows, axis=0, mode="wrap") for a in (mc.points, good))
+        with np.errstate(all="ignore"):
+            d1 = five_point_derivative(pts, mc.grid[1] - mc.grid[0], True)[2:-2]
+            nu[block] = _unit_frame(d1)[3]
+        ok &= mc.closed | ((rows >= 0) & (rows < n))  # no stencil reaches past an open end
+        nu[block][~stencil_ok(ok, True)[2:-2]] = np.nan
     return dataclasses.replace(mc, nu=nu)
 
 
 # ---------------------------------------------------------------------------
 # kernels
+
+
+def _frame_rows(frame: MappedCurve, block: slice) -> MappedCurve:
+    rows = dataclasses.replace(frame, grid=frame.grid[block], points=frame.points[block],
+                               flags=frame.flags[block],
+                               nu=None if frame.nu is None else frame.nu[block])
+    object.__setattr__(rows, "_whole", frame)  # for eps_d; MappedCurve is frozen
+    return rows
+
+
+def _blocked(kernel):
+    """The kernel run on the JET_BLOCK-row views of a longer frame, in
+    grid order, into outputs allocated once."""
+    @wraps(kernel)
+    def run(frame: MappedCurve, *args, **kwargs) -> MappedCurve:
+        if len(frame.grid) <= JET_BLOCK:
+            return kernel(frame, *args, **kwargs)
+        points, flags = np.empty_like(frame.points), np.empty_like(frame.flags)
+        for block in row_blocks(len(frame.grid)):
+            part = kernel(_frame_rows(frame, block), *args, **kwargs)
+            if block.start == 0:  # which shows whether the kernel gives a normal
+                out = dataclasses.replace(part, grid=frame.grid, points=points, flags=flags,
+                                          nu=None if part.nu is None else np.empty_like(points))
+            out.points[block], out.flags[block] = part.points, part.flags
+            if part.nu is not None:
+                out.nu[block] = part.nu
+            del part  # not held while the next block runs
+        return out
+    return run
 
 
 def _check_origin(ts: np.ndarray, n2: np.ndarray, what: str) -> None:
@@ -224,16 +265,19 @@ def _project(frame: MappedCurve, direction: np.ndarray,
     return _output(frame, kind, points)
 
 
+@_blocked
 def pedal_kernel(frame: MappedCurve, name: str = "pedal") -> MappedCurve:
     return _project(frame, frame.nu, TransformKind(name))
 
 
+@_blocked
 def contrapedal_kernel(frame: MappedCurve, name: str = "contrapedal") -> MappedCurve:
     tangent = perp_xy(frame.nu)
     tangent *= -1.0  # t = -J nu
     return _project(frame, tangent, TransformKind(name))
 
 
+@_blocked
 def pedaloid_kernel(frame: MappedCurve, psi: float,
                     name: str = "pedaloid") -> MappedCurve:
     direction = perp_xy(frame.nu)
@@ -242,6 +286,7 @@ def pedaloid_kernel(frame: MappedCurve, psi: float,
     return _project(frame, direction, TransformKind(name, angle=psi))
 
 
+@_blocked
 def antipedal_kernel(frame: MappedCurve, name: str = "antipedal") -> MappedCurve:
     with np.errstate(all="ignore"):
         den = dot_xy(frame.points, frame.nu)
@@ -266,6 +311,7 @@ def _primitive(frame: MappedCurve, kind: TransformKind, normal: bool,
     return points, den, out_nu
 
 
+@_blocked
 def primitive_kernel(frame: MappedCurve, name: str = "primitive",
                      normal: bool = False, refuse_origin: bool = True) -> MappedCurve:
     """With normal=True the output is a frame too, with the normal g/|g|."""
@@ -274,6 +320,7 @@ def primitive_kernel(frame: MappedCurve, name: str = "primitive",
     return _output(frame, kind, points, den, out_nu)
 
 
+@_blocked
 def parallel_kernel(frame: MappedCurve, r: float, name: str = "parallel",
                     normal: bool = False) -> MappedCurve:
     if r == 0.0:
@@ -284,6 +331,7 @@ def parallel_kernel(frame: MappedCurve, r: float, name: str = "parallel",
     return _output(frame, kind, points, den, out_nu)
 
 
+@_blocked
 def slant_kernel(frame: MappedCurve, phi: float, name: str = "slant",
                  normal: bool = False, refuse_origin: bool = True) -> MappedCurve:
     """With normal=True the output carries the normal R(phi) g/|g|."""
@@ -303,6 +351,7 @@ def slant_kernel(frame: MappedCurve, phi: float, name: str = "slant",
     return out
 
 
+@_blocked
 def perp_primitive_kernel(frame: MappedCurve,
                           name: str = "perp-primitive") -> MappedCurve:
     """Primitive of the rotated curve J g; equals J applied to the
@@ -313,6 +362,7 @@ def perp_primitive_kernel(frame: MappedCurve,
     return _output(frame, kind, perp_xy(points), den)
 
 
+@_blocked
 def invert_kernel(frame: MappedCurve, name: str) -> MappedCurve:
     """Pointwise inversion g/|g|^2 of a sampled curve: undefined where
     the inverted point is not finite.  A normal, if the input has one,

@@ -26,7 +26,7 @@ from . import frontal as fr
 from . import singularity as sg
 from . import transforms as tr
 from .curve import (JET_BLOCK, CurveDef, builtin_curve, frenet_grid, position_xy,
-                    sample_grid)
+                    row_blocks, sample_grid)
 from .envelope import circle_family_check, envelope, make_family
 from .errors import HypothesisViolated, RangeError
 from .vec import dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy
@@ -80,8 +80,7 @@ def _diff(a: np.ndarray, b: np.ndarray, mask: np.ndarray,
     # taken per block of JET_BLOCK rows, so no masked copy spans the grid;
     # it equals the max over the grid, a nan included.
     maxima = []
-    for start in range(0, len(mask), JET_BLOCK):
-        block = slice(start, start + JET_BLOCK)
+    for block in row_blocks(len(mask)):
         rows = mask[block]
         if not rows.any():
             continue

@@ -268,6 +268,14 @@ def test_format_rows_is_percent_on_edge_values(P, values):
     assert got == want
 
 
+def test_format_rows_without_a_tail_is_percent_on_point_pairs():
+    # the SVG polyline points: no tail, so no tail word in the rows
+    xy = np.random.default_rng(3).normal(scale=10.0, size=(300, 2))
+    xy[::7] = [1e-5, -123456785.0]
+    text = rd._format_rows((xy[:, 0], xy[:, 1]), 8, (" ", ","), b"")
+    assert text == "".join(" %.8g,%.8g" % (x, y) for x, y in xy.tolist())
+
+
 def test_importing_pedalkit_builds_no_formatting_table():
     # the tables cost import time and memory that commands which print
     # no number (verify, and the benchmark's certify and sweep) would pay

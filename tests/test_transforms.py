@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pedalkit as pk
 from pedalkit import frontal as fr
 from pedalkit import transforms as tr
-from pedalkit.curve import (JET_BLOCK, REGULAR_EPS, bbox_diameter, builtin_curve,
+from pedalkit.curve import (JET_BLOCK, REGULAR_EPS, _jets_xy, bbox_diameter, builtin_curve,
                             parse_curve, position_xy, sample_grid, velocity_xy)
 from pedalkit.errors import OriginSingularity, RangeError
 from pedalkit.vec import ORIGIN_EPS, dot_xy, invert_xy, perp_xy, rotate_xy
@@ -379,6 +381,51 @@ def _ref_unit_normal(d1):
 
 _BLOCKS_SAMPLES = 3 * JET_BLOCK + 5
 
+# the parameters of the kernels that take one
+_VALUES = {"pedaloid": 0.4, "slant": 0.7, "parallel": 1.7}
+
+
+def _moved(frame, k, den):
+    """The frame with some rows other than k flagged and some of their
+    normals nan, moved so that the origin lies den off the tangent line
+    at row k."""
+    flags = frame.flags.copy()
+    flags[5::97] = tr.FLAG_UNDEFINED
+    flags[7::89] = tr.FLAG_NEAR_SINGULAR
+    nu = frame.nu.copy()
+    nu[11::101] = np.nan
+    flags[k], nu[k] = frame.flags[k], frame.nu[k]
+    origin = frame.points[k] + 0.5 * perp_xy(frame.nu[k]) + den * frame.nu[k]
+    return dataclasses.replace(frame, points=frame.points - origin, flags=flags, nu=nu)
+
+
+def _kernel_runs(frame):
+    """(kind, output) of every kernel on the frame, with and without a
+    normal where a kernel can give one."""
+    runs = [(kind, tr.transform_frame(frame, kind, _VALUES.get(kind)))
+            for kind in tr.TRANSFORM_KINDS]
+    runs += [(kind, tr.TRANSFORMS[kind][0](frame, _VALUES[kind], normal=True))
+             for kind in ("parallel", "slant")]
+    return runs + [("primitive", tr.primitive_kernel(frame, normal=True)),
+                   ("invert", tr.invert_kernel(frame, "inverted"))]
+
+
+def _one_shot_unit_normal(d1):
+    """The unit normal of the velocities d1 over the whole grid at once,
+    nan where the speed is below REGULAR_EPS or not finite."""
+    nu = _ref_unit_normal(d1)
+    nu[~(np.hypot(d1[:, 0], d1[:, 1]) >= REGULAR_EPS)] = np.nan
+    return nu
+
+
+def _one_shot_polyline_normal(mc):
+    """The normal of polyline_frames from whole-grid shifts at once."""
+    with np.errstate(all="ignore"):
+        d1 = tr.five_point_derivative(mc.points, mc.grid[1] - mc.grid[0], mc.closed)
+    nu = _one_shot_unit_normal(d1)
+    nu[~tr.stencil_ok(mc.ok & np.isfinite(mc.points).all(axis=1), mc.closed)] = np.nan
+    return nu
+
 
 @pytest.fixture(scope="module", params=["ellipse", "front"])
 def block_frames(request):
@@ -386,46 +433,24 @@ def block_frames(request):
     samples, each with its normal from broadcast formulas."""
     curve = builtin_curve(request.param, samples=_BLOCKS_SAMPLES)
     frenet = tr.frenet_frame(curve)
-    d1 = velocity_xy(curve, frenet.grid)
-    want = _ref_unit_normal(d1)
-    want[np.hypot(d1[:, 0], d1[:, 1]) < REGULAR_EPS] = np.nan
+    want = _one_shot_unit_normal(velocity_xy(curve, frenet.grid))
     prim = tr.primitive(curve)
     poly = tr.polyline_frames(prim)
-    with np.errstate(all="ignore"):
-        poly_want = _ref_unit_normal(
-            tr.five_point_derivative(prim.points, prim.grid[1] - prim.grid[0], True))
-    poly_want[~tr.stencil_ok(prim.ok & np.isfinite(prim.points).all(axis=1), True)] = np.nan
+    poly_want = _one_shot_polyline_normal(prim)
     lift = fr.lift_front(curve).sample()
     # moved so that the origin lies 1e-9 off one tangent line, below
-    # eps_d, with some rows flagged and some normals nan: every branch of
-    # the output flags
-    k = _BLOCKS_SAMPLES // 3
-    flags = frenet.flags.copy()
-    flags[5::97] = tr.FLAG_UNDEFINED
-    flags[7::89] = tr.FLAG_NEAR_SINGULAR
-    nu = frenet.nu.copy()
-    nu[11::101] = np.nan
-    moved = dataclasses.replace(
-        frenet, points=frenet.points - (frenet.points[k] + 0.5 * perp_xy(frenet.nu[k])
-                                  + 1e-9 * frenet.nu[k]),
-        flags=flags, nu=nu)
+    # eps_d: every branch of the output flags
+    moved = _moved(frenet, _BLOCKS_SAMPLES // 3, 1e-9)
     return {"frenet": (frenet, want), "polyline": (poly, poly_want),
-            "lift": (lift, lift.nu), "moved": (moved, nu)}
+            "lift": (lift, lift.nu), "moved": (moved, moved.nu)}
 
 
 @pytest.mark.parametrize("provider", ["frenet", "polyline", "lift", "moved"])
 def test_kernels_match_broadcast_formulas_bitwise(block_frames, provider):
     frame, want_nu = block_frames[provider]
     assert _same_bits(frame.nu, want_nu)
-    values = {"pedaloid": 0.4, "slant": 0.7, "parallel": 1.7}
-    cases = [(kind, tr.transform_frame(frame, kind, values.get(kind)))
-             for kind in tr.TRANSFORM_KINDS]
-    cases += [(kind, tr.TRANSFORMS[kind][0](frame, values[kind], normal=True))
-              for kind in ("parallel", "slant")]
-    cases += [("primitive", tr.primitive_kernel(frame, normal=True)),
-              ("invert", tr.invert_kernel(frame, "inverted"))]
-    for kind, out in cases:
-        points, flags, normal = _ref_kernel(frame, kind, values.get(kind))
+    for kind, out in _kernel_runs(frame):
+        points, flags, normal = _ref_kernel(frame, kind, _VALUES.get(kind))
         assert _same_bits(out.points, points), kind
         assert _same_bits(out.flags, flags), kind
         assert out.nu is None or _same_bits(out.nu, normal), kind
@@ -489,3 +514,107 @@ def test_invert_kernel_without_a_normal_flags_what_it_cannot_invert():
     assert not mask[[3, 5, 7, 11, 13]].any() and mask.sum() == 59
     assert out.flags[11] == tr.FLAG_NEAR_SINGULAR
     assert _same_bits(out.points[mask], inv[mask])
+
+
+# ---------------------------------------------------------------------------
+# frames and kernels run block by block against one-shot references:
+# grids on each side of a block edge, closed and open
+
+
+_EDGE_SAMPLES = (JET_BLOCK - 1, JET_BLOCK, JET_BLOCK + 1, 3 * JET_BLOCK + 5)
+
+# the front, open, with its four cusps inside
+_FRONT_ARC = parse_curve(
+    "x = (30*cos(t) - 17*cos(3*t) + 3*cos(5*t))/32\n"
+    "y = sin(t)*(23 + 4*cos(2*t) - 3*cos(4*t))/(16*sqrt(2))\n"
+    "t_min = 0.3\nt_max = 5.5\nclosed = false")
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+@pytest.mark.parametrize("n", _EDGE_SAMPLES)
+def test_blocked_frames_and_kernels_equal_one_shot_bitwise(n, closed):
+    curve = builtin_curve("front") if closed else _FRONT_ARC
+    grid = sample_grid(curve, n)
+    frenet = tr.frenet_frame(curve, grid)
+    p, d1 = _jets_xy(curve, grid, 1)
+    assert _same_bits(frenet.points, p)
+    assert _same_bits(frenet.nu, _one_shot_unit_normal(d1))
+
+    # row k, in the last block, has |<g, nu>| = 0.75 eps_d of the frame;
+    # the eps_d of the block's own points is smaller, so only the
+    # frame's flags it near_singular
+    k = n - 1 - (n - 1) % JET_BLOCK // 2
+    den = 0.75 * _moved(frenet, k, 0.0).eps_d
+    moved = _moved(frenet, k, den)
+    block = slice(k - k % JET_BLOCK, k - k % JET_BLOCK + JET_BLOCK)
+    if n > JET_BLOCK:
+        assert tr.DENOM_REL_EPS * bbox_diameter(moved.points[block], moved.ok[block]) < den
+    assert np.isnan(moved.nu).any() and moved.closed == closed
+
+    pe = tr.pedal_kernel(moved)
+    poly = tr.polyline_frames(pe)
+    assert _same_bits(poly.nu, _one_shot_polyline_normal(pe))
+    assert np.isfinite(poly.nu).any()
+
+    for name, frame in (("frenet", frenet), ("moved", moved), ("polyline", poly)):
+        for kind, out in _kernel_runs(frame):
+            points, flags, normal = _ref_kernel(frame, kind, _VALUES.get(kind))
+            assert _same_bits(out.points, points), (name, kind)
+            assert _same_bits(out.flags, flags), (name, kind)
+            assert out.nu is None or _same_bits(out.nu, normal), (name, kind)
+            assert out.grid is frame.grid
+    assert tr.antipedal_kernel(moved).flags[k] == tr.FLAG_NEAR_SINGULAR
+
+
+def test_origin_in_a_later_block_is_refused_at_its_first_sample():
+    curve = parse_curve("x = t - 3\ny = t^2 - 9\nt_min = 0\nt_max = 4\n"
+                        "closed = false\nsamples = 40001")
+    frame = tr.frenet_frame(curve)
+    n2 = dot_xy(frame.points, frame.points)
+    hits = np.flatnonzero(n2 < ORIGIN_EPS * ORIGIN_EPS)
+    assert JET_BLOCK <= hits[0] < 2 * JET_BLOCK
+    with pytest.raises(OriginSingularity) as one_shot:
+        tr._check_origin(frame.grid, n2, "the primitive transform")
+    assert f"near t={frame.grid[hits[0]]:.6g}" in str(one_shot.value)
+    with pytest.raises(OriginSingularity, match=f"^{re.escape(str(one_shot.value))}$"):
+        tr.primitive_kernel(frame, normal=True)
+    for kind in ("parallel", "slant", "perp-primitive"):
+        want = str(one_shot.value).replace("primitive", kind, 1)
+        with pytest.raises(OriginSingularity, match=f"^{re.escape(want)}$"):
+            tr.apply_transform(curve, kind, angle=0.4, ratio=2.0)
+
+
+def _traced_peak(run):
+    """(peak traced bytes, result) of run()."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_run_in_bounded_memory():
+    # one run over the whole 2^17-row frame peaks near 7 MB
+    frame = tr.frenet_frame(builtin_curve("ellipse", samples=1 << 17))
+    plain = dataclasses.replace(frame, nu=None)  # a sampled curve without a normal
+    runs = [lambda kind=kind: tr.transform_frame(frame, kind, _VALUES.get(kind))
+            for kind in tr.TRANSFORM_KINDS]  # the first with a denominator measures eps_d
+    for run in runs + [lambda: tr.invert_kernel(plain, "inverted")]:
+        peak, out = _traced_peak(run)
+        assert out.nu is None and peak < 3.5e6, out.kind
+    # an output normal is held too, but no more than the block's
+    for run in (lambda: tr.primitive_kernel(frame, normal=True),
+                lambda: tr.invert_kernel(frame, "inverted")):
+        peak, out = _traced_peak(run)
+        assert peak < out.points.nbytes + out.nu.nbytes + out.flags.nbytes + 1.5e6, out.kind
+
+
+def test_frames_are_built_in_bounded_memory():
+    # one build over the whole 2^17-row grid peaks 6.3 MB above what it keeps
+    ell = builtin_curve("ellipse", samples=1 << 17)
+    peak, frame = _traced_peak(lambda: tr.frenet_frame(ell))
+    assert peak < sum(a.nbytes for a in (frame.grid, frame.points, frame.nu, frame.flags)) + 2e6
+    pr = tr.primitive_kernel(frame)
+    peak, poly = _traced_peak(lambda: tr.polyline_frames(pr))
+    assert peak < poly.nu.nbytes + 2e6

@@ -17,6 +17,9 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
 - `transform --kind primitive|antipedal --samples 20000` on the front:
   frames that span two jet blocks, with flags that depend on the
   denominator guard scale eps_d;
+- `transform --kind slant --angle 0.4 --samples 40000` on the open
+  parabola arc: a kernel run over two full blocks and a partial third,
+  with undefined end rows;
 - `plot --figure N` for every gallery figure;
 - `plot --curve` with source, primitive and slant overlays and 64
   family lines, on the ellipse and on an open ellipse arc written as a
@@ -31,6 +34,8 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
 - `verify --suite oracle --samples 40000` on the ellipse and the front:
   envelopes that span three solve blocks; and at 1048576 samples on the
   ellipse, whose maxima are taken over 64 blocks;
+- `verify --suite inverse-pair --samples 40000` on the ellipse and the
+  front: polyline frames and the kernels on them over three blocks;
 - `detect` for every kind on the built-ins, at the default sample count
   and at 65536 samples, and on the inverted ellipse;
 - input errors: a curve file whose x is nested 400 parentheses deep, a
@@ -50,7 +55,9 @@ for a file whose numbers alone differ it prints how many fields
 differ and the largest relative change |a - b| / max(|a|, |b|), with
 the line it is on (a field that differs only in the sign of a zero
 counts, with change 0).  The exit code is 1 if any text differs, else
-0.
+0.  Any other argument that starts with "-" (such as --help), or a
+wrong number of arguments, prints the usage and exits 2, writing
+nothing.
 
 A command that raises instead of returning an exit code gets `exit
 traceback <ExceptionType>`, without the stack, so that the file stays
@@ -106,7 +113,8 @@ ERROR_FILES = {
 }
 ERROR_ARGS = ["transform", "--curve", "ellipse", "--kind", "pedal", "--angle", "0.3"]
 
-# the verify --suite oracle cases: more samples than two jet blocks hold
+# the verify --suite oracle and inverse-pair cases, and the slant of the
+# parabola arc: more samples than two blocks hold
 ORACLE_SAMPLES = "40000"
 # and the one at 2^20 samples
 LARGE_ORACLE_SAMPLES = "1048576"
@@ -158,6 +166,9 @@ def write_goldens(outdir: str) -> int:
     for kind in JET_BLOCKS_KINDS:
         run(f"transform-front-{kind}-{JET_BLOCKS_SAMPLES}.txt",
             ["transform", "--curve", "front", "--kind", kind, "--samples", JET_BLOCKS_SAMPLES])
+    run(f"transform-parabola-arc.curve-slant-{ORACLE_SAMPLES}.txt",
+        ["transform", "--curve", "parabola-arc.curve", "--kind", "slant", "--angle", "0.4",
+         "--samples", ORACLE_SAMPLES])
     for number in FIGURE_NUMBERS:
         run(f"figure-{number}.txt", ["plot", "--figure", str(number)])
     with open("open-arc.curve", "w", encoding="utf-8", newline="\n") as fh:
@@ -178,8 +189,9 @@ def write_goldens(outdir: str) -> int:
     for curve in curves + ["open-arc.curve", "parabola-arc.curve"]:
         run(f"verify-{curve}.txt", ["verify", "--curve", curve, "--suite", "all"])
     for curve in ("ellipse", "front"):
-        run(f"verify-{curve}-oracle-{ORACLE_SAMPLES}.txt",
-            ["verify", "--curve", curve, "--suite", "oracle", "--samples", ORACLE_SAMPLES])
+        for suite in ("oracle", "inverse-pair"):
+            run(f"verify-{curve}-{suite}-{ORACLE_SAMPLES}.txt",
+                ["verify", "--curve", curve, "--suite", suite, "--samples", ORACLE_SAMPLES])
     run(f"verify-ellipse-oracle-{LARGE_ORACLE_SAMPLES}.txt",
         ["verify", "--curve", "ellipse", "--suite", "oracle", "--samples", LARGE_ORACLE_SAMPLES])
     for curve in BUILTIN_NAMES:
@@ -255,8 +267,11 @@ def compare(dir_a: str, dir_b: str) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        sys.exit(compare(sys.argv[2], sys.argv[3]))
-    if len(sys.argv) != 2:
-        sys.exit(__doc__.split("\n\n")[1] + "\n" + __doc__.split("\n\n")[5])
-    sys.exit(write_goldens(sys.argv[1]))
+    args = sys.argv[1:]
+    comparing = args[:1] == ["--compare"]
+    if comparing:
+        args = args[1:]
+    if len(args) != (2 if comparing else 1) or any(a.startswith("-") for a in args):
+        print(__doc__.split("\n\n")[1] + "\n" + __doc__.split("\n\n")[5], file=sys.stderr)
+        sys.exit(2)
+    sys.exit(compare(*args) if comparing else write_goldens(args[0]))
