@@ -45,7 +45,7 @@ from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, _unit_frame, check_define
 from .errors import HypothesisViolated, LiftFailure
 from .transforms import (DEGENERATE_ANGLE_EPS, FLAG_OK, MappedCurve,
                          TransformKind)
-from .vec import dot_xy, perp_xy, scale_xy
+from .vec import dot_xy, median, perp_xy, scale_xy
 
 # consecutive lifted normals must stay at least this aligned
 CONTINUITY_MIN_DOT = 0.5
@@ -156,7 +156,7 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
     if refined.any():
         t_flip[refined] = _refine_flips(curve, ts[hi - 1][refined], ts[hi][refined])
         v = velocity_xy(curve, t_flip[refined])
-        median_speed = float(np.median(speed[regular]))
+        median_speed = median(speed[regular])
         if median_speed:
             undersampled[hi[refined] - 1] = np.hypot(v[:, 0], v[:, 1]) > 1e-3 * median_speed
     bad = np.flatnonzero(undersampled | (np.abs(dots) < CONTINUITY_MIN_DOT))

@@ -10,8 +10,11 @@ Both are formatted and written in blocks of rows (polyline points for
 SVG), so the text of a whole curve is never held in memory at once.
 The numbers of a block are formatted by one numpy kernel,
 `_format_rows`, byte for byte as '%.17g' (CSV) or '%.8g' (SVG) would;
-its lookup tables are built on the first write.  The few values it
-cannot round with certainty are formatted by Python's '%' instead.
+its lookup tables are built on the first write.  It works word-major:
+each 8-byte word of text is one array over all the columns of a block,
+and one copy puts the words in row order.  The few values it cannot
+round with certainty are formatted by Python's '%' instead.  A closed
+curve kept whole is a view of its points, drawn back to its first point.
 """
 
 from __future__ import annotations
@@ -40,12 +43,16 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 _BLOCK = 4096
 
 # '%.Pg' in numpy.  The P-digit mantissa of x is |x| * 10^(P-1-e),
-# e = floor(log10|x|), taken as a double-double product (Dekker's split,
-# as numpy has no fused multiply-add) with a (hi, lo) table of powers of
-# ten.  Each number becomes a row of uint64 words of text: separator,
-# sign and "0.000" prefix, "d.d.d.d." digit quads and an exponent; a
-# mask chosen by the number's notation, e and significant digits zeroes
-# the bytes it does not print, and the zero bytes are then dropped.
+# e = floor(log10|x|).  For P <= 8 it is one product with the correctly
+# rounded power of ten, within 2.3e-8 of the exact value (two roundings
+# below 10^8); for larger P a double-double product (Dekker's split, as
+# numpy has no fused multiply-add) with a (hi, lo) table of powers of
+# ten.  Each number becomes uint64 words of text: separator, sign and
+# "0.000" prefix, "d.d.d.d." digit quads and an exponent.  Each word is
+# one contiguous array over the stacked columns of a block; ANDed with
+# its own row of the mask table, at the entry of the number's notation,
+# e and significant digits, it keeps only the bytes that are printed.  One
+# copy puts the words in row order and one translate drops the zeros.
 # Zeros, non-finite values, |e| >= _EMAX, exponent estimates that were
 # off and mantissas within 1e-7 of a rounding tie go to Python's '%'.
 _EMAX = 256
@@ -94,8 +101,39 @@ def _tables(P: int) -> tuple[np.ndarray, ...]:
                 if sci:
                     m[-8:] = b"\xff" * 8
                 masks += m
-    masks = np.frombuffer(bytes(masks), np.uint64).reshape(-1, Q + 2)
+    masks = np.frombuffer(bytes(masks), np.uint64).reshape(-1, Q + 2).T.copy()
     return hi, hh, hi - hh, lo, quads, sig, exps, masks
+
+
+def _mantissas(v: np.ndarray, P: int) -> tuple[np.ndarray, ...]:
+    """The P-digit mantissa m and exponent e of each |v|, and whether
+    they are certain."""
+    hi, hh, hl, lo = _tables(P)[:4]
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    ok = np.abs(e) < _EMAX
+    a[~ok] = 1.0
+    e = np.where(ok, e, 0.0).astype(np.int64)
+    p = a * np.take(hi, e + _EMAX)
+    err = 0.0
+    if P > 8:
+        hh, hl, lo = (np.take(t, e + _EMAX) for t in (hh, hl, lo))
+        s = _SPLIT * a
+        ah = s - (s - a)
+        al = a - ah
+        err = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo  # p + err ~ a * 10^(P-1-e)
+    whole = np.floor(p)
+    frac = (p - whole) + err
+    carry = np.floor(frac)
+    frac -= carry
+    m = whole.astype(np.int64) + carry.astype(np.int64)
+    ok &= (m >= 10 ** (P - 1)) & (m < 10 ** P) & (np.abs(frac - 0.5) > 1e-7)
+    m = np.where(ok, m + (frac > 0.5), 10 ** (P - 1))
+    up = m == 10 ** P  # rounded into the next decade
+    m[up] = 10 ** (P - 1)
+    e += up
+    return m, e, ok
 
 
 def _format_rows(cols, P: int, seps, tail) -> str:
@@ -103,55 +141,37 @@ def _format_rows(cols, P: int, seps, tail) -> str:
     each number as '%.{P}g' % v formats it.  Each separator is at most
     one character; tail is one bytes string or an array of them, one per
     row."""
-    *ten, quads, sig, exps, masks = _tables(P)
-    n, w = len(cols[0]), masks.shape[1]
+    quads, sig, exps, masks = _tables(P)[4:]
+    k, n, w = len(cols), len(cols[0]), len(masks)
+    v = np.concatenate(cols)  # column c is v[c * n:(c + 1) * n]
+    m, e, ok = _mantissas(v, P)
+    words = np.empty((w, k * n), np.uint64)
+    words[0].reshape(k, n)[:] = [np.frombuffer(sep.encode().ljust(1, b"\0") + b"-0.000\0",
+                                               np.uint64) for sep in seps]
+    nsig = 0
+    for j, q in enumerate(range(P - 4, -4, -4)):  # q digits follow quad j
+        if q > 0:
+            g = m // 10 ** q
+            m -= g * 10 ** q
+        else:
+            g = m * 10 ** -q
+        words[1 + j] = np.take(quads, g)
+        nsig = np.maximum(nsig, np.take(sig, g) + 4 * j)
+    words[-1] = np.take(exps, e + _EMAX)
+    idx = (np.signbit(v) * (P + 6) + np.clip(e, -5, P) + 5) * P + nsig - 1
+    for word, mask in zip(words, masks):
+        word &= np.take(mask, idx)
     tail = np.asarray(tail)
     tw = -(-tail.itemsize // 8) if tail.ndim or tail.item() else 0  # b"" takes no word
-    buf = bytearray(8 * n * (len(cols) * w + tw))
-    rows = np.frombuffer(buf, np.uint64).reshape(n, -1)
+    rows = np.empty((n, k * w + tw), np.uint64)  # every word is written below
+    rows[:, :k * w].reshape(n, k, w)[:] = words.reshape(w, k, n).transpose(2, 1, 0)
     if tw:
-        rows[:, len(cols) * w:] = tail.astype(f"S{8 * tw}").view(np.uint64).reshape(-1, tw)
-    for col, (v, sep) in enumerate(zip(cols, seps)):
-        W = rows[:, col * w:(col + 1) * w]
-        a = np.abs(v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e = np.floor(np.log10(a))
-        ok = np.abs(e) < _EMAX
-        a[~ok] = 1.0
-        e = np.where(ok, e, 0.0).astype(np.int64)
-        hi, hh, hl, lo = (np.take(t, e + _EMAX) for t in ten)
-        p = a * hi
-        s = _SPLIT * a
-        ah = s - (s - a)
-        al = a - ah
-        err = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo  # p + err ~ a * 10^(P-1-e)
-        whole = np.floor(p)
-        frac = (p - whole) + err
-        carry = np.floor(frac)
-        frac -= carry
-        m = whole.astype(np.int64) + carry.astype(np.int64)
-        ok &= (m >= 10 ** (P - 1)) & (m < 10 ** P) & (np.abs(frac - 0.5) > 1e-7)
-        m = np.where(ok, m + (frac > 0.5), 10 ** (P - 1))
-        up = m == 10 ** P  # rounded into the next decade
-        m[up] = 10 ** (P - 1)
-        e += up
-        nsig = 0
-        for j, k in enumerate(range(P - 4, -4, -4)):  # k digits follow quad j
-            if k > 0:
-                g = m // 10 ** k
-                m -= g * 10 ** k
-            else:
-                g = m * 10 ** -k
-            W[:, 1 + j] = np.take(quads, g)
-            nsig = np.maximum(nsig, np.take(sig, g) + 4 * j)
-        W[:, 0] = np.frombuffer(sep.encode().ljust(1, b"\0") + b"-0.000\0", np.uint64)
-        W[:, -1] = np.take(exps, e + _EMAX)
-        W &= np.take(masks, (np.signbit(v) * (P + 6) + np.clip(e, -5, P) + 5) * P + nsig - 1,
-                     axis=0)
-        for i in np.flatnonzero(~ok).tolist():
-            text = (sep + "%.*g" % (P, v[i])).encode()
-            W[i] = np.frombuffer(text.ljust(8 * w, b"\0"), np.uint64)
-    return buf.translate(None, b"\0").decode("ascii")
+        rows[:, k * w:] = tail.astype(f"S{8 * tw}").view(np.uint64).reshape(-1, tw)
+    for f in np.flatnonzero(~ok).tolist():
+        c, i = divmod(f, n)
+        text = (seps[c] + "%.*g" % (P, v[f])).encode()
+        rows[i, c * w:(c + 1) * w] = np.frombuffer(text.ljust(8 * w, b"\0"), np.uint64)
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_mapped_csv(mc: MappedCurve, fh: IO[str]) -> None:
@@ -179,39 +199,38 @@ def write_legendrian_csv(lc: LegendrianCurve, fh: IO[str]) -> None:
 
 @dataclass(frozen=True)
 class Overlay:
-    """One drawable curve: polyline segments in curve coordinates."""
+    """One drawable curve: polyline segments in curve coordinates.  A
+    closed overlay is one segment, drawn back to its first point."""
 
     segments: tuple[np.ndarray, ...]
     label: str
     color: str
+    closed: bool = False
 
 
-def _segments_from(points: np.ndarray, keep: np.ndarray, closed: bool) -> tuple[np.ndarray, ...]:
-    """Split into maximal runs of kept samples; a fully kept closed
-    curve gets its first point appended to close the loop."""
-    n = len(points)
+def _overlay(points: np.ndarray, keep: np.ndarray, closed: bool, label: str,
+             color: str) -> Overlay:
+    """Points split into maximal runs of kept samples.  A fully kept
+    curve is one run, a view of points, and closed if the curve is."""
     if keep.all():
-        if closed:
-            return (np.vstack([points, points[:1]]),)
-        return (points.copy(),)
+        return Overlay((points,), label, color, closed)
     idx = np.flatnonzero(keep)
     if idx.size == 0:
-        return ()
+        return Overlay((), label, color)
     runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
     # a closed curve whose first and last samples are kept wraps around
-    if closed and len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
+    if closed and len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == len(points) - 1:
         runs[0] = np.concatenate([runs[-1], runs[0]])
         runs.pop()
-    return tuple(points[r] for r in runs if len(r) >= 2)
+    return Overlay(tuple(points[r] for r in runs if len(r) >= 2), label, color)
 
 
 def overlay_from_mapped(mc: MappedCurve, label: str | None = None,
                         color: str = PALETTE[0]) -> Overlay:
     keep = (mc.flags == FLAG_OK) & finite_xy(mc.points)
-    segs = _segments_from(mc.points, keep, mc.closed)
     if label is None:
         label = f"{mc.kind.name} of {mc.source_name}"
-    return Overlay(segs, label, color)
+    return _overlay(mc.points, keep, mc.closed, label, color)
 
 
 # sampled frontals are mapped curves with a normal
@@ -223,8 +242,7 @@ def overlay_from_curve(curve: CurveDef, label: str | None = None,
     n = max(curve.samples, MIN_PLOT_SAMPLES)
     ts = sample_grid(curve, n)
     pts = position_xy(curve, ts)
-    segs = _segments_from(pts, finite_xy(pts), curve.closed)
-    return Overlay(segs, label or curve.name, color)
+    return _overlay(pts, finite_xy(pts), curve.closed, label or curve.name, color)
 
 
 @dataclass
@@ -269,10 +287,9 @@ def _svg_chunks(spec: PlotSpec) -> Iterator[str]:
     all_pts = [seg for ov in spec.overlays for seg in ov.segments]
     if not all_pts:
         raise RangeError("nothing to plot: no finite overlay points")
-    stacked = np.vstack(all_pts)
-    xmin, ymin = stacked.min(axis=0)
-    xmax, ymax = stacked.max(axis=0)
-    del stacked  # the generator keeps its locals alive until the last chunk
+    # the extent of each segment, so the segments are never stacked into one copy
+    xmin, ymin = np.min([seg.min(axis=0) for seg in all_pts], axis=0)
+    xmax, ymax = np.max([seg.max(axis=0) for seg in all_pts], axis=0)
     span_x = xmax - xmin
     span_y = ymax - ymin
     pad_x = 0.05 * span_x if span_x > 0 else 0.5
@@ -320,6 +337,8 @@ def _svg_chunks(spec: PlotSpec) -> Iterator[str]:
                 text = _format_rows((seg[i:i + _BLOCK, 0], -seg[i:i + _BLOCK, 1]), 8,
                                     (" ", ","), b"")
                 yield text if i else text[1:]
+            if ov.closed:  # back to the first point
+                yield _format_rows((seg[:1, 0], -seg[:1, 1]), 8, (" ", ","), b"")
             yield '"/>\n'
         yield "</g>\n"
     yield "</svg>\n"

@@ -31,7 +31,7 @@ from .errors import HypothesisViolated, InflectionPoint, RangeError
 from .transforms import (DENOM_REL_EPS, MappedCurve, frenet_frame, inversion_curvature,
                          inversion_curvature_grid, inversion_curvature_rows,
                          shift, stencil_ok)
-from .vec import dot_xy, finite_xy, scale_xy
+from .vec import dot_xy, finite_xy, median, scale_xy
 
 BISECT_TARGET = 1e-10
 BISECT_MAX_ITER = 80
@@ -281,7 +281,7 @@ def detect_cusps_numeric(mc: MappedCurve) -> list[float]:
 
     if not window_ok.any():
         return []
-    median = float(np.median(speed[window_ok]))
+    median_speed = median(speed[window_ok])
     local_min = (speed < shift(speed, 1, closed)) & (speed <= shift(speed, -1, closed))
-    hits = window_ok & local_min & (speed < CUSP_SPEED_FRACTION * median) & reversal
+    hits = window_ok & local_min & (speed < CUSP_SPEED_FRACTION * median_speed) & reversal
     return [float(mc.grid[i]) for i in np.flatnonzero(hits)]

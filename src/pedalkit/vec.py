@@ -1,4 +1,5 @@
-"""Dot products, quarter turns, rotations and inversion of plane points.
+"""Dot products, quarter turns, rotations and inversion of plane points,
+and the median of a sample.
 
 A point or vector is a float64 array whose last axis has length 2: an
 (n, 2) array on a grid, a length-2 array for one point (what the
@@ -75,3 +76,16 @@ def invert_xy(pts: np.ndarray) -> np.ndarray:
         out = scale_xy(np.divide, pts, n2)
     out[n2 < ORIGIN_EPS * ORIGIN_EPS] = np.nan
     return out
+
+
+def median(x: np.ndarray) -> float:
+    """np.median of a non-empty 1-d float array, bit for bit: the middle
+    entry or the mean of the two, nan if any entry is nan.  np.median
+    imports numpy.ma on its first call, about 15 ms of a process."""
+    n = len(x)
+    h = n // 2
+    part = np.partition(x, [h, -1] if n % 2 else [h - 1, h, -1])
+    if np.isnan(part[-1]):
+        return math.nan
+    # numpy's mean sums from +0.0, so a -0.0 median comes out +0.0
+    return float(0.0 + part[h] if n % 2 else (0.0 + part[h - 1] + part[h]) / 2)

@@ -29,7 +29,7 @@ from .curve import (JET_BLOCK, CurveDef, builtin_curve, frenet_grid, position_xy
                     row_blocks, sample_grid)
 from .envelope import circle_family_check, envelope, make_family
 from .errors import HypothesisViolated, RangeError
-from .vec import dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy
+from .vec import dot_xy, finite_xy, invert_xy, median, perp_xy, rotate_xy
 
 SUITES = ("inversion", "duality", "parallel", "slant", "inverse-pair",
           "oracle", "singularity", "frontal", "all")
@@ -119,7 +119,7 @@ def stable_mask(mc: tr.MappedCurve) -> np.ndarray:
     with np.errstate(all="ignore"):
         central = tr.shift(mc.points, 1, mc.closed) - tr.shift(mc.points, -1, mc.closed)
         speed = np.hypot(central[:, 0], central[:, 1])
-    ref = np.median(speed[good]) if good.any() else 0.0
+    ref = median(speed[good]) if good.any() else 0.0
     slow = (~good | ~np.isfinite(speed)
             | (speed < STABLE_FRAC * ref) | (speed * STABLE_FRAC > ref))
     return good & tr.stencil_ok(~slow, mc.closed)
@@ -319,7 +319,7 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
     fg = frenet_grid(curve, sample_grid(curve, max(4096, curve.samples)))
     ts = fg.ts
     speeds = fg.speed[fg.regular]
-    if (~fg.regular).any() or speeds.min() < 1e-3 * np.median(speeds):
+    if (~fg.regular).any() or speeds.min() < 1e-3 * median(speeds):
         # Cusp criterion, vertex matching, and bisection refinement all
         # assume a regular source curve; run the frontal suite instead.
         raise HypothesisViolated(

@@ -1,0 +1,33 @@
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LAYERS = os.path.join(ROOT, "tools", "layers.py")
+
+
+def test_layers_tool_records_the_output_layer(tmp_path):
+    # a smoke run at 1024 samples: the record's shape, not its times
+    out = tmp_path / "bench.json"
+    for _ in range(2):
+        done = subprocess.run([sys.executable, LAYERS, str(out), "--samples", "1024",
+                               "--runs", "2"], capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 1  # a rerun of the same checkout replaces its record
+    rec = records[0]
+    assert {"git_sha", "src_differs_from_commit", "src_sha256", "numpy", "cpu_count"} <= set(rec)
+    assert [(r["function"], r["samples"]) for r in rec["results"]] == [
+        ("write_mapped_csv", 1024), ("render_to_file", 1024)]
+    for r in rec["results"]:
+        assert r["runs"] == 2 and r["bytes"] > 0
+        assert 0 < r["q1_s"] <= r["median_s"] <= r["q3_s"]
+        assert r["call_peak_mb"] > 0 and r["peak_rss_mb"] > 0
+
+
+def test_layers_tool_rejects_bad_arguments(tmp_path):
+    done = subprocess.run([sys.executable, LAYERS, str(tmp_path / "x.json"), "--runs", "0"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert not (tmp_path / "x.json").exists()

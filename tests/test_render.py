@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,18 +71,21 @@ def test_closed_segments_wrap_and_close():
     ts = sample_grid(c, 32)
     pe = tr.pedal(c, ts)
     ov = rd.overlay_from_mapped(pe)
-    assert len(ov.segments) == 1
-    seg = ov.segments[0]
-    # loop closed by repeating the first point
-    assert len(seg) == 33
-    np.testing.assert_array_equal(seg[0], seg[-1])
+    assert len(ov.segments) == 1 and ov.closed
+    # the segment is the curve itself; the polyline closes the loop by
+    # repeating the first point
+    assert np.shares_memory(ov.segments[0], pe.points)
+    polyline = rd.render_svg(rd.PlotSpec([ov])).split('points="')[1].split('"')[0]
+    points = polyline.split(" ")
+    assert len(points) == 33
+    assert points[0] == points[-1]
 
     # a hole across the seam merges the two boundary runs
     flags = pe.flags.copy()
     flags[16] = FLAG_NEAR_SINGULAR
     holed = MappedCurve(pe.source_name, pe.kind, pe.grid, pe.points, flags, True)
     ov2 = rd.overlay_from_mapped(holed)
-    assert len(ov2.segments) == 1
+    assert len(ov2.segments) == 1 and not ov2.closed
     assert len(ov2.segments[0]) == 31
 
 
@@ -274,6 +278,75 @@ def test_format_rows_without_a_tail_is_percent_on_point_pairs():
     xy[::7] = [1e-5, -123456785.0]
     text = rd._format_rows((xy[:, 0], xy[:, 1]), 8, (" ", ","), b"")
     assert text == "".join(" %.8g,%.8g" % (x, y) for x, y in xy.tolist())
+
+
+@pytest.mark.parametrize("P", [17, 8])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("tail", [b"", b"\n", "per-row"])
+def test_format_rows_is_percent_on_blocks_of_k_columns(P, k, tail):
+    # the kernel stacks the k columns into one array and copies each
+    # word back into row order; the first column takes the kernel path
+    # only, so every fallback row is written into a later column
+    rng = np.random.default_rng(10 * k + P)
+    n = 1000
+    cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n)]
+    cols += [edge_column(rng, n) for _ in range(k - 1)]
+    seps = ("",) + tuple(rng.choice([",", " ", ";"], k - 1))
+    if tail == "per-row":
+        tail = np.array([f",{name}\n".encode() for name in FLAG_NAMES])[rng.integers(0, 3, n)]
+        tails = tail.tolist()
+    else:
+        tails = [tail] * n
+    want = "".join("".join(sep + "%.*g" % (P, c) for sep, c in zip(seps, row)) + t.decode()
+                   for row, t in zip(zip(*(c.tolist() for c in cols)), tails))
+    got = rd._format_rows(cols, P, seps, tail)
+    if got != want:  # named at the first difference: pytest's diff of long strings is slow
+        i = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"differ at {i}: {got[i - 30:i + 30]!r} != {want[i - 30:i + 30]!r}")
+
+
+def near_ties(P, count, seed):
+    """Doubles x whose exact P-digit mantissa x * 10^(P-1-e) = m + f has f
+    within 1e-12 to 1e-6 of 1/2 (a rounding tie) or of 0 or 1 (an integer
+    mantissa), in random decades e.  A double is M * 2^q, and m + f =
+    M * g / den with den = 2^A 5^B coprime to g, so M = R / g mod den
+    gives f = R / den for any chosen R.  Decades whose den is too small
+    to hold such an f, or too large to solve for cheaply, are skipped."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        e = int(rng.integers(-300, 300))
+        q = math.floor(e * math.log2(10)) - 52 + int(rng.integers(0, 2))
+        s = P - 1 - e
+        den = 2 ** max(0, -(q + s)) * 5 ** max(0, -s)
+        if not 2 ** 24 <= den <= 2 ** 64:
+            continue
+        ginv = pow(2 ** max(0, q + s) * 5 ** max(0, s), -1, den)
+        target = float(rng.choice([0.5, 0.0, 1.0]))
+        sign = 1 if target == 0.0 else -1 if target == 1.0 else int(rng.choice([-1, 1]))
+        R = round((target + sign * 10.0 ** rng.uniform(-12, -6)) * den)
+        for R in range(R, R + sign * 4096, sign):  # until M is a 53-bit integer
+            if not 1e-12 <= abs(R / den - target) <= 1e-6:
+                break
+            M = R * ginv % den
+            if den <= 2 ** 52:
+                M += den * int(rng.integers(-(-2 ** 52 // den), 2 ** 53 // den))
+            if 2 ** 52 <= M < 2 ** 53:
+                x = math.ldexp(M, q)
+                if Fraction(10) ** e <= Fraction(x) < Fraction(10) ** (e + 1):
+                    mantissa = Fraction(x) * Fraction(10) ** s
+                    assert 1e-12 <= abs(float(mantissa % 1) - target) <= 1e-6
+                    out.append(float(rng.choice([-x, x])))
+                break
+    return np.array(out)
+
+
+@pytest.mark.parametrize("P", [17, 8])
+def test_format_rows_is_percent_near_ties_and_integer_mantissas(P):
+    values = near_ties(P, 2000, P)
+    assert len(set(np.floor(np.log10(np.abs(values))).tolist())) >= 20  # decades
+    got, want = formatted(values, P)
+    assert got == want
 
 
 def test_importing_pedalkit_builds_no_formatting_table():

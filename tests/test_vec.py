@@ -1,11 +1,15 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pedalkit.vec import ORIGIN_EPS, invert_xy, perp_xy, rotate_xy, scale_xy
+from pedalkit.vec import ORIGIN_EPS, invert_xy, median, perp_xy, rotate_xy, scale_xy
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 nonzero_pt = st.tuples(finite, finite).filter(lambda p: math.hypot(*p) > 1e-6)
@@ -133,3 +137,39 @@ def test_scale_xy_is_the_broadcast_bitwise_warnings_included(op):
         expected = _outcome(want)
         assert _outcome(got) == expected
     assert _outcome(cases[0][1])[1]  # the edge values do make op warn
+
+
+def _same(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (math.isnan(a) and math.isnan(b))
+
+
+def test_median_is_np_median_bitwise_on_odd_and_even_sizes():
+    edges = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, and overflow of the mean
+        for n in range(1, 5):
+            for combo in itertools.product(edges, repeat=n):
+                x = np.array(combo)
+                assert _same(median(x), np.median(x)), combo
+    rng = np.random.default_rng(5)
+    for n in list(range(1, 40)) + [4096, 4097]:
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+        x[rng.random(n) < 0.1] = 0.0  # repeated entries
+        assert _same(median(x), np.median(x)), n
+        assert isinstance(median(x), float)
+
+
+def test_verify_and_plot_do_not_import_numpy_ma():
+    # np.median imports numpy.ma on its first call, ~15 ms a process
+    code = ("import contextlib, io, os, sys, tempfile\n"
+            "from pedalkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', '--suite', 'all', '--curve', 'front']) == 0\n"
+            "    assert 'numpy.ma' not in sys.modules, 'verify'\n"
+            "    with tempfile.TemporaryDirectory() as d:\n"
+            "        assert main(['plot', '--figure', '8', '--svg', os.path.join(d, 'f.svg')]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'plot'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(median.__code__.co_filename)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,0 +1,163 @@
+"""Time pedalkit layer by layer and record the numbers in a BENCH_<n>.json.
+
+    python3 tools/layers.py OUT.json [--checkout DIR] [--samples N ...] [--runs R]
+
+Measures the pedalkit of the checkout DIR (by default the one holding
+this file) and adds its record to OUT.json, replacing a record with the
+same label: the short git SHA of DIR, with "-dirty" if its `src/`
+differs from that commit.  Running it on two checkouts into one file
+gives a before/after pair.
+
+Only the output layer is measured so far: `render.write_mapped_csv`
+(the CSV of `transform`) and `render.render_to_file` (its SVG), on the
+primitive of the built-in ellipse at each sample count (default 2^16
+and 2^20).  Each (function, samples) case runs in a fresh child
+process, which
+
+- builds the mapped curve (and, for the SVG, its overlay) untimed;
+- makes one cold call, which also builds the formatting tables;
+- makes R more calls (default 7) and reports their median and
+  quartiles (`statistics.quantiles`, n=4, inclusive);
+- makes one more call under `tracemalloc`, started just before it, and
+  reports the peak of the memory traced: the writer's own temporaries;
+- reports its peak resident memory (`VmHWM`) after the last call,
+  which is mostly that of building the mapped curve, and the bytes
+  written.
+
+Files are written to a temporary directory that is removed afterwards.
+A record also holds the git SHA of DIR, whether its `src/` differs from
+that commit, a SHA-256 of its `src/pedalkit/*.py`, and the numpy and
+Python versions and CPU count of the host.  There is no wall-time gate:
+the numbers describe one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+
+import numpy
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+FUNCTIONS = ("write_mapped_csv", "render_to_file")
+
+
+def peak_rss_mb() -> float:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
+def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
+    """One case, in this process: the pedalkit on sys.path is measured."""
+    from pedalkit import render, transforms
+    from pedalkit.curve import builtin_curve, sample_grid
+
+    curve = builtin_curve("ellipse")
+    mc = transforms.primitive(curve, sample_grid(curve, samples))
+    path = os.path.join(tmpdir, f"{function}-{samples}")
+    if function == "write_mapped_csv":
+        def call():
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                render.write_mapped_csv(mc, fh)
+    else:
+        spec = render.PlotSpec([render.overlay_from_mapped(mc)])
+
+        def call():
+            render.render_to_file(spec, path)
+    times = []
+    for _ in range(runs + 1):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    cold, warm = times[0], times[1:]
+    q1, _, q3 = (statistics.quantiles(warm, n=4, method="inclusive") if len(warm) > 1
+                 else (warm[0],) * 3)
+    tracemalloc.start()  # traces only what is allocated from here on
+    call()
+    call_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"layer": "render", "function": function, "samples": samples,
+            "bytes": os.path.getsize(path), "cold_s": round(cold, 6),
+            "median_s": round(statistics.median(warm), 6), "q1_s": round(q1, 6),
+            "q3_s": round(q3, 6), "runs": runs, "call_peak_mb": round(call_peak / 2**20, 2),
+            "peak_rss_mb": round(peak_rss_mb(), 1)}
+
+
+def git(checkout: str, *args: str) -> str | None:
+    try:
+        done = subprocess.run(["git", "-C", checkout, *args], capture_output=True,
+                              text=True, timeout=60)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def record(checkout: str, samples: list[int], runs: int) -> dict:
+    src = os.path.join(checkout, "src")
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(src, "pedalkit", "*.py"))):
+        with open(path, "rb") as fh:
+            digest.update(os.path.basename(path).encode() + b"\0" + fh.read())
+    sha = git(checkout, "rev-parse", "HEAD")
+    status = git(checkout, "status", "--porcelain", "--", "src")
+    results = []
+    with tempfile.TemporaryDirectory() as tmpdir:
+        for n in samples:
+            for function in FUNCTIONS:
+                done = subprocess.run(
+                    [sys.executable, os.path.abspath(__file__), "--child", function, str(n),
+                     str(runs), tmpdir],
+                    capture_output=True, text=True, timeout=3600,
+                    env={**os.environ, "PYTHONPATH": src})
+                if done.returncode != 0:
+                    raise SystemExit(f"{function} at {n} samples failed:\n{done.stderr}")
+                results.append(json.loads(done.stdout.splitlines()[-1]))
+                print(f"{function:>16} {n:>8}: median {results[-1]['median_s']:.4f} s, "
+                      f"call peak {results[-1]['call_peak_mb']} MB", file=sys.stderr)
+    label = (sha[:7] if sha else os.path.basename(checkout)) + ("-dirty" if status else "")
+    return {"label": label, "git_sha": sha, "src_differs_from_commit": bool(status),
+            "src_sha256": digest.hexdigest(), "numpy": numpy.__version__,
+            "python": platform.python_version(), "cpu_count": os.cpu_count(),
+            "results": results}
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--child"]:
+        function, n, runs, tmpdir = argv[1:]
+        print(json.dumps(child(function, int(n), int(runs), tmpdir)))
+        return 0
+    ap = argparse.ArgumentParser(prog="tools/layers.py", description=__doc__.split("\n")[0])
+    ap.add_argument("out", metavar="OUT.json")
+    ap.add_argument("--checkout", default=os.path.dirname(HERE))
+    ap.add_argument("--samples", type=int, nargs="+", default=[1 << 16, 1 << 20])
+    ap.add_argument("--runs", type=int, default=7)
+    args = ap.parse_args(argv)
+    if args.runs < 1 or min(args.samples) < 16:
+        ap.error("need --runs >= 1 and --samples >= 16")
+    rec = record(os.path.abspath(args.checkout), args.samples, args.runs)
+    data = {"records": []}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            data = json.load(fh)
+    data["records"] = [r for r in data["records"] if r["label"] != rec["label"]] + [rec]
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
