@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -140,9 +141,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
             raise RangeError("plot needs --curve (or --figure)")
         curve = _resolve_curve(args.curve, args.samples)
         overlays = []
-        requested = args.overlay or ["source"]
-        for i, ov_spec in enumerate(requested):
-            kind, value = _parse_overlay(ov_spec)
+        requested = [_parse_overlay(ov_spec) for ov_spec in args.overlay or ["source"]]
+        if any(kind != "source" for kind, _ in requested):
+            tr.frenet_frame(curve)  # kept on the curve: the source overlay reads its points
+        for i, (kind, value) in enumerate(requested):
             color = PALETTE[i % len(PALETTE)]
             if kind == "source":
                 overlays.append(overlay_from_curve(curve, color=color))
@@ -181,17 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle", type=float, default=None,
                    help="angle for slant/pedaloid (radians)")
     p.add_argument("--ratio", type=float, default=None, help="ratio for parallel")
-    p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("detect", help="locate singular parameters")
     shared(p)
     p.add_argument("--what", required=True, choices=DETECT_KINDS)
-    p.set_defaults(fn=cmd_detect)
 
     p = sub.add_parser("verify", help="run a named identity suite")
     shared(p)
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("plot", help="render overlays to SVG")
     shared(p, curve_required=False, out=False)
@@ -205,15 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", type=int, default=None,
                    help=f"render a prebuilt gallery figure "
                         f"(1..{max(fig.FIGURE_NUMBERS)})")
-    p.set_defaults(fn=cmd_plot)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first main call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up on each call, so a cmd_* replaced after the first call is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (PedalkitError, OSError) as exc:
         print(f"pedalkit: error: {exc}", file=sys.stderr)
         return 3

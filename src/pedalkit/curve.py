@@ -219,10 +219,14 @@ def frenet_grid(curve: CurveDef, ts: np.ndarray | None = None) -> FrenetGrid:
 
 
 def check_defined(curve: CurveDef, ts: np.ndarray, rows) -> None:
-    """EvalError at the first of ts where one of the (n, 2) rows is not finite."""
-    undefined = ~np.isfinite(np.hstack(rows)).all(axis=1)
-    if undefined.any():
-        raise EvalError(f"curve {curve.name!r} is not defined at t={float(ts[undefined][0])}")
+    """EvalError at the first of ts where one of the (n, 2) rows is not
+    finite, tested column by column: no stacked copy, and no reduction
+    along the short axis."""
+    defined = np.ones(len(ts), dtype=bool)
+    for row in rows:
+        defined &= finite_xy(row)
+    if not defined.all():
+        raise EvalError(f"curve {curve.name!r} is not defined at t={float(ts[~defined][0])}")
 
 
 def jet_rows(curve: CurveDef, ts) -> tuple[np.ndarray, ...]:

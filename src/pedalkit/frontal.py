@@ -13,12 +13,13 @@ for continuity; where the velocity vanishes the direction comes from
 d2 (then d3).  As sigma^2 = 1, sigma flips exactly in the cells where
 consecutive raw normals point apart, which array operations find at
 once.  The flip parameter in a cell between regular samples is refined
-to the speed minimum there (one ternary search for all such cells), so
-that nu(t) stays continuous for off-grid t as well.  The lift fails
-(LiftFailure) when no +-1 sign choice keeps consecutive normals
-aligned, e.g. when the curve is too undersampled to track the normal.
-LegendrianCurve.nu and legendrian_curvature apply the same rules to one
-row.
+to the speed minimum there (one bracketed secant solve of <d1, d2> = 0
+for all such cells), so that nu(t) stays continuous for off-grid t as
+well; the lifted normal on the grid depends on the signs alone.  The
+lift fails (LiftFailure) when no +-1 sign choice keeps consecutive
+normals aligned, e.g. when the curve is too undersampled to track the
+normal.  LegendrianCurve.nu and legendrian_curvature apply the same
+rules to one row.
 
 LegendrianCurve.sample() is the third frame provider of
 pedalkit.transforms, next to the Frenet and polyline frames: the sampled
@@ -40,8 +41,8 @@ from typing import Union
 import numpy as np
 
 from . import transforms as tr
-from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, _unit_frame, check_defined,
-                    frenet_grid, jet_rows, velocity_xy)
+from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, _jets_xy, _unit_frame,
+                    check_defined, frenet_grid, jet_rows, velocity_xy)
 from .errors import HypothesisViolated, LiftFailure
 from .transforms import (DEGENERATE_ANGLE_EPS, FLAG_OK, MappedCurve,
                          TransformKind)
@@ -82,7 +83,11 @@ def _ell(sigma: np.ndarray, d1: np.ndarray, d2: np.ndarray, speed: np.ndarray,
         return dot_xy(nudot, mu)
 
 
-def _refine_flips(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+# Illinois steps per flip cell before it falls back to ternary search
+_SECANT_STEPS = 8
+
+
+def _ternary_minima(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Speed minima in the cells [lo, hi], all at once, by ternary search."""
     k = len(lo)
     for _ in range(60):
@@ -94,6 +99,42 @@ def _refine_flips(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
         hi = np.where(left, m2, hi)
         lo = np.where(left, lo, m1)
     return 0.5 * (lo + hi)
+
+
+def _refine_flips(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Speed minima in the cells [lo, hi], all at once.
+
+    Where f = <d1, d2>, half the derivative of speed^2, is negative at
+    lo and positive at hi, the minimum is its root there, found by the
+    Illinois method: regula falsi that halves f at an end kept twice in
+    a row, so that both ends close in.  One order-2 jet walk gives f at
+    both ends of every cell, and one more per step at the cells not yet
+    done; a cell is done when f is 0 at the new point or the point
+    moves by at most 2 ulp.  A cell whose ends do not bracket a root,
+    where f is undefined or that is not done in _SECANT_STEPS steps gets
+    a ternary search on the speed instead."""
+    k = len(lo)
+    _, d1, d2 = _jets_xy(curve, np.concatenate([lo, hi]), 2)
+    f = dot_xy(d1, d2)
+    out = np.full(k, np.nan)
+    cells = np.flatnonzero((f[:k] < 0.0) & (f[k:] > 0.0))
+    a, b, fa, fb = lo[cells], hi[cells], f[:k][cells], f[k:][cells]  # b is the newest point
+    for _ in range(_SECANT_STEPS):
+        if not cells.size:
+            break
+        t = b - fb * ((b - a) / (fb - fa))
+        _, d1, d2 = _jets_xy(curve, t, 2)
+        ft = dot_xy(d1, d2)
+        done = (ft == 0.0) | (np.abs(t - b) <= 2.0 * np.spacing(t))
+        out[cells[done]] = t[done]
+        swap = (ft < 0.0) != (fb < 0.0)  # the root lies between b and t
+        go = ~done & np.isfinite(ft)
+        a, fa = np.where(swap, b, a)[go], np.where(swap, fb, 0.5 * fa)[go]
+        b, fb, cells = t[go], ft[go], cells[go]
+    rest = np.isnan(out)
+    if rest.any():
+        out[rest] = _ternary_minima(curve, lo[rest], hi[rest])
+    return out
 
 
 @dataclass(frozen=True)

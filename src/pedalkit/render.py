@@ -12,9 +12,13 @@ The numbers of a block are formatted by one numpy kernel,
 `_format_rows`, byte for byte as '%.17g' (CSV) or '%.8g' (SVG) would;
 its lookup tables are built on the first write.  It works word-major:
 each 8-byte word of text is one array over all the columns of a block,
-and one copy puts the words in row order.  The few values it cannot
-round with certainty are formatted by Python's '%' instead.  A closed
-curve kept whole is a view of its points, drawn back to its first point.
+and one copy puts the words in row order.  The exponent word is made
+only for a block where some value prints one.  The few values it
+cannot round with certainty are formatted by Python's '%' instead.  A
+closed curve kept whole is a view of its points, drawn back to its
+first point; the viewBox comes from the min and max of each column of
+each segment.  The source curve's overlay reads the points of its kept
+Frenet frame when it has one on the plot grid.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .curve import CurveDef, position_xy, sample_grid
 from .envelope import LineFamily
 from .errors import RangeError
 from .frontal import LegendrianCurve
-from .transforms import FLAG_NAMES, FLAG_OK, MappedCurve
+from .transforms import FLAG_NAMES, FLAG_OK, MappedCurve, kept_frame
 from .vec import finite_xy
 
 MIN_PLOT_SAMPLES = 1024
@@ -73,16 +77,28 @@ def _tables(P: int) -> tuple[np.ndarray, ...]:
     (hi, its split halves, lo) and exponent words for e in [-_EMAX,
     _EMAX], digit quads and their significant lengths, and byte masks."""
     Q = -(-P // 4)
-    es = range(-_EMAX, _EMAX + 1)
-    hi, lo = np.array([_ten_to(P - 1 - e) for e in es]).T
+    hi, lo = np.array([_ten_to(P - 1 - e) for e in range(-_EMAX, _EMAX + 1)]).T
     c = _SPLIT * hi
     hh = c - (c - hi)
-    digits = [f"{g:04d}" for g in range(10000)]
-    quads = np.frombuffer((".".join("".join(digits)) + ".").encode(), np.uint64)
-    # a quad of zeros counts -P, below any quad that holds the last significant digit
-    sig = np.array([len(d.rstrip("0")) or -P for d in digits], np.int8)
-    exps = np.frombuffer(b"".join(f"e{e:+03d}".encode().ljust(8, b"\0") for e in es),
-                         np.uint64)
+    g = np.arange(10000)
+    text = np.full((10000, 8), ord("."), np.uint8)  # quad g is "d.d.d.d."
+    for j, unit in enumerate((1000, 100, 10, 1)):
+        text[:, 2 * j] = g // unit % 10 + ord("0")
+    quads = text.reshape(-1).view(np.uint64)
+    # the digits up to the last nonzero one; a quad of zeros counts -P,
+    # below any quad that holds the last significant digit
+    sig = (4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)).astype(np.int8)
+    sig[0] = -P
+    es = np.arange(-_EMAX, _EMAX + 1)
+    a = np.abs(es)
+    three = a >= 100
+    word = np.zeros((len(es), 8), np.uint8)  # f"e{e:+03d}": "e+dd" or "e+ddd"
+    word[:, 0] = ord("e")
+    word[:, 1] = np.where(es < 0, ord("-"), ord("+"))
+    word[:, 2] = np.where(three, a // 100, a // 10) + ord("0")
+    word[:, 3] = np.where(three, a // 10 % 10, a % 10) + ord("0")
+    word[:, 4] = np.where(three, a % 10 + ord("0"), 0)
+    exps = word.reshape(-1).view(np.uint64)
     masks = bytearray()
     for neg in (0, 1):
         for X in range(-5, P + 1):  # -5 and P stand for every scientific exponent
@@ -142,9 +158,17 @@ def _format_rows(cols, P: int, seps, tail) -> str:
     one character; tail is one bytes string or an array of them, one per
     row."""
     quads, sig, exps, masks = _tables(P)[4:]
-    k, n, w = len(cols), len(cols[0]), len(masks)
+    k, n = len(cols), len(cols[0])
     v = np.concatenate(cols)  # column c is v[c * n:(c + 1) * n]
     m, e, ok = _mantissas(v, P)
+    X = np.minimum(np.maximum(e, -5), P)  # -5 and P stand for every scientific exponent
+    # the exponent word only for a block where some value prints one; the
+    # narrower row still holds any fallback text (at most P + 8 bytes with
+    # its separator, in 8 * (Q + 1) >= 2 * P + 8 bytes of Q digit quads)
+    sci = X.min() == -5 or X.max() == P
+    if not sci:
+        masks = masks[:-1]
+    w = len(masks)
     words = np.empty((w, k * n), np.uint64)
     words[0].reshape(k, n)[:] = [np.frombuffer(sep.encode().ljust(1, b"\0") + b"-0.000\0",
                                                np.uint64) for sep in seps]
@@ -157,8 +181,9 @@ def _format_rows(cols, P: int, seps, tail) -> str:
             g = m * 10 ** -q
         words[1 + j] = np.take(quads, g)
         nsig = np.maximum(nsig, np.take(sig, g) + 4 * j)
-    words[-1] = np.take(exps, e + _EMAX)
-    idx = (np.signbit(v) * (P + 6) + np.clip(e, -5, P) + 5) * P + nsig - 1
+    if sci:
+        words[-1] = np.take(exps, e + _EMAX)
+    idx = (np.signbit(v) * (P + 6) + X + 5) * P + nsig - 1
     for word, mask in zip(words, masks):
         word &= np.take(mask, idx)
     tail = np.asarray(tail)
@@ -239,9 +264,15 @@ overlay_from_frontal = overlay_from_mapped
 
 def overlay_from_curve(curve: CurveDef, label: str | None = None,
                        color: str = PALETTE[0]) -> Overlay:
-    n = max(curve.samples, MIN_PLOT_SAMPLES)
-    ts = sample_grid(curve, n)
-    pts = position_xy(curve, ts)
+    """The curve on its default grid, or on MIN_PLOT_SAMPLES samples if
+    that grid is coarser.  The points of the curve's kept frame serve if
+    it has one on that grid: the frame's jet walk gives the bits of
+    `position_xy`.  No frame is built here, as its walk costs more."""
+    frame = kept_frame(curve) if curve.samples >= MIN_PLOT_SAMPLES else None
+    if frame is not None:
+        pts = frame.points
+    else:
+        pts = position_xy(curve, sample_grid(curve, max(curve.samples, MIN_PLOT_SAMPLES)))
     return _overlay(pts, finite_xy(pts), curve.closed, label or curve.name, color)
 
 
@@ -287,9 +318,10 @@ def _svg_chunks(spec: PlotSpec) -> Iterator[str]:
     all_pts = [seg for ov in spec.overlays for seg in ov.segments]
     if not all_pts:
         raise RangeError("nothing to plot: no finite overlay points")
-    # the extent of each segment, so the segments are never stacked into one copy
-    xmin, ymin = np.min([seg.min(axis=0) for seg in all_pts], axis=0)
-    xmax, ymax = np.max([seg.max(axis=0) for seg in all_pts], axis=0)
+    # the extent of each column of each segment: no stacked copy, and no
+    # reduction along the short axis, which numpy runs far slower
+    xmin, ymin = (np.min([seg[:, c].min() for seg in all_pts]) for c in (0, 1))
+    xmax, ymax = (np.max([seg[:, c].max() for seg in all_pts]) for c in (0, 1))
     span_x = xmax - xmin
     span_y = ymax - ymin
     pad_x = 0.05 * span_x if span_x > 0 else 0.5

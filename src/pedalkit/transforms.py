@@ -14,8 +14,9 @@ kernel and the parameter it takes.
 A Frenet frame needs only the order-1 jets, p and p'.  A curve keeps
 one frame, that of its default grid: `frenet_frame(curve)` builds it
 on first use and keeps it on the CurveDef (not a field, so equality,
-hash and repr ignore it).  A frame on an explicit grid is built on
-each call and kept by its caller.  Either frame's arrays, its own copy
+hash and repr ignore it), and `kept_frame(curve)` reads it without
+building it.  A frame on an explicit grid is built on each call and
+kept by its caller.  Either frame's arrays, its own copy
 of the grid among them, are read-only.  Kernel outputs share the
 frame's grid and own their points and flags.
 
@@ -162,8 +163,9 @@ def frenet_frame(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
     default grid, which is built once and kept on the curve; a frame on
     an explicit grid, a copy of ts, is built on each call and is not
     kept.  The frame's arrays are read-only."""
-    if ts is None and hasattr(curve, "_frame"):
-        return curve._frame
+    frame = kept_frame(curve) if ts is None else None
+    if frame is not None:
+        return frame
     grid = sample_grid(curve) if ts is None else np.array(ts, dtype=float)
     p, nu = np.empty((len(grid), 2)), np.empty((len(grid), 2))
     for block in row_blocks(len(grid)):
@@ -176,6 +178,11 @@ def frenet_frame(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
     if ts is None:
         object.__setattr__(curve, "_frame", frame)  # CurveDef is frozen; _frame is no field
     return frame
+
+
+def kept_frame(curve: CurveDef) -> MappedCurve | None:
+    """The frame of the curve's default grid if frenet_frame has built it."""
+    return getattr(curve, "_frame", None)
 
 
 def polyline_frames(mc: MappedCurve) -> MappedCurve:

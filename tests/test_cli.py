@@ -380,3 +380,24 @@ def test_plot_bad_overlay(capsys):
     assert rc == 3
     rc = main(["plot", "--curve", "ellipse", "--overlay", "slant:abc"])
     assert rc == 3
+
+
+def test_one_process_runs_different_commands_in_turn(tmp_path, capsys):
+    csv = tmp_path / "pedal.csv"
+    assert main(["transform", "--curve", "ellipse", "--kind", "pedal", "--samples", "64",
+                 "--out", str(csv)]) == 0
+    assert main(["detect", "--curve", "ellipse", "--what", "vertices"]) == 0
+    assert main(["transform", "--curve", "circle", "--kind", "pedal", "--samples", "32"]) == 0
+    out = capsys.readouterr().out
+    assert len(csv.read_text().splitlines()) == 65
+    assert out.startswith("vertex\t") and "t,x,y,flag\n" in out
+
+
+def test_a_command_replaced_after_the_first_call_is_the_one_run(monkeypatch, capsys):
+    import pedalkit.cli as cli
+    assert main(["transform", "--curve", "ellipse", "--kind", "pedal", "--samples", "16"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_transform", lambda args: seen.append(args.kind) or 7)
+    assert main(["transform", "--curve", "ellipse", "--kind", "primitive"]) == 7
+    assert seen == ["primitive"]
+    capsys.readouterr()

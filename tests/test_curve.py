@@ -65,6 +65,17 @@ def test_closed_curve_undefined_at_an_end_is_rejected():
         parse_curve("x = log(t)\ny = t\nt_min = 0\nt_max = 1\nclosed = true")
 
 
+def test_check_defined_names_the_first_undefined_parameter_of_any_row():
+    c = pk.builtin_curve("circle")
+    ts = np.linspace(0.0, 1.0, 6)
+    p, d1, d2 = (np.ones((6, 2)) for _ in range(3))
+    pk.curve.check_defined(c, ts, (p, d1, d2))
+    d1[4, 1] = np.nan
+    d2[2, 0] = -np.inf
+    with pytest.raises(pk.EvalError, match="not defined at t=0.4$"):
+        pk.curve.check_defined(c, ts, (p, d1, d2))
+
+
 def test_closure_check_is_one_order_0_walk(monkeypatch):
     walks = []
     jets = pk.expr.jets

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from pedalkit import curve as cv
 from pedalkit import frontal as fl
-from pedalkit.curve import REGULAR_EPS, builtin_curve, parse_curve, position_xy
+from pedalkit.curve import REGULAR_EPS, builtin_curve, parse_curve, position_xy, velocity_xy
 from pedalkit.vec import dot_xy, perp_xy
 from pedalkit.errors import (HypothesisViolated, LiftFailure, OriginSingularity,
                              RangeError)
@@ -26,6 +27,53 @@ def test_front_lift_flips_frozen():
     np.testing.assert_allclose(lc.flips, FRONT_FLIPS, atol=1e-8)
     nu0 = lc.nu(0.0)
     assert (nu0[0], nu0[1]) == (1.0, 0.0)
+
+
+def ternary_minima(curve, lo, hi):
+    """Speed minima in the cells [lo, hi] by 60 steps of ternary search:
+    the reference for the flip refinement."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for _ in range(60):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        v1, v2 = velocity_xy(curve, m1), velocity_xy(curve, m2)
+        left = np.hypot(v1[:, 0], v1[:, 1]) <= np.hypot(v2[:, 0], v2[:, 1])
+        hi, lo = np.where(left, m2, hi), np.where(left, lo, m1)
+    return 0.5 * (lo + hi)
+
+
+def test_front_flips_match_the_ternary_reference_in_few_jet_walks(monkeypatch):
+    front = builtin_curve("front", samples=2048)
+    walks = []
+    for module in (cv, fl):
+        def counted(*args, _walk=module._jets_xy):
+            walks.append(args[2])
+            return _walk(*args)
+        monkeypatch.setattr(module, "_jets_xy", counted)
+    lc = fl.lift_front(front)
+    monkeypatch.undo()
+    assert len(walks) <= 12
+    ts = lc.ts
+    cell = np.searchsorted(ts, lc.flips)
+    ref = ternary_minima(front, ts[cell - 1], ts[cell])
+    assert len(ref) == 4
+    np.testing.assert_allclose(lc.flips, ref, rtol=0.0, atol=1e-12)
+
+
+def test_flip_cells_without_a_bracket_take_the_ternary_search():
+    ellipse = builtin_curve("ellipse")
+    # its speed rises over (0, pi/2) and falls over (pi/2, pi): <d1, d2>
+    # keeps its sign on [0.3, 0.6] and falls through 0 on [1.4, 1.7], so
+    # neither cell brackets a minimum; [pi - 0.2, pi + 0.1] does
+    lo, hi = np.array([0.3, 1.4, math.pi - 0.2]), np.array([0.6, 1.7, math.pi + 0.1])
+    _, d1, d2 = cv._jets_xy(ellipse, np.concatenate([lo, hi]), 2)
+    f = dot_xy(d1, d2)
+    assert f[0] > 0.0 and f[3] > 0.0
+    assert f[1] > 0.0 > f[4]
+    assert f[2] < 0.0 < f[5]
+    got = fl._refine_flips(ellipse, lo, hi)
+    np.testing.assert_array_equal(got[:2], fl._ternary_minima(ellipse, lo[:2], hi[:2]))
+    assert got[0] - 0.3 < 1e-10  # the speed minimum of a rising cell is its left end
+    assert abs(got[2] - math.pi) < 1e-14
 
 
 def test_nu_continuous_across_flip():

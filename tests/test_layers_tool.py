@@ -18,12 +18,16 @@ def test_layers_tool_records_the_output_layer(tmp_path):
     assert len(records) == 1  # a rerun of the same checkout replaces its record
     rec = records[0]
     assert {"git_sha", "src_differs_from_commit", "src_sha256", "numpy", "cpu_count"} <= set(rec)
-    assert [(r["function"], r["samples"]) for r in rec["results"]] == [
-        ("write_mapped_csv", 1024), ("render_to_file", 1024)]
+    assert [(r["layer"], r["function"], r["samples"]) for r in rec["results"]] == [
+        ("render", "write_mapped_csv", 1024), ("render", "render_to_file", 1024),
+        ("frontal", "lift_front", 2048)]
     for r in rec["results"]:
-        assert r["runs"] == 2 and r["bytes"] > 0
+        assert r["runs"] == 2 and r.get("bytes", r.get("flips")) > 0
         assert 0 < r["q1_s"] <= r["median_s"] <= r["q3_s"]
         assert r["call_peak_mb"] > 0 and r["peak_rss_mb"] > 0
+        # minor page faults of each timed call, the cold one first
+        assert len(r["minflt"]) == 3 and all(f >= 0 for f in r["minflt"])
+    assert rec["results"][2]["flips"] == 4
 
 
 def test_layers_tool_rejects_bad_arguments(tmp_path):

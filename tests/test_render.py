@@ -45,6 +45,35 @@ def test_render_is_deterministic(tmp_path):
 def test_render_rejects_empty():
     with pytest.raises(RangeError):
         rd.render_svg(rd.PlotSpec([]))
+    with pytest.raises(RangeError):  # overlays without a segment
+        rd.render_svg(rd.PlotSpec([rd.Overlay((), "none", "#000000")]))
+
+
+def stacked_viewbox(spec):
+    """The viewBox attribute from the min and max of all overlay points
+    stacked into one array."""
+    pts = np.vstack([seg for ov in spec.overlays for seg in ov.segments])
+    (xmin, ymin), (xmax, ymax) = pts.min(axis=0), pts.max(axis=0)
+    pad_x = 0.05 * (xmax - xmin) if xmax > xmin else 0.5
+    pad_y = 0.05 * (ymax - ymin) if ymax > ymin else 0.5
+    x0, x1, y0, y1 = xmin - pad_x, xmax + pad_x, ymin - pad_y, ymax + pad_y
+    return f'viewBox="{x0:.8g} {-y1:.8g} {x1 - x0:.8g} {y1 - y0:.8g}"'
+
+
+def test_viewbox_is_the_extent_of_all_points_stacked():
+    c = builtin_curve("front")
+    pr = tr.primitive(c, sample_grid(c, 2000))
+    flags = pr.flags.copy()
+    flags[[300, 301, 1200]] = FLAG_NEAR_SINGULAR
+    split = rd.overlay_from_mapped(MappedCurve(pr.source_name, pr.kind, pr.grid, pr.points,
+                                               flags, True))
+    assert len(split.segments) == 2
+    closed = rd.overlay_from_mapped(tr.pedal(builtin_curve("ellipse")), color=rd.PALETTE[1])
+    assert closed.closed and len(closed.segments) == 1
+    pair = rd.Overlay((np.array([[-3.25, 7.0], [1e-3, -2.5]]),), "pair", "#000000")
+    for overlays in ([split], [closed], [pair], [split, closed, pair]):
+        spec = rd.PlotSpec(overlays)
+        assert stacked_viewbox(spec) in rd.render_svg(spec)
 
 
 def test_failed_render_leaves_the_target_file_alone(tmp_path):
@@ -87,6 +116,29 @@ def test_closed_segments_wrap_and_close():
     ov2 = rd.overlay_from_mapped(holed)
     assert len(ov2.segments) == 1 and not ov2.closed
     assert len(ov2.segments[0]) == 31
+
+
+def test_source_overlay_reads_the_kept_frame():
+    c = builtin_curve("ellipse", samples=4096)
+    assert tr.kept_frame(c) is None
+    walked = rd.overlay_from_curve(c)
+    assert tr.kept_frame(c) is None  # no frame is built for the overlay
+    frame = tr.frenet_frame(c)
+    assert tr.kept_frame(c) is frame
+    ov = rd.overlay_from_curve(c)
+    assert np.shares_memory(ov.segments[0], frame.points)
+    want = position_xy(c, sample_grid(c))
+    for pts in (walked.segments[0], ov.segments[0]):
+        assert np.array_equal(pts.view(np.uint64), want.view(np.uint64))  # bitwise
+
+
+def test_source_overlay_below_the_plot_samples_walks_its_own_grid():
+    c = builtin_curve("ellipse", samples=256)
+    tr.frenet_frame(c)
+    ov = rd.overlay_from_curve(c)
+    assert len(ov.segments[0]) == rd.MIN_PLOT_SAMPLES
+    want = position_xy(c, sample_grid(c, rd.MIN_PLOT_SAMPLES))
+    assert np.array_equal(ov.segments[0].view(np.uint64), want.view(np.uint64))
 
 
 def test_mapped_csv_round_trips_doubles():
@@ -347,6 +399,40 @@ def test_format_rows_is_percent_near_ties_and_integer_mantissas(P):
     assert len(set(np.floor(np.log10(np.abs(values))).tolist())) >= 20  # decades
     got, want = formatted(values, P)
     assert got == want
+
+
+def format_block(cols, P, seps):
+    """The formatter's text of the columns and that of '%' on each row."""
+    cols = [np.asarray(c, dtype=np.float64) for c in cols]
+    want = "".join("".join(sep + "%.*g" % (P, v) for sep, v in zip(seps, row)) + "\n"
+                   for row in zip(*(c.tolist() for c in cols)))
+    return rd._format_rows(cols, P, seps, b"\n"), want
+
+
+@pytest.mark.parametrize("P", [17, 8])
+@pytest.mark.parametrize("last", [
+    1.25,  # no value of the block prints an exponent
+    1e-7,  # one scientific value, in the last column of the last row
+    -1.2345678901234567e-308,  # the longest fallback text, in a row without the exponent word
+    1e290,  # a fallback beyond the kernel's exponent range
+], ids=["fixed-only", "one-scientific", "longest-fallback", "1e290"])
+def test_format_rows_prints_the_exponent_word_only_where_needed(P, last):
+    rng = np.random.default_rng(P)
+    fixed = [rng.uniform(-999.0, 999.0, 300) for _ in range(3)]
+    fixed[0][:4] = [0.0, math.nan, -math.inf, -0.0]
+    fixed[2][-1] = last
+    got, want = format_block(fixed, P, ("", ",", ";"))
+    assert got == want
+
+
+@pytest.mark.parametrize("P", [17, 8])
+def test_format_rows_fits_the_longest_fallback_texts(P):
+    longest = [-1.2345678901234567e-308, -2.2250738585072009e-308, -4.9406564584124654e-324,
+               -1.7976931348623157e308]
+    assert max(len("%.*g" % (P, v)) for v in longest) == P + 7
+    for cols in ([longest], [longest, longest[::-1]], [[0.5] * 4, longest]):
+        got, want = format_block(cols, P, ("",) + (",",) * (len(cols) - 1))
+        assert got == want
 
 
 def test_importing_pedalkit_builds_no_formatting_table():

@@ -8,21 +8,26 @@ same label: the short git SHA of DIR, with "-dirty" if its `src/`
 differs from that commit.  Running it on two checkouts into one file
 gives a before/after pair.
 
-Only the output layer is measured so far: `render.write_mapped_csv`
-(the CSV of `transform`) and `render.render_to_file` (its SVG), on the
-primitive of the built-in ellipse at each sample count (default 2^16
-and 2^20).  Each (function, samples) case runs in a fresh child
-process, which
+Two layers are measured so far.  The output layer:
+`render.write_mapped_csv` (the CSV of `transform`) and
+`render.render_to_file` (its SVG), on the primitive of the built-in
+ellipse at each sample count (default 2^16 and 2^20).  And
+`frontal.lift_front` on the built-in front at 2048 samples, whatever
+the sample counts asked for.  Each (function, samples) case runs in a
+fresh child process, which
 
-- builds the mapped curve (and, for the SVG, its overlay) untimed;
-- makes one cold call, which also builds the formatting tables;
+- builds its input (the mapped curve and, for the SVG, its overlay;
+  the curve for the lift) untimed;
+- makes one cold call, which for a writer also builds the formatting
+  tables;
 - makes R more calls (default 7) and reports their median and
-  quartiles (`statistics.quantiles`, n=4, inclusive);
+  quartiles (`statistics.quantiles`, n=4, inclusive), and the minor
+  page faults (`ru_minflt`) of each timed call, the cold one first;
 - makes one more call under `tracemalloc`, started just before it, and
-  reports the peak of the memory traced: the writer's own temporaries;
+  reports the peak of the memory traced: the call's own temporaries;
 - reports its peak resident memory (`VmHWM`) after the last call,
   which is mostly that of building the mapped curve, and the bytes
-  written.
+  written (for the lift: the number of flips).
 
 Files are written to a temporary directory that is removed afterwards.
 A record also holds the git SHA of DIR, whether its `src/` differs from
@@ -39,6 +44,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,6 +56,7 @@ import numpy
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FUNCTIONS = ("write_mapped_csv", "render_to_file")
+LIFT_SAMPLES = 2048
 
 
 def peak_rss_mb() -> float:
@@ -62,26 +69,34 @@ def peak_rss_mb() -> float:
 
 def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
     """One case, in this process: the pedalkit on sys.path is measured."""
-    from pedalkit import render, transforms
+    from pedalkit import frontal, render, transforms
     from pedalkit.curve import builtin_curve, sample_grid
 
-    curve = builtin_curve("ellipse")
-    mc = transforms.primitive(curve, sample_grid(curve, samples))
     path = os.path.join(tmpdir, f"{function}-{samples}")
-    if function == "write_mapped_csv":
-        def call():
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                render.write_mapped_csv(mc, fh)
-    else:
-        spec = render.PlotSpec([render.overlay_from_mapped(mc)])
+    if function == "lift_front":
+        front = builtin_curve("front", samples=samples)
 
         def call():
-            render.render_to_file(spec, path)
-    times = []
+            return frontal.lift_front(front)
+    else:
+        curve = builtin_curve("ellipse")
+        mc = transforms.primitive(curve, sample_grid(curve, samples))
+        if function == "write_mapped_csv":
+            def call():
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    render.write_mapped_csv(mc, fh)
+        else:
+            spec = render.PlotSpec([render.overlay_from_mapped(mc)])
+
+            def call():
+                render.render_to_file(spec, path)
+    times, faults = [], []
     for _ in range(runs + 1):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        call()
+        result = call()
         times.append(time.perf_counter() - t0)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     cold, warm = times[0], times[1:]
     q1, _, q3 = (statistics.quantiles(warm, n=4, method="inclusive") if len(warm) > 1
                  else (warm[0],) * 3)
@@ -89,11 +104,15 @@ def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
     call()
     call_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"layer": "render", "function": function, "samples": samples,
-            "bytes": os.path.getsize(path), "cold_s": round(cold, 6),
-            "median_s": round(statistics.median(warm), 6), "q1_s": round(q1, 6),
-            "q3_s": round(q3, 6), "runs": runs, "call_peak_mb": round(call_peak / 2**20, 2),
-            "peak_rss_mb": round(peak_rss_mb(), 1)}
+    if function == "lift_front":
+        out = {"layer": "frontal", "function": function, "samples": samples,
+               "flips": len(result.flips)}
+    else:
+        out = {"layer": "render", "function": function, "samples": samples,
+               "bytes": os.path.getsize(path)}
+    return {**out, "cold_s": round(cold, 6), "median_s": round(statistics.median(warm), 6),
+            "q1_s": round(q1, 6), "q3_s": round(q3, 6), "runs": runs, "minflt": faults,
+            "call_peak_mb": round(call_peak / 2**20, 2), "peak_rss_mb": round(peak_rss_mb(), 1)}
 
 
 def git(checkout: str, *args: str) -> str | None:
@@ -114,19 +133,20 @@ def record(checkout: str, samples: list[int], runs: int) -> dict:
     sha = git(checkout, "rev-parse", "HEAD")
     status = git(checkout, "status", "--porcelain", "--", "src")
     results = []
+    cases = [(function, n) for n in samples for function in FUNCTIONS]
+    cases.append(("lift_front", LIFT_SAMPLES))
     with tempfile.TemporaryDirectory() as tmpdir:
-        for n in samples:
-            for function in FUNCTIONS:
-                done = subprocess.run(
-                    [sys.executable, os.path.abspath(__file__), "--child", function, str(n),
-                     str(runs), tmpdir],
-                    capture_output=True, text=True, timeout=3600,
-                    env={**os.environ, "PYTHONPATH": src})
-                if done.returncode != 0:
-                    raise SystemExit(f"{function} at {n} samples failed:\n{done.stderr}")
-                results.append(json.loads(done.stdout.splitlines()[-1]))
-                print(f"{function:>16} {n:>8}: median {results[-1]['median_s']:.4f} s, "
-                      f"call peak {results[-1]['call_peak_mb']} MB", file=sys.stderr)
+        for function, n in cases:
+            done = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--child", function, str(n),
+                 str(runs), tmpdir],
+                capture_output=True, text=True, timeout=3600,
+                env={**os.environ, "PYTHONPATH": src})
+            if done.returncode != 0:
+                raise SystemExit(f"{function} at {n} samples failed:\n{done.stderr}")
+            results.append(json.loads(done.stdout.splitlines()[-1]))
+            print(f"{function:>16} {n:>8}: median {results[-1]['median_s']:.4f} s, "
+                  f"call peak {results[-1]['call_peak_mb']} MB", file=sys.stderr)
     label = (sha[:7] if sha else os.path.basename(checkout)) + ("-dirty" if status else "")
     return {"label": label, "git_sha": sha, "src_differs_from_commit": bool(status),
             "src_sha256": digest.hexdigest(), "numpy": numpy.__version__,
