@@ -123,15 +123,19 @@ def frenet(curve: CurveDef, t: float) -> FrenetData:
                       float(fg.kappa_prime_arc[0]))
 
 
-def sample_grid(curve: CurveDef, samples: int | None = None) -> np.ndarray:
-    """Parameter grid: closed curves omit the duplicate endpoint, open
-    curves include both ends."""
-    n = curve.samples if samples is None else samples
-    if n < MIN_SAMPLES:
-        raise RangeError(f"need at least {MIN_SAMPLES} samples, got {n}")
+def param_grid(curve: CurveDef, n: int) -> np.ndarray:
+    """n uniform parameters, without the duplicate endpoint of a closed curve."""
     if curve.closed:
         return curve.t_min + (curve.t_max - curve.t_min) * np.arange(n) / n
     return np.linspace(curve.t_min, curve.t_max, n)
+
+
+def sample_grid(curve: CurveDef, samples: int | None = None) -> np.ndarray:
+    """param_grid of curve.samples or samples, at least MIN_SAMPLES."""
+    n = curve.samples if samples is None else samples
+    if n < MIN_SAMPLES:
+        raise RangeError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    return param_grid(curve, n)
 
 
 @dataclass(frozen=True)
@@ -161,8 +165,23 @@ JET_BLOCK = 1 << 14
 
 
 def row_blocks(n: int) -> list[slice]:
-    """The slices of JET_BLOCK rows that cover n rows, in order."""
-    return [slice(start, start + JET_BLOCK) for start in range(0, n, JET_BLOCK)]
+    """The slices of at most JET_BLOCK rows that cover n rows, in order."""
+    return [slice(start, min(start + JET_BLOCK, n)) for start in range(0, n, JET_BLOCK)]
+
+
+def _block_max(n: int, residual, mask: np.ndarray | None = None) -> float:
+    """Max over the rows of mask (all n by default) of residual(block),
+    one residual per row of each row_blocks slice that holds a row of
+    mask: bit for bit the max over the grid.  A residual of -inf leaves
+    its row out, as mask does; a nan on a compared row propagates; with
+    no compared row the max is inf."""
+    worst = -math.inf
+    for block in row_blocks(n):
+        rows = True if mask is None else mask[block]
+        if np.any(rows):
+            with np.errstate(all="ignore"):
+                worst = np.maximum(worst, residual(block).max(where=rows, initial=-math.inf))
+    return math.inf if worst == -math.inf else float(worst)
 
 
 def _jets_xy(curve: CurveDef, ts: np.ndarray, order: int) -> tuple[np.ndarray, ...]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveDef, _jets_xy, row_blocks, sample_grid
+from .curve import CurveDef, _block_max, _jets_xy, row_blocks, sample_grid
 from .errors import RangeError
 from .transforms import (FLAG_NEAR_SINGULAR, FLAG_OK, FLAG_UNDEFINED,
                          MappedCurve, TransformKind, _check_origin, _frame_rows,
@@ -136,30 +136,27 @@ def circle_family_check(curve: CurveDef, ts: np.ndarray | None = None) -> float:
     must (1) pass through the pedal point: G(s, Pe(s)) = <Pe, Pe - g> = 0,
     and (2) invert onto the line <y, g(s)> = 1: every sampled circle
     point x (away from the origin) must satisfy <x/|x|^2, g(s)> = 1.
-    A g at the origin is refused.  The rings and residuals are built per
-    block of JET_BLOCK samples, so they stay the size of a block; a max
-    over blocks is the max over the grid.
+    A g at the origin is refused.  A sample's residual is the larger of
+    (1) where its pedal point is ok and (2) over its usable circle points,
+    built per block of JET_BLOCK samples; inf if no sample has one.
     """
     frame = frenet_frame(curve, ts)
     angles = 2.0 * math.pi * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS + 0.7
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    maxima = []
-    for block in row_blocks(len(frame.grid)):
+
+    def residual(block: slice) -> np.ndarray:
         rows = _frame_rows(frame, block)
         g = rows.points
         _check_origin(rows.grid, dot_xy(g, g), "the pedal-circle check")
         pe = pedal_kernel(rows)
-        ok = pe.ok
-        resid_g = np.abs(dot_xy(pe.points[ok], pe.points[ok] - g[ok]))
+        resid_g = np.abs(dot_xy(pe.points, pe.points - g))
         radius = 0.5 * np.hypot(g[:, 0], g[:, 1])
         pts = 0.5 * g[:, None, :] + radius[:, None, None] * ring[None, :, :]
         n2 = dot_xy(pts, pts)
-        with np.errstate(all="ignore"):
-            dot = dot_xy(pts, g[:, None, :])
-            resid_line = np.abs(dot / n2 - 1.0)
+        resid_line = np.abs(dot_xy(pts, g[:, None, :]) / n2 - 1.0)
         # circle points too close to the origin are skipped (the origin
         # itself lies on every one of these circles)
-        usable = n2 > (1e-3 * radius[:, None]) ** 2
-        resid_line = resid_line[usable & np.isfinite(resid_line)]
-        maxima += [r.max() for r in (resid_g, resid_line) if r.size]
-    return float(max(maxima, default=0.0))
+        usable = (n2 > (1e-3 * radius[:, None]) ** 2) & np.isfinite(resid_line)
+        return np.maximum(np.where(pe.ok, resid_g, -np.inf),
+                          resid_line.max(axis=1, where=usable, initial=-np.inf))
+    return _block_max(len(frame.grid), residual)

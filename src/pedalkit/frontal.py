@@ -41,7 +41,7 @@ from typing import Union
 import numpy as np
 
 from . import transforms as tr
-from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, _jets_xy, _unit_frame,
+from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, _block_max, _jets_xy, _unit_frame,
                     check_defined, frenet_grid, jet_rows, velocity_xy)
 from .errors import HypothesisViolated, LiftFailure
 from .transforms import (DEGENERATE_ANGLE_EPS, FLAG_OK, MappedCurve,
@@ -264,9 +264,9 @@ def is_front(lc: LegendrianCurve, t: float) -> bool:
 def legendrian_residual(lc: LegendrianCurve) -> float:
     """max |<g', nu>| / max(1, |g'|) over the grid; zero for a valid
     lift up to rounding."""
-    num = np.abs(dot_xy(lc.frenet.d1, lc.nu_grid))
-    den = np.maximum(1.0, lc.frenet.speed)
-    return float((num / den).max())
+    fg = lc.frenet
+    return _block_max(len(lc.ts), lambda s: np.abs(dot_xy(fg.d1[s], lc.nu_grid[s]))
+                      / np.maximum(1.0, fg.speed[s]))
 
 
 # ---------------------------------------------------------------------------
@@ -304,31 +304,30 @@ def invert_frontal(fr: FrontalLike) -> MappedCurve:
     return tr.invert_kernel(sf, f"inverted-{sf.kind.name}")
 
 
-def _composition_sides(fr: FrontalLike, psi: float,
-                       phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos(psi+phi) Pr[psi](Pr[phi](fr)), cos(psi) cos(phi) Pr[psi+phi](fr)
-    and the samples where both are ok (the outer primitivoid is ok only
-    where the inner one is)."""
+def _composition_sides(fr: FrontalLike, psi: float, phi: float,
+                       source: FrontalLike | None = None):
+    """cos(psi+phi) Pr[psi](Pr[phi](fr)) and cos(psi) cos(phi)
+    Pr[psi+phi](source), source = fr by default, as callables that give
+    the rows of a block, and the samples where both are ok (the outer
+    primitivoid is ok only where the inner one is)."""
     sf = _frame(fr)
     outer = frontal_slant_primitivoid(frontal_slant_primitivoid(sf, phi), psi)
-    rhs = frontal_slant_primitivoid(sf, psi + phi)
-    return (math.cos(psi + phi) * outer.points,
-            math.cos(psi) * math.cos(phi) * rhs.points, outer.ok & rhs.ok)
+    one = frontal_slant_primitivoid(sf if source is None else _frame(source), psi + phi)
+    p, q = outer.points, one.points  # not the normals
+    return (lambda s: math.cos(psi + phi) * p[s],
+            lambda s: math.cos(psi) * math.cos(phi) * q[s], outer.ok & one.ok)
 
 
 def composition_check(fr: FrontalLike, psi: float, phi: float) -> float:
     """Max over commonly-ok samples of
 
-        | cos(psi+phi) Pr[psi](Pr[phi](fr)) - cos(psi) cos(phi) Pr[psi+phi](fr) |.
+        | cos(psi+phi) Pr[psi](Pr[phi](fr)) - cos(psi) cos(phi) Pr[psi+phi](fr) |,
 
-    phi = pi/2 + n pi is rejected: the inner primitivoid collapses to
-    the origin and the outer one is meaningless there.
+    inf if there is none.  phi = pi/2 + n pi is rejected: the inner primitivoid
+    collapses to the origin and the outer one is meaningless there.
     """
     if abs(math.cos(phi)) < DEGENERATE_ANGLE_EPS:
         raise HypothesisViolated(
             "inner angle phi = pi/2 + n pi collapses the first primitivoid to the origin")
     lhs, rhs, ok = _composition_sides(fr, psi, phi)
-    if not ok.any():
-        raise HypothesisViolated("no commonly defined samples to compare")
-    diff = np.hypot(lhs[ok, 0] - rhs[ok, 0], lhs[ok, 1] - rhs[ok, 1])
-    return float(diff.max())
+    return _block_max(len(ok), lambda s: np.hypot(*(lhs(s) - rhs(s)).T), ok)

@@ -30,7 +30,7 @@ from typing import IO, Iterator, Optional
 
 import numpy as np
 
-from .curve import CurveDef, position_xy, sample_grid
+from .curve import CurveDef, param_grid, position_xy, sample_grid
 from .envelope import LineFamily
 from .errors import RangeError
 from .frontal import LegendrianCurve
@@ -341,11 +341,7 @@ def _svg_chunks(spec: PlotSpec) -> Iterator[str]:
         f'viewBox="{fmt(x0)} {fmt(-y1)} {fmt(w)} {fmt(h)}">',
     ]
     if spec.family is not None and spec.family_count > 0:
-        curve = spec.family.curve
-        if curve.closed:
-            ts = curve.t_min + (curve.t_max - curve.t_min) * np.arange(spec.family_count) / spec.family_count
-        else:
-            ts = np.linspace(curve.t_min, curve.t_max, spec.family_count)
+        ts = param_grid(spec.family.curve, spec.family_count)
         lines.append(f'<g data-label="family-lines" stroke="#bbbbbb" '
                      f'stroke-width="{fmt(0.5 * stroke)}">')
         for a, c in zip(spec.family.a(ts).tolist(), spec.family.c(ts).tolist()):

@@ -195,7 +195,7 @@ def polyline_frames(mc: MappedCurve) -> MappedCurve:
         raise RangeError("need at least 5 samples for derived frames")
     good, nu = mc.ok & finite_xy(mc.points), np.empty((n, 2))
     for block in row_blocks(n):
-        rows = np.arange(block.start - 2, min(block.stop, n) + 2)
+        rows = np.arange(block.start - 2, block.stop + 2)
         pts, ok = (np.take(a, rows, axis=0, mode="wrap") for a in (mc.points, good))
         with np.errstate(all="ignore"):
             d1 = five_point_derivative(pts, mc.grid[1] - mc.grid[0], True)[2:-2]

@@ -7,11 +7,12 @@ checked against independent constructions (envelopes, inversion
 round-trips, finite differences of sampled output curves), so the
 suites certify the formulas rather than re-deriving them.
 
-A residual is a max over samples.  The point distances of a row, the
-pedal-circle check and the 1e6 random points of the plane inversion
-rows take it block by block, JET_BLOCK rows at a time, so their
-temporaries stay the size of a block; a max over blocks is the max over
-the grid, bit for bit.
+A row's residual is the max over the samples it compares: a nan on a
+compared sample fails the row, and no compared sample gives inf.  Every
+array-valued row takes it with `curve._block_max`, which builds the
+residuals and their operands JET_BLOCK rows at a time, bit for bit the
+max over the grid.  Rows over a few roots are maxima of lists, and the
+curve double inversion is a max over coordinates.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from . import frontal as fr
 from . import singularity as sg
 from . import transforms as tr
-from .curve import (JET_BLOCK, CurveDef, builtin_curve, frenet_grid, position_xy,
-                    row_blocks, sample_grid)
+from .curve import (CurveDef, _block_max, builtin_curve, frenet_grid, position_xy,
+                    sample_grid)
 from .envelope import circle_family_check, envelope, make_family
 from .errors import HypothesisViolated, RangeError
 from .vec import dot_xy, finite_xy, invert_xy, median, perp_xy, rotate_xy
@@ -70,40 +71,33 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _diff(a: np.ndarray, b: np.ndarray, mask: np.ndarray,
-          relative: bool = False) -> float:
-    # relative: per-sample relative distance.  Transforms with poles
-    # (primitive, antipedal) reach magnitudes ~ 1/q near q -> 0 where every
-    # evaluation scheme carries O(eps / q^2) absolute error; dividing by the
-    # local magnitude keeps the comparison meaningful there while staying
-    # equal to the absolute distance wherever points are O(1).  The max is
-    # taken per block of JET_BLOCK rows, so no masked copy spans the grid;
-    # it equals the max over the grid, a nan included.
-    maxima = []
-    for block in row_blocks(len(mask)):
-        rows = mask[block]
-        if not rows.any():
-            continue
-        mb = b[block][rows]
-        d = a[block][rows] - mb
-        dist = np.hypot(d[:, 0], d[:, 1])
-        if relative:
-            dist = dist / np.maximum(1.0, np.hypot(mb[:, 0], mb[:, 1]))
-        maxima.append(dist.max())
-    return float(np.max(maxima)) if maxima else math.inf
+def _diff(a, b, mask: np.ndarray, relative: bool = False) -> float:
+    """Max distance |a - b| over the rows of mask; a and b are (n, 2)
+    arrays, or callables giving the rows of a block, so that an operand
+    such as r * pr.points is built a block at a time.  relative divides
+    by max(1, |b|): transforms with poles (primitive, antipedal) reach
+    magnitudes ~ 1/q near q -> 0 where every evaluation scheme carries
+    O(eps / q^2) absolute error."""
+    def residual(block):
+        pa, pb = (x(block) if callable(x) else x[block] for x in (a, b))
+        dist = np.hypot(*(pa - pb).T)
+        return dist / np.maximum(1.0, np.hypot(*pb.T)) if relative else dist
+    return _block_max(len(mask), residual, mask)
 
 
-def _pair_diff(ma: tr.MappedCurve, mb: tr.MappedCurve,
-               relative: bool = False) -> float:
-    return _diff(ma.points, mb.points, ma.ok & mb.ok, relative)
-
-
-def _root_gap(found: list[float], expected: list[float]) -> float:
-    """Largest distance between matched roots; inf if the counts differ."""
+def _root_gap(found, expected, period: float | None) -> float:
+    """Largest distance between matched roots; inf if the counts differ.
+    The sorted lists are matched in order, under the cyclic shift that
+    gives the smallest gap, by distance on the circle of length period
+    for a closed curve, whose roots near t_min may be found near t_max."""
     if len(found) != len(expected):
         return math.inf
-    return max((abs(a - b) for a, b in zip(sorted(found), sorted(expected))),
-               default=0.0)
+    a, b = sorted(found), sorted(expected)
+    period = period or math.inf
+    def gap(x, y):
+        d = abs(x - y) % period
+        return min(d, period - d)
+    return min((max(map(gap, a, b[k:] + b[:k])) for k in range(len(b))), default=0.0)
 
 
 STABLE_FRAC = 0.05
@@ -151,26 +145,26 @@ def _plane_inversion_rows() -> tuple[tuple[str, float, float], ...]:
     """(name, residual, tolerance) of the inversion rows that do not
     depend on the curve; computed once per process, on PLANE_POINTS
     points drawn block by block."""
-    maxima = []
-    for start in range(0, PLANE_POINTS, JET_BLOCK):
-        radii, pts = _plane_points(start, min(start + JET_BLOCK, PLANE_POINTS))
+    def involution(block):
+        radii, pts = _plane_points(block.start, block.stop)
         back = invert_xy(invert_xy(pts))
-        maxima.append((np.hypot(*(back - pts).T) / radii).max())
-    involution = float(np.max(maxima))
+        return np.hypot(*(back - pts).T) / radii
 
     m = 10_000
     _, pts = _plane_points(0, 2 * m)
-    x, y = pts[:m], pts[m:]
-    lhs = np.hypot(*(invert_xy(x) - invert_xy(y)).T)
-    rhs = np.hypot(*(x - y).T) / (np.hypot(*x.T) * np.hypot(*y.T))
-    conformal = float((np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)).max())
+
+    def conformal(block):
+        x, y = pts[:m][block], pts[m:][block]
+        lhs = np.hypot(*(invert_xy(x) - invert_xy(y)).T)
+        rhs = np.hypot(*(x - y).T) / (np.hypot(*x.T) * np.hypot(*y.T))
+        return np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
 
     v = np.array([0.6832, -1.977])
     w = rotate_xy(rotate_xy(v, 0.71), -1.93)
     a = np.array([3.25, -0.125])
     return (
-        ("inversion is an involution (1e6 points)", involution, 1e-12),
-        ("inversion scales distances conformally", conformal, 1e-9),
+        ("inversion is an involution (1e6 points)", _block_max(PLANE_POINTS, involution), 1e-12),
+        ("inversion scales distances conformally", _block_max(m, conformal), 1e-9),
         ("perp twice negates", math.hypot(*(perp_xy(perp_xy(v)) + v)), 0.0),
         ("quarter turn equals perp",
          math.hypot(*(rotate_xy(v, math.pi / 2) - perp_xy(v))), 1e-15 * math.hypot(*v)),
@@ -185,8 +179,7 @@ def _suite_inversion(curve: CurveDef, report: VerifyReport) -> None:
     double = tr.invert_curve(tr.invert_curve(curve))
     ts = sample_grid(curve)
     report.add("curve double-inversion returns the curve",
-               float(np.abs(position_xy(double, ts) - position_xy(curve, ts)).max()),
-               1e-9)
+               np.abs(position_xy(double, ts) - position_xy(curve, ts)).max(), 1e-9)
 
 
 def _suite_duality(curve: CurveDef, report: VerifyReport) -> None:
@@ -195,23 +188,24 @@ def _suite_duality(curve: CurveDef, report: VerifyReport) -> None:
     pr = tr.primitive_kernel(frame)
     ape_inv = tr.antipedal_kernel(inv_frame)
     report.add("primitive = antipedal of inverted curve",
-               _pair_diff(pr, ape_inv, relative=True), 1e-9)
+               _diff(pr.points, ape_inv.points, pr.ok & ape_inv.ok, relative=True), 1e-9)
 
     inv_pe_inv = tr.invert_kernel(tr.pedal_kernel(inv_frame), "inverted")
     report.add("primitive = inversion of pedal of inverted curve",
-               _pair_diff(pr, inv_pe_inv, relative=True), 1e-9)
+               _diff(pr.points, inv_pe_inv.points, pr.ok & inv_pe_inv.ok, relative=True), 1e-9)
 
     pe = tr.pedal_kernel(frame)
     ape = tr.antipedal_kernel(frame)
-    report.add("pedal = inversion of antipedal",
-               _pair_diff(pe, tr.invert_kernel(ape, "inverted")), 1e-9)
-    report.add("antipedal = inversion of pedal",
-               _pair_diff(ape, tr.invert_kernel(pe, "inverted"), relative=True), 1e-9)
+    for name, a, b, relative in (("pedal = inversion of antipedal", pe, ape, False),
+                                 ("antipedal = inversion of pedal", ape, pe, True)):
+        inv = tr.invert_kernel(b, "inverted")
+        report.add(name, _diff(a.points, inv.points, a.ok & inv.ok, relative), 1e-9)
+        del inv  # not held while the next one is built
 
     lam = -2.5
     pe_scaled = tr.pedal(tr.transform_curve(curve, 0.0, lam))
     report.add("pedal commutes with scaling",
-               _diff(pe_scaled.points, lam * pe.points, pe.ok & pe_scaled.ok), 1e-9)
+               _diff(pe_scaled.points, lambda s: lam * pe.points[s], pe.ok & pe_scaled.ok), 1e-9)
 
 
 def _suite_parallel(curve: CurveDef, report: VerifyReport) -> None:
@@ -220,12 +214,12 @@ def _suite_parallel(curve: CurveDef, report: VerifyReport) -> None:
     for r in (2.0, -1.0):
         par = tr.parallel_kernel(frame, r)
         report.add(f"parallel({r:g}) = {r:g} x primitive",
-                   _diff(par.points, r * pr.points, par.ok & pr.ok), 1e-12)
+                   _diff(par.points, lambda s: r * pr.points[s], par.ok & pr.ok), 1e-12)
         pr_scaled = tr.primitive(tr.transform_curve(curve, 0.0, r))
         report.add(f"parallel({r:g}) = primitive of scaled curve",
-                   _pair_diff(par, pr_scaled), 1e-9)
+                   _diff(par.points, pr_scaled.points, par.ok & pr_scaled.ok), 1e-9)
     one = tr.parallel_kernel(frame, 1.0)
-    report.add("parallel(1) = primitive", _pair_diff(one, pr), 0.0)
+    report.add("parallel(1) = primitive", _diff(one.points, pr.points, one.ok & pr.ok), 0.0)
 
 
 def _suite_slant(curve: CurveDef, report: VerifyReport) -> None:
@@ -233,25 +227,27 @@ def _suite_slant(curve: CurveDef, report: VerifyReport) -> None:
     pr = tr.primitive_kernel(frame)
     pr_perp = tr.perp_primitive_kernel(frame)
     report.add("perp-primitive = J primitive",
-               _diff(pr_perp.points, perp_xy(pr.points), pr.ok & pr_perp.ok), 0.0)
+               _diff(pr_perp.points, lambda s: perp_xy(pr.points[s]), pr.ok & pr_perp.ok), 0.0)
     for phi in (0.0, math.pi / 10, math.pi / 4, math.pi / 3, 2.0):
+        c, sn = math.cos(phi), math.sin(phi)
         sl = tr.slant_kernel(frame, phi)
-        combo = math.cos(phi) * (math.cos(phi) * pr.points + math.sin(phi) * pr_perp.points)
         report.add(f"slant({phi:.4g}) = cos phi (cos phi Pr + sin phi Pr-perp)",
-                   _diff(sl.points, combo, sl.ok & pr.ok & pr_perp.ok), 1e-9)
-        rotated_parallel = rotate_xy(tr.parallel_kernel(frame, math.cos(phi)).points, phi)
+                   _diff(sl.points, lambda s: c * (c * pr.points[s] + sn * pr_perp.points[s]),
+                         sl.ok & pr.ok & pr_perp.ok), 1e-9)
+        par = tr.parallel_kernel(frame, c)
         report.add(f"slant({phi:.4g}) = rotated parallel(cos phi)",
-                   _diff(sl.points, rotated_parallel, sl.ok & pr.ok), 1e-12)
+                   _diff(sl.points, lambda s: rotate_xy(par.points[s], phi), sl.ok & pr.ok), 1e-12)
         ape_inv_rot = tr.antipedal(tr.invert_curve(tr.transform_curve(curve, phi, 1.0)))
         report.add(f"slant({phi:.4g}) = cos phi antipedal of inverted rotated curve",
-                   _diff(sl.points, math.cos(phi) * ape_inv_rot.points,
-                         sl.ok & ape_inv_rot.ok, relative=True), 1e-9)
-    report.add("slant(0) = primitive",
-               _pair_diff(tr.slant_kernel(frame, 0.0), pr), 0.0)
+                   _diff(sl.points, lambda s: c * ape_inv_rot.points[s], sl.ok & ape_inv_rot.ok,
+                         relative=True), 1e-9)
+    sl0 = tr.slant_kernel(frame, 0.0)
+    report.add("slant(0) = primitive", _diff(sl0.points, pr.points, sl0.ok & pr.ok), 0.0)
     degenerate = tr.slant_kernel(frame, math.pi / 2)
-    worst = float(np.hypot(*degenerate.points[degenerate.ok].T).max())
+    # a kernel that misses the degenerate angle compares no sample: inf
     report.add("slant(pi/2) collapses to the origin",
-               worst if degenerate.kind.degenerate_angle else math.inf, 1e-9)
+               _block_max(len(degenerate.grid), lambda s: np.hypot(*degenerate.points[s].T),
+                          degenerate.ok & degenerate.kind.degenerate_angle), 1e-9)
 
 
 def _suite_inverse_pair(curve: CurveDef, report: VerifyReport) -> None:
@@ -260,30 +256,27 @@ def _suite_inverse_pair(curve: CurveDef, report: VerifyReport) -> None:
     ts = sample_grid(curve, max(4096, curve.samples))
     frame = tr.frenet_frame(curve, ts)
     src = frame.points
-
     pr = tr.primitive_kernel(frame)
     back = tr.mapped_pedal(pr)
     mask = stable_mask(pr) & back.ok
-    report.add("pedal of primitive returns the curve",
-               _diff(back.points, src, mask), 1e-6)
+    report.add("pedal of primitive returns the curve", _diff(back.points, src, mask), 1e-6)
 
     pe = tr.pedal_kernel(frame)
     forth = tr.mapped_primitive(pe)
     mask = stable_mask(pe) & forth.ok
-    report.add("primitive of pedal returns the curve",
-               _diff(forth.points, src, mask), 1e-6)
+    report.add("primitive of pedal returns the curve", _diff(forth.points, src, mask), 1e-6)
 
     phi = math.pi / 10
-    target = math.cos(phi) * position_xy(tr.transform_curve(curve, phi, 1.0), ts)
+    rotated = position_xy(tr.transform_curve(curve, phi, 1.0), ts)
     sl = tr.slant_kernel(frame, phi)
     pe_of_sl = tr.mapped_pedal(sl)
     mask = stable_mask(sl) & pe_of_sl.ok
     report.add("pedal of slant primitivoid = scaled rotated curve",
-               _diff(pe_of_sl.points, target, mask), 1e-6)
+               _diff(pe_of_sl.points, lambda s: math.cos(phi) * rotated[s], mask), 1e-6)
     sl_of_pe = tr.mapped_slant(pe, phi)
     mask = stable_mask(pe) & sl_of_pe.ok
     report.add("slant primitivoid of pedal = scaled rotated curve",
-               _diff(sl_of_pe.points, target, mask), 1e-6)
+               _diff(sl_of_pe.points, lambda s: math.cos(phi) * rotated[s], mask), 1e-6)
 
 
 # (kind, angle or ratio)
@@ -305,12 +298,10 @@ def _suite_oracle(curve: CurveDef, report: VerifyReport) -> None:
         fam = make_family(kind, curve, r=value, phi=value)
         env = envelope(fam)
         closed = tr.transform_frame(frame, kind, value)
-        tag = fam.kind.label()
-        report.add(f"envelope matches closed form {tag}",
-                   _pair_diff(env, closed, relative=True), 1e-9)
+        report.add(f"envelope matches closed form {fam.kind.label()}",
+                   _diff(env.points, closed.points, env.ok & closed.ok, relative=True), 1e-9)
         flag_mismatch += int((~env.ok & closed.ok).sum())
-    report.add("envelope degeneracies are flagged by the closed form too",
-               float(flag_mismatch), 0.0)
+    report.add("envelope degeneracies are flagged by the closed form too", flag_mismatch, 0.0)
     report.add("pedal circles: incidence and inversion to lines",
                circle_family_check(curve), 1e-9)
 
@@ -326,8 +317,8 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
             f"curve '{curve.name}' has singular or near-singular samples;"
             " the singularity suite needs a regular curve")
     roots, classes = sg._criterion_scan(curve, fg)
-    worst_resid = max((resid for _, resid in roots), default=0.0)
-    report.add("criterion roots refined to tolerance", worst_resid, 1e-10)
+    report.add("criterion roots refined to tolerance",
+               max((resid for _, resid in roots), default=0.0), 1e-10)
 
     cusps = [(t0, c) for (t0, _), c in zip(roots, classes) if c.label == "ordinary-cusp"]
     cusp_ts = np.array([t0 for t0, _ in cusps])
@@ -370,17 +361,18 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
         ext_roots = [t for t, _ in sg.find_roots(dk_grid, ts, values=dk,
                                                  period=curve.period)]
         report.add("vertices = extrema of inversion curvature",
-                   _root_gap(vertex_roots, ext_roots), 2 * h)
+                   _root_gap(vertex_roots, ext_roots, curve.period), 2 * h)
 
     fd = _fd_curvature_of_inverted(curve, ts)
-    scale = np.abs(kpsi).max()
-    mask = np.isfinite(fd)
-    rel = np.abs(fd[mask] - kpsi[mask]) / np.maximum(np.abs(kpsi[mask]), 1e-3 * scale)
-    report.add("inversion curvature matches finite differences", rel.max(), 1e-5)
+    floor = 1e-3 * np.abs(kpsi).max()
+    report.add("inversion curvature matches finite differences",
+               _block_max(len(ts), lambda s: np.abs(fd[s] - kpsi[s])
+                          / np.maximum(np.abs(kpsi[s]), floor), np.isfinite(fd)), 1e-5)
 
     pr = tr.primitive(curve, ts)
     report.add("numeric cusp detector agrees with the criterion",
-               _root_gap(sg.detect_cusps_numeric(pr), cusp_ts), h + 1e-12)
+               _root_gap(sg.detect_cusps_numeric(pr), cusp_ts, curve.period),
+               h + 1e-12)
 
 
 def _fd_curvature_of_inverted(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
@@ -403,53 +395,54 @@ def _fd_curvature_of_inverted(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
 def _output_normal_residual(lc: "fr.LegendrianCurve", mask: np.ndarray) -> float:
     """Max |<Pr', nu_out>| / max(1, |Pr'|) with Pr' differentiated
     analytically through the lift (nu' = ell mu), so cusps of the output
-    cost nothing.  A rotation R(phi) cancels from both factors, so this
-    one residual covers every slant angle."""
-    gamma, dgamma = lc.frenet.p, lc.frenet.d1
-    nu = lc.nu_grid
-    mu = perp_xy(nu)
-    n2 = dot_xy(gamma, gamma)
-    q = dot_xy(gamma, nu)
-    n2p = 2.0 * dot_xy(gamma, dgamma)
-    qp = dot_xy(dgamma, nu) + lc.ell_grid * dot_xy(gamma, mu)
-    with np.errstate(all="ignore"):
+    cost nothing, over the samples of mask where it is finite.  A rotation
+    R(phi) cancels from both factors, so it covers every slant angle."""
+    def residual(s):
+        gamma, dgamma, nu, ell = lc.frenet.p[s], lc.frenet.d1[s], lc.nu_grid[s], lc.ell_grid[s]
+        mu = perp_xy(nu)
+        n2 = dot_xy(gamma, gamma)
+        q = dot_xy(gamma, nu)
+        n2p = 2.0 * dot_xy(gamma, dgamma)
+        qp = dot_xy(dgamma, nu) + ell * dot_xy(gamma, mu)
         coef = (n2p * q - n2 * qp) / (q * q)
-        dpr = (2.0 * dgamma - coef[:, None] * nu
-               - (n2 / q * lc.ell_grid)[:, None] * mu)
+        dpr = 2.0 * dgamma - coef[:, None] * nu - (n2 / q * ell)[:, None] * mu
         num = np.abs(dot_xy(dpr, gamma)) / np.sqrt(n2)
         resid = num / np.maximum(1.0, np.hypot(dpr[:, 0], dpr[:, 1]))
-    mask = mask & np.isfinite(resid)
-    return float(resid[mask].max()) if mask.any() else math.inf
+        return np.where(np.isfinite(resid), resid, -np.inf)
+    return _block_max(len(mask), residual, mask)
 
 
 def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     lc = fr.lift_front(curve, sample_grid(curve, max(4096, curve.samples)))
-    ts = lc.ts
+    n = len(lc.ts)
     report.add("legendrian residual of the lift", fr.legendrian_residual(lc), 1e-8)
 
     # frame closure, with the normal derivative from finite differences
-    h = ts[1] - ts[0]
-    nu = lc.nu_grid
-    mu = perp_xy(nu)
-    nudot = tr.five_point_derivative(nu, h, curve.closed)
-    mudot = perp_xy(nudot)
-    inner = tr.stencil_ok(np.ones(len(ts), dtype=bool), curve.closed)
-    r1 = np.hypot(*(nudot - lc.ell_grid[:, None] * mu).T)
-    r2 = np.hypot(*(mudot + lc.ell_grid[:, None] * nu).T)
-    report.add("frame closure nu' = ell mu", float(r1[inner].max()), 1e-6)
-    report.add("frame closure mu' = -ell nu", float(r2[inner].max()), 1e-6)
+    nu, ell = lc.nu_grid, lc.ell_grid
+    nudot = tr.five_point_derivative(nu, lc.ts[1] - lc.ts[0], curve.closed)
+    inner = tr.stencil_ok(np.ones(n, dtype=bool), curve.closed)
+    report.add("frame closure nu' = ell mu",
+               _diff(nudot, lambda s: ell[s, None] * perp_xy(nu[s]), inner), 1e-6)
+    report.add("frame closure mu' = -ell nu",
+               _diff(lambda s: perp_xy(nudot[s]), lambda s: -ell[s, None] * nu[s], inner), 1e-6)
 
     fg = lc.frenet
-    gap = np.abs(lc.ell_grid - fg.speed * fg.kappa)[fg.regular]
-    report.add("ell = speed x curvature on regular arcs", float(gap.max()), 1e-9)
+    report.add("ell = speed x curvature on regular arcs",
+               _block_max(n, lambda s: np.abs(ell[s] - fg.speed[s] * fg.kappa[s]), fg.regular),
+               1e-9)
 
     sf = lc.sample()
     flipped = sf.flip_nu()
-    worst = 0.0
-    for op in (fr.frontal_pedal, fr.frontal_antipedal, fr.frontal_primitive,
-               lambda s: fr.frontal_slant_primitivoid(s, math.pi / 10)):
-        worst = max(worst, _pair_diff(op(sf), op(flipped)))
-    report.add("transforms invariant under nu -> -nu", worst, 1e-15)
+    ops = (fr.frontal_pedal, fr.frontal_antipedal, fr.frontal_primitive,
+           lambda f: fr.frontal_slant_primitivoid(f, math.pi / 10))
+
+    def gap(a, b):
+        return np.where(a.ok & b.ok, np.hypot(*(a.points - b.points).T), -np.inf)
+
+    def flip_gap(s):  # the ops on a block of both frames, one op at a time
+        rows, flipped_rows = tr._frame_rows(sf, s), tr._frame_rows(flipped, s)
+        return np.maximum.reduce([gap(op(rows), op(flipped_rows)) for op in ops])
+    report.add("transforms invariant under nu -> -nu", _block_max(n, flip_gap), 1e-15)
 
     pr_f = fr.frontal_primitive(sf)
     report.add("primitivoid outputs are frontals (exact derivative)",
@@ -458,15 +451,9 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     # composition of slants: the general law lands on the primitivoid of
     # the primitive, the literal angle-addition form holds for
     # origin-centered circles (see the circle rows below)
-    psi, phi = math.pi / 10, math.pi / 5
-    two_step = fr.frontal_slant_primitivoid(
-        fr.frontal_slant_primitivoid(sf, phi), psi)
-    one_step = fr.frontal_slant_primitivoid(pr_f, psi + phi)
-    both = two_step.ok & one_step.ok
+    two_step, one_step, both = fr._composition_sides(sf, math.pi / 10, math.pi / 5, pr_f)
     report.add("slant(psi) of slant(phi) = slant(psi+phi) of primitive",
-               _diff(math.cos(psi + phi) * two_step.points,
-                     math.cos(psi) * math.cos(phi) * one_step.points, both,
-                     relative=True), 1e-9)
+               _diff(two_step, one_step, both, relative=True), 1e-9)
 
     circle_lift = fr.lift_front(builtin_curve("circle", samples=1024))
     report.add("circle slant composition adds angles (pi/10, pi/5)",
@@ -475,13 +462,14 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
                fr.composition_check(circle_lift, math.pi / 6, math.pi / 6), 1e-9)
 
     lhs, rhs, both = fr._composition_sides(sf, math.pi / 4, math.pi / 4)
-    lhs_n = float(np.hypot(*lhs[both].T).max()) if both.any() else math.inf
-    rhs_n = float(np.hypot(*rhs[both].T).max()) if both.any() else math.inf
-    report.add("degenerate composition: both sides vanish", max(lhs_n, rhs_n), 1e-9)
+    report.add("degenerate composition: both sides vanish",
+               _block_max(n, lambda s: np.maximum(np.hypot(*lhs(s).T), np.hypot(*rhs(s).T)),
+                          both), 1e-9)
 
     inv_pe_inv = tr.invert_kernel(fr.frontal_pedal(fr.invert_frontal(sf)), "inverted")
     report.add("primitive = inversion of pedal of inverted frontal",
-               _pair_diff(inv_pe_inv, pr_f, relative=True), 1e-9)
+               _diff(inv_pe_inv.points, pr_f.points, inv_pe_inv.ok & pr_f.ok, relative=True),
+               1e-9)
 
 
 _SUITE_FNS = {

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -17,3 +18,20 @@ def test_golden_prints_its_usage_and_writes_nothing(tmp_path, args):
     assert "tools/golden.py OUTDIR" in done.stderr and "--compare A B" in done.stderr
     assert done.stdout == ""
     assert os.listdir(tmp_path) == []
+
+
+def test_residual_file_holds_the_repr_of_every_row(tmp_path, monkeypatch):
+    from pedalkit.curve import builtin_curve
+    from pedalkit.verify import run_suite
+
+    spec = importlib.util.spec_from_file_location("golden", GOLDEN)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    monkeypatch.chdir(tmp_path)
+    golden.write_residuals("residuals.txt", ["circle"])
+    with open(tmp_path / "residuals.txt", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    expected = [f"circle {samples or 'default'} | {r.name} | {r.residual!r}"
+                for samples in golden.RESIDUAL_SAMPLES
+                for r in run_suite("all", builtin_curve("circle", samples)).results]
+    assert lines == expected

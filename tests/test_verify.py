@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,9 +8,10 @@ import pytest
 
 import pedalkit as pk
 from pedalkit import expr as ex
+from pedalkit import singularity as sg
 from pedalkit import transforms as tr
-from pedalkit.curve import (JET_BLOCK, builtin_curve, format_curve, parse_curve,
-                            position_xy, sample_grid)
+from pedalkit.curve import (JET_BLOCK, _block_max, builtin_curve, format_curve,
+                            parse_curve, position_xy, row_blocks, sample_grid)
 from pedalkit.errors import HypothesisViolated, RangeError
 from pedalkit.verify import (SUITES, VerifyReport, _diff, _plane_inversion_rows,
                              run_suite, stable_mask)
@@ -28,6 +30,45 @@ def test_vertices_match_inversion_curvature_extrema_on_a_rotated_ellipse():
     report = run_suite("singularity", tr.transform_curve(builtin_curve("ellipse"), 0.5, 1.0))
     row = {r.name: r for r in report.results}["vertices = extrema of inversion curvature"]
     assert row.passed, report.format()
+
+
+# the ellipse with a vertex at the seam t_min ~ t_max of its grid: found
+# near t_max by the vertex scan and near t_min by the extremum scan
+SEAM_ELLIPSES = {
+    "rotated": lambda: parse_curve(format_curve(
+        tr.transform_curve(builtin_curve("ellipse"), 2.0, 1.0))),
+    "reversed": lambda: parse_curve(
+        "x = cos(-t)\ny = sin(-t)/sqrt(3.0)\nt_min = -2*pi\nt_max = 0\n"),
+}
+VERTEX_ROW = "vertices = extrema of inversion curvature"
+
+
+@pytest.mark.parametrize("name", SEAM_ELLIPSES)
+def test_vertices_match_across_the_seam_of_a_closed_curve(name):
+    # sorted lists paired in order are off by pi/2 here; the roots are
+    # matched on the circle of length period
+    report = run_suite("singularity", SEAM_ELLIPSES[name]())
+    row = {r.name: r for r in report.results}[VERTEX_ROW]
+    assert row.residual < 1e-9, report.format()
+
+
+@pytest.mark.parametrize("mutation", ["drop", "move"])
+@pytest.mark.parametrize("name", SEAM_ELLIPSES)
+def test_vertex_row_catches_a_dropped_or_moved_root_at_the_seam(monkeypatch, name, mutation):
+    scan = sg._frenet_scan
+
+    def mutated(curve, fg, field, kind):
+        roots = sorted(scan(curve, fg, field, kind), key=lambda r: r.t)
+        if mutation == "drop":
+            return roots[:-1]
+        h = fg.ts[1] - fg.ts[0]
+        return roots[:-1] + [dataclasses.replace(roots[-1], t=roots[-1].t + 3 * h)]
+
+    monkeypatch.setattr(sg, "_frenet_scan", mutated)
+    report = run_suite("singularity", SEAM_ELLIPSES[name]())
+    row = {r.name: r for r in report.results}[VERTEX_ROW]
+    assert not row.passed
+    assert row.residual == (math.inf if mutation == "drop" else pytest.approx(3 * row.tolerance / 2))
 
 
 @pytest.mark.parametrize("text", [
@@ -228,4 +269,51 @@ def test_blocked_diff_equals_one_shot(relative):
     for a, b, mask in _diff_cases():
         expected = _one_shot_diff(a, b, mask, relative)
         assert _diff(a, b, mask, relative) == expected
+        # an operand may be built block by block instead
+        assert _diff(a, lambda s: b[s], mask, relative) == expected
+        assert _diff(lambda s: a[s], lambda s: b[s], mask, relative) == expected
     assert expected == math.inf
+
+
+def _one_shot_max(values, mask):
+    """_block_max of a per-sample residual array, on the whole grid at once."""
+    return float(values[mask].max()) if mask.any() else math.inf
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_block_max_equals_the_one_shot_masked_max(blocks):
+    n = blocks * JET_BLOCK
+    rng = np.random.default_rng(blocks)
+    values = rng.lognormal(size=n)
+    values[-1] = 10.0 * values.max()  # the worst sample ends the grid
+    calls = []
+
+    def residual(block):
+        calls.append(block)
+        return values[block]
+
+    full = np.ones(n, dtype=bool)
+    sparse = rng.random(n) < 0.01
+    holed = full.copy()
+    holed[:JET_BLOCK] = False  # the first block compares no sample
+    for mask in (full, sparse, holed, ~sparse):
+        calls.clear()
+        assert repr(_block_max(n, residual, mask)) == repr(_one_shot_max(values, mask))
+        # a block that holds no row of mask is not computed
+        assert calls == [block for block in row_blocks(n) if mask[block].any()]
+    assert repr(_block_max(n, residual)) == repr(float(values.max()))
+    # a residual of -inf leaves its row out
+    assert repr(_block_max(n, lambda s: np.where(sparse[s], values[s], -np.inf))) == \
+        repr(_one_shot_max(values, sparse))
+    assert _block_max(n, lambda s: np.full(s.stop - s.start, -np.inf)) == math.inf
+
+    # a nan on a compared row propagates, on a row left out it does not
+    j = int(np.flatnonzero(sparse)[-1])
+    values[j] = math.nan
+    assert math.isnan(_block_max(n, residual, sparse))
+    assert repr(_block_max(n, residual, sparse & (np.arange(n) != j))) == repr(
+        _one_shot_max(values, sparse & (np.arange(n) != j)))
+    # no compared row gives inf, without a residual computed
+    calls.clear()
+    assert _block_max(n, residual, np.zeros(n, dtype=bool)) == math.inf
+    assert calls == []

@@ -31,6 +31,10 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   offset circle, passed as curve files written with `format_curve`, and
   on the open ellipse and parabola arcs (the open-grid branches of the
   singularity and frontal suites);
+- `verify-residuals.txt`: the `repr` of every residual of
+  `run_suite("all")` on those eight curves, at their default sample
+  count and at 4096 samples, one line per row, so that a residual that
+  changes in its last bit shows in the comparison;
 - `verify --suite oracle --samples 40000` on the ellipse and the front:
   envelopes that span three solve blocks; and at 1048576 samples on the
   ellipse, whose maxima are taken over 64 blocks;
@@ -119,6 +123,9 @@ ORACLE_SAMPLES = "40000"
 # and the one at 2^20 samples
 LARGE_ORACLE_SAMPLES = "1048576"
 
+# the sample counts of verify-residuals.txt; None is the curve's own
+RESIDUAL_SAMPLES = (None, 4096)
+
 
 def run(name: str, argv: list[str]) -> None:
     """Run one command and write its stdout, stderr and exit code to
@@ -135,6 +142,25 @@ def run(name: str, argv: list[str]) -> None:
         fh.write(f"$ pedalkit {' '.join(argv)}\nexit {code}\n")
         fh.write("--- stderr\n" + err.getvalue())
         fh.write("--- stdout\n" + out.getvalue())
+
+
+def write_residuals(name: str, specs: list[str]) -> None:
+    """Write the repr of every residual of run_suite("all") on the curves
+    named by specs (built-in names or curve files) at RESIDUAL_SAMPLES,
+    one line per row, to the file `name` in the current directory."""
+    from pedalkit.cli import _resolve_curve
+    from pedalkit.verify import run_suite
+
+    with open(name, "w", encoding="utf-8", newline="\n") as fh:
+        for samples in RESIDUAL_SAMPLES:
+            for spec in specs:
+                head = f"{spec} {samples or 'default'} |"
+                try:
+                    rows = run_suite("all", _resolve_curve(spec, samples)).results
+                except Exception as exc:
+                    fh.write(f"{head} traceback {type(exc).__name__}\n")
+                    continue
+                fh.writelines(f"{head} {r.name} | {r.residual!r}\n" for r in rows)
 
 
 def write_goldens(outdir: str) -> int:
@@ -186,8 +212,10 @@ def write_goldens(outdir: str) -> int:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(format_curve(invert_curve(builtin_curve(name))))
         curves.append(path)
-    for curve in curves + ["open-arc.curve", "parabola-arc.curve"]:
+    curves += ["open-arc.curve", "parabola-arc.curve"]
+    for curve in curves:
         run(f"verify-{curve}.txt", ["verify", "--curve", curve, "--suite", "all"])
+    write_residuals("verify-residuals.txt", curves)
     for curve in ("ellipse", "front"):
         for suite in ("oracle", "inverse-pair"):
             run(f"verify-{curve}-{suite}-{ORACLE_SAMPLES}.txt",
