@@ -31,7 +31,7 @@ import numpy as np
 from . import figures as fig
 from . import singularity as sg
 from . import transforms as tr
-from .curve import BUILTIN_NAMES, CurveDef, builtin_curve, load_curve, sample_grid
+from .curve import BUILTIN_NAMES, CurveDef, builtin_curve, load_curve
 from .envelope import make_family
 from .errors import PedalkitError, RangeError
 from .render import (PALETTE, PlotSpec, _svg_chunks, overlay_from_curve, overlay_from_mapped,
@@ -89,7 +89,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     curve = _resolve_curve(args.curve, args.samples)
-    reports = DETECTORS[args.what](curve, sample_grid(curve))
+    reports = DETECTORS[args.what](curve)
     out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else sys.stdout
     try:
         for r in reports:

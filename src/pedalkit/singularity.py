@@ -8,27 +8,28 @@ and such a zero is an ordinary (3/2) cusp iff additionally the
 arc-length derivative of kappa is nonzero there.  Equivalently, the
 osculating circle of g at t passes through the origin, and the inverted
 curve has an ordinary inflection.  Roots are located by a sign-change
-scan over a grid followed by bisection, refined until |f| <= 1e-10 or
-80 iterations, for all brackets together: f is vectorized and called
-once per step.  On a closed curve the scan includes the closing cell
-from the last sample round to the first.  The scalar criterion,
-osculating_circle and classify_cusp are one-row cases of the array
-functions.  The detectors and the verify suite scan the rows of one
-FrenetGrid (`_criterion_scan`, `_frenet_scan`).  detect_cusps_numeric is the model-free cross-check: it sees cusps of a
-sampled curve purely from the points.
+scan over a grid, one JET_BLOCK slice at a time, followed by bisection,
+refined until |f| <= 1e-10 or 80 iterations, for all brackets together.
+On a closed curve the scan includes the closing cell from the last
+sample round to the first.  The scalar criterion, osculating_circle and
+classify_cusp are one-row cases of the array functions.  Each detector
+scans one Frenet field (`_scan`).  detect_cusps_numeric is the
+model-free cross-check: it sees cusps of a sampled curve purely from
+the points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
 
-from .curve import CurveDef, FrenetGrid, bbox_diameter, frenet_grid, frenet_rows
+from .curve import CurveDef, FrenetGrid, frenet_grid, frenet_rows, row_blocks, sample_grid
 from .errors import HypothesisViolated, InflectionPoint, RangeError
-from .transforms import (DENOM_REL_EPS, MappedCurve, frenet_frame, inversion_curvature,
+from .transforms import (MappedCurve, frenet_frame, inversion_curvature,
                          inversion_curvature_grid, inversion_curvature_rows,
                          shift, stencil_ok)
 from .vec import dot_xy, finite_xy, median, scale_xy
@@ -78,21 +79,16 @@ def _bisect(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     return roots, resids
 
 
-def _brackets(a: float, b: float) -> bool:
-    """A sign change between two finite values."""
-    return math.isfinite(a) and math.isfinite(b) and (a < 0.0) != (b < 0.0)
-
-
 def find_roots(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
                values: np.ndarray | None = None,
                period: float | None = None) -> list[tuple[float, float]]:
     """Roots of f located by sign changes between adjacent grid points,
-    refined by bisection.  f is vectorized: it maps an array of
-    parameters to the array of its values, nan where it is undefined.
-    Returns (root, residual) pairs in grid order.  Precomputed grid
-    values may be passed to skip the scan evaluation.  A cell with a
-    non-finite end is not a bracket, and neither is one in which f is
-    undefined (a pole).
+    refined by bisection.  f is vectorized and pointwise: it maps an
+    array of parameters to the array of their values, nan where it is
+    undefined, so the grid values, unless passed, are f on one
+    row_blocks slice at a time.  Returns (root, residual) pairs in grid
+    order.  A cell with a non-finite end is not a bracket, and neither
+    is one in which f is undefined (a pole).
 
     For a closed curve pass its period, t_max - t_min: the closing cell
     [grid[-1], grid[0] + period] is scanned too, with f(grid[0]) as its
@@ -100,7 +96,11 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     [grid[0], grid[0] + period).
     """
     grid = np.asarray(grid, dtype=float)
-    values = np.asarray(f(grid) if values is None else values, dtype=float)
+    if values is None:
+        values = np.empty(len(grid))
+        for block in row_blocks(len(grid)):
+            values[block] = f(grid[block])
+    values = np.asarray(values, dtype=float)
     n = len(grid)
     ends, end_values = grid, values
     if period is not None and grid[-1] < grid[0] + period:
@@ -118,17 +118,14 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
         if i == n - 1 and t0 >= grid[0] + period:
             i, t0 = -1, t0 - period
         found.append((i, (float(t0), float(resid))))
-    # A run of exact zeros is one root, and only if the sign actually
-    # changes across it; tangential contact and identically-zero
-    # stretches are out of contract.
+    # A run of exact zeros is one root if it ends the grid on one side,
+    # or the sign changes across it between finite values; tangential
+    # contact and identically-zero stretches are out of contract.
     zero = values == 0.0
     edges = np.flatnonzero(np.diff(np.concatenate(([0], zero.astype(np.int8), [0]))))
     for i, j in zip(edges[::2], edges[1::2]):
-        before = values[i - 1] if i > 0 else None
-        after = values[j] if j < n else None
-        if before is None and after is None:
-            continue
-        if before is None or after is None or _brackets(before, after):
+        if (i == 0) != (j == n) or (0 < i and j < n and live[i - 1] and live[j]
+                                    and neg[i - 1] != neg[j]):
             found.append((i, (float(0.5 * (grid[i] + grid[j - 1])), 0.0)))
     return [root for _, root in sorted(found, key=lambda item: item[0])]
 
@@ -169,6 +166,10 @@ def criterion_grid(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
     return -inversion_curvature_grid(curve, ts)
 
 
+def _criterion_rows(fg: FrenetGrid) -> np.ndarray:
+    return -inversion_curvature_rows(fg)
+
+
 @dataclass(frozen=True)
 class CuspClassification:
     label: str  # 'ordinary-cusp' | 'degenerate' | 'not-singular'
@@ -195,7 +196,7 @@ def classify_cusps(curve: CurveDef, ts: np.ndarray,
         i = np.flatnonzero(undefined)[0]
         raise HypothesisViolated(
             f"<g, n> = {den[i]:.3e} at t={fg.ts[i]}; the primitive is undefined there")
-    crit = -inversion_curvature_rows(fg)
+    crit = _criterion_rows(fg)
     kpa = fg.kappa_prime_arc
     labels = np.where(np.abs(crit) <= CRITERION_EPS,
                       np.where(np.abs(kpa) > KAPPA_PRIME_EPS, "ordinary-cusp", "degenerate"),
@@ -222,40 +223,33 @@ class SingularityReport:
     classification: Optional[str] = None
 
 
-def _criterion_scan(curve: CurveDef, fg: FrenetGrid) -> tuple[
-        list[tuple[float, float]], list[CuspClassification]]:
-    """The (root, residual) pairs of the criterion over the rows of fg,
-    and their classifications.  The curve must avoid the origin."""
-    roots = find_roots(lambda t: criterion_grid(curve, t), fg.ts,
-                       values=-inversion_curvature_rows(fg), period=curve.period)
-    if not roots:
-        return [], []
-    eps_d = DENOM_REL_EPS * bbox_diameter(fg.p)
-    return roots, classify_cusps(curve, [t0 for t0, _ in roots], eps_d=eps_d)
-
-
-def _frenet_scan(curve: CurveDef, fg: FrenetGrid, field: str,
-                 kind: str) -> list[SingularityReport]:
-    """The roots of one Frenet field of fg (kappa, kappa_prime_arc)."""
-    roots = find_roots(lambda t: getattr(frenet_grid(curve, t), field), fg.ts,
-                       values=getattr(fg, field), period=curve.period)
-    return [SingularityReport(kind, t0, r) for t0, r in roots]
+def _scan(curve: CurveDef, ts: np.ndarray | None, field: Callable[[FrenetGrid], np.ndarray],
+          values: np.ndarray | None = None) -> list[tuple[float, float]]:
+    """The roots of field, a map of a FrenetGrid to its (n,) rows, over
+    ts (by default the sample grid), whose field values may be passed."""
+    return find_roots(lambda t: field(frenet_grid(curve, t)),
+                      sample_grid(curve) if ts is None else ts,
+                      values=values, period=curve.period)
 
 
 def primitive_singularities(curve: CurveDef,
                             ts: np.ndarray | None = None) -> list[SingularityReport]:
     """Parameters where the primitive of the curve is singular,
     classified.  The curve must avoid the origin."""
+    roots = _scan(curve, ts, _criterion_rows)
+    classes = classify_cusps(curve, [t0 for t0, _ in roots]) if roots else []
     return [SingularityReport("primitive-cusp", t0, resid, cls.label)
-            for (t0, resid), cls in zip(*_criterion_scan(curve, frenet_grid(curve, ts)))]
+            for (t0, resid), cls in zip(roots, classes)]
 
 
 def inflections(curve: CurveDef, ts: np.ndarray | None = None) -> list[SingularityReport]:
-    return _frenet_scan(curve, frenet_grid(curve, ts), "kappa", "inflection")
+    return [SingularityReport("inflection", t0, r)
+            for t0, r in _scan(curve, ts, attrgetter("kappa"))]
 
 
 def vertices(curve: CurveDef, ts: np.ndarray | None = None) -> list[SingularityReport]:
-    return _frenet_scan(curve, frenet_grid(curve, ts), "kappa_prime_arc", "vertex")
+    return [SingularityReport("vertex", t0, r)
+            for t0, r in _scan(curve, ts, attrgetter("kappa_prime_arc"))]
 
 
 def detect_cusps_numeric(mc: MappedCurve) -> list[float]:

@@ -20,14 +20,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from . import frontal as fr
 from . import singularity as sg
 from . import transforms as tr
-from .curve import (CurveDef, _block_max, builtin_curve, frenet_grid, position_xy,
-                    sample_grid)
+from .curve import (CurveDef, _block_max, bbox_diameter, builtin_curve, frenet_grid,
+                    position_xy, sample_grid)
 from .envelope import circle_family_check, envelope, make_family
 from .errors import HypothesisViolated, RangeError
 from .vec import dot_xy, finite_xy, invert_xy, median, perp_xy, rotate_xy
@@ -316,7 +317,9 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
         raise HypothesisViolated(
             f"curve '{curve.name}' has singular or near-singular samples;"
             " the singularity suite needs a regular curve")
-    roots, classes = sg._criterion_scan(curve, fg)
+    roots = sg._scan(curve, ts, sg._criterion_rows, sg._criterion_rows(fg))
+    eps_d = tr.DENOM_REL_EPS * bbox_diameter(fg.p)
+    classes = sg.classify_cusps(curve, [t0 for t0, _ in roots], eps_d) if roots else []
     report.add("criterion roots refined to tolerance",
                max((resid for _, resid in roots), default=0.0), 1e-10)
 
@@ -349,7 +352,8 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
         # would chase rounding noise.
         report.add("vertices = extrema of inversion curvature", 0.0, 2 * h)
     else:
-        vertex_roots = [r.t for r in sg._frenet_scan(curve, fg, "kappa_prime_arc", "vertex")]
+        vertex_roots = [t0 for t0, _ in sg._scan(curve, ts, attrgetter("kappa_prime_arc"),
+                                                 fg.kappa_prime_arc)]
         delta = 1e-6 * (curve.t_max - curve.t_min)
 
         def dk_grid(t):

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from pedalkit import singularity as sg
 from pedalkit import transforms as tr
-from pedalkit.curve import builtin_curve, parse_curve, sample_grid
+from pedalkit.curve import (JET_BLOCK, bbox_diameter, builtin_curve, frenet_grid,
+                            parse_curve, row_blocks, sample_grid)
 from pedalkit.errors import (HypothesisViolated, InflectionPoint,
                              OriginSingularity, RangeError)
 
@@ -186,6 +189,88 @@ def test_classify_cusp_needs_defined_primitive():
         "x = t + 2\ny = 0\nt_min = 0\nt_max = 1\nclosed = false\nsamples = 16")
     with pytest.raises(HypothesisViolated, match="primitive is undefined"):
         sg.classify_cusp(flat, 0.5)
+
+
+# --- the blocked scan ------------------------------------------------------
+
+SCAN_CURVES = {
+    "ellipse": lambda: builtin_curve("ellipse"),
+    "front": lambda: builtin_curve("front"),
+    "parabola": lambda: parse_curve(
+        "x = t\ny = t^2 + 1\nt_min = -1\nt_max = 1\nclosed = false\n"),
+    # an open arc with roots of all three fields: 2 vertices, 1
+    # inflection, 3 cusps of the primitive
+    "sine": lambda: parse_curve(
+        "x = t\ny = sin(t) + 0.5\nt_min = 0.3\nt_max = 6\nclosed = false\n"),
+}
+# part of one jet block, two whole blocks, two and part of a third, three
+SCAN_SAMPLES = (4096, 32768, 40000, 49152)
+
+
+def _whole_grid_reports(curve, ts):
+    """(kind, root, residual, label) of the three detectors from one
+    whole-grid FrenetGrid, the reference of the blocked scan: every root
+    scan reads its values, and the cusps are classified at the guard
+    scale of its points."""
+    fg = frenet_grid(curve, ts)
+
+    def roots(field):
+        return sg.find_roots(lambda t: field(frenet_grid(curve, t)), ts,
+                             values=field(fg), period=curve.period)
+
+    cusps = roots(lambda g: -tr.inversion_curvature_rows(g))
+    eps_d = tr.DENOM_REL_EPS * bbox_diameter(fg.p)
+    classes = sg.classify_cusps(curve, [t for t, _ in cusps], eps_d) if cusps else []
+    return ([("vertex", t, r, None) for t, r in roots(attrgetter("kappa_prime_arc"))]
+            + [("inflection", t, r, None) for t, r in roots(attrgetter("kappa"))]
+            + [("primitive-cusp", t, r, c.label) for (t, r), c in zip(cusps, classes)])
+
+
+@pytest.mark.parametrize("samples", SCAN_SAMPLES)
+@pytest.mark.parametrize("name", SCAN_CURVES)
+def test_detectors_match_the_whole_grid_scan_bitwise(name, samples):
+    curve = SCAN_CURVES[name]()
+    ts = sample_grid(curve, samples)
+    reports = sg.vertices(curve, ts) + sg.inflections(curve, ts) \
+        + sg.primitive_singularities(curve, ts)
+    got = [(r.kind, r.t, r.residual, r.classification) for r in reports]
+    assert repr(got) == repr(_whole_grid_reports(curve, ts))
+
+
+@pytest.mark.parametrize("samples", SCAN_SAMPLES)
+@pytest.mark.parametrize("name", SCAN_CURVES)
+def test_find_roots_evaluates_the_grid_one_block_at_a_time(name, samples):
+    curve = SCAN_CURVES[name]()
+    ts = sample_grid(curve, samples)
+    sizes = []
+
+    def criterion(t):
+        sizes.append(len(t))
+        return sg.criterion_grid(curve, t)
+
+    whole = sg.find_roots(criterion, ts, values=criterion(ts), period=curve.period)
+    del sizes[:]
+    assert repr(sg.find_roots(criterion, ts, period=curve.period)) == repr(whole)
+    # the grid, one row_blocks slice per call, then the bisection steps
+    blocks = [b.stop - b.start for b in row_blocks(samples)]
+    assert sizes[:len(blocks)] == blocks
+    assert max(sizes) <= JET_BLOCK
+
+
+@pytest.mark.parametrize("name", ["ellipse", "front"])
+def test_detectors_hold_no_whole_grid_frenet_data(name):
+    # a whole-grid FrenetGrid holds 161 bytes per sample; the blocked
+    # scan keeps the grid, the field on it and the cells of find_roots
+    samples = 1 << 18
+    curve = builtin_curve(name, samples=samples)
+    for detect in (sg.vertices, sg.inflections, sg.primitive_singularities):
+        tracemalloc.start()
+        try:
+            detect(curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * samples, detect.__name__
 
 
 def test_detect_cusps_numeric_sees_primitive_cusps():

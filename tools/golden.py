@@ -41,7 +41,10 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
 - `verify --suite inverse-pair --samples 40000` on the ellipse and the
   front: polyline frames and the kernels on them over three blocks;
 - `detect` for every kind on the built-ins, at the default sample count
-  and at 65536 samples, and on the inverted ellipse;
+  and at 65536 samples; on the ellipse and the front at 40000 samples,
+  a root scan over two full jet blocks and a partial third; and on the
+  inverted ellipse and the open ellipse and parabola arcs, whose grids
+  have no closing cell;
 - input errors: a curve file whose x is nested 400 parentheses deep, a
   curve file that is not UTF-8, and `transform --kind pedal --angle`,
   a parameter the kind does not take.
@@ -117,8 +120,9 @@ ERROR_FILES = {
 }
 ERROR_ARGS = ["transform", "--curve", "ellipse", "--kind", "pedal", "--angle", "0.3"]
 
-# the verify --suite oracle and inverse-pair cases, and the slant of the
-# parabola arc: more samples than two blocks hold
+# the verify --suite oracle and inverse-pair cases, the slant of the
+# parabola arc and the detect cases on the ellipse and the front: more
+# samples than two blocks hold
 ORACLE_SAMPLES = "40000"
 # and the one at 2^20 samples
 LARGE_ORACLE_SAMPLES = "1048576"
@@ -229,8 +233,11 @@ def write_goldens(outdir: str) -> int:
                 run(f"detect-{curve}-{what}-{samples or 'default'}.txt",
                     ["detect", "--curve", curve, "--what", what] + extra)
     for what in DETECT_KINDS:
-        run(f"detect-inv-ellipse.curve-{what}.txt",
-            ["detect", "--curve", "inv-ellipse.curve", "--what", what])
+        for curve in ("ellipse", "front"):
+            run(f"detect-{curve}-{what}-{ORACLE_SAMPLES}.txt",
+                ["detect", "--curve", curve, "--what", what, "--samples", ORACLE_SAMPLES])
+        for curve in ("inv-ellipse.curve", "open-arc.curve", "parabola-arc.curve"):
+            run(f"detect-{curve}-{what}.txt", ["detect", "--curve", curve, "--what", what])
     for path, content in ERROR_FILES.items():
         with open(path, "wb") as fh:
             fh.write(content)
