@@ -40,8 +40,8 @@ from .render import (Overlay, PlotSpec, overlay_from_curve,
                      render_to_file, write_legendrian_csv, write_mapped_csv)
 from .singularity import (CuspClassification, OsculatingCircle,
                           SingularityReport, classify_cusp, classify_cusps,
-                          criterion, criterion_grid, detect_cusps_numeric,
-                          find_roots, inflections, osculating_circle,
+                          criterion, detect_cusps_numeric, find_roots,
+                          inflections, osculating_circle,
                           primitive_singularities, vertices)
 from .transforms import (TRANSFORM_KINDS, TRANSFORMS, MappedCurve,
                          TransformKind, antipedal, antipedal_kernel,

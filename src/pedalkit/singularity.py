@@ -11,9 +11,11 @@ curve has an ordinary inflection.  Roots are located by a sign-change
 scan over a grid, one JET_BLOCK slice at a time, followed by bisection,
 refined until |f| <= 1e-10 or 80 iterations, for all brackets together.
 On a closed curve the scan includes the closing cell from the last
-sample round to the first.  The scalar criterion, osculating_circle and
-classify_cusp are one-row cases of the array functions.  Each detector
-scans one Frenet field (`_scan`).  detect_cusps_numeric is the
+sample round to the first, by index, without a copy of the grid.  The
+scalar criterion, osculating_circle and classify_cusp are one-row cases
+of the array functions.  Each detector scans one Frenet field (`_scan`);
+the cusp scan reads the inversion curvature, the negated criterion, with
+the same roots bit for bit.  detect_cusps_numeric is the
 model-free cross-check: it sees cusps of a sampled curve purely from
 the points.
 """
@@ -27,11 +29,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curve import CurveDef, FrenetGrid, frenet_grid, frenet_rows, row_blocks, sample_grid
+from .curve import (CurveDef, FrenetGrid, bbox_diameter, frenet_grid, frenet_rows,
+                    position_xy, row_blocks, sample_grid)
 from .errors import HypothesisViolated, InflectionPoint, RangeError
-from .transforms import (MappedCurve, frenet_frame, inversion_curvature,
-                         inversion_curvature_grid, inversion_curvature_rows,
-                         shift, stencil_ok)
+from .transforms import (DENOM_REL_EPS, MappedCurve, inversion_curvature,
+                         inversion_curvature_rows, shift, stencil_ok)
 from .vec import dot_xy, finite_xy, median, scale_xy
 
 BISECT_TARGET = 1e-10
@@ -102,15 +104,16 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
             values[block] = f(grid[block])
     values = np.asarray(values, dtype=float)
     n = len(grid)
-    ends, end_values = grid, values
-    if period is not None and grid[-1] < grid[0] + period:
-        ends = np.append(grid, grid[0] + period)
-        end_values = np.append(values, values[0])
-    live = np.isfinite(end_values) & (end_values != 0.0)
-    neg = end_values < 0.0
+    live = np.isfinite(values) & (values != 0.0)
+    neg = values < 0.0
     cells = np.flatnonzero(live[:-1] & live[1:] & (neg[:-1] != neg[1:]))
-    roots, resids = _bisect(f, ends[cells], ends[cells + 1],
-                            end_values[cells], end_values[cells + 1])
+    # the closing cell n - 1 of a closed grid runs from grid[-1] to grid[0] + period
+    if (period is not None and grid[-1] < grid[0] + period
+            and live[-1] and live[0] and neg[-1] != neg[0]):
+        cells = np.concatenate([cells, [n - 1]])
+    right = (cells + 1) % n
+    hi = np.where(cells == n - 1, grid[0] + (period or 0.0), grid[right])
+    roots, resids = _bisect(f, grid[cells], hi, values[cells], values[right])
     found: list[tuple[int, tuple[float, float]]] = []  # (grid index, root)
     for i, t0, resid in zip(cells, roots, resids):
         if np.isnan(t0):
@@ -162,14 +165,6 @@ def criterion(curve: CurveDef, t: float) -> float:
     return -inversion_curvature(curve, t)
 
 
-def criterion_grid(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
-    return -inversion_curvature_grid(curve, ts)
-
-
-def _criterion_rows(fg: FrenetGrid) -> np.ndarray:
-    return -inversion_curvature_rows(fg)
-
-
 @dataclass(frozen=True)
 class CuspClassification:
     label: str  # 'ordinary-cusp' | 'degenerate' | 'not-singular'
@@ -183,20 +178,22 @@ def classify_cusps(curve: CurveDef, ts: np.ndarray,
     """Classify primitive-singularity candidates at the parameters ts,
     in one array call.
 
-    Needs <g, n_hat> bounded away from zero there (else the primitive
-    itself is not defined and HypothesisViolated is raised for the first
-    such parameter); raises the errors of frenet as well.
+    Needs |<g, n_hat>| >= eps_d there (else the primitive itself is not
+    defined and HypothesisViolated is raised for the first such
+    parameter); raises the errors of frenet as well.  eps_d defaults to
+    that of the curve's Frenet frame, taken from the positions on its
+    sample grid; nothing is kept on the curve.
     """
     fg = frenet_rows(curve, ts)
     if eps_d is None:
-        eps_d = frenet_frame(curve).eps_d
+        eps_d = DENOM_REL_EPS * bbox_diameter(position_xy(curve, sample_grid(curve)))
     den = dot_xy(fg.p, fg.n_hat)
     undefined = np.abs(den) < eps_d
     if undefined.any():
         i = np.flatnonzero(undefined)[0]
         raise HypothesisViolated(
             f"<g, n> = {den[i]:.3e} at t={fg.ts[i]}; the primitive is undefined there")
-    crit = _criterion_rows(fg)
+    crit = -inversion_curvature_rows(fg)
     kpa = fg.kappa_prime_arc
     labels = np.where(np.abs(crit) <= CRITERION_EPS,
                       np.where(np.abs(kpa) > KAPPA_PRIME_EPS, "ordinary-cusp", "degenerate"),
@@ -208,11 +205,10 @@ def classify_cusps(curve: CurveDef, ts: np.ndarray,
             for label, c, k, w in zip(labels, crit, kpa, witness)]
 
 
-def classify_cusp(curve: CurveDef, t0: float,
-                  eps_d: float | None = None) -> CuspClassification:
+def classify_cusp(curve: CurveDef, t0: float) -> CuspClassification:
     """Classify a primitive-singularity candidate at t0: the one-root
     case of classify_cusps."""
-    return classify_cusps(curve, t0, eps_d)[0]
+    return classify_cusps(curve, t0)[0]
 
 
 @dataclass(frozen=True)
@@ -236,7 +232,7 @@ def primitive_singularities(curve: CurveDef,
                             ts: np.ndarray | None = None) -> list[SingularityReport]:
     """Parameters where the primitive of the curve is singular,
     classified.  The curve must avoid the origin."""
-    roots = _scan(curve, ts, _criterion_rows)
+    roots = _scan(curve, ts, inversion_curvature_rows)
     classes = classify_cusps(curve, [t0 for t0, _ in roots]) if roots else []
     return [SingularityReport("primitive-cusp", t0, resid, cls.label)
             for (t0, resid), cls in zip(roots, classes)]

@@ -317,7 +317,8 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
         raise HypothesisViolated(
             f"curve '{curve.name}' has singular or near-singular samples;"
             " the singularity suite needs a regular curve")
-    roots = sg._scan(curve, ts, sg._criterion_rows, sg._criterion_rows(fg))
+    kpsi = tr.inversion_curvature_rows(fg)
+    roots = sg._scan(curve, ts, tr.inversion_curvature_rows, kpsi)
     eps_d = tr.DENOM_REL_EPS * bbox_diameter(fg.p)
     classes = sg.classify_cusps(curve, [t0 for t0, _ in roots], eps_d) if roots else []
     report.add("criterion roots refined to tolerance",
@@ -345,7 +346,6 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
     report.add("inverted-curve curvature changes sign at cusps",
                0.0 if sign_ok else math.inf, 0.0)
 
-    kpsi = tr.inversion_curvature_rows(fg)
     dk = (np.roll(kpsi, -1) - np.roll(kpsi, 1)) / (2 * h) if curve.closed else np.gradient(kpsi, h)
     if np.abs(fg.kappa_prime_arc).max() < 1e-10 and np.abs(dk).max() < 1e-8:
         # Constant curvature: both sides vanish identically and sign scans

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 from operator import attrgetter
@@ -7,8 +8,8 @@ import pytest
 
 from pedalkit import singularity as sg
 from pedalkit import transforms as tr
-from pedalkit.curve import (JET_BLOCK, bbox_diameter, builtin_curve, frenet_grid,
-                            parse_curve, row_blocks, sample_grid)
+from pedalkit.curve import (BUILTIN_NAMES, JET_BLOCK, bbox_diameter, builtin_curve,
+                            frenet_grid, parse_curve, row_blocks, sample_grid)
 from pedalkit.errors import (HypothesisViolated, InflectionPoint,
                              OriginSingularity, RangeError)
 
@@ -97,6 +98,45 @@ def test_find_roots_bisects_all_brackets_together():
     assert len(calls) <= sg.BISECT_MAX_ITER + 2
 
 
+# two fields on the closed grid 0, 1, ..., 7 of period 8: one whose only
+# sign change is in the closing cell [7, 8] (its zeros are 7.3 and 3.3,
+# but it is undefined on [2.5, 4.5]), and one with runs of exact zeros,
+# at 1..3 and at 6
+CLOSED_FIELDS = {
+    "closing-cell": lambda t: np.where(np.abs(t % 8.0 - 3.5) <= 1.0, np.nan,
+                                       np.sin(np.pi * (t % 8.0 - 7.3) / 4.0)),
+    "zero-runs": lambda t: np.interp(t % 8.0, [0, 1, 3, 5, 6, 8], [-1, 0, 0, 1, 0, -1]),
+}
+
+
+@pytest.mark.parametrize("name, expected", [("closing-cell", [7.3]), ("zero-runs", [2.0, 6.0])])
+def test_find_roots_on_a_closed_grid_reads_only_signs(name, expected):
+    f, grid = CLOSED_FIELDS[name], np.arange(8.0)
+    roots = sg.find_roots(f, grid, period=8.0)
+    np.testing.assert_allclose([t for t, _ in roots], expected, atol=1e-10)
+    for values in (None, -f(grid)):
+        assert repr(sg.find_roots(lambda t: -f(t), grid, values, period=8.0)) == repr(roots)
+    if name == "closing-cell":
+        assert sg.find_roots(f, grid) == []
+
+
+def test_find_roots_copies_no_grid_for_the_closing_cell():
+    # a copy of the grid and of its values would add 16 bytes per sample
+    samples = 1 << 18
+    curve = builtin_curve("ellipse")
+    ts = sample_grid(curve, samples)
+    values = -tr.inversion_curvature_grid(curve, ts)
+    tracemalloc.start()
+    try:
+        roots = sg.find_roots(lambda t: -tr.inversion_curvature_grid(curve, t), ts,
+                              values=values, period=curve.period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(roots) == 4
+    assert peak < 24 * samples
+
+
 # --- osculating circle -----------------------------------------------------
 
 def test_osculating_circle_ellipse_apex():
@@ -128,7 +168,7 @@ def test_criterion_is_negated_inversion_curvature():
 def test_criterion_grid_matches_scalar():
     ell = builtin_curve("ellipse")
     ts = sample_grid(ell, 32)
-    grid_vals = sg.criterion_grid(ell, ts)
+    grid_vals = -tr.inversion_curvature_grid(ell, ts)
     np.testing.assert_allclose(grid_vals, [sg.criterion(ell, t) for t in ts],
                                rtol=1e-12, atol=1e-12)
 
@@ -143,6 +183,36 @@ def test_ellipse_primitive_cusps():
         assert abs(rep.t - expect) < 1e-9
         assert rep.residual <= 1e-10
         assert rep.classification == "ordinary-cusp"
+
+
+def test_primitive_singularities_keep_no_frame_on_the_curve():
+    curve = builtin_curve("ellipse")
+    assert len(sg.primitive_singularities(curve)) == 4
+    assert tr.kept_frame(curve) is None
+
+
+@pytest.mark.parametrize("name, samples", [(name, n) for name in BUILTIN_NAMES
+                                           for n in (1024, 40000)]
+                         + [("inv(ellipse)", None), ("sine", None)])
+def test_the_default_cusp_guard_is_that_of_the_frenet_frame(monkeypatch, name, samples):
+    if name == "inv(ellipse)":
+        curve = tr.invert_curve(builtin_curve("ellipse"))
+    elif name == "sine":
+        curve = SCAN_CURVES["sine"]()
+    else:
+        curve = builtin_curve(name, samples=samples)
+    diameters = []
+
+    def measured(points, mask=None):
+        diameters.append(bbox_diameter(points, mask))
+        return diameters[-1]
+
+    monkeypatch.setattr(sg, "bbox_diameter", measured)
+    with contextlib.suppress(HypothesisViolated):
+        sg.classify_cusps(curve, [0.5 * (curve.t_min + curve.t_max)])
+    assert tr.kept_frame(curve) is None
+    assert len(diameters) == 1
+    assert repr(tr.DENOM_REL_EPS * diameters[0]) == repr(tr.frenet_frame(curve).eps_d)
 
 
 def test_circle_primitive_has_no_cusps():
@@ -246,7 +316,7 @@ def test_find_roots_evaluates_the_grid_one_block_at_a_time(name, samples):
 
     def criterion(t):
         sizes.append(len(t))
-        return sg.criterion_grid(curve, t)
+        return -tr.inversion_curvature_grid(curve, t)
 
     whole = sg.find_roots(criterion, ts, values=criterion(ts), period=curve.period)
     del sizes[:]
@@ -255,6 +325,10 @@ def test_find_roots_evaluates_the_grid_one_block_at_a_time(name, samples):
     blocks = [b.stop - b.start for b in row_blocks(samples)]
     assert sizes[:len(blocks)] == blocks
     assert max(sizes) <= JET_BLOCK
+    # the scan reads |f| and signs only: the negated field, the
+    # inversion curvature that the cusp scan reads, has the same roots
+    assert repr(sg.find_roots(lambda t: -criterion(t), ts, period=curve.period)) \
+        == repr(whole)
 
 
 @pytest.mark.parametrize("name", ["ellipse", "front"])

@@ -58,7 +58,7 @@ def test_vertex_row_catches_a_dropped_or_moved_root_at_the_seam(monkeypatch, nam
 
     def mutated(curve, ts, field, values=None):
         roots = scan(curve, ts, field, values)
-        if field is sg._criterion_rows:
+        if field is tr.inversion_curvature_rows:
             return roots
         roots = sorted(roots)
         if mutation == "drop":

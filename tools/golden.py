@@ -45,6 +45,11 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   a root scan over two full jet blocks and a partial third; and on the
   inverted ellipse and the open ellipse and parabola arcs, whose grids
   have no closing cell;
+- `detect` for every kind on two ellipses with a vertex at the seam of
+  their closed grids, written as curve files (the ellipse rotated by 2
+  and the ellipse traced backwards), at the default sample count and at
+  40000 samples: at 1024 samples the rotated ellipse's vertex at
+  6.28318530718 lies in the closing cell from the last sample to 2 pi;
 - input errors: a curve file whose x is nested 400 parentheses deep, a
   curve file that is not UTF-8, and `transform --kind pedal --angle`,
   a parameter the kind does not take.
@@ -127,6 +132,10 @@ ORACLE_SAMPLES = "40000"
 # and the one at 2^20 samples
 LARGE_ORACLE_SAMPLES = "1048576"
 
+# the detect cases of the ellipses with a vertex at the seam: the
+# reversed one (the rotated one is written with format_curve)
+REVERSED_ELLIPSE = "x = cos(-t)\ny = sin(-t)/sqrt(3.0)\nt_min = -2*pi\nt_max = 0\n"
+
 # the sample counts of verify-residuals.txt; None is the curve's own
 RESIDUAL_SAMPLES = (None, 4096)
 
@@ -172,7 +181,7 @@ def write_goldens(outdir: str) -> int:
     from pedalkit.cli import DETECT_KINDS
     from pedalkit.curve import BUILTIN_NAMES, builtin_curve, format_curve
     from pedalkit.figures import FIGURE_NUMBERS
-    from pedalkit.transforms import TRANSFORM_KINDS, invert_curve
+    from pedalkit.transforms import TRANSFORM_KINDS, invert_curve, transform_curve
 
     os.makedirs(outdir, exist_ok=True)
     # curve files are passed by relative path, so outputs do not name outdir
@@ -238,6 +247,17 @@ def write_goldens(outdir: str) -> int:
                 ["detect", "--curve", curve, "--what", what, "--samples", ORACLE_SAMPLES])
         for curve in ("inv-ellipse.curve", "open-arc.curve", "parabola-arc.curve"):
             run(f"detect-{curve}-{what}.txt", ["detect", "--curve", curve, "--what", what])
+    seam_ellipses = {
+        "seam-rotated.curve": format_curve(transform_curve(builtin_curve("ellipse"), 2.0, 1.0)),
+        "seam-reversed.curve": REVERSED_ELLIPSE}
+    for path, text in seam_ellipses.items():
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        for what in DETECT_KINDS:
+            for samples in (None, ORACLE_SAMPLES):
+                extra = [] if samples is None else ["--samples", samples]
+                run(f"detect-{path}-{what}-{samples or 'default'}.txt",
+                    ["detect", "--curve", path, "--what", what] + extra)
     for path, content in ERROR_FILES.items():
         with open(path, "wb") as fh:
             fh.write(content)

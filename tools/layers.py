@@ -8,16 +8,17 @@ same label: the short git SHA of DIR, with "-dirty" if its `src/`
 differs from that commit.  Running it on two checkouts into one file
 gives a before/after pair.
 
-Two layers are measured so far.  The output layer:
+Three layers are measured so far.  The output layer:
 `render.write_mapped_csv` (the CSV of `transform`) and
 `render.render_to_file` (its SVG), on the primitive of the built-in
-ellipse at each sample count (default 2^16 and 2^20).  And
-`frontal.lift_front` on the built-in front at 2048 samples, whatever
-the sample counts asked for.  Each (function, samples) case runs in a
-fresh child process, which
+ellipse at each sample count (default 2^16 and 2^20).  The root scan:
+`singularity.primitive_singularities` on the built-in ellipse at each
+sample count.  And `frontal.lift_front` on the built-in front at 2048
+samples, whatever the sample counts asked for.  Each (function,
+samples) case runs in a fresh child process, which
 
 - builds its input (the mapped curve and, for the SVG, its overlay;
-  the curve for the lift) untimed;
+  the curve for the root scan and the lift) untimed;
 - makes one cold call, which for a writer also builds the formatting
   tables;
 - makes R more calls (default 7) and reports their median and
@@ -27,7 +28,8 @@ fresh child process, which
   reports the peak of the memory traced: the call's own temporaries;
 - reports its peak resident memory (`VmHWM`) after the last call,
   which is mostly that of building the mapped curve, and the bytes
-  written (for the lift: the number of flips).
+  written (for the root scan: the number of roots; for the lift: the
+  number of flips).
 
 Files are written to a temporary directory that is removed afterwards.
 A record also holds the git SHA of DIR, whether its `src/` differs from
@@ -55,7 +57,7 @@ import tracemalloc
 import numpy
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-FUNCTIONS = ("write_mapped_csv", "render_to_file")
+FUNCTIONS = ("write_mapped_csv", "render_to_file", "primitive_singularities")
 LIFT_SAMPLES = 2048
 
 
@@ -69,7 +71,7 @@ def peak_rss_mb() -> float:
 
 def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
     """One case, in this process: the pedalkit on sys.path is measured."""
-    from pedalkit import frontal, render, transforms
+    from pedalkit import frontal, render, singularity, transforms
     from pedalkit.curve import builtin_curve, sample_grid
 
     path = os.path.join(tmpdir, f"{function}-{samples}")
@@ -78,6 +80,11 @@ def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
 
         def call():
             return frontal.lift_front(front)
+    elif function == "primitive_singularities":
+        ellipse = builtin_curve("ellipse", samples=samples)
+
+        def call():
+            return singularity.primitive_singularities(ellipse)
     else:
         curve = builtin_curve("ellipse")
         mc = transforms.primitive(curve, sample_grid(curve, samples))
@@ -107,6 +114,9 @@ def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
     if function == "lift_front":
         out = {"layer": "frontal", "function": function, "samples": samples,
                "flips": len(result.flips)}
+    elif function == "primitive_singularities":
+        out = {"layer": "singularity", "function": function, "samples": samples,
+               "roots": len(result)}
     else:
         out = {"layer": "render", "function": function, "samples": samples,
                "bytes": os.path.getsize(path)}
