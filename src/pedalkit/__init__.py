@@ -28,8 +28,7 @@ from .envelope import FAMILY_KINDS, LineFamily, envelope, make_family
 from .errors import (EvalError, HypothesisViolated, InflectionPoint,
                      IrregularPoint, LiftFailure, OriginSingularity,
                      ParseError, PedalkitError, RangeError)
-from .expr import (Expr, differentiate, evaluate, jets, parse_expr, simplify,
-                   to_text)
+from .expr import Expr, differentiate, evaluate, jets, parse_expr, to_text
 from .frontal import (LegendrianCurve, composition_check, frontal_antipedal,
                       frontal_parallel_primitivoid, frontal_pedal,
                       frontal_primitive, frontal_slant_primitivoid,

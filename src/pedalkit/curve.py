@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -278,20 +279,15 @@ _REQUIRED = ("x", "y", "t_min", "t_max")
 _KNOWN = _REQUIRED + ("name", "samples", "closed")
 
 
-def _strip_comment(line: str) -> str:
-    """The line up to its first '#' outside a double-quoted value."""
-    quoted = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return line[:i]
-    return line
+# the line up to its first '#' outside a double-quoted value: a quoted
+# run is one step of the pattern, so a '#' inside it is kept, and an
+# unterminated quote runs to the end of the line
+_CODE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
 
 
 def _parse_lines(text: str) -> Iterator[tuple[int, str, str, int]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = _CODE.match(raw)[0]
         if not line.strip():
             continue
         if "=" not in line:

@@ -10,7 +10,9 @@ and whose base may itself carry a unary minus):
     atom   := number | 'pi' | 'e' | 't' | ident '(' expr ')' | '(' expr ')'
 
 Note the base rule: "-t^2" parses as (-t)^2.  Functions: sin, cos, tan,
-sqrt, exp, log, abs.  An expression nested deeper than MAX_DEPTH is a
+sqrt, exp, log, abs.  Tokens come from one pattern, `_TOKEN`; a
+number's digits are decimal digits, so '²' starts a name.  A literal
+beyond float range, or an expression nested deeper than MAX_DEPTH, is a
 ParseError.  There is one tree walk, the Taylor-mode jet walk: jets()
 takes the value and the first three t-derivatives on an array in one
 pass, without building derivative trees, and evaluate() is the same
@@ -27,6 +29,7 @@ prints a form that reparses to the identical tree.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,67 +132,42 @@ class _Token:
     column: int
 
 
+# one alternative per token class, and a catch-all for an unexpected
+# character.  A number's exponent counts only when it is complete ("2e3",
+# not "2*e"); \d takes only decimal digits, all of which float() reads
+_TOKEN = re.compile(r"(?P<newline>\n)|(?P<blank>[ \t\r]+)"
+                    r"|(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>.)")
+
+
 def _tokenize(text: str, line_offset: int = 1, col_offset: int = 1) -> list[_Token]:
     toks = []
-    i, n = 0, len(text)
     line, col = line_offset, col_offset
     depth = 0  # of parentheses
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    for m in _TOKEN.finditer(text):
+        kind, s = m.lastgroup, m[0]
+        if kind == "newline":
             line, col = line + 1, 1
-            i += 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            # exponent part only if it really is one ("2e3", not "2*e")
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    k += 1
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            toks.append(_Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^()":
-            depth += (ch == "(") - (ch == ")")
+        if kind == "bad":
+            raise ParseError(f"unexpected character {s!r}", line, col,
+                             ("number", "identifier", "operator"))
+        if kind == "op":
+            depth += (s == "(") - (s == ")")
             if depth > MAX_DEPTH:
                 raise ParseError(f"more than {MAX_DEPTH} nested parentheses", line, col)
-            toks.append(_Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col,
-                         ("number", "identifier", "operator"))
+        if kind != "blank":
+            toks.append(_Token(kind, s, line, col))
+        col += len(s)
     toks.append(_Token("end", "", line, col))
     return toks
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+_BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 
 
 class _Parser:
@@ -231,27 +209,16 @@ class _Parser:
         raise ParseError(f"found {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
                          tok.line, tok.column, (repr(op),))
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.take()
-                rhs = self.parse_term()
-                node = self.node(Add if tok.text == "+" else Sub, node, rhs)
-            else:
-                return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.take()
-                rhs = self.parse_factor()
-                node = self.node(Mul if tok.text == "*" else Div, node, rhs)
-            else:
-                return node
+    def parse_binary(self, level: int = 0) -> Expr:
+        """A sum (level 0) of products (level 1) of factors, each
+        left-associative."""
+        ops = _BINARY[level]
+        node = self.parse_factor() if level else self.parse_binary(1)
+        while (tok := self.peek()).text in ops:
+            self.take()
+            rhs = self.parse_factor() if level else self.parse_binary(1)
+            node = self.node(ops[tok.text], node, rhs)
+        return node
 
     def parse_factor(self) -> Expr:
         # '^' is right-associative: a^b^c folds its bases from the right
@@ -279,7 +246,10 @@ class _Parser:
     def parse_atom(self) -> Expr:
         tok = self.take()
         if tok.kind == "num":
-            return self.node(Num, float(tok.text))
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ParseError(f"number {tok.text} is too large", tok.line, tok.column)
+            return self.node(Num, value)
         if tok.kind == "ident":
             if tok.text == "t":
                 return T
@@ -287,13 +257,13 @@ class _Parser:
                 return self.node(Const, tok.text)
             if tok.text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.parse_expr()
+                arg = self.parse_binary()
                 self.expect_op(")")
                 return self.node(Call, tok.text, arg)
             raise ParseError(f"unknown identifier {tok.text!r}", tok.line, tok.column,
                              ("t", "pi", "e") + FUNCTIONS)
         if tok.kind == "op" and tok.text == "(":
-            inner = self.parse_expr()
+            inner = self.parse_binary()
             self.expect_op(")")
             return inner
         what = "unexpected end of input" if tok.kind == "end" else f"found {tok.text!r}"
@@ -318,7 +288,7 @@ def parse_expr(text: str, line: int = 1, column: int = 1,
     text is embedded in a larger file.  Equal subtrees are one node;
     expressions parsed with the same table share theirs too."""
     parser = _Parser(_tokenize(text, line, column), {} if table is None else table)
-    node = parser.parse_expr()
+    node = parser.parse_binary()
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column,
@@ -437,27 +407,6 @@ def pow_(a: Expr, b: Expr) -> Expr:
         except (ValueError, OverflowError, ZeroDivisionError):
             pass
     return Pow(a, b)
-
-
-def simplify(e: Expr) -> Expr:
-    """Bottom-up pass through the smart constructors."""
-    if isinstance(e, (Num, Const, Param)):
-        return e
-    if isinstance(e, Neg):
-        return neg(simplify(e.arg))
-    if isinstance(e, Add):
-        return add(simplify(e.left), simplify(e.right))
-    if isinstance(e, Sub):
-        return sub(simplify(e.left), simplify(e.right))
-    if isinstance(e, Mul):
-        return mul(simplify(e.left), simplify(e.right))
-    if isinstance(e, Div):
-        return div(simplify(e.left), simplify(e.right))
-    if isinstance(e, Pow):
-        return pow_(simplify(e.base), simplify(e.exponent))
-    if isinstance(e, Call):
-        return Call(e.func, simplify(e.arg))
-    raise TypeError(f"not an Expr node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -367,7 +367,7 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
         report.add("vertices = extrema of inversion curvature",
                    _root_gap(vertex_roots, ext_roots, curve.period), 2 * h)
 
-    fd = _fd_curvature_of_inverted(curve, ts)
+    fd = _fd_curvature_of_inverted(fg.p, h, curve.closed)
     floor = 1e-3 * np.abs(kpsi).max()
     report.add("inversion curvature matches finite differences",
                _block_max(len(ts), lambda s: np.abs(fd[s] - kpsi[s])
@@ -379,17 +379,17 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
                h + 1e-12)
 
 
-def _fd_curvature_of_inverted(curve: CurveDef, ts: np.ndarray) -> np.ndarray:
-    """Finite-difference curvature of the pointwise-inverted samples."""
-    pts = invert_xy(position_xy(curve, ts))
-    h = ts[1] - ts[0]
-    back2, back1, ahead1, ahead2 = (tr.shift(pts, k, curve.closed) for k in (-2, -1, 1, 2))
+def _fd_curvature_of_inverted(p: np.ndarray, h: float, closed: bool) -> np.ndarray:
+    """Finite-difference curvature of the pointwise inversions of the
+    positions p, sampled at parameter step h."""
+    pts = invert_xy(p)
+    back2, back1, ahead1, ahead2 = (tr.shift(pts, k, closed) for k in (-2, -1, 1, 2))
     with np.errstate(all="ignore"):
-        d1 = tr.five_point_derivative(pts, h, curve.closed)
+        d1 = tr.five_point_derivative(pts, h, closed)
         d2 = (-back2 + 16 * back1 - 30 * pts + 16 * ahead1 - ahead2) / (12 * h * h)
         speed = np.hypot(d1[:, 0], d1[:, 1])
         kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
-    if not curve.closed:
+    if not closed:
         # the stencil runs past the ends of an open grid
         kappa[:2] = np.nan
         kappa[-2:] = np.nan

@@ -136,7 +136,7 @@ def test_criterion_04_inversion_curvature(capsys):
     for name in ("circle", "ellipse", "offset_circle"):
         c = builtin_curve(name)
         ts = sample_grid(c, 1024)
-        fd = _fd_curvature_of_inverted(c, ts)
+        fd = _fd_curvature_of_inverted(position_xy(c, ts), ts[1] - ts[0], c.closed)
         closed = tr.inversion_curvature_grid(c, ts)
         scale = np.abs(closed).max()
         m = np.isfinite(fd)

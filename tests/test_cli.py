@@ -269,8 +269,11 @@ _CURVE_TAIL = b"y = sin(t)\nt_min = 0\nt_max = 2*pi\n"
      "line 1, column 17: unexpected character '$' (expected number or identifier or operator)"),
     (b"x = cos(t)\ny =\t sin(t) + $\n" + _CURVE_TAIL[11:],
      "line 2, column 15: unexpected character '$' (expected number or identifier or operator)"),
+    (b"x = cos(t)*\xc2\xb2\n" + _CURVE_TAIL,
+     "line 1, column 12: unknown identifier '²' (expected t or pi or e or sin or cos or tan"
+     " or sqrt or exp or log or abs)"),
 ], ids=["nested", "not-utf8", "not-utf8-after-a-two-byte-character", "blanks-after-equals",
-        "tab-after-equals"])
+        "tab-after-equals", "superscript-two"])
 def test_a_curve_file_that_cannot_be_read_exits_3(tmp_path, capsys, content, fragment):
     f = tmp_path / "bad.curve"
     f.write_bytes(content)

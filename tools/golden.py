@@ -50,9 +50,12 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   and the ellipse traced backwards), at the default sample count and at
   40000 samples: at 1024 samples the rotated ellipse's vertex at
   6.28318530718 lies in the closing cell from the last sample to 2 pi;
-- input errors: a curve file whose x is nested 400 parentheses deep, a
-  curve file that is not UTF-8, and `transform --kind pedal --angle`,
-  a parameter the kind does not take.
+- input errors: `transform --kind pedal` on curve files whose x is
+  nested 400 parentheses deep, that are not UTF-8, whose x multiplies
+  by '²' (a digit to str.isdigit(), not to float()), whose x holds the
+  literal 1e999, beyond float range, and whose name is an unterminated
+  quote that holds a '#'; and `transform --kind pedal --angle`, a
+  parameter the kind does not take.
 
 Running it against two checkouts and comparing the directories shows
 whether a change altered any of these outputs:
@@ -122,6 +125,10 @@ ERROR_FILES = {
     "nested.curve": ("x = " + "(" * 400 + "cos(t)" + ")" * 400
                      + "\ny = sin(t)\nt_min = 0\nt_max = 2*pi\n").encode(),
     "not-utf8.curve": b'name = "\xff\xfe"\nx = cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*pi\n',
+    "superscript.curve": "x = cos(t)*²\ny = sin(t)\nt_min = 0\nt_max = 2*pi\n".encode(),
+    "overflow.curve": b"x = 1e999*cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*pi\n",
+    "unterminated-quote.curve": (b'name = "a#b  # note\nx = cos(t)\ny = sin(t)\n'
+                                 b"t_min = 0\nt_max = 2*pi\n"),
 }
 ERROR_ARGS = ["transform", "--curve", "ellipse", "--kind", "pedal", "--angle", "0.3"]
 
