@@ -16,8 +16,7 @@ Core objects:
 - verify: named identity suites with residual reports.
 
 Points are float64 arrays: (n, 2) on a grid, and length 2 in what the
-scalar functions return (`CurveJet`, `FrenetData`, osculating centres,
-lifted normals).
+scalar functions return (`CurveJet`, `FrenetData`, osculating centres).
 """
 
 from .curve import (BUILTIN_NAMES, CurveDef, CurveJet, FrenetData, FrenetGrid,
@@ -32,8 +31,7 @@ from .expr import Expr, differentiate, evaluate, jets, parse_expr, to_text
 from .frontal import (LegendrianCurve, composition_check, frontal_antipedal,
                       frontal_parallel_primitivoid, frontal_pedal,
                       frontal_primitive, frontal_slant_primitivoid,
-                      invert_frontal, is_front, legendrian_curvature,
-                      legendrian_residual, lift_front)
+                      invert_frontal, legendrian_residual, lift_front)
 from .render import (Overlay, PlotSpec, overlay_from_curve,
                      overlay_from_frontal, overlay_from_mapped, render_svg,
                      render_to_file, write_legendrian_csv, write_mapped_csv)
@@ -45,11 +43,10 @@ from .singularity import (CuspClassification, OsculatingCircle,
 from .transforms import (TRANSFORM_KINDS, TRANSFORMS, MappedCurve,
                          TransformKind, antipedal, antipedal_kernel,
                          apply_transform, contrapedal, contrapedal_kernel,
-                         frenet_frame, inversion_curvature,
-                         inversion_curvature_grid, invert_curve, invert_kernel,
-                         mapped_pedal, mapped_primitive, mapped_slant,
-                         parallel_kernel, parallel_primitivoid, pedal,
-                         pedal_kernel, pedaloid, pedaloid_kernel,
+                         frenet_frame, inversion_curvature_grid, invert_curve,
+                         invert_kernel, mapped_pedal, mapped_primitive,
+                         mapped_slant, parallel_kernel, parallel_primitivoid,
+                         pedal, pedal_kernel, pedaloid, pedaloid_kernel,
                          perp_primitive_kernel, polyline_frames, primitive,
                          primitive_kernel, primitive_of_perp, slant_kernel,
                          slant_primitivoid, transform_curve, transform_frame)

@@ -14,9 +14,9 @@ jets, so curves need not be unit speed:
     kappa_prime_arc = (dkappa/dt) / |d1|
 
 They have one implementation, `frenet_grid`, over a parameter grid; the
-scalar `jet` and `frenet` are one-row views of it, which raise where
-the grid row has no data (see `jet_rows` and `frenet_rows`).  Grid
-walks raise RangeError outside [t_min, t_max], as the scalar ones do.
+scalar `jet` and `frenet` (through `frenet_rows`) are one-row views of
+it, which raise where the grid row has no data.  Grid walks raise
+RangeError outside [t_min, t_max], as the scalar ones do.
 
 CurveDefs are immutable after construction and safe to share across
 threads.  `transforms.frenet_frame` keeps the Frenet frame of a
@@ -110,8 +110,12 @@ class FrenetData:
 
 
 def jet(curve: CurveDef, t: float) -> CurveJet:
-    """Position and first three derivatives at one parameter."""
-    p, d1, d2, d3 = jet_rows(curve, t)
+    """Position and first three derivatives at one parameter, which
+    must lie in [t_min, t_max] (else RangeError) and have finite jets
+    (else EvalError)."""
+    ts = curve._check_params(t)
+    p, d1, d2, d3 = jet_grid(curve, ts)
+    check_defined(curve, ts, (p, d1, d2, d3))
     return CurveJet(t, p[0], d1[0], d2[0], d3[0])
 
 
@@ -249,18 +253,9 @@ def check_defined(curve: CurveDef, ts: np.ndarray, rows) -> None:
         raise EvalError(f"curve {curve.name!r} is not defined at t={float(ts[~defined][0])}")
 
 
-def jet_rows(curve: CurveDef, ts) -> tuple[np.ndarray, ...]:
-    """jet_grid at parameters that must each lie in [t_min, t_max]
-    (else RangeError) and have finite jets (else EvalError)."""
-    ts = curve._check_params(ts)
-    rows = jet_grid(curve, ts)
-    check_defined(curve, ts, rows)
-    return rows
-
-
 def frenet_rows(curve: CurveDef, ts) -> FrenetGrid:
     """frenet_grid at parameters that must each have a Frenet frame:
-    the errors of jet_rows, and IrregularPoint where the speed is below
+    the errors of jet, and IrregularPoint where the speed is below
     REGULAR_EPS."""
     ts = curve._check_params(ts)
     fg = frenet_grid(curve, ts)
@@ -299,10 +294,10 @@ def _parse_lines(text: str) -> Iterator[tuple[int, str, str, int]]:
         yield lineno, key.strip(), value.strip(), len(line) - len(value.lstrip()) + 1
 
 
-def _const_value(text: str, lineno: int, key: str) -> float:
-    node = ex.parse_expr(text, line=lineno)
+def _const_value(text: str, lineno: int, vcol: int, key: str) -> float:
+    node = ex.parse_expr(text, line=lineno, column=vcol)
     if ex.depends_on_t(node):
-        raise ParseError(f"{key} must be constant, found 't'", lineno, 1)
+        raise ParseError(f"{key} must be constant, found 't'", lineno, vcol)
     return float(ex.evaluate(node, 0.0))
 
 
@@ -319,7 +314,7 @@ def parse_curve(text: str, name: str = "curve") -> CurveDef:
         if key in ("x", "y"):
             seen[key] = ex.parse_expr(value, line=lineno, column=vcol, table=table)
         elif key in ("t_min", "t_max"):
-            seen[key] = _const_value(value, lineno, key)
+            seen[key] = _const_value(value, lineno, vcol, key)
         elif key == "name":
             if len(value) < 2 or value[0] != '"' or value[-1] != '"':
                 raise ParseError("name must be double-quoted", lineno, vcol)

@@ -6,20 +6,18 @@ A frontal is a curve g together with a continuous unit normal nu with
     nu' = ell mu,   mu' = -ell nu,   g' = beta mu,
     ell = <nu', mu>,   beta = <g', mu>.
 
-lift_front builds nu from the Frenet grid of the curve, which it keeps
-as LegendrianCurve.frenet for later use on that grid: on regular arcs
+lift_front builds nu, ell and beta on a grid from the Frenet grid of
+the curve, which it keeps as LegendrianCurve.frenet: on regular arcs
 nu = sigma (d1y, -d1x)/|d1| with a piecewise-constant sign sigma chosen
-for continuity; where the velocity vanishes the direction comes from
-d2 (then d3).  As sigma^2 = 1, sigma flips exactly in the cells where
+for continuity; where the velocity vanishes the direction comes from d2
+(then d3).  As sigma^2 = 1, sigma flips exactly in the cells where
 consecutive raw normals point apart, which array operations find at
-once.  The flip parameter in a cell between regular samples is refined
-to the speed minimum there (one bracketed secant solve of <d1, d2> = 0
-for all such cells), so that nu(t) stays continuous for off-grid t as
-well; the lifted normal on the grid depends on the signs alone.  The
-lift fails (LiftFailure) when no +-1 sign choice keeps consecutive
-normals aligned, e.g. when the curve is too undersampled to track the
-normal.  LegendrianCurve.nu and legendrian_curvature apply the same
-rules to one row.
+once.  A flip in a cell between regular samples is refined to the speed
+minimum there (one bracketed secant solve of <d1, d2> = 0 for all such
+cells), which gives LegendrianCurve.flips and tells a cusp from an
+undersampled turn.  The lift fails (LiftFailure) when no +-1 sign choice
+keeps consecutive normals aligned, or a flip falls where the speed is
+not small.  To read nu, ell or beta at some t, lift a grid that holds t.
 
 LegendrianCurve.sample() is the third frame provider of
 pedalkit.transforms, next to the Frenet and polyline frames: the sampled
@@ -41,8 +39,8 @@ from typing import Union
 import numpy as np
 
 from . import transforms as tr
-from .curve import (REGULAR_EPS, CurveDef, FrenetGrid, _block_max, _jets_xy, _unit_frame,
-                    check_defined, frenet_grid, jet_rows, velocity_xy)
+from .curve import (CurveDef, FrenetGrid, _block_max, _jets_xy, _unit_frame, check_defined,
+                    frenet_grid, velocity_xy)
 from .errors import HypothesisViolated, LiftFailure
 from .transforms import (DEGENERATE_ANGLE_EPS, FLAG_OK, MappedCurve,
                          TransformKind)
@@ -52,19 +50,17 @@ from .vec import dot_xy, median, perp_xy, scale_xy
 CONTINUITY_MIN_DOT = 0.5
 
 
-def _raw_normals(ts: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-                 d3: np.ndarray) -> np.ndarray:
+def _raw_normals(fg: FrenetGrid) -> np.ndarray:
     """Unit normal directions up to sign, (d_y, -d_x)/|d| = -n_hat from
     d1, or at singular parameters from d2, then d3."""
-    _, regular, _, n_hat = _unit_frame(d1)
-    raw = -n_hat
-    todo = np.flatnonzero(~regular)
-    for d in (d2, d3):
+    raw = -fg.n_hat
+    todo = np.flatnonzero(~fg.regular)
+    for d in (fg.d2, fg.d3):
         _, regular, _, n_hat = _unit_frame(d[todo])
         raw[todo[regular]] = -n_hat[regular]
         todo = todo[~regular]
     if todo.size:
-        raise LiftFailure(f"no direction data at t={float(ts[todo[0]])}: "
+        raise LiftFailure(f"no direction data at t={float(fg.ts[todo[0]])}: "
                           "first three derivatives vanish")
     return raw
 
@@ -151,17 +147,6 @@ class LegendrianCurve:
     def ts(self) -> np.ndarray:
         return self.frenet.ts
 
-    def sigma(self, t: float) -> float:
-        """+1 at t_min, flipping sign at each of the flips up to t."""
-        return (-1.0) ** sum(1 for b in self.flips if b <= t)
-
-    def nu(self, t: float) -> np.ndarray:
-        _, d1, d2, d3 = jet_rows(self.curve, t)
-        return self.sigma(t) * _raw_normals(np.array([t]), d1, d2, d3)[0]
-
-    def mu(self, t: float) -> np.ndarray:
-        return perp_xy(self.nu(t))
-
     def sample(self) -> MappedCurve:
         """The lifted frame: the sampled curve with its lifted normal."""
         flags = np.full(len(self.ts), FLAG_OK, dtype=np.uint8)
@@ -180,7 +165,7 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
     regular = fg.regular
     singular = ~regular
     check_defined(curve, ts[singular], (p[singular], d2[singular], d3[singular]))
-    raw = _raw_normals(ts, d1, d2, d3)
+    raw = _raw_normals(fg)
 
     # continuity propagation of the sign: sigma flips in the cells where
     # consecutive raw normals point apart, and the aligned dot is |dot|
@@ -223,42 +208,21 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
     # samples
     mu = perp_xy(nu)
     ell = _ell(signs, d1, d2, speed, mu)
-    h = ts[1] - ts[0] if n > 1 else 0.0
     i = np.flatnonzero(singular)
     if curve.closed:
         j0, j1 = (i - 1) % n, (i + 1) % n
-        span = np.full(len(i), 2.0 * h)
     else:
         j0, j1 = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
-        span = (j1 - j0) * h
-    if (span == 0.0).any():
-        raise LiftFailure(f"cannot estimate ell at isolated sample t={ts[i[span == 0.0][0]]}")
+    if (j0 == j1).any():
+        raise LiftFailure(f"cannot estimate ell at isolated sample t={ts[i[j0 == j1][0]]}")
+    span = ts[j1] - ts[j0]
+    if curve.closed:
+        span[j1 < j0] += curve.period  # the stencil wraps round the seam
     dn = scale_xy(np.divide, nu[j1] - nu[j0], span)
     ell[i] = dot_xy(dn, mu[i])
     beta = dot_xy(d1, mu)
 
     return LegendrianCurve(curve, fg, nu, ell, beta, flips, seam_consistent)
-
-
-def legendrian_curvature(lc: LegendrianCurve, t: float) -> tuple[float, float]:
-    """(ell, beta) at an arbitrary parameter."""
-    _, d1, d2, _ = jet_rows(lc.curve, t)
-    mu = perp_xy(lc.nu(t)[None])
-    beta = float(dot_xy(d1, mu)[0])
-    speed = np.hypot(d1[:, 0], d1[:, 1])
-    if speed[0] >= REGULAR_EPS:
-        return float(_ell(np.array([lc.sigma(t)]), d1, d2, speed, mu)[0]), beta
-    delta = 1e-6 * (lc.curve.t_max - lc.curve.t_min)
-    lo = max(t - delta, lc.curve.t_min)
-    hi = min(t + delta, lc.curve.t_max)
-    dn = (lc.nu(hi) - lc.nu(lo)) / (hi - lo)
-    return float((dn * mu[0]).sum()), beta
-
-
-def is_front(lc: LegendrianCurve, t: float) -> bool:
-    """(ell, beta) != (0, 0) there."""
-    ell, beta = legendrian_curvature(lc, t)
-    return math.hypot(ell, beta) > REGULAR_EPS
 
 
 def legendrian_residual(lc: LegendrianCurve) -> float:

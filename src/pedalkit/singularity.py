@@ -32,8 +32,7 @@ import numpy as np
 from .curve import (CurveDef, FrenetGrid, bbox_diameter, frenet_grid, frenet_rows,
                     position_xy, row_blocks, sample_grid)
 from .errors import HypothesisViolated, InflectionPoint, RangeError
-from .transforms import (DENOM_REL_EPS, MappedCurve, inversion_curvature,
-                         inversion_curvature_rows, shift, stencil_ok)
+from .transforms import DENOM_REL_EPS, MappedCurve, inversion_curvature_rows, shift, stencil_ok
 from .vec import dot_xy, finite_xy, median, scale_xy
 
 BISECT_TARGET = 1e-10
@@ -138,11 +137,6 @@ class OsculatingCircle:
     center: np.ndarray  # length-2 float64
     radius: float
 
-    def distance_from_origin_gap(self) -> float:
-        """| |center| - radius |; zero iff the circle passes through
-        the origin."""
-        return abs(math.hypot(*self.center) - self.radius)
-
 
 def _osculating_circles(fg: FrenetGrid) -> tuple[np.ndarray, np.ndarray]:
     """Centers and radii of the osculating circles on the rows of fg."""
@@ -161,8 +155,9 @@ def osculating_circle(curve: CurveDef, t: float) -> OsculatingCircle:
 
 def criterion(curve: CurveDef, t: float) -> float:
     """kappa |g|^2 + 2 <g, n_hat> at one parameter: the negated
-    curvature of the inverted curve."""
-    return -inversion_curvature(curve, t)
+    curvature of the inverted curve, with the errors of frenet, and
+    OriginSingularity where g is the origin."""
+    return -float(inversion_curvature_rows(frenet_rows(curve, t))[0])
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import expr as ex
 from .curve import (JET_BLOCK, CurveDef, FrenetGrid, _jets_xy, _unit_frame,
-                    bbox_diameter, frenet_grid, frenet_rows, row_blocks, sample_grid)
+                    bbox_diameter, frenet_grid, row_blocks, sample_grid)
 from .errors import OriginSingularity, RangeError
 from .vec import (ORIGIN_EPS, dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy,
                   scale_xy)
@@ -486,22 +486,15 @@ def mapped_slant(mc: MappedCurve, phi: float) -> MappedCurve:
 
 
 def inversion_curvature_rows(fg: FrenetGrid) -> np.ndarray:
-    """inversion_curvature on the rows of a Frenet grid; a grid through
-    the origin is refused."""
+    """Curvature of the inverted curve, -kappa |g|^2 - 2 <g, n>, on the
+    rows of a Frenet grid; a grid through the origin is refused."""
     n2 = dot_xy(fg.p, fg.p)
     _check_origin(fg.ts, n2, "inversion curvature")
     return -fg.kappa * n2 - 2.0 * dot_xy(fg.p, fg.n_hat)
 
 
-def inversion_curvature(curve: CurveDef, t: float) -> float:
-    """Curvature of the inverted curve at parameter t:
-    -kappa |g|^2 - 2 <g, n>.  The row of inversion_curvature_grid, with
-    the errors of frenet, and OriginSingularity where g is the origin."""
-    return float(inversion_curvature_rows(frenet_rows(curve, t))[0])
-
-
 def inversion_curvature_grid(curve: CurveDef, ts: np.ndarray | None = None) -> np.ndarray:
-    """inversion_curvature over a grid, by default the sample grid; nan
+    """inversion_curvature_rows over a grid, by default the sample grid; nan
     where the curve is singular.  A curve through the origin is refused."""
     return inversion_curvature_rows(frenet_grid(curve, ts))
 

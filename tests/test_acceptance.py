@@ -144,7 +144,7 @@ def test_criterion_04_inversion_curvature(capsys):
         worst = max(worst, float(rel.max()))
     radius2 = parse_curve(
         "x = 2*cos(t)\ny = 2*sin(t)\nt_min = 0\nt_max = 2*pi\nsamples = 64")
-    exact = tr.inversion_curvature(radius2, 0.0)
+    exact = float(tr.inversion_curvature_grid(radius2, [0.0])[0])
     ok = worst <= 1e-5 and exact == 2.0
     _report(capsys, 4, ok,
             f"inversion curvature: closed form vs finite differences "
@@ -160,7 +160,7 @@ def test_criterion_05_ellipse_cusp_census(capsys):
         ok = ok and rep.classification == "ordinary-cusp"
         worst_tan = max(worst_tan, abs(math.tan(rep.t) ** 2 - 0.2))
         worst_resid = max(worst_resid, rep.residual)
-        gap = sg.osculating_circle(ell, rep.t).distance_from_origin_gap()
+        gap = sg.classify_cusp(ell, rep.t).circle_witness
         worst_gap = max(worst_gap, gap)
     ok = ok and worst_tan <= 1e-9 and worst_resid <= 1e-10 and worst_gap <= 1e-8
     _report(capsys, 5, ok,

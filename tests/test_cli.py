@@ -272,8 +272,12 @@ _CURVE_TAIL = b"y = sin(t)\nt_min = 0\nt_max = 2*pi\n"
     (b"x = cos(t)*\xc2\xb2\n" + _CURVE_TAIL,
      "line 1, column 12: unknown identifier '²' (expected t or pi or e or sin or cos or tan"
      " or sqrt or exp or log or abs)"),
+    (b"x = cos(t)\ny = sin(t)\nt_min =   0 + $\nt_max = 2*pi\n",
+     "line 3, column 15: unexpected character '$' (expected number or identifier or operator)"),
+    (b"x = cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*t\n",
+     "line 4, column 9: t_max must be constant, found 't'"),
 ], ids=["nested", "not-utf8", "not-utf8-after-a-two-byte-character", "blanks-after-equals",
-        "tab-after-equals", "superscript-two"])
+        "tab-after-equals", "superscript-two", "t_min-bad-character", "t_max-not-constant"])
 def test_a_curve_file_that_cannot_be_read_exits_3(tmp_path, capsys, content, fragment):
     f = tmp_path / "bad.curve"
     f.write_bytes(content)

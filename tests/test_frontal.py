@@ -25,7 +25,8 @@ def test_lift_front_residual_and_seam():
 def test_front_lift_flips_frozen():
     lc = fl.lift_front(builtin_curve("front"))
     np.testing.assert_allclose(lc.flips, FRONT_FLIPS, atol=1e-8)
-    nu0 = lc.nu(0.0)
+    assert lc.ts[0] == 0.0
+    nu0 = lc.nu_grid[0]
     assert (nu0[0], nu0[1]) == (1.0, 0.0)
 
 
@@ -77,19 +78,31 @@ def test_flip_cells_without_a_bracket_take_the_ternary_search():
 
 
 def test_nu_continuous_across_flip():
-    lc = fl.lift_front(builtin_curve("front"))
+    front = builtin_curve("front")
+    flips = np.array(fl.lift_front(front).flips)
     d = 1e-5
-    for t0 in lc.flips:
-        assert lc.nu(t0 - d) @ lc.nu(t0 + d) > 0.999
+    ts = np.sort(np.concatenate([cv.sample_grid(front), flips - d, flips + d]))
+    lc = fl.lift_front(front, ts)
+    nu = lc.nu_grid
+    for t0 in flips:
+        i, j = np.searchsorted(ts, [t0 - d, t0 + d])
+        assert (ts[i], ts[j]) == (t0 - d, t0 + d)
+        assert nu[i] @ nu[j] > 0.999
 
 
 def test_front_frame_curvatures_at_zero():
-    lc = fl.lift_front(builtin_curve("front"))
-    ell, beta = fl.legendrian_curvature(lc, 0.0)
-    assert math.isclose(ell, -math.sqrt(2.0), rel_tol=1e-12)
-    assert math.isclose(beta, 3.0 * math.sqrt(2.0) / 4.0, rel_tol=1e-12)
+    front = builtin_curve("front")
+    lc = fl.lift_front(front)
+    assert lc.ts[0] == 0.0
+    assert math.isclose(lc.ell_grid[0], -math.sqrt(2.0), rel_tol=1e-12)
+    assert math.isclose(lc.beta_grid[0], 3.0 * math.sqrt(2.0) / 4.0, rel_tol=1e-12)
     # singular parameters still carry frame data: a front, not just a frontal
-    assert fl.is_front(lc, lc.flips[0])
+    t0 = lc.flips[0]
+    ts = np.sort(np.append(cv.sample_grid(front), t0))
+    at = fl.lift_front(front, ts)
+    i = np.searchsorted(ts, t0)
+    assert ts[i] == t0 and not at.frenet.regular[i]
+    assert math.hypot(at.ell_grid[i], at.beta_grid[i]) > REGULAR_EPS
 
 
 def test_lift_failures():
@@ -222,7 +235,7 @@ def test_lift_rows_match_broadcast_formulas_bitwise(curve):
     # rows scaled by s[:, None] broadcasts
     lc = fl.lift_front(curve)
     fg = lc.frenet
-    raw = fl._raw_normals(fg.ts, fg.d1, fg.d2, fg.d3)
+    raw = fl._raw_normals(fg)
     want_raw = np.full_like(raw, np.nan)
     for d in (fg.d3, fg.d2, fg.d1):  # the first of d1, d2, d3 that is not zero
         norm = np.hypot(d[:, 0], d[:, 1])
@@ -243,6 +256,25 @@ def test_lift_rows_match_broadcast_formulas_bitwise(curve):
     assert lc.ell_grid[fg.regular].tobytes() == want[fg.regular].tobytes()
     i = np.flatnonzero(~fg.regular)
     assert i.size == (not curve.closed)
-    h = fg.ts[1] - fg.ts[0]
-    dn = (lc.nu_grid[i + 1] - lc.nu_grid[i - 1]) / np.full(len(i), 2.0 * h)[:, None]
+    span = fg.ts[i + 1] - fg.ts[i - 1]
+    dn = (lc.nu_grid[i + 1] - lc.nu_grid[i - 1]) / span[:, None]
     assert lc.ell_grid[i].tobytes() == dot_xy(dn, mu[i]).tobytes()
+
+
+@pytest.mark.parametrize("curve, ts, want, tol", [
+    # the cusp at 0 between samples 0.5 apart: the central difference over 1.0
+    (parse_curve("x = t^2\ny = t^3\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33"),
+     np.concatenate([np.linspace(-1.0, -0.5, 5), [0.0, 0.5, 1.0]]), 1.2, 1e-12),
+    # steps pi/16 on [0, pi) and pi/64 on [pi, 2 pi): the stencil of the cusp
+    # at sample 0 crosses the seam, and that of the cusp at pi the change of
+    # step; ell is -1 at every cusp of the astroid
+    (parse_curve("x = cos(t)^3\ny = sin(t)^3\nt_min = 0\nt_max = 2*pi"),
+     np.concatenate([np.arange(16) * math.pi / 16,
+                     math.pi + np.arange(64) * math.pi / 64]), -1.0, 1e-2),
+], ids=["open", "closed-seam"])
+def test_ell_at_a_singular_sample_divides_by_the_grid_spacing(curve, ts, want, tol):
+    lc = fl.lift_front(curve, ts)
+    i = np.flatnonzero(~lc.frenet.regular)
+    assert ts[i[0]] == 0.0
+    for ell in lc.ell_grid[i]:
+        assert abs(ell - want) < tol

@@ -153,8 +153,8 @@ def test_osculating_circle_rejects_inflection():
 
 def test_cusp_iff_osculating_circle_through_origin():
     ell = builtin_curve("ellipse")
-    assert sg.osculating_circle(ell, ELL_CUSP).distance_from_origin_gap() < 1e-12
-    assert sg.osculating_circle(ell, 1.0).distance_from_origin_gap() > 0.1
+    assert sg.classify_cusp(ell, ELL_CUSP).circle_witness < 1e-12
+    assert sg.classify_cusp(ell, 1.0).circle_witness > 0.1
 
 
 # --- criterion -------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_cusp_iff_osculating_circle_through_origin():
 def test_criterion_is_negated_inversion_curvature():
     ell = builtin_curve("ellipse")
     for t in (0.0, 0.3, 1.0, 2.2, 5.0):
-        assert sg.criterion(ell, t) == -tr.inversion_curvature(ell, t)
+        assert sg.criterion(ell, t) == -tr.inversion_curvature_grid(ell, [t])[0]
 
 
 def test_criterion_grid_matches_scalar():

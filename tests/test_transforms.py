@@ -75,7 +75,7 @@ def test_perp_primitive_is_rotated_primitive():
 
 def test_inversion_curvature_radius2_circle():
     # analytic value: -kappa |g|^2 - 2 <g, n> = -(1/2)(4) - 2(-2) = 2
-    assert tr.inversion_curvature(RADIUS2, 0.0) == 2.0
+    assert tr.inversion_curvature_grid(RADIUS2, [0.0])[0] == 2.0
     ts = sample_grid(RADIUS2)
     np.testing.assert_allclose(tr.inversion_curvature_grid(RADIUS2, ts), 2.0,
                                rtol=1e-13)

@@ -53,8 +53,9 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
 - input errors: `transform --kind pedal` on curve files whose x is
   nested 400 parentheses deep, that are not UTF-8, whose x multiplies
   by '²' (a digit to str.isdigit(), not to float()), whose x holds the
-  literal 1e999, beyond float range, and whose name is an unterminated
-  quote that holds a '#'; and `transform --kind pedal --angle`, a
+  literal 1e999, beyond float range, whose name is an unterminated
+  quote that holds a '#', whose t_min holds a '$' after blanks and
+  whose t_max depends on t; and `transform --kind pedal --angle`, a
   parameter the kind does not take.
 
 Running it against two checkouts and comparing the directories shows
@@ -129,6 +130,8 @@ ERROR_FILES = {
     "overflow.curve": b"x = 1e999*cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*pi\n",
     "unterminated-quote.curve": (b'name = "a#b  # note\nx = cos(t)\ny = sin(t)\n'
                                  b"t_min = 0\nt_max = 2*pi\n"),
+    "t_min-bad-character.curve": b"x = cos(t)\ny = sin(t)\nt_min =   0 + $\nt_max = 2*pi\n",
+    "t_max-not-constant.curve": b"x = cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*t\n",
 }
 ERROR_ARGS = ["transform", "--curve", "ellipse", "--kind", "pedal", "--angle", "0.3"]
 
