@@ -32,7 +32,6 @@ from . import figures as fig
 from . import singularity as sg
 from . import transforms as tr
 from .curve import BUILTIN_NAMES, CurveDef, builtin_curve, load_curve
-from .envelope import make_family
 from .errors import PedalkitError, RangeError
 from .render import (PALETTE, PlotSpec, _svg_chunks, overlay_from_curve, overlay_from_mapped,
                      render_to_file, write_mapped_csv)
@@ -140,19 +139,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
         if not args.curve:
             raise RangeError("plot needs --curve (or --figure)")
         curve = _resolve_curve(args.curve, args.samples)
-        overlays = []
         requested = [_parse_overlay(ov_spec) for ov_spec in args.overlay or ["source"]]
-        if any(kind != "source" for kind, _ in requested):
-            tr.frenet_frame(curve)  # kept on the curve: the source overlay reads its points
-        for i, (kind, value) in enumerate(requested):
-            color = PALETTE[i % len(PALETTE)]
-            if kind == "source":
-                overlays.append(overlay_from_curve(curve, color=color))
-                continue
-            mc = tr.transform_frame(tr.frenet_frame(curve), kind, value)
-            overlays.append(overlay_from_mapped(mc, color=color))
-        family = make_family("primitive", curve) if args.family_lines else None
-        spec = PlotSpec(overlays, family=family, family_count=args.family_lines)
+        spec = fig.plot_spec(curve, [(i % len(PALETTE), kind, value, None)
+                                     for i, (kind, value) in enumerate(requested)],
+                             args.family_lines)
     if args.svg:
         render_to_file(spec, args.svg)
     else:

@@ -1,116 +1,78 @@
-"""Prebuilt gallery figures.
+"""Prebuilt gallery figures, and the builder `plot --curve` shares.
 
-Each figure is a PlotSpec built from the bundled curves; figure numbers
-are stable so outputs can be regenerated and diffed.
+FIGURES maps each figure number to a built-in curve, its overlays and
+its number of family lines; figure numbers are stable so outputs can be
+regenerated and diffed.  plot_spec draws a figure and `plot --curve
+--overlay` alike.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 from . import transforms as tr
-from .curve import builtin_curve
+from .curve import CurveDef, builtin_curve
 from .envelope import make_family
 from .errors import RangeError
 from .frontal import frontal_primitive, lift_front
-from .render import (PALETTE, PlotSpec, overlay_from_curve, overlay_from_mapped,
-                     render_to_file)
+from .render import PALETTE, PlotSpec, overlay_from_curve, overlay_from_mapped
 
 FIGURE_SAMPLES = 2048
 
+# an overlay: (palette index, kind, angle or ratio, label or None for
+# the default); a kind is "source", a transform kind, or
+# "frontal-primitive", the primitive on the curve's lifted frame
+Overlays = tuple[tuple[int, str, float | None, str | None], ...]
+
+
+def _slant(color: int, phi: float) -> tuple:
+    return (color, "slant", phi, f"slant primitivoid (phi = {phi:.6g}) of ellipse")
+
+
+_SOURCE, _PRIMITIVE, _LIFTED = ((0, "source", None, None), (1, "primitive", None, None),
+                                 (1, "frontal-primitive", None, None))
 _SLANTS = (math.pi / 10, math.pi / 4, math.pi / 3)
 
-
-def _ellipse():
-    return builtin_curve("ellipse", samples=FIGURE_SAMPLES)
-
-
-def _front():
-    return builtin_curve("front", samples=FIGURE_SAMPLES)
-
-
-def _fig_source() -> PlotSpec:
-    return PlotSpec([overlay_from_curve(_ellipse(), color=PALETTE[0])])
-
-
-def _fig_primitive() -> PlotSpec:
-    curve = _ellipse()
-    pr = tr.primitive(curve)
-    return PlotSpec([overlay_from_mapped(pr, color=PALETTE[1])])
-
-
-def _fig_slant(phi: float) -> PlotSpec:
-    curve = _ellipse()
-    sl = tr.slant_primitivoid(curve, phi)
-    label = f"slant primitivoid (phi = {phi:.6g}) of {curve.name}"
-    return PlotSpec([overlay_from_mapped(sl, label=label, color=PALETTE[1])])
-
-
-def _fig_primitivoid_sheaf() -> PlotSpec:
-    curve = _ellipse()
-    overlays = [overlay_from_curve(curve, color=PALETTE[0])]
-    overlays.append(overlay_from_mapped(tr.primitive(curve), color=PALETTE[1]))
-    for i, phi in enumerate(_SLANTS):
-        sl = tr.slant_primitivoid(curve, phi)
-        label = f"slant primitivoid (phi = {phi:.6g}) of {curve.name}"
-        overlays.append(overlay_from_mapped(sl, label=label, color=PALETTE[2 + i]))
-    return PlotSpec(overlays)
-
-
-def _fig_front() -> PlotSpec:
-    return PlotSpec([overlay_from_curve(_front(), color=PALETTE[0])])
-
-
-def _fig_front_primitive() -> PlotSpec:
-    pr = frontal_primitive(lift_front(_front()))
-    return PlotSpec([overlay_from_mapped(pr, color=PALETTE[1])])
-
-
-def _fig_front_both() -> PlotSpec:
-    curve = _front()
-    pr = frontal_primitive(lift_front(curve))
-    return PlotSpec([overlay_from_curve(curve, color=PALETTE[0]),
-                     overlay_from_mapped(pr, color=PALETTE[1])])
-
-
-def _fig_envelope() -> PlotSpec:
-    curve = _front()
-    pr = frontal_primitive(lift_front(curve))
-    fam = make_family("primitive", curve)
-    return PlotSpec([overlay_from_mapped(pr, color=PALETTE[1])],
-                    family=fam, family_count=64)
-
-
-_BUILDERS = {
-    1: _fig_source,
-    2: _fig_primitive,
-    3: lambda: _fig_slant(_SLANTS[0]),
-    4: lambda: _fig_slant(_SLANTS[1]),
-    5: lambda: _fig_slant(_SLANTS[2]),
-    6: _fig_primitivoid_sheaf,
-    7: _fig_front,
-    8: _fig_front_primitive,
-    9: _fig_front_both,
-    10: _fig_envelope,
+# figure -> (built-in curve, overlays, family lines)
+FIGURES: dict[int, tuple[str, Overlays, int]] = {
+    1: ("ellipse", (_SOURCE,), 0),
+    2: ("ellipse", (_PRIMITIVE,), 0),
+    3: ("ellipse", (_slant(1, _SLANTS[0]),), 0),
+    4: ("ellipse", (_slant(1, _SLANTS[1]),), 0),
+    5: ("ellipse", (_slant(1, _SLANTS[2]),), 0),
+    6: ("ellipse", (_SOURCE, _PRIMITIVE)
+        + tuple(_slant(2 + i, phi) for i, phi in enumerate(_SLANTS)), 0),
+    7: ("front", (_SOURCE,), 0),
+    8: ("front", (_LIFTED,), 0),
+    9: ("front", (_SOURCE, _LIFTED), 0),
+    10: ("front", (_LIFTED,), 64),
 }
 
-FIGURE_NUMBERS = tuple(sorted(_BUILDERS))
+FIGURE_NUMBERS = tuple(sorted(FIGURES))
+
+
+def plot_spec(curve: CurveDef, overlays: Overlays, family_lines: int = 0) -> PlotSpec:
+    """The overlays of a curve, and family_lines lines of the family
+    enveloping its primitive."""
+    kinds = {kind for _, kind, _, _ in overlays}
+    if kinds - {"source", "frontal-primitive"}:
+        tr.frenet_frame(curve)  # kept on the curve: the source overlay reads its points
+    lifted = lift_front(curve).sample() if "frontal-primitive" in kinds else None
+    out = []
+    for index, kind, value, label in overlays:
+        if kind == "source":
+            out.append(overlay_from_curve(curve, label, PALETTE[index]))
+            continue
+        mc = (frontal_primitive(lifted) if kind == "frontal-primitive"
+              else tr.transform_frame(tr.frenet_frame(curve), kind, value))
+        out.append(overlay_from_mapped(mc, label, PALETTE[index]))
+    family = make_family("primitive", curve) if family_lines else None
+    return PlotSpec(out, family=family, family_count=family_lines)
 
 
 def figure_spec(number: int) -> PlotSpec:
     try:
-        builder = _BUILDERS[number]
+        name, overlays, family_lines = FIGURES[number]
     except KeyError:
-        raise RangeError(f"no figure {number}; choices: 1..{max(_BUILDERS)}") from None
-    return builder()
-
-
-def render_all_figures(outdir: str) -> list[str]:
-    os.makedirs(outdir, exist_ok=True)
-    paths = []
-    for number in FIGURE_NUMBERS:
-        path = os.path.join(outdir, f"fig{number:02d}.svg")
-        render_to_file(figure_spec(number), path)
-        paths.append(path)
-    return paths
+        raise RangeError(f"no figure {number}; choices: 1..{max(FIGURES)}") from None
+    return plot_spec(builtin_curve(name, samples=FIGURE_SAMPLES), overlays, family_lines)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -234,58 +233,50 @@ def legendrian_residual(lc: LegendrianCurve) -> float:
 
 
 # ---------------------------------------------------------------------------
-# frontal transforms: the kernels of pedalkit.transforms on lifted frames
+# frontal transforms: the kernels of pedalkit.transforms on lifted frames,
+# such as lift_front(curve).sample()
 
-FrontalLike = Union[LegendrianCurve, MappedCurve]
-
-
-def _frame(fr: FrontalLike) -> MappedCurve:
-    return fr.sample() if isinstance(fr, LegendrianCurve) else fr
+def frontal_pedal(sf: MappedCurve) -> MappedCurve:
+    return tr.pedal_kernel(sf, "frontal-pedal")
 
 
-def frontal_pedal(fr: FrontalLike) -> MappedCurve:
-    return tr.pedal_kernel(_frame(fr), "frontal-pedal")
+def frontal_antipedal(sf: MappedCurve) -> MappedCurve:
+    return tr.antipedal_kernel(sf, "frontal-antipedal")
 
 
-def frontal_antipedal(fr: FrontalLike) -> MappedCurve:
-    return tr.antipedal_kernel(_frame(fr), "frontal-antipedal")
+def frontal_primitive(sf: MappedCurve) -> MappedCurve:
+    return tr.primitive_kernel(sf, "frontal-primitive", normal=True)
 
 
-def frontal_primitive(fr: FrontalLike) -> MappedCurve:
-    return tr.primitive_kernel(_frame(fr), "frontal-primitive", normal=True)
+def frontal_parallel_primitivoid(sf: MappedCurve, r: float) -> MappedCurve:
+    return tr.parallel_kernel(sf, r, "frontal-parallel", normal=True)
 
 
-def frontal_parallel_primitivoid(fr: FrontalLike, r: float) -> MappedCurve:
-    return tr.parallel_kernel(_frame(fr), r, "frontal-parallel", normal=True)
+def frontal_slant_primitivoid(sf: MappedCurve, phi: float) -> MappedCurve:
+    return tr.slant_kernel(sf, phi, "frontal-slant", normal=True)
 
 
-def frontal_slant_primitivoid(fr: FrontalLike, phi: float) -> MappedCurve:
-    return tr.slant_kernel(_frame(fr), phi, "frontal-slant", normal=True)
-
-
-def invert_frontal(fr: FrontalLike) -> MappedCurve:
-    sf = _frame(fr)
+def invert_frontal(sf: MappedCurve) -> MappedCurve:
     return tr.invert_kernel(sf, f"inverted-{sf.kind.name}")
 
 
-def _composition_sides(fr: FrontalLike, psi: float, phi: float,
-                       source: FrontalLike | None = None):
-    """cos(psi+phi) Pr[psi](Pr[phi](fr)) and cos(psi) cos(phi)
-    Pr[psi+phi](source), source = fr by default, as callables that give
+def _composition_sides(sf: MappedCurve, psi: float, phi: float,
+                       source: MappedCurve | None = None):
+    """cos(psi+phi) Pr[psi](Pr[phi](sf)) and cos(psi) cos(phi)
+    Pr[psi+phi](source), source = sf by default, as callables that give
     the rows of a block, and the samples where both are ok (the outer
     primitivoid is ok only where the inner one is)."""
-    sf = _frame(fr)
     outer = frontal_slant_primitivoid(frontal_slant_primitivoid(sf, phi), psi)
-    one = frontal_slant_primitivoid(sf if source is None else _frame(source), psi + phi)
+    one = frontal_slant_primitivoid(sf if source is None else source, psi + phi)
     p, q = outer.points, one.points  # not the normals
     return (lambda s: math.cos(psi + phi) * p[s],
             lambda s: math.cos(psi) * math.cos(phi) * q[s], outer.ok & one.ok)
 
 
-def composition_check(fr: FrontalLike, psi: float, phi: float) -> float:
+def composition_check(sf: MappedCurve, psi: float, phi: float) -> float:
     """Max over commonly-ok samples of
 
-        | cos(psi+phi) Pr[psi](Pr[phi](fr)) - cos(psi) cos(phi) Pr[psi+phi](fr) |,
+        | cos(psi+phi) Pr[psi](Pr[phi](sf)) - cos(psi) cos(phi) Pr[psi+phi](sf) |,
 
     inf if there is none.  phi = pi/2 + n pi is rejected: the inner primitivoid
     collapses to the origin and the outer one is meaningless there.
@@ -293,5 +284,5 @@ def composition_check(fr: FrontalLike, psi: float, phi: float) -> float:
     if abs(math.cos(phi)) < DEGENERATE_ANGLE_EPS:
         raise HypothesisViolated(
             "inner angle phi = pi/2 + n pi collapses the first primitivoid to the origin")
-    lhs, rhs, ok = _composition_sides(fr, psi, phi)
+    lhs, rhs, ok = _composition_sides(sf, psi, phi)
     return _block_max(len(ok), lambda s: np.hypot(*(lhs(s) - rhs(s)).T), ok)

@@ -175,9 +175,9 @@ def classify_cusps(curve: CurveDef, ts: np.ndarray,
 
     Needs |<g, n_hat>| >= eps_d there (else the primitive itself is not
     defined and HypothesisViolated is raised for the first such
-    parameter); raises the errors of frenet as well.  eps_d defaults to
-    that of the curve's Frenet frame, taken from the positions on its
-    sample grid; nothing is kept on the curve.
+    parameter); raises the errors of frenet as well.  A scan passes the
+    guard of its grid; for classify_cusp eps_d defaults to that of the
+    curve's Frenet frame, from the positions on its sample grid.
     """
     fg = frenet_rows(curve, ts)
     if eps_d is None:
@@ -226,9 +226,20 @@ def _scan(curve: CurveDef, ts: np.ndarray | None, field: Callable[[FrenetGrid], 
 def primitive_singularities(curve: CurveDef,
                             ts: np.ndarray | None = None) -> list[SingularityReport]:
     """Parameters where the primitive of the curve is singular,
-    classified.  The curve must avoid the origin."""
-    roots = _scan(curve, ts, inversion_curvature_rows)
-    classes = classify_cusps(curve, [t0 for t0, _ in roots]) if roots else []
+    classified.  The curve must avoid the origin.  One blocked walk of
+    the grid gives the scan values and the guard scale of its positions."""
+    grid = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
+    values, corners = np.empty(len(grid)), []
+    for block in row_blocks(len(grid)):
+        fg = frenet_grid(curve, grid[block])
+        values[block] = inversion_curvature_rows(fg)
+        good = finite_xy(fg.p)
+        corners += [[c.min(where=good, initial=np.inf) for c in fg.p.T],
+                    [c.max(where=good, initial=-np.inf) for c in fg.p.T]]
+        del fg  # not held while the next block's is built
+    roots = _scan(curve, grid, inversion_curvature_rows, values)
+    classes = classify_cusps(curve, [t0 for t0, _ in roots],
+                             DENOM_REL_EPS * bbox_diameter(np.array(corners))) if roots else []
     return [SingularityReport("primitive-cusp", t0, resid, cls.label)
             for (t0, resid), cls in zip(roots, classes)]
 

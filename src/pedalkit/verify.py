@@ -459,7 +459,7 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     report.add("slant(psi) of slant(phi) = slant(psi+phi) of primitive",
                _diff(two_step, one_step, both, relative=True), 1e-9)
 
-    circle_lift = fr.lift_front(builtin_curve("circle", samples=1024))
+    circle_lift = fr.lift_front(builtin_curve("circle", samples=1024)).sample()
     report.add("circle slant composition adds angles (pi/10, pi/5)",
                fr.composition_check(circle_lift, math.pi / 10, math.pi / 5), 1e-9)
     report.add("circle slant composition adds angles (pi/6, pi/6)",

@@ -21,7 +21,7 @@ from pedalkit import transforms as tr
 from pedalkit.curve import (BUILTIN_NAMES, builtin_curve, parse_curve,
                             position_xy, sample_grid)
 from pedalkit.envelope import envelope, make_family
-from pedalkit.render import render_svg
+from pedalkit.render import render_svg, render_to_file
 from pedalkit.vec import invert_xy, rotate_xy
 from pedalkit.verify import _fd_curvature_of_inverted, stable_mask
 
@@ -204,11 +204,10 @@ def test_criterion_08_frontal_suite(capsys):
     lc = fl.lift_front(front, sample_grid(front, 4096))
     resid = fl.legendrian_residual(lc)
     gamma0 = tuple(position_xy(front, np.array([0.0]))[0])
-    pr0 = tuple(fl.frontal_primitive(lc).points[0])
+    pr0 = tuple(fl.frontal_primitive(lc.sample()).points[0])
 
-    circle_lift = fl.lift_front(builtin_curve("circle", samples=4096))
-    comp = fl.composition_check(circle_lift, math.pi / 10, math.pi / 5)
-    sf = circle_lift.sample()
+    sf = fl.lift_front(builtin_curve("circle", samples=4096)).sample()
+    comp = fl.composition_check(sf, math.pi / 10, math.pi / 5)
     psi = phi = math.pi / 4
     outer = fl.frontal_slant_primitivoid(fl.frontal_slant_primitivoid(sf, phi), psi)
     rhs_f = fl.frontal_slant_primitivoid(sf, psi + phi)
@@ -225,9 +224,10 @@ def test_criterion_08_frontal_suite(capsys):
 
 
 def test_criterion_09_figure_gallery(capsys, tmp_path):
-    paths = fig.render_all_figures(str(tmp_path))
-    exist = len(paths) == 10 and all((tmp_path / f"fig{n:02d}.svg").exists()
-                                     for n in range(1, 11))
+    for number in fig.FIGURE_NUMBERS:
+        render_to_file(fig.figure_spec(number), str(tmp_path / f"fig{number:02d}.svg"))
+    exist = fig.FIGURE_NUMBERS == tuple(range(1, 11)) and all(
+        (tmp_path / f"fig{n:02d}.svg").exists() for n in range(1, 11))
     svg2 = render_svg(fig.figure_spec(2))
     deterministic = svg2 == (tmp_path / "fig02.svg").read_text()
 

@@ -1,0 +1,106 @@
+"""Known answers from the classical curve literature.
+
+Each image of a transform is checked against an implicit equation
+F = 0 of the textbook curve it lies on (Lockwood, *A Book of Curves*,
+Cambridge 1961), which no code path of pedalkit shares.  The curves are
+built from curve-file text, so the parser is on the path too.  For a
+conic the residual is the first-order distance to the curve, |F| / |grad
+F|, relative to max(1, |P|), over the ok samples.  Every tolerance is
+fixed across the sample counts and at least 100 times the residual
+measured at both counts; a primitive scaled by (1 + 1e-11) fails.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from pedalkit import transforms as tr
+from pedalkit.curve import parse_curve
+
+SAMPLES = (1024, 65536)
+
+# measured residuals: at most 7.7e-16 on the conics, 2.3e-14 on the limacon
+CONIC_TOL = 1e-13
+LIMACON_TOL = 5e-12
+
+OFFSET_CIRCLE = 'name = "offset circle"\nx = 2 + cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*pi\n'
+LINE = 'name = "line"\nx = 1\ny = t\nt_min = -2\nt_max = 2\nclosed = false\n'
+
+
+def _curve(text, samples):
+    return parse_curve(text + f"samples = {samples}\n")
+
+
+def _hyperbola(p):
+    """(x - 2)^2 - y^2/3 - 1 and its gradient."""
+    x, y = p.T
+    return (x - 2.0) ** 2 - y * y / 3.0 - 1.0, np.column_stack([2.0 * (x - 2.0), -2.0 * y / 3.0])
+
+
+def _parabola(p):
+    """y^2 + 4 (x - 1) and its gradient."""
+    x, y = p.T
+    return y * y + 4.0 * (x - 1.0), np.column_stack([np.full_like(x, 4.0), 2.0 * y])
+
+
+def _conic_residual(points, ok, conic):
+    p = points[ok]
+    f, grad = conic(p)
+    return float((np.abs(f) / np.hypot(*grad.T) / np.maximum(1.0, np.hypot(*p.T))).max())
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_primitive_of_an_offset_circle_is_a_hyperbola(samples):
+    """The pedal of a conic about a focus is its auxiliary circle, so the
+    primitive of the circle of centre (2, 0) and radius 1 is the conic of
+    focus 0, centre (2, 0) and semi-axis 1: a hyperbola, b^2 = 2^2 - 1."""
+    pr = tr.primitive(_curve(OFFSET_CIRCLE, samples))
+    assert pr.ok.sum() > 0.99 * samples
+    assert _conic_residual(pr.points, pr.ok, _hyperbola) <= CONIC_TOL
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_a_scaled_primitive_is_off_the_hyperbola(samples):
+    # the mutation the primitive's tolerance must catch
+    pr = tr.primitive(_curve(OFFSET_CIRCLE, samples))
+    assert _conic_residual(pr.points * (1.0 + 1e-11), pr.ok, _hyperbola) > 10 * CONIC_TOL
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+@pytest.mark.parametrize("phi", (math.pi / 10, math.pi / 4, 2.0))
+def test_slant_primitivoid_is_the_hyperbola_rotated_and_scaled(samples, phi):
+    """The slant primitivoid is S = cos(phi) R(phi) Pr, so Q = R(-phi) S /
+    cos(phi) is the primitive, on the hyperbola above."""
+    sl = tr.slant_primitivoid(_curve(OFFSET_CIRCLE, samples), phi)
+    c, s = math.cos(phi), math.sin(phi)
+    x, y = sl.points.T
+    q = np.column_stack([c * x + s * y, c * y - s * x]) / c
+    assert _conic_residual(q, sl.ok, _hyperbola) <= CONIC_TOL
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_primitive_of_a_line_is_a_parabola(samples):
+    """On g = (1, t) the normal is (1, 0) and <g, nu> = 1, so the primitive
+    2 g - |g|^2 nu / <g, nu> is (1 - t^2, 2 t): y^2 = 4 t^2 = -4 (x - 1)."""
+    pr = tr.primitive(_curve(LINE, samples))
+    assert pr.ok.all()
+    assert _conic_residual(pr.points, pr.ok, _parabola) <= CONIC_TOL
+    assert _conic_residual(pr.points * (1.0 + 1e-11), pr.ok, _parabola) > 10 * CONIC_TOL
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_pedal_of_an_offset_circle_is_a_limacon(samples):
+    """The pedal <g, n> n of the circle at the normal n = (cos th, sin th)
+    lies at r = <(2, 0), n> + 1 = 1 + 2 cos th, so r^2 - 2x = r and
+    G = (x^2 + y^2 - 2x)^2 - (x^2 + y^2) = 0.  It passes through the
+    origin, where grad G = 0, so the residual is |G| itself."""
+    def residual(p):
+        x, y = p.T
+        r2 = x * x + y * y
+        return float(np.abs((r2 - 2.0 * x) ** 2 - r2).max())
+
+    pe = tr.pedal(_curve(OFFSET_CIRCLE, samples))
+    assert pe.ok.all()
+    assert residual(pe.points) <= LIMACON_TOL
+    assert residual(pe.points * (1.0 + 1e-11)) > 10 * LIMACON_TOL

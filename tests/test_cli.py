@@ -347,6 +347,16 @@ def test_plot_svg_file_equals_stdout(tmp_path, capsys, args):
     assert svg.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
 
+@pytest.mark.parametrize("number, curve", [(1, "ellipse"), (7, "front")])
+def test_a_source_figure_is_plot_curve_at_the_figure_samples(capsys, number, curve):
+    # the gallery and plot --curve draw through one builder
+    assert main(["plot", "--figure", str(number)]) == 0
+    figure = capsys.readouterr().out
+    assert main(["plot", "--curve", curve, "--samples", "2048"]) == 0
+    assert capsys.readouterr().out == figure
+    assert figure.count("<polyline ") == 1
+
+
 def test_plot_escapes_the_curve_name_in_its_label(tmp_path):
     from xml.etree import ElementTree
 

@@ -126,13 +126,13 @@ def test_circle_lift_pedal_and_antipedal_fixed():
     lc = fl.lift_front(builtin_curve("circle"))
     g = position_xy(lc.curve, lc.ts)
     for op in (fl.frontal_pedal, fl.frontal_antipedal):
-        out = op(lc)
+        out = op(lc.sample())
         assert out.ok.all()
         np.testing.assert_allclose(out.points, g, atol=1e-15)
 
 
 def test_frontal_primitive_front_spot():
-    pr = fl.frontal_primitive(fl.lift_front(builtin_curve("front")))
+    pr = fl.frontal_primitive(fl.lift_front(builtin_curve("front")).sample())
     assert tuple(pr.points[0]) == (0.5, 0.0)
     assert tuple(pr.nu[0]) == (1.0, 0.0)
 
@@ -181,11 +181,11 @@ def test_frontal_primitive_rejects_origin():
 
 
 def test_composition_adds_angles_on_circle_lift():
-    lc = fl.lift_front(builtin_curve("circle"))
+    sf = fl.lift_front(builtin_curve("circle")).sample()
     for psi, phi in ((math.pi / 10, math.pi / 5), (0.3, -0.7)):
-        assert fl.composition_check(lc, psi, phi) < 1e-12
+        assert fl.composition_check(sf, psi, phi) < 1e-12
     with pytest.raises(HypothesisViolated):
-        fl.composition_check(lc, 0.3, math.pi / 2)
+        fl.composition_check(sf, 0.3, math.pi / 2)
 
 
 def test_general_composition_lands_on_primitive():

@@ -1,10 +1,10 @@
 import json
-import os
 import subprocess
 import sys
+from pathlib import Path
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LAYERS = os.path.join(ROOT, "tools", "layers.py")
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = str(ROOT / "tools" / "layers.py")
 
 
 def test_layers_tool_records_the_output_layer(tmp_path):
@@ -18,6 +18,10 @@ def test_layers_tool_records_the_output_layer(tmp_path):
     assert len(records) == 1  # a rerun of the same checkout replaces its record
     rec = records[0]
     assert {"git_sha", "src_differs_from_commit", "src_sha256", "numpy", "cpu_count"} <= set(rec)
+    # the line count of src/pedalkit/*.py, as wc -l gives it
+    assert type(rec["src_lines"]) is int and rec["src_lines"] > 0
+    src = (ROOT / "src" / "pedalkit").glob("*.py")
+    assert rec["src_lines"] == sum(p.read_bytes().count(b"\n") for p in src)
     assert [(r["layer"], r["function"], r["samples"]) for r in rec["results"]] == [
         ("render", "write_mapped_csv", 1024), ("render", "render_to_file", 1024),
         ("singularity", "primitive_singularities", 1024), ("frontal", "lift_front", 2048)]

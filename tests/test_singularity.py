@@ -215,6 +215,25 @@ def test_the_default_cusp_guard_is_that_of_the_frenet_frame(monkeypatch, name, s
     assert repr(tr.DENOM_REL_EPS * diameters[0]) == repr(tr.frenet_frame(curve).eps_d)
 
 
+@pytest.mark.parametrize("samples, explicit", [(1024, None), (40000, None), (1024, 97)])
+def test_primitive_singularities_walk_their_grid_once(monkeypatch, samples, explicit):
+    # the cusp guard comes from the positions of the scanned grid, by
+    # default the sample grid, with no second walk of the curve
+    curve = builtin_curve("ellipse", samples=samples)
+    ts = None if explicit is None else sample_grid(curve, explicit)
+    rows, guards = [], []
+    walk, classify = sg.frenet_grid, sg.classify_cusps
+    monkeypatch.setattr(sg, "frenet_grid", lambda c, t: rows.append(len(t)) or walk(c, t))
+    monkeypatch.setattr(sg, "position_xy", None)
+    monkeypatch.setattr(sg, "classify_cusps",
+                        lambda c, t, eps_d=None: guards.append(eps_d) or classify(c, t, eps_d))
+    assert [r.classification for r in sg.primitive_singularities(curve, ts)] == [
+        "ordinary-cusp"] * 4
+    blocks = [b.stop - b.start for b in row_blocks(explicit or samples)]
+    assert rows[:len(blocks)] == blocks and max(rows[len(blocks):]) <= 4  # then bisection
+    assert repr(guards) == repr([tr.frenet_frame(curve, ts).eps_d])
+
+
 def test_circle_primitive_has_no_cusps():
     assert sg.primitive_singularities(builtin_curve("circle")) == []
 

@@ -33,7 +33,8 @@ samples) case runs in a fresh child process, which
 
 Files are written to a temporary directory that is removed afterwards.
 A record also holds the git SHA of DIR, whether its `src/` differs from
-that commit, a SHA-256 of its `src/pedalkit/*.py`, and the numpy and
+that commit, a SHA-256 of its `src/pedalkit/*.py` and their line count
+(`src_lines`, the total of `wc -l`), and the numpy and
 Python versions and CPU count of the host.  There is no wall-time gate:
 the numbers describe one machine.
 """
@@ -136,10 +137,12 @@ def git(checkout: str, *args: str) -> str | None:
 
 def record(checkout: str, samples: list[int], runs: int) -> dict:
     src = os.path.join(checkout, "src")
-    digest = hashlib.sha256()
+    digest, src_lines = hashlib.sha256(), 0
     for path in sorted(glob.glob(os.path.join(src, "pedalkit", "*.py"))):
         with open(path, "rb") as fh:
-            digest.update(os.path.basename(path).encode() + b"\0" + fh.read())
+            text = fh.read()
+        digest.update(os.path.basename(path).encode() + b"\0" + text)
+        src_lines += text.count(b"\n")  # as wc -l counts them
     sha = git(checkout, "rev-parse", "HEAD")
     status = git(checkout, "status", "--porcelain", "--", "src")
     results = []
@@ -159,7 +162,7 @@ def record(checkout: str, samples: list[int], runs: int) -> dict:
                   f"call peak {results[-1]['call_peak_mb']} MB", file=sys.stderr)
     label = (sha[:7] if sha else os.path.basename(checkout)) + ("-dirty" if status else "")
     return {"label": label, "git_sha": sha, "src_differs_from_commit": bool(status),
-            "src_sha256": digest.hexdigest(), "numpy": numpy.__version__,
+            "src_sha256": digest.hexdigest(), "src_lines": src_lines, "numpy": numpy.__version__,
             "python": platform.python_version(), "cpu_count": os.cpu_count(),
             "results": results}
 
