@@ -52,9 +52,10 @@ class LineFamily:
     kind: TransformKind
     curve: CurveDef
 
-    def _members(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(a, c, a', c') of the members at ts, from one jet walk of the
-        curve.  A curve point at the origin is refused."""
+    def members(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(a, c, a', c') of the members <a, x> = c at ts, from one jet
+        walk of the curve.  A curve point at the origin is refused."""
+        ts = np.asarray(ts, dtype=float)
         g, gp = _jets_xy(self.curve, ts, 1)
         n2 = dot_xy(g, g)
         _check_origin(ts, n2, f"the {self.kind.name} line family")
@@ -66,12 +67,6 @@ class LineFamily:
         if phi is None:
             return g, c, gp, cp
         return rotate_xy(g, phi), c, rotate_xy(gp, phi), cp
-
-    def a(self, ts: np.ndarray) -> np.ndarray:
-        return self._members(np.asarray(ts, dtype=float))[0]
-
-    def c(self, ts: np.ndarray) -> np.ndarray:
-        return self._members(np.asarray(ts, dtype=float))[1]
 
 
 def make_family(kind: str, curve: CurveDef, r: float | None = None,
@@ -98,7 +93,7 @@ def envelope(family: LineFamily, ts: np.ndarray | None = None) -> MappedCurve:
     points = np.empty((len(ts), 2))
     flags = np.empty(len(ts), dtype=np.uint8)
     for block in row_blocks(len(ts)):
-        points[block], flags[block] = _solve(*family._members(ts[block]))
+        points[block], flags[block] = _solve(*family.members(ts[block]))
     kind = TransformKind(f"envelope-{family.kind.name}", angle=family.kind.angle,
                          ratio=family.kind.ratio)
     return MappedCurve(curve.name, kind, ts, points, flags, curve.closed)

@@ -344,7 +344,8 @@ def _svg_chunks(spec: PlotSpec) -> Iterator[str]:
         ts = param_grid(spec.family.curve, spec.family_count)
         lines.append(f'<g data-label="family-lines" stroke="#bbbbbb" '
                      f'stroke-width="{fmt(0.5 * stroke)}">')
-        for a, c in zip(spec.family.a(ts).tolist(), spec.family.c(ts).tolist()):
+        normals, offsets = spec.family.members(ts)[:2]
+        for a, c in zip(normals.tolist(), offsets.tolist()):
             seg = _clip_line_to_box(a, c, (x0, x1, y0, y1))
             if seg is None:
                 continue

@@ -30,9 +30,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .curve import (CurveDef, FrenetGrid, bbox_diameter, frenet_grid, frenet_rows,
-                    position_xy, row_blocks, sample_grid)
+                    row_blocks, sample_grid)
 from .errors import HypothesisViolated, InflectionPoint, RangeError
-from .transforms import DENOM_REL_EPS, MappedCurve, inversion_curvature_rows, shift, stencil_ok
+from .transforms import (DENOM_REL_EPS, MappedCurve, frenet_frame, inversion_curvature_rows,
+                         shift, stencil_ok)
 from .vec import dot_xy, finite_xy, median, scale_xy
 
 BISECT_TARGET = 1e-10
@@ -168,20 +169,16 @@ class CuspClassification:
     circle_witness: float  # | |center| - radius | of the osculating circle
 
 
-def classify_cusps(curve: CurveDef, ts: np.ndarray,
-                   eps_d: float | None = None) -> list[CuspClassification]:
+def classify_cusps(curve: CurveDef, ts: np.ndarray, eps_d: float) -> list[CuspClassification]:
     """Classify primitive-singularity candidates at the parameters ts,
     in one array call.
 
     Needs |<g, n_hat>| >= eps_d there (else the primitive itself is not
     defined and HypothesisViolated is raised for the first such
-    parameter); raises the errors of frenet as well.  A scan passes the
-    guard of its grid; for classify_cusp eps_d defaults to that of the
-    curve's Frenet frame, from the positions on its sample grid.
+    parameter); raises the errors of frenet as well.  eps_d is the guard
+    of the grid the candidates came from, the `eps_d` of its frame.
     """
     fg = frenet_rows(curve, ts)
-    if eps_d is None:
-        eps_d = DENOM_REL_EPS * bbox_diameter(position_xy(curve, sample_grid(curve)))
     den = dot_xy(fg.p, fg.n_hat)
     undefined = np.abs(den) < eps_d
     if undefined.any():
@@ -202,8 +199,9 @@ def classify_cusps(curve: CurveDef, ts: np.ndarray,
 
 def classify_cusp(curve: CurveDef, t0: float) -> CuspClassification:
     """Classify a primitive-singularity candidate at t0: the one-root
-    case of classify_cusps."""
-    return classify_cusps(curve, t0)[0]
+    case of classify_cusps, at the guard of the curve's kept frame
+    (built and kept on the first call)."""
+    return classify_cusps(curve, t0, frenet_frame(curve).eps_d)[0]
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,8 @@ def primitive_singularities(curve: CurveDef,
                             ts: np.ndarray | None = None) -> list[SingularityReport]:
     """Parameters where the primitive of the curve is singular,
     classified.  The curve must avoid the origin.  One blocked walk of
-    the grid gives the scan values and the guard scale of its positions."""
+    the grid gives the scan values and the guard scale of its positions,
+    the `eps_d` of the frame of the grid, with no frame kept."""
     grid = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
     values, corners = np.empty(len(grid)), []
     for block in row_blocks(len(grid)):

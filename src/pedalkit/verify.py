@@ -27,8 +27,7 @@ import numpy as np
 from . import frontal as fr
 from . import singularity as sg
 from . import transforms as tr
-from .curve import (CurveDef, _block_max, bbox_diameter, builtin_curve, frenet_grid,
-                    position_xy, sample_grid)
+from .curve import CurveDef, _block_max, builtin_curve, frenet_grid, position_xy, sample_grid
 from .envelope import circle_family_check, envelope, make_family
 from .errors import HypothesisViolated, RangeError
 from .vec import dot_xy, finite_xy, invert_xy, median, perp_xy, rotate_xy
@@ -319,8 +318,8 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
             " the singularity suite needs a regular curve")
     kpsi = tr.inversion_curvature_rows(fg)
     roots = sg._scan(curve, ts, tr.inversion_curvature_rows, kpsi)
-    eps_d = tr.DENOM_REL_EPS * bbox_diameter(fg.p)
-    classes = sg.classify_cusps(curve, [t0 for t0, _ in roots], eps_d) if roots else []
+    frame = tr.frenet_frame(curve, ts)
+    classes = sg.classify_cusps(curve, [t0 for t0, _ in roots], frame.eps_d) if roots else []
     report.add("criterion roots refined to tolerance",
                max((resid for _, resid in roots), default=0.0), 1e-10)
 
@@ -373,7 +372,7 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
                _block_max(len(ts), lambda s: np.abs(fd[s] - kpsi[s])
                           / np.maximum(np.abs(kpsi[s]), floor), np.isfinite(fd)), 1e-5)
 
-    pr = tr.primitive(curve, ts)
+    pr = tr.primitive_kernel(frame)
     report.add("numeric cusp detector agrees with the criterion",
                _root_gap(sg.detect_cusps_numeric(pr), cusp_ts, curve.period),
                h + 1e-12)

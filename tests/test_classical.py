@@ -7,7 +7,7 @@ built from curve-file text, so the parser is on the path too.  For a
 conic the residual is the first-order distance to the curve, |F| / |grad
 F|, relative to max(1, |P|), over the ok samples.  Every tolerance is
 fixed across the sample counts and at least 100 times the residual
-measured at both counts; a primitive scaled by (1 + 1e-11) fails.
+measured at both counts; each image scaled by (1 + 1e-11) fails.
 """
 
 import math
@@ -17,15 +17,22 @@ import pytest
 
 from pedalkit import transforms as tr
 from pedalkit.curve import parse_curve
+from pedalkit.frontal import frontal_pedal, lift_front
 
 SAMPLES = (1024, 65536)
 
-# measured residuals: at most 7.7e-16 on the conics, 2.3e-14 on the limacon
+# measured residuals: at most 7.7e-16 on the conics, 2.3e-14 on the
+# limacon, 1.4e-15 on the auxiliary circle, 2.1e-17 on the quadrifolium
 CONIC_TOL = 1e-13
 LIMACON_TOL = 5e-12
+CIRCLE_TOL = 2e-13
+QUADRIFOLIUM_TOL = 5e-15
 
 OFFSET_CIRCLE = 'name = "offset circle"\nx = 2 + cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*pi\n'
 LINE = 'name = "line"\nx = 1\ny = t\nt_min = -2\nt_max = 2\nclosed = false\n'
+FOCAL_ELLIPSE = ('name = "focal ellipse"\nx = -1 + 2*cos(t)\ny = sqrt(3)*sin(t)\n'
+                 't_min = 0\nt_max = 2*pi\n')
+ASTROID = 'name = "astroid"\nx = cos(t)^3\ny = sin(t)^3\nt_min = 0\nt_max = 2*pi\n'
 
 
 def _curve(text, samples):
@@ -42,6 +49,12 @@ def _parabola(p):
     """y^2 + 4 (x - 1) and its gradient."""
     x, y = p.T
     return y * y + 4.0 * (x - 1.0), np.column_stack([np.full_like(x, 4.0), 2.0 * y])
+
+
+def _polar_hyperbola(p):
+    """3x^2 - 4x + 1 - y^2 and its gradient."""
+    x, y = p.T
+    return 3.0 * x * x - 4.0 * x + 1.0 - y * y, np.column_stack([6.0 * x - 4.0, -2.0 * y])
 
 
 def _conic_residual(points, ok, conic):
@@ -104,3 +117,61 @@ def test_pedal_of_an_offset_circle_is_a_limacon(samples):
     assert pe.ok.all()
     assert residual(pe.points) <= LIMACON_TOL
     assert residual(pe.points * (1.0 + 1e-11)) > 10 * LIMACON_TOL
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_antipedal_of_an_offset_circle_is_its_polar_hyperbola(samples):
+    """The antipedal nu / <g, nu> is the polar reciprocal: X's polar line
+    <X, Y> = 1 touches |Y - (2, 0)| = 1, so (2x - 1)^2 = x^2 + y^2."""
+    ap = tr.antipedal(_curve(OFFSET_CIRCLE, samples))
+    assert ap.ok.sum() > 0.99 * samples
+    assert _conic_residual(ap.points, ap.ok, _polar_hyperbola) <= CONIC_TOL
+    assert _conic_residual(ap.points * (1.0 + 1e-11), ap.ok, _polar_hyperbola) > 10 * CONIC_TOL
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+@pytest.mark.parametrize("r", (2.0, -1.0, 0.5))
+def test_parallel_primitivoid_is_the_hyperbola_scaled(samples, r):
+    """The parallel primitivoid is r times the primitive, so P / r lies on
+    the hyperbola above: ((x/r) - 2)^2 - (y/r)^2/3 = 1."""
+    def scaled(p):
+        f, grad = _hyperbola(p / r)
+        return f, grad / r
+
+    pa = tr.parallel_primitivoid(_curve(OFFSET_CIRCLE, samples), r)
+    assert pa.ok.sum() > 0.99 * samples
+    assert _conic_residual(pa.points, pa.ok, scaled) <= CONIC_TOL
+    assert _conic_residual(pa.points * (1.0 + 1e-11), pa.ok, scaled) > 10 * CONIC_TOL
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_pedal_of_an_ellipse_about_a_focus_is_its_auxiliary_circle(samples):
+    """The ellipse of centre (-1, 0), a = 2 and b = sqrt(3) has c = 1, a
+    focus at the origin; its pedal there is the circle |P - (-1, 0)| = a."""
+    def residual(p):
+        return float(np.abs(np.hypot(p[:, 0] + 1.0, p[:, 1]) - 2.0).max())
+
+    pe = tr.pedal(_curve(FOCAL_ELLIPSE, samples))
+    assert pe.ok.all()
+    assert residual(pe.points) <= CIRCLE_TOL
+    assert residual(pe.points * (1.0 + 1e-11)) > 10 * CIRCLE_TOL
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_pedal_of_the_astroid_is_a_quadrifolium(samples):
+    """The astroid's tangent x sin t + y cos t = sin t cos t gives the pedal
+    r = sin t cos t at theta = pi/2 - t: r^3 = xy, so (x^2 + y^2)^3 = x^2 y^2."""
+    # through the origin grad G = 0, so the residual is |G|; the four cusp
+    # samples have no Frenet normal, but a lifted one on the frontal path
+    def residual(p):
+        x, y = p.T
+        return float(np.abs((x * x + y * y) ** 3 - x * x * y * y).max())
+
+    curve = _curve(ASTROID, samples)
+    pe = tr.pedal(curve)
+    assert np.array_equal(np.flatnonzero(~pe.ok), np.arange(4) * samples // 4)
+    fp = frontal_pedal(lift_front(curve).sample())
+    assert fp.ok.all()
+    for points in (pe.points[pe.ok], fp.points):
+        assert residual(points) <= QUADRIFOLIUM_TOL
+        assert residual(points * (1.0 + 1e-11)) > 10 * QUADRIFOLIUM_TOL

@@ -321,7 +321,7 @@ def test_plot_family_lines_lie_on_their_members(tmp_path, text):
     assert ends.shape == (16, 4)
     fam = make_family("primitive", curve)
     ts = sample_grid(curve, 16)
-    a, c = fam.a(ts), fam.c(ts)
+    a, c = fam.members(ts)[:2]
     for p in (ends[:, 0:2], ends[:, 2:4]):
         p = p * np.array([1.0, -1.0])  # SVG y grows downward
         residual = np.abs((p * a).sum(axis=1) - c)

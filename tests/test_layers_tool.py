@@ -24,14 +24,19 @@ def test_layers_tool_records_the_output_layer(tmp_path):
     assert rec["src_lines"] == sum(p.read_bytes().count(b"\n") for p in src)
     assert [(r["layer"], r["function"], r["samples"]) for r in rec["results"]] == [
         ("render", "write_mapped_csv", 1024), ("render", "render_to_file", 1024),
-        ("singularity", "primitive_singularities", 1024), ("frontal", "lift_front", 2048)]
+        ("singularity", "primitive_singularities", 1024), ("singularity", "classify_cusp", 1024),
+        ("frontal", "lift_front", 2048)]
     for r in rec["results"]:
-        assert r["runs"] == 2 and r.get("bytes", r.get("roots", r.get("flips"))) > 0
+        assert r["runs"] == 2
+        if r["function"] != "classify_cusp":  # which reports a label, not a count
+            assert r.get("bytes", r.get("roots", r.get("flips"))) > 0
         assert 0 < r["q1_s"] <= r["median_s"] <= r["q3_s"]
         assert r["call_peak_mb"] > 0 and r["peak_rss_mb"] > 0
         # minor page faults of each timed call, the cold one first
         assert len(r["minflt"]) == 3 and all(f >= 0 for f in r["minflt"])
-    assert rec["results"][2]["roots"] == 4 and rec["results"][3]["flips"] == 4
+    assert rec["results"][2]["roots"] == 4 and rec["results"][4]["flips"] == 4
+    # 0.42 is near, not at, the cusp atan(1/sqrt(5)) of the ellipse's primitive
+    assert rec["results"][3]["t0"] == 0.42 and rec["results"][3]["label"] == "not-singular"
 
 
 def test_layers_tool_rejects_bad_arguments(tmp_path):

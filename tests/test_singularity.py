@@ -6,10 +6,11 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+from pedalkit import curve as curve_mod
 from pedalkit import singularity as sg
 from pedalkit import transforms as tr
 from pedalkit.curve import (BUILTIN_NAMES, JET_BLOCK, bbox_diameter, builtin_curve,
-                            frenet_grid, parse_curve, row_blocks, sample_grid)
+                            frenet_grid, parse_curve, position_xy, row_blocks, sample_grid)
 from pedalkit.errors import (HypothesisViolated, InflectionPoint,
                              OriginSingularity, RangeError)
 
@@ -195,24 +196,32 @@ def test_primitive_singularities_keep_no_frame_on_the_curve():
                                            for n in (1024, 40000)]
                          + [("inv(ellipse)", None), ("sine", None)])
 def test_the_default_cusp_guard_is_that_of_the_frenet_frame(monkeypatch, name, samples):
+    # classify_cusp reads the guard of the curve's kept frame, measured
+    # once over two calls, with the bits of the positions on the sample grid
     if name == "inv(ellipse)":
         curve = tr.invert_curve(builtin_curve("ellipse"))
     elif name == "sine":
         curve = SCAN_CURVES["sine"]()
     else:
         curve = builtin_curve(name, samples=samples)
-    diameters = []
+    diameters, guards = [], []
 
     def measured(points, mask=None):
         diameters.append(bbox_diameter(points, mask))
         return diameters[-1]
 
-    monkeypatch.setattr(sg, "bbox_diameter", measured)
-    with contextlib.suppress(HypothesisViolated):
-        sg.classify_cusps(curve, [0.5 * (curve.t_min + curve.t_max)])
-    assert tr.kept_frame(curve) is None
-    assert len(diameters) == 1
-    assert repr(tr.DENOM_REL_EPS * diameters[0]) == repr(tr.frenet_frame(curve).eps_d)
+    classify = sg.classify_cusps
+    monkeypatch.setattr(tr, "bbox_diameter", measured)
+    monkeypatch.setattr(sg, "classify_cusps",
+                        lambda c, t, eps_d: guards.append(eps_d) or classify(c, t, eps_d))
+    for t0 in (0.5 * (curve.t_min + curve.t_max), 0.7 * curve.t_min + 0.3 * curve.t_max):
+        with contextlib.suppress(HypothesisViolated):
+            sg.classify_cusp(curve, t0)
+    assert tr.kept_frame(curve) is not None
+    assert len(diameters) == 1 and len(guards) == 2
+    positions = position_xy(curve, sample_grid(curve))
+    assert (repr(guards) == repr([tr.kept_frame(curve).eps_d] * 2)
+            == repr([tr.DENOM_REL_EPS * bbox_diameter(positions)] * 2))
 
 
 @pytest.mark.parametrize("samples, explicit", [(1024, None), (40000, None), (1024, 97)])
@@ -221,14 +230,16 @@ def test_primitive_singularities_walk_their_grid_once(monkeypatch, samples, expl
     # default the sample grid, with no second walk of the curve
     curve = builtin_curve("ellipse", samples=samples)
     ts = None if explicit is None else sample_grid(curve, explicit)
-    rows, guards = [], []
-    walk, classify = sg.frenet_grid, sg.classify_cusps
+    rows, guards, orders = [], [], []
+    walk, classify, jets = sg.frenet_grid, sg.classify_cusps, curve_mod._jets_xy
     monkeypatch.setattr(sg, "frenet_grid", lambda c, t: rows.append(len(t)) or walk(c, t))
-    monkeypatch.setattr(sg, "position_xy", None)
+    monkeypatch.setattr(curve_mod, "_jets_xy",
+                        lambda c, t, order: orders.append(order) or jets(c, t, order))
     monkeypatch.setattr(sg, "classify_cusps",
-                        lambda c, t, eps_d=None: guards.append(eps_d) or classify(c, t, eps_d))
+                        lambda c, t, eps_d: guards.append(eps_d) or classify(c, t, eps_d))
     assert [r.classification for r in sg.primitive_singularities(curve, ts)] == [
         "ordinary-cusp"] * 4
+    assert orders and 0 not in orders  # no position walk
     blocks = [b.stop - b.start for b in row_blocks(explicit or samples)]
     assert rows[:len(blocks)] == blocks and max(rows[len(blocks):]) <= 4  # then bisection
     assert repr(guards) == repr([tr.frenet_frame(curve, ts).eps_d])

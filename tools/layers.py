@@ -11,16 +11,17 @@ gives a before/after pair.
 Three layers are measured so far.  The output layer:
 `render.write_mapped_csv` (the CSV of `transform`) and
 `render.render_to_file` (its SVG), on the primitive of the built-in
-ellipse at each sample count (default 2^16 and 2^20).  The root scan:
-`singularity.primitive_singularities` on the built-in ellipse at each
-sample count.  And `frontal.lift_front` on the built-in front at 2048
-samples, whatever the sample counts asked for.  Each (function,
-samples) case runs in a fresh child process, which
+ellipse at each sample count (default 2^16 and 2^20).  The singularity
+layer: the root scan `singularity.primitive_singularities`, and the
+scalar `singularity.classify_cusp` at t0 = 0.42, on the built-in
+ellipse with each sample count as its default.  And `frontal.lift_front`
+on the built-in front at 2048 samples, whatever the sample counts asked
+for.  Each (function, samples) case runs in a fresh child process, which
 
 - builds its input (the mapped curve and, for the SVG, its overlay;
-  the curve for the root scan and the lift) untimed;
+  the curve for the singularity layer and the lift) untimed;
 - makes one cold call, which for a writer also builds the formatting
-  tables;
+  tables, and for classify_cusp the frame the curve keeps;
 - makes R more calls (default 7) and reports their median and
   quartiles (`statistics.quantiles`, n=4, inclusive), and the minor
   page faults (`ru_minflt`) of each timed call, the cold one first;
@@ -28,8 +29,8 @@ samples) case runs in a fresh child process, which
   reports the peak of the memory traced: the call's own temporaries;
 - reports its peak resident memory (`VmHWM`) after the last call,
   which is mostly that of building the mapped curve, and the bytes
-  written (for the root scan: the number of roots; for the lift: the
-  number of flips).
+  written (for the root scan: the number of roots; for classify_cusp:
+  its label; for the lift: the number of flips).
 
 Files are written to a temporary directory that is removed afterwards.
 A record also holds the git SHA of DIR, whether its `src/` differs from
@@ -58,7 +59,8 @@ import tracemalloc
 import numpy
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-FUNCTIONS = ("write_mapped_csv", "render_to_file", "primitive_singularities")
+FUNCTIONS = ("write_mapped_csv", "render_to_file", "primitive_singularities", "classify_cusp")
+CLASSIFY_T0 = 0.42
 LIFT_SAMPLES = 2048
 
 
@@ -86,6 +88,11 @@ def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
 
         def call():
             return singularity.primitive_singularities(ellipse)
+    elif function == "classify_cusp":
+        ellipse = builtin_curve("ellipse", samples=samples)
+
+        def call():
+            return singularity.classify_cusp(ellipse, CLASSIFY_T0)
     else:
         curve = builtin_curve("ellipse")
         mc = transforms.primitive(curve, sample_grid(curve, samples))
@@ -118,12 +125,15 @@ def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
     elif function == "primitive_singularities":
         out = {"layer": "singularity", "function": function, "samples": samples,
                "roots": len(result)}
+    elif function == "classify_cusp":
+        out = {"layer": "singularity", "function": function, "samples": samples,
+               "t0": CLASSIFY_T0, "label": result.label}
     else:
         out = {"layer": "render", "function": function, "samples": samples,
                "bytes": os.path.getsize(path)}
     return {**out, "cold_s": round(cold, 6), "median_s": round(statistics.median(warm), 6),
             "q1_s": round(q1, 6), "q3_s": round(q3, 6), "runs": runs, "minflt": faults,
-            "call_peak_mb": round(call_peak / 2**20, 2), "peak_rss_mb": round(peak_rss_mb(), 1)}
+            "call_peak_mb": round(call_peak / 2**20, 4), "peak_rss_mb": round(peak_rss_mb(), 1)}
 
 
 def git(checkout: str, *args: str) -> str | None:
