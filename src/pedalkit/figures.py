@@ -57,7 +57,7 @@ def plot_spec(curve: CurveDef, overlays: Overlays, family_lines: int = 0) -> Plo
     kinds = {kind for _, kind, _, _ in overlays}
     if kinds - {"source", "frontal-primitive"}:
         tr.frenet_frame(curve)  # kept on the curve: the source overlay reads its points
-    lifted = lift_front(curve).sample() if "frontal-primitive" in kinds else None
+    lifted = lift_front(curve) if "frontal-primitive" in kinds else None
     out = []
     for index, kind, value, label in overlays:
         if kind == "source":

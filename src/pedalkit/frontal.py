@@ -19,9 +19,9 @@ undersampled turn.  The lift fails (LiftFailure) when no +-1 sign choice
 keeps consecutive normals aligned, or a flip falls where the speed is
 not small.  To read nu, ell or beta at some t, lift a grid that holds t.
 
-LegendrianCurve.sample() is the third frame provider of
-pedalkit.transforms, next to the Frenet and polyline frames: the sampled
-curve with its lifted normal.  The frontal transforms are the kernels of
+lift_front is the third frame provider of pedalkit.transforms, next to
+the Frenet and polyline frames: its LegendrianCurve is the sampled curve
+with its lifted normal.  The frontal transforms are the kernels of
 that module applied to such a frame (any MappedCurve with a normal), so
 each formula has one implementation and they compose on sampled
 outputs.  Their primitive-type outputs are frames again, with the normal
@@ -132,26 +132,15 @@ def _refine_flips(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return out
 
 
-@dataclass(frozen=True)
-class LegendrianCurve:
-    curve: CurveDef
+@dataclass(frozen=True, kw_only=True)
+class LegendrianCurve(MappedCurve):
+    """The lifted frame: grid and points are those of `frenet`, not copied."""
+
     frenet: FrenetGrid        # the jets of the curve on the sample grid
-    nu_grid: np.ndarray       # lifted continuous normal at the samples
     ell_grid: np.ndarray
     beta_grid: np.ndarray
     flips: tuple[float, ...]  # parameters where sigma changes sign
     seam_consistent: bool     # closed curves: nu returns to +nu(t_min)
-
-    @property
-    def ts(self) -> np.ndarray:
-        return self.frenet.ts
-
-    def sample(self) -> MappedCurve:
-        """The lifted frame: the sampled curve with its lifted normal."""
-        flags = np.full(len(self.ts), FLAG_OK, dtype=np.uint8)
-        return MappedCurve(self.curve.name, TransformKind("lift"), self.ts,
-                           self.frenet.p.copy(), flags, self.curve.closed,
-                           self.nu_grid.copy())
 
 
 def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve:
@@ -221,20 +210,22 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
     ell[i] = dot_xy(dn, mu[i])
     beta = dot_xy(d1, mu)
 
-    return LegendrianCurve(curve, fg, nu, ell, beta, flips, seam_consistent)
+    return LegendrianCurve(curve.name, TransformKind("lift"), ts, p, np.full(n, FLAG_OK, np.uint8),
+                           curve.closed, nu, frenet=fg, ell_grid=ell, beta_grid=beta,
+                           flips=flips, seam_consistent=seam_consistent)
 
 
 def legendrian_residual(lc: LegendrianCurve) -> float:
     """max |<g', nu>| / max(1, |g'|) over the grid; zero for a valid
     lift up to rounding."""
     fg = lc.frenet
-    return _block_max(len(lc.ts), lambda s: np.abs(dot_xy(fg.d1[s], lc.nu_grid[s]))
+    return _block_max(len(lc.grid), lambda s: np.abs(dot_xy(fg.d1[s], lc.nu[s]))
                       / np.maximum(1.0, fg.speed[s]))
 
 
 # ---------------------------------------------------------------------------
 # frontal transforms: the kernels of pedalkit.transforms on lifted frames,
-# such as lift_front(curve).sample()
+# such as lift_front(curve)
 
 def frontal_pedal(sf: MappedCurve) -> MappedCurve:
     return tr.pedal_kernel(sf, "frontal-pedal")

@@ -209,11 +209,10 @@ def write_mapped_csv(mc: MappedCurve, fh: IO[str]) -> None:
 
 
 def write_legendrian_csv(lc: LegendrianCurve, fh: IO[str]) -> None:
-    pts = lc.frenet.p
-    cols = (lc.ts, pts[:, 0], pts[:, 1], lc.nu_grid[:, 0], lc.nu_grid[:, 1],
+    cols = (lc.grid, lc.points[:, 0], lc.points[:, 1], lc.nu[:, 0], lc.nu[:, 1],
             lc.ell_grid, lc.beta_grid)
     fh.write("t,x,y,nu_x,nu_y,ell,beta,flag\n")
-    for i in range(0, len(lc.ts), _BLOCK):
+    for i in range(0, len(lc.grid), _BLOCK):
         fh.write(_format_rows([c[i:i + _BLOCK] for c in cols], 17, ("",) + (",",) * 6,
                               b",ok\n"))
 

@@ -4,8 +4,8 @@ Each formula is one kernel over a frame: a MappedCurve whose `nu` holds
 a unit normal per sample (the tangent t = -J nu is exact).  Three
 providers build frames: `frenet_frame` (n_hat from the symbolic jets),
 `polyline_frames` (five-point differences on an already sampled curve)
-and `LegendrianCurve.sample` (the lifted normal of a front, see
-pedalkit.frontal); each turns its velocities into unit normals with
+and `frontal.lift_front` (the lifted normal of a front, a
+LegendrianCurve); each turns its velocities into unit normals with
 `curve._unit_frame`.  The public transforms compose one provider with one
 kernel: `pedal(curve)` and friends use Frenet frames, `mapped_*` polyline
 frames, `frontal_*` lifted ones.  TRANSFORMS maps each kind name to its
@@ -94,7 +94,8 @@ class TransformKind:
 @dataclass(frozen=True)
 class MappedCurve:
     """A sampled curve: points and a per-sample flag on a parameter grid.
-    With a unit normal `nu` it is a frame, which every kernel accepts."""
+    With a unit normal `nu` it is a frame, which every kernel accepts.
+    A row view or a frame derived from one is a plain MappedCurve."""
 
     source_name: str
     kind: TransformKind
@@ -119,7 +120,8 @@ class MappedCurve:
         return DENOM_REL_EPS * bbox_diameter(self.points, self.ok)
 
     def flip_nu(self) -> "MappedCurve":
-        return dataclasses.replace(self, nu=-self.nu, flags=self.flags.copy())
+        return MappedCurve(self.source_name, self.kind, self.grid, self.points,
+                           self.flags.copy(), self.closed, -self.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,7 @@ def polyline_frames(mc: MappedCurve) -> MappedCurve:
             nu[block] = _unit_frame(d1)[3]
         ok &= mc.closed | ((rows >= 0) & (rows < n))  # no stencil reaches past an open end
         nu[block][~stencil_ok(ok, True)[2:-2]] = np.nan
-    return dataclasses.replace(mc, nu=nu)
+    return MappedCurve(mc.source_name, mc.kind, mc.grid, mc.points, mc.flags, mc.closed, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +212,9 @@ def polyline_frames(mc: MappedCurve) -> MappedCurve:
 
 
 def _frame_rows(frame: MappedCurve, block: slice) -> MappedCurve:
-    rows = dataclasses.replace(frame, grid=frame.grid[block], points=frame.points[block],
-                               flags=frame.flags[block],
-                               nu=None if frame.nu is None else frame.nu[block])
+    rows = MappedCurve(frame.source_name, frame.kind, frame.grid[block], frame.points[block],
+                       frame.flags[block], frame.closed,
+                       None if frame.nu is None else frame.nu[block])
     object.__setattr__(rows, "_whole", frame)  # for eps_d; MappedCurve is frozen
     return rows
 

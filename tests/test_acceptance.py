@@ -204,9 +204,9 @@ def test_criterion_08_frontal_suite(capsys):
     lc = fl.lift_front(front, sample_grid(front, 4096))
     resid = fl.legendrian_residual(lc)
     gamma0 = tuple(position_xy(front, np.array([0.0]))[0])
-    pr0 = tuple(fl.frontal_primitive(lc.sample()).points[0])
+    pr0 = tuple(fl.frontal_primitive(lc).points[0])
 
-    sf = fl.lift_front(builtin_curve("circle", samples=4096)).sample()
+    sf = fl.lift_front(builtin_curve("circle", samples=4096))
     comp = fl.composition_check(sf, math.pi / 10, math.pi / 5)
     psi = phi = math.pi / 4
     outer = fl.frontal_slant_primitivoid(fl.frontal_slant_primitivoid(sf, phi), psi)

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from pedalkit import transforms as tr
-from pedalkit.curve import parse_curve
+from pedalkit.curve import parse_curve, position_xy, sample_grid
 from pedalkit.frontal import frontal_pedal, lift_front
+from pedalkit.verify import stable_mask
 
 SAMPLES = (1024, 65536)
 
@@ -27,6 +28,9 @@ CONIC_TOL = 1e-13
 LIMACON_TOL = 5e-12
 CIRCLE_TOL = 2e-13
 QUADRIFOLIUM_TOL = 5e-15
+# polyline frames: 6.0e-14 at 1024 samples and 1.6e-15 at 65536 for the
+# primitive of the pedal, on its circle
+POLYLINE_CIRCLE_TOL = 1e-11
 
 OFFSET_CIRCLE = 'name = "offset circle"\nx = 2 + cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*pi\n'
 LINE = 'name = "line"\nx = 1\ny = t\nt_min = -2\nt_max = 2\nclosed = false\n'
@@ -55,6 +59,13 @@ def _polar_hyperbola(p):
     """3x^2 - 4x + 1 - y^2 and its gradient."""
     x, y = p.T
     return 3.0 * x * x - 4.0 * x + 1.0 - y * y, np.column_stack([6.0 * x - 4.0, -2.0 * y])
+
+
+def _limacon(p):
+    """|G| for G = (x^2 + y^2 - 2x)^2 - (x^2 + y^2)."""
+    x, y = p.T
+    r2 = x * x + y * y
+    return float(np.abs((r2 - 2.0 * x) ** 2 - r2).max())
 
 
 def _conic_residual(points, ok, conic):
@@ -108,15 +119,10 @@ def test_pedal_of_an_offset_circle_is_a_limacon(samples):
     lies at r = <(2, 0), n> + 1 = 1 + 2 cos th, so r^2 - 2x = r and
     G = (x^2 + y^2 - 2x)^2 - (x^2 + y^2) = 0.  It passes through the
     origin, where grad G = 0, so the residual is |G| itself."""
-    def residual(p):
-        x, y = p.T
-        r2 = x * x + y * y
-        return float(np.abs((r2 - 2.0 * x) ** 2 - r2).max())
-
     pe = tr.pedal(_curve(OFFSET_CIRCLE, samples))
     assert pe.ok.all()
-    assert residual(pe.points) <= LIMACON_TOL
-    assert residual(pe.points * (1.0 + 1e-11)) > 10 * LIMACON_TOL
+    assert _limacon(pe.points) <= LIMACON_TOL
+    assert _limacon(pe.points * (1.0 + 1e-11)) > 10 * LIMACON_TOL
 
 
 @pytest.mark.parametrize("samples", SAMPLES)
@@ -170,8 +176,40 @@ def test_pedal_of_the_astroid_is_a_quadrifolium(samples):
     curve = _curve(ASTROID, samples)
     pe = tr.pedal(curve)
     assert np.array_equal(np.flatnonzero(~pe.ok), np.arange(4) * samples // 4)
-    fp = frontal_pedal(lift_front(curve).sample())
+    fp = frontal_pedal(lift_front(curve))
     assert fp.ok.all()
     for points in (pe.points[pe.ok], fp.points):
         assert residual(points) <= QUADRIFOLIUM_TOL
         assert residual(points * (1.0 + 1e-11)) > 10 * QUADRIFOLIUM_TOL
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_polyline_pedal_of_an_offset_circle_is_a_limacon(samples):
+    """The pedal on the polyline frame of the sampled offset circle, a
+    MappedCurve of its positions alone, lies on the same limacon."""
+    curve = _curve(OFFSET_CIRCLE, samples)
+    grid = sample_grid(curve)
+    sampled = tr.MappedCurve(curve.name, tr.TransformKind("source"), grid,
+                             position_xy(curve, grid), np.zeros(samples, np.uint8), True)
+    pe = tr.mapped_pedal(sampled)
+    assert pe.ok.all()
+    assert _limacon(pe.points) <= LIMACON_TOL
+    assert _limacon(pe.points * (1.0 + 1e-11)) > 10 * LIMACON_TOL
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_polyline_primitive_of_the_limacon_is_the_offset_circle(samples):
+    """The primitive undoes the pedal, so the primitive on the polyline
+    frame of the limacon lies on |P - (2, 0)| = 1, compared where the
+    limacon's polyline resolves it (stable_mask).  The image scaled by
+    (1 + 1e-11) reads 3.0e-11, three times the tolerance, so this guard
+    asks only that it exceed the tolerance, not ten times it."""
+    def residual(p):
+        return float(np.abs(np.hypot(p[:, 0] - 2.0, p[:, 1]) - 1.0).max())
+
+    pe = tr.pedal(_curve(OFFSET_CIRCLE, samples))
+    pr = tr.mapped_primitive(pe)
+    compared = stable_mask(pe) & pr.ok
+    assert compared.sum() > 0.99 * samples
+    assert residual(pr.points[compared]) <= POLYLINE_CIRCLE_TOL
+    assert residual(pr.points[compared] * (1.0 + 1e-11)) > POLYLINE_CIRCLE_TOL

@@ -5,6 +5,7 @@ import pytest
 
 from pedalkit import curve as cv
 from pedalkit import frontal as fl
+from pedalkit import transforms as tr
 from pedalkit.curve import REGULAR_EPS, builtin_curve, parse_curve, position_xy, velocity_xy
 from pedalkit.vec import dot_xy, perp_xy
 from pedalkit.errors import (HypothesisViolated, LiftFailure, OriginSingularity,
@@ -25,9 +26,33 @@ def test_lift_front_residual_and_seam():
 def test_front_lift_flips_frozen():
     lc = fl.lift_front(builtin_curve("front"))
     np.testing.assert_allclose(lc.flips, FRONT_FLIPS, atol=1e-8)
-    assert lc.ts[0] == 0.0
-    nu0 = lc.nu_grid[0]
+    assert lc.grid[0] == 0.0
+    nu0 = lc.nu[0]
     assert (nu0[0], nu0[1]) == (1.0, 0.0)
+
+
+def test_the_lift_is_a_frame():
+    """The lift is a MappedCurve that shares its Frenet grid's points, and
+    every kernel gives on it the bits it gives on a frame of copies;
+    views and derived frames of it are plain MappedCurves."""
+    lc = fl.lift_front(builtin_curve("front"))
+    assert isinstance(lc, tr.MappedCurve)
+    assert np.shares_memory(lc.points, lc.frenet.p)
+    assert lc.grid is lc.frenet.ts and lc.ok.all()
+    copied = tr.MappedCurve(lc.source_name, lc.kind, lc.grid, lc.frenet.p.copy(),
+                            lc.flags.copy(), lc.closed, lc.nu.copy())
+    ops = [lambda f, k=kind, v=param and 0.4: tr.transform_frame(f, k, v)
+           for kind, (_, param) in tr.TRANSFORMS.items()]
+    ops += [fl.frontal_pedal, fl.frontal_antipedal, fl.frontal_primitive, fl.invert_frontal,
+            lambda f: fl.frontal_parallel_primitivoid(f, 2.0),
+            lambda f: fl.frontal_slant_primitivoid(f, 0.4)]
+    for op in ops:
+        got, want = op(lc), op(copied)
+        assert type(got) is tr.MappedCurve
+        for a, b in ((got.points, want.points), (got.flags, want.flags), (got.nu, want.nu)):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    for derived in (tr._frame_rows(lc, slice(3, 9)), lc.flip_nu(), tr.polyline_frames(lc)):
+        assert type(derived) is tr.MappedCurve
 
 
 def ternary_minima(curve, lo, hi):
@@ -53,7 +78,7 @@ def test_front_flips_match_the_ternary_reference_in_few_jet_walks(monkeypatch):
     lc = fl.lift_front(front)
     monkeypatch.undo()
     assert len(walks) <= 12
-    ts = lc.ts
+    ts = lc.grid
     cell = np.searchsorted(ts, lc.flips)
     ref = ternary_minima(front, ts[cell - 1], ts[cell])
     assert len(ref) == 4
@@ -83,7 +108,7 @@ def test_nu_continuous_across_flip():
     d = 1e-5
     ts = np.sort(np.concatenate([cv.sample_grid(front), flips - d, flips + d]))
     lc = fl.lift_front(front, ts)
-    nu = lc.nu_grid
+    nu = lc.nu
     for t0 in flips:
         i, j = np.searchsorted(ts, [t0 - d, t0 + d])
         assert (ts[i], ts[j]) == (t0 - d, t0 + d)
@@ -93,7 +118,7 @@ def test_nu_continuous_across_flip():
 def test_front_frame_curvatures_at_zero():
     front = builtin_curve("front")
     lc = fl.lift_front(front)
-    assert lc.ts[0] == 0.0
+    assert lc.grid[0] == 0.0
     assert math.isclose(lc.ell_grid[0], -math.sqrt(2.0), rel_tol=1e-12)
     assert math.isclose(lc.beta_grid[0], 3.0 * math.sqrt(2.0) / 4.0, rel_tol=1e-12)
     # singular parameters still carry frame data: a front, not just a frontal
@@ -123,22 +148,23 @@ def test_lift_failures():
 def test_circle_lift_pedal_and_antipedal_fixed():
     # unit circle about the origin: nu = -g, <g, nu> = -1, so both the
     # pedal and the antipedal give back the curve itself
-    lc = fl.lift_front(builtin_curve("circle"))
-    g = position_xy(lc.curve, lc.ts)
+    circle = builtin_curve("circle")
+    lc = fl.lift_front(circle)
+    g = position_xy(circle, lc.grid)
     for op in (fl.frontal_pedal, fl.frontal_antipedal):
-        out = op(lc.sample())
+        out = op(lc)
         assert out.ok.all()
         np.testing.assert_allclose(out.points, g, atol=1e-15)
 
 
 def test_frontal_primitive_front_spot():
-    pr = fl.frontal_primitive(fl.lift_front(builtin_curve("front")).sample())
+    pr = fl.frontal_primitive(fl.lift_front(builtin_curve("front")))
     assert tuple(pr.points[0]) == (0.5, 0.0)
     assert tuple(pr.nu[0]) == (1.0, 0.0)
 
 
 def test_transforms_invariant_under_nu_sign():
-    sf = fl.lift_front(builtin_curve("ellipse")).sample()
+    sf = fl.lift_front(builtin_curve("ellipse"))
     flipped = sf.flip_nu()
     for op in (fl.frontal_pedal, fl.frontal_antipedal, fl.frontal_primitive,
                lambda s: fl.frontal_slant_primitivoid(s, 0.4)):
@@ -148,7 +174,7 @@ def test_transforms_invariant_under_nu_sign():
 
 
 def test_parallel_primitivoid_scales_primitive():
-    sf = fl.lift_front(builtin_curve("ellipse")).sample()
+    sf = fl.lift_front(builtin_curve("ellipse"))
     pr = fl.frontal_primitive(sf)
     pl = fl.frontal_parallel_primitivoid(sf, 2.0)
     np.testing.assert_array_equal(pl.points, 2.0 * pr.points)
@@ -157,14 +183,14 @@ def test_parallel_primitivoid_scales_primitive():
 
 
 def test_slant_degenerate_angle_collapses():
-    sf = fl.lift_front(builtin_curve("ellipse")).sample()
+    sf = fl.lift_front(builtin_curve("ellipse"))
     out = fl.frontal_slant_primitivoid(sf, math.pi / 2)
     assert out.kind.degenerate_angle
     assert np.abs(out.points[out.ok]).max() == 0.0
 
 
 def test_invert_frontal_involution_and_unit_normal():
-    sf = fl.lift_front(builtin_curve("ellipse")).sample()
+    sf = fl.lift_front(builtin_curve("ellipse"))
     inv = fl.invert_frontal(sf)
     assert np.abs(np.hypot(*inv.nu.T) - 1.0).max() < 1e-12
     dbl = fl.invert_frontal(inv)
@@ -175,13 +201,13 @@ def test_invert_frontal_involution_and_unit_normal():
 def test_frontal_primitive_rejects_origin():
     through = parse_curve(
         "x = 1 + cos(t)\ny = sin(t)\nt_min = 0\nt_max = 2*pi\nsamples = 64")
-    sf = fl.lift_front(through).sample()
+    sf = fl.lift_front(through)
     with pytest.raises(OriginSingularity):
         fl.frontal_primitive(sf)
 
 
 def test_composition_adds_angles_on_circle_lift():
-    sf = fl.lift_front(builtin_curve("circle")).sample()
+    sf = fl.lift_front(builtin_curve("circle"))
     for psi, phi in ((math.pi / 10, math.pi / 5), (0.3, -0.7)):
         assert fl.composition_check(sf, psi, phi) < 1e-12
     with pytest.raises(HypothesisViolated):
@@ -191,7 +217,7 @@ def test_composition_adds_angles_on_circle_lift():
 def test_general_composition_lands_on_primitive():
     # off-center frontals obey the law only after replacing the source
     # with its primitive on the single-slant side
-    sf = fl.lift_front(builtin_curve("ellipse")).sample()
+    sf = fl.lift_front(builtin_curve("ellipse"))
     psi, phi = math.pi / 10, math.pi / 5
     two = fl.frontal_slant_primitivoid(fl.frontal_slant_primitivoid(sf, phi), psi)
     one = fl.frontal_slant_primitivoid(fl.frontal_primitive(sf), psi + phi)
@@ -211,7 +237,7 @@ def test_frenet_and_lifted_normal_paths_agree_bitwise(name):
     # and must agree to the bit.
     from pedalkit import transforms as tr
     curve = builtin_curve(name)
-    sf = fl.lift_front(curve).sample()
+    sf = fl.lift_front(curve)
     pairs = (
         (tr.pedal(curve), fl.frontal_pedal(sf)),
         (tr.antipedal(curve), fl.frontal_antipedal(sf)),
@@ -242,10 +268,10 @@ def test_lift_rows_match_broadcast_formulas_bitwise(curve):
         use = norm >= REGULAR_EPS
         want_raw[use] = np.column_stack([d[use, 1], -d[use, 0]]) / norm[use, None]
     assert raw.tobytes() == want_raw.tobytes()
-    sigma = np.where(dot_xy(raw, lc.nu_grid) < 0, -1.0, 1.0)
-    assert lc.nu_grid.tobytes() == (sigma[:, None] * raw).tobytes()
+    sigma = np.where(dot_xy(raw, lc.nu) < 0, -1.0, 1.0)
+    assert lc.nu.tobytes() == (sigma[:, None] * raw).tobytes()
     d1, d2, speed = fg.d1, fg.d2, fg.speed
-    mu = perp_xy(lc.nu_grid)
+    mu = perp_xy(lc.nu)
     with np.errstate(all="ignore"):
         w = np.column_stack([d1[:, 1], -d1[:, 0]])
         wdot = np.column_stack([d2[:, 1], -d2[:, 0]])
@@ -257,7 +283,7 @@ def test_lift_rows_match_broadcast_formulas_bitwise(curve):
     i = np.flatnonzero(~fg.regular)
     assert i.size == (not curve.closed)
     span = fg.ts[i + 1] - fg.ts[i - 1]
-    dn = (lc.nu_grid[i + 1] - lc.nu_grid[i - 1]) / span[:, None]
+    dn = (lc.nu[i + 1] - lc.nu[i - 1]) / span[:, None]
     assert lc.ell_grid[i].tobytes() == dot_xy(dn, mu[i]).tobytes()
 
 

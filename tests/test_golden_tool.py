@@ -35,3 +35,27 @@ def test_residual_file_holds_the_repr_of_every_row(tmp_path, monkeypatch):
                 for samples in golden.RESIDUAL_SAMPLES
                 for r in run_suite("all", builtin_curve("circle", samples)).results]
     assert lines == expected
+
+
+# the exit codes of transform --kind pedal, transform --kind primitive and
+# verify --suite all: the focal ellipse fails two singularity rows (its
+# inverse about the focus is a limacon at the convexity boundary), the
+# line two inverse-pair rows (its pedal is a single point)
+CLASSICAL_EXITS = {"focal-ellipse.curve": (0, 0, 1), "line.curve": (0, 0, 1),
+                   "astroid.curve": (0, 0, 0), "deltoid.curve": (0, 0, 0)}
+
+
+def test_classical_curve_verdicts_are_pinned(tmp_path, monkeypatch):
+    from pedalkit.cli import main
+
+    spec = importlib.util.spec_from_file_location("golden", GOLDEN)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    assert set(golden.CLASSICAL) == set(CLASSICAL_EXITS)
+    monkeypatch.chdir(tmp_path)
+    for path, text in golden.CLASSICAL.items():
+        (tmp_path / path).write_text(text)
+        exits = tuple(main(["transform", "--curve", path, "--kind", kind])
+                      for kind in ("pedal", "primitive"))
+        exits += (main(["verify", "--curve", path, "--suite", "all"]),)
+        assert exits == CLASSICAL_EXITS[path], path

@@ -164,7 +164,7 @@ def test_legendrian_csv_header():
     rd.write_legendrian_csv(lc, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,x,y,nu_x,nu_y,ell,beta,flag"
-    assert len(lines) == len(lc.ts) + 1
+    assert len(lines) == len(lc.grid) + 1
 
 
 def test_figure_catalog():
@@ -208,12 +208,12 @@ def ref_mapped_csv(mc):
     return "".join(out)
 
 
-def ref_legendrian_csv(lc):
-    pts = position_xy(lc.curve, lc.ts)
+def ref_legendrian_csv(lc, curve):
+    pts = position_xy(curve, lc.grid)
     out = ["t,x,y,nu_x,nu_y,ell,beta,flag\n"]
-    for i, t in enumerate(lc.ts):
+    for i, t in enumerate(lc.grid):
         out.append(f"{t:.17g},{pts[i, 0]:.17g},{pts[i, 1]:.17g},"
-                   f"{lc.nu_grid[i, 0]:.17g},{lc.nu_grid[i, 1]:.17g},"
+                   f"{lc.nu[i, 0]:.17g},{lc.nu[i, 1]:.17g},"
                    f"{lc.ell_grid[i]:.17g},{lc.beta_grid[i]:.17g},ok\n")
     return "".join(out)
 
@@ -243,11 +243,12 @@ def test_mapped_csv_matches_row_reference(n):
 
 
 def test_legendrian_csv_matches_row_reference():
-    lc = lift_front(builtin_curve("front", samples=8193))
-    assert len(lc.ts) == 8193
+    front = builtin_curve("front", samples=8193)
+    lc = lift_front(front)
+    assert len(lc.grid) == 8193
     buf = io.StringIO()
     rd.write_legendrian_csv(lc, buf)
-    assert buf.getvalue() == ref_legendrian_csv(lc)
+    assert buf.getvalue() == ref_legendrian_csv(lc, front)
 
 
 def test_svg_polylines_match_row_reference():

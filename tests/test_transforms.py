@@ -437,7 +437,7 @@ def block_frames(request):
     prim = tr.primitive(curve)
     poly = tr.polyline_frames(prim)
     poly_want = _one_shot_polyline_normal(prim)
-    lift = fr.lift_front(curve).sample()
+    lift = fr.lift_front(curve)
     # moved so that the origin lies 1e-9 off one tangent line, below
     # eps_d: every branch of the output flags
     moved = _moved(frenet, _BLOCKS_SAMPLES // 3, 1e-9)

@@ -9,6 +9,7 @@ import pedalkit as pk
 from pedalkit import expr as ex
 from pedalkit import singularity as sg
 from pedalkit import transforms as tr
+from pedalkit.cli import main
 from pedalkit.curve import (JET_BLOCK, _block_max, builtin_curve, format_curve,
                             parse_curve, position_xy, row_blocks, sample_grid)
 from pedalkit.errors import HypothesisViolated, RangeError
@@ -114,10 +115,9 @@ def _grid_walks(monkeypatch, suite, curve):
 
 def test_singularity_and_frontal_suites_walk_each_grid_once(monkeypatch):
     ellipse = builtin_curve("ellipse")
-    # the Frenet grid, whose positions the finite-difference row reads
-    # too, and the order-1 frame of the primitive
-    assert _grid_walks(monkeypatch, "singularity", ellipse) == {
-        ("jets", 3, 4096): 1, ("jets", 1, 4096): 1}
+    # the Frenet grid alone: the finite-difference row reads its
+    # positions, and the frame of the primitive its positions and normals
+    assert _grid_walks(monkeypatch, "singularity", ellipse) == {("jets", 3, 4096): 1}
     # the lifts of the curve and of the 1024-sample circle, nothing more
     assert _grid_walks(monkeypatch, "frontal", ellipse) == {
         ("jets", 3, 4096): 1, ("jets", 3, 1024): 1}
@@ -125,8 +125,9 @@ def test_singularity_and_frontal_suites_walk_each_grid_once(monkeypatch):
 
 def test_all_suites_build_the_default_frame_of_the_curve_once(monkeypatch):
     # duality, parallel, slant, oracle and the pedal-circle check share
-    # the kept frame of the curve's own 1024-sample grid; the 4096-sample
-    # suites build theirs
+    # the kept frame of the curve's own 1024-sample grid; of the
+    # 4096-sample suites, only inverse-pair builds a frame, as singularity
+    # reads its frame off its Frenet grid
     ellipse = builtin_curve("ellipse")
     builds = collections.Counter()
     jets_xy = tr._jets_xy
@@ -138,7 +139,7 @@ def test_all_suites_build_the_default_frame_of_the_curve_once(monkeypatch):
 
     monkeypatch.setattr(tr, "_jets_xy", counted)
     run_suite("all", ellipse)
-    assert builds == {1024: 1, 4096: 2}
+    assert builds == {1024: 1, 4096: 1}
 
 
 @pytest.mark.parametrize("curve", [
@@ -147,8 +148,29 @@ def test_all_suites_build_the_default_frame_of_the_curve_once(monkeypatch):
 ], ids=["front", "inv-ellipse"])
 def test_lifted_points_are_the_sampled_curve_bitwise(curve):
     lc = pk.lift_front(curve)
-    points = lc.sample().points
-    assert points.tobytes() == position_xy(curve, lc.ts).tobytes()
+    assert lc.points.tobytes() == position_xy(curve, lc.grid).tobytes()
+
+
+# a deltoid with its three cusps between samples: its lifted normal comes
+# back as -nu(t_min) at the seam, where the five-point stencils wrap
+DELTOID = ('name = "deltoid"\nx = 3 + 2*cos(t+0.1) + cos(2*t+0.2)\n'
+           'y = 2*sin(t+0.1) - sin(2*t+0.2)\nt_min = 0\nt_max = 2*pi\n')
+
+
+def test_frontal_suite_needs_a_periodic_normal(tmp_path, capsys):
+    deltoid = parse_curve(DELTOID)
+    assert not pk.lift_front(deltoid).seam_consistent  # nu[-1] . nu[0] = -0.9999953
+    with pytest.raises(HypothesisViolated, match="periodic normal"):
+        run_suite("frontal", deltoid)
+    report = run_suite("all", deltoid)
+    assert "frontal suite skipped: hypotheses not met" in [r.name for r in report.results]
+    assert report.passed, report.format()
+    path = tmp_path / "deltoid.curve"
+    path.write_text(DELTOID)
+    assert main(["verify", "--curve", str(path), "--suite", "frontal"]) == 3
+    assert "needs a periodic normal" in capsys.readouterr().err
+    # the front's four cusps bring its normal back to +nu(t_min)
+    assert run_suite("frontal", builtin_curve("front")).passed
 
 
 def test_front_skips_singularity_suite_inside_all():

@@ -31,6 +31,11 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   offset circle, passed as curve files written with `format_curve`, and
   on the open ellipse and parabola arcs (the open-grid branches of the
   singularity and frontal suites);
+- `transform --kind pedal|primitive` and `verify --suite all` on the
+  curves of the classical oracles written as curve files: the ellipse
+  with a focus at the origin, the line x = 1 and the astroid, and on a
+  deltoid whose three cusps fall between samples and whose lifted
+  normal comes back reversed at the seam of its closed grid;
 - `verify-residuals.txt`: the `repr` of every residual of
   `run_suite("all")` on those eight curves, at their default sample
   count and at 4096 samples, one line per row, so that a residual that
@@ -146,6 +151,15 @@ LARGE_ORACLE_SAMPLES = "1048576"
 # reversed one (the rotated one is written with format_curve)
 REVERSED_ELLIPSE = "x = cos(-t)\ny = sin(-t)/sqrt(3.0)\nt_min = -2*pi\nt_max = 0\n"
 
+# the curves of the classical oracles, and the deltoid, as curve files
+CLASSICAL = {
+    "focal-ellipse.curve": "x = -1 + 2*cos(t)\ny = sqrt(3)*sin(t)\nt_min = 0\nt_max = 2*pi\n",
+    "line.curve": "x = 1\ny = t\nt_min = -2\nt_max = 2\nclosed = false\n",
+    "astroid.curve": "x = cos(t)^3\ny = sin(t)^3\nt_min = 0\nt_max = 2*pi\n",
+    "deltoid.curve": ("x = 3 + 2*cos(t+0.1) + cos(2*t+0.2)\ny = 2*sin(t+0.1) - sin(2*t+0.2)\n"
+                      "t_min = 0\nt_max = 2*pi\n"),
+}
+
 # the sample counts of verify-residuals.txt; None is the curve's own
 RESIDUAL_SAMPLES = (None, 4096)
 
@@ -239,6 +253,12 @@ def write_goldens(outdir: str) -> int:
     for curve in curves:
         run(f"verify-{curve}.txt", ["verify", "--curve", curve, "--suite", "all"])
     write_residuals("verify-residuals.txt", curves)
+    for path, text in CLASSICAL.items():
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        for kind in ("pedal", "primitive"):
+            run(f"transform-{path}-{kind}.txt", ["transform", "--curve", path, "--kind", kind])
+        run(f"verify-{path}.txt", ["verify", "--curve", path, "--suite", "all"])
     for curve in ("ellipse", "front"):
         for suite in ("oracle", "inverse-pair"):
             run(f"verify-{curve}-{suite}-{ORACLE_SAMPLES}.txt",
