@@ -78,6 +78,16 @@ class CurveDef:
         """t_max - t_min for a closed curve, None for an open one."""
         return self.t_max - self.t_min if self.closed else None
 
+    def wrap(self, ts) -> np.ndarray:
+        """ts round the seam into [t_min, t_max) from within a period of it
+        on a closed curve, clipped to [t_min, t_max] on an open one; the
+        parameters already there keep their bits."""
+        ts = np.asarray(ts, dtype=float)
+        if not self.closed:
+            return np.clip(ts, self.t_min, self.t_max)
+        return np.where(ts < self.t_min, ts + self.period,
+                        np.where(ts >= self.t_max, ts - self.period, ts))
+
     def _check_params(self, ts) -> np.ndarray:
         """ts as a 1-d float array, each in [t_min, t_max]."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))

@@ -9,15 +9,18 @@ A frontal is a curve g together with a continuous unit normal nu with
 lift_front builds nu, ell and beta on a grid from the Frenet grid of
 the curve, which it keeps as LegendrianCurve.frenet: on regular arcs
 nu = sigma (d1y, -d1x)/|d1| with a piecewise-constant sign sigma chosen
-for continuity; where the velocity vanishes the direction comes from d2
-(then d3).  As sigma^2 = 1, sigma flips exactly in the cells where
-consecutive raw normals point apart, which array operations find at
-once.  A flip in a cell between regular samples is refined to the speed
-minimum there (one bracketed secant solve of <d1, d2> = 0 for all such
-cells), which gives LegendrianCurve.flips and tells a cusp from an
-undersampled turn.  The lift fails (LiftFailure) when no +-1 sign choice
-keeps consecutive normals aligned, or a flip falls where the speed is
-not small.  To read nu, ell or beta at some t, lift a grid that holds t.
+for continuity; where the velocity vanishes the direction comes from d2,
+and ell is the limit det(d2, d3) / (2 |d2|^2).  As sigma^2 = 1, sigma
+flips exactly in the cells where consecutive raw normals point apart,
+closing cell of a closed grid included; round that ring nu comes back
+as twist * nu, twist = -1 on a front with an odd number of cusps.  A
+flip in a cell between regular samples is refined to the speed minimum
+there (one bracketed secant solve of <d1, d2> = 0 for all such cells),
+which gives LegendrianCurve.flips, in [t_min, t_max), and tells a cusp
+from an undersampled turn.  The lift fails (LiftFailure) where d1 and
+d2 vanish, where no +-1 sign choice keeps consecutive normals aligned,
+or where a flip falls and the speed is not small.  To read nu, ell or
+beta at some t, lift a grid that holds t.
 
 lift_front is the third frame provider of pedalkit.transforms, next to
 the Frenet and polyline frames: its LegendrianCurve is the sampled curve
@@ -51,16 +54,14 @@ CONTINUITY_MIN_DOT = 0.5
 
 def _raw_normals(fg: FrenetGrid) -> np.ndarray:
     """Unit normal directions up to sign, (d_y, -d_x)/|d| = -n_hat from
-    d1, or at singular parameters from d2, then d3."""
+    d1, or at singular parameters from d2."""
     raw = -fg.n_hat
     todo = np.flatnonzero(~fg.regular)
-    for d in (fg.d2, fg.d3):
-        _, regular, _, n_hat = _unit_frame(d[todo])
-        raw[todo[regular]] = -n_hat[regular]
-        todo = todo[~regular]
-    if todo.size:
-        raise LiftFailure(f"no direction data at t={float(fg.ts[todo[0]])}: "
-                          "first three derivatives vanish")
+    _, regular, _, n_hat = _unit_frame(fg.d2[todo])
+    if not regular.all():
+        raise LiftFailure(f"no direction data at t={float(fg.ts[todo[~regular][0]])}: "
+                          "the first two derivatives vanish")
+    raw[todo] = -n_hat
     return raw
 
 
@@ -88,7 +89,7 @@ def _ternary_minima(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     for _ in range(60):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        v = velocity_xy(curve, np.concatenate([m1, m2]))
+        v = velocity_xy(curve, curve.wrap(np.concatenate([m1, m2])))
         speed = np.hypot(v[:, 0], v[:, 1])
         left = speed[:k] <= speed[k:]
         hi = np.where(left, m2, hi)
@@ -97,7 +98,7 @@ def _ternary_minima(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
 
 
 def _refine_flips(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Speed minima in the cells [lo, hi], all at once.
+    """Speed minima in the cells [lo, hi], all at once, read at curve.wrap(t).
 
     Where f = <d1, d2>, half the derivative of speed^2, is negative at
     lo and positive at hi, the minimum is its root there, found by the
@@ -109,7 +110,7 @@ def _refine_flips(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     where f is undefined or that is not done in _SECANT_STEPS steps gets
     a ternary search on the speed instead."""
     k = len(lo)
-    _, d1, d2 = _jets_xy(curve, np.concatenate([lo, hi]), 2)
+    _, d1, d2 = _jets_xy(curve, curve.wrap(np.concatenate([lo, hi])), 2)
     f = dot_xy(d1, d2)
     out = np.full(k, np.nan)
     cells = np.flatnonzero((f[:k] < 0.0) & (f[k:] > 0.0))
@@ -118,7 +119,7 @@ def _refine_flips(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
         if not cells.size:
             break
         t = b - fb * ((b - a) / (fb - fa))
-        _, d1, d2 = _jets_xy(curve, t, 2)
+        _, d1, d2 = _jets_xy(curve, curve.wrap(t), 2)
         ft = dot_xy(d1, d2)
         done = (ft == 0.0) | (np.abs(t - b) <= 2.0 * np.spacing(t))
         out[cells[done]] = t[done]
@@ -140,7 +141,7 @@ class LegendrianCurve(MappedCurve):
     ell_grid: np.ndarray
     beta_grid: np.ndarray
     flips: tuple[float, ...]  # parameters where sigma changes sign
-    seam_consistent: bool     # closed curves: nu returns to +nu(t_min)
+    twist: int                # closed grids: nu comes back round the seam as twist * nu[0]
 
 
 def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve:
@@ -156,63 +157,53 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
     raw = _raw_normals(fg)
 
     # continuity propagation of the sign: sigma flips in the cells where
-    # consecutive raw normals point apart, and the aligned dot is |dot|
-    dots = dot_xy(raw[1:], raw[:-1])
-    flip = dots < 0.0
-    signs = np.cumprod(np.concatenate(([1.0], np.where(flip, -1.0, 1.0))))
-    hi = np.flatnonzero(flip) + 1  # sigma flips between samples hi - 1 and hi
-    t_flip = ts[hi]
+    # consecutive raw normals point apart, and the aligned dot is |dot|.
+    # Cell c runs from sample c to the next: round the seam on a closed
+    # grid, and to itself (never a flip) at the end of an open one.
+    dots = dot_xy(tr.shift(raw, 1, curve.closed), raw)
+    cell_signs = np.where(dots < 0.0, -1.0, 1.0)
+    signs = np.cumprod(np.concatenate(([1.0], cell_signs[:-1])))
+    twist = int(signs[-1] * cell_signs[-1]) if curve.closed else 1
+    cells = np.flatnonzero(cell_signs < 0.0)
+    right = (cells + 1) % n
+    lo, hi = ts[cells], np.where(right > cells, ts[right], ts[right] + (curve.period or 0.0))
+    t_flip = ts[right]
     # a singular sample before the flip keeps its recorded sign
-    after_singular = ~regular[hi - 1] & regular[hi]
-    t_flip[after_singular] = np.nextafter(ts[hi - 1], ts[hi])[after_singular]
-    refined = regular[hi - 1] & regular[hi]
-    undersampled = np.zeros(n - 1, dtype=bool)  # per cell, like dots
+    after_singular = ~regular[cells] & regular[right]
+    t_flip[after_singular] = np.nextafter(lo, hi)[after_singular]
+    refined = regular[cells] & regular[right]
+    undersampled = np.zeros(n, dtype=bool)  # per cell, like dots
     if refined.any():
-        t_flip[refined] = _refine_flips(curve, ts[hi - 1][refined], ts[hi][refined])
+        t_flip[refined] = curve.wrap(_refine_flips(curve, lo[refined], hi[refined]))
         v = velocity_xy(curve, t_flip[refined])
         median_speed = median(speed[regular])
         if median_speed:
-            undersampled[hi[refined] - 1] = np.hypot(v[:, 0], v[:, 1]) > 1e-3 * median_speed
+            undersampled[cells[refined]] = np.hypot(v[:, 0], v[:, 1]) > 1e-3 * median_speed
     bad = np.flatnonzero(undersampled | (np.abs(dots) < CONTINUITY_MIN_DOT))
     if bad.size:
         c = bad[0]
         if undersampled[c]:
-            t_bad = t_flip[np.searchsorted(hi, c + 1)]
+            t_bad = t_flip[np.searchsorted(cells, c)]
             raise LiftFailure(
                 f"normal direction flips near t={t_bad:.6g} without a "
                 f"singular point; the curve is undersampled")
         raise LiftFailure(
-            f"one-sided normal limits at t={ts[c + 1]:.6g} disagree by more than "
+            f"one-sided normal limits at t={ts[(c + 1) % n]:.6g} disagree by more than "
             f"a sign (cos angle = {abs(dots[c]):.3f})")
-    flips = tuple(float(t) for t in t_flip)
     nu = scale_xy(np.multiply, signs, raw)
 
-    seam_consistent = True
-    if curve.closed:
-        seam_consistent = float(nu[-1] @ nu[0]) > 0.0
-
     # frame curvatures: ell from the exact quotient rule on regular rows,
-    # and from a central difference of the lifted normal across singular
-    # samples
+    # and at a singular sample from its limit there, det(d2, d3) / (2 |d2|^2),
+    # which the order-3 jets give exactly and nu -> -nu leaves alone
     mu = perp_xy(nu)
     ell = _ell(signs, d1, d2, speed, mu)
-    i = np.flatnonzero(singular)
-    if curve.closed:
-        j0, j1 = (i - 1) % n, (i + 1) % n
-    else:
-        j0, j1 = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
-    if (j0 == j1).any():
-        raise LiftFailure(f"cannot estimate ell at isolated sample t={ts[i[j0 == j1][0]]}")
-    span = ts[j1] - ts[j0]
-    if curve.closed:
-        span[j1 < j0] += curve.period  # the stencil wraps round the seam
-    dn = scale_xy(np.divide, nu[j1] - nu[j0], span)
-    ell[i] = dot_xy(dn, mu[i])
+    s2, s3 = d2[singular], d3[singular]
+    ell[singular] = (s2[:, 0] * s3[:, 1] - s2[:, 1] * s3[:, 0]) / (2.0 * dot_xy(s2, s2))
     beta = dot_xy(d1, mu)
 
     return LegendrianCurve(curve.name, TransformKind("lift"), ts, p, np.full(n, FLAG_OK, np.uint8),
                            curve.closed, nu, frenet=fg, ell_grid=ell, beta_grid=beta,
-                           flips=flips, seam_consistent=seam_consistent)
+                           flips=tuple(float(t) for t in np.sort(t_flip)), twist=twist)
 
 
 def legendrian_residual(lc: LegendrianCurve) -> float:

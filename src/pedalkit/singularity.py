@@ -11,13 +11,14 @@ curve has an ordinary inflection.  Roots are located by a sign-change
 scan over a grid, one JET_BLOCK slice at a time, followed by bisection,
 refined until |f| <= 1e-10 or 80 iterations, for all brackets together.
 On a closed curve the scan includes the closing cell from the last
-sample round to the first, by index, without a copy of the grid.  The
-scalar criterion, osculating_circle and classify_cusp are one-row cases
-of the array functions.  Each detector scans one Frenet field (`_scan`);
-the cusp scan reads the inversion curvature, the negated criterion, with
-the same roots bit for bit.  detect_cusps_numeric is the
-model-free cross-check: it sees cusps of a sampled curve purely from
-the points.
+sample round to the first, by index, without a copy of the grid; where
+it runs past t_max the detectors read the curve at `CurveDef.wrap(t)`.
+The scalar criterion, osculating_circle and classify_cusp are one-row
+cases of the array functions.  Each detector scans one Frenet field
+(`_scan`); the cusp scan reads the inversion curvature, the negated
+criterion, with the same roots bit for bit.  detect_cusps_numeric is
+the model-free cross-check: it sees cusps of a sampled curve purely
+from the points.
 """
 
 from __future__ import annotations
@@ -215,9 +216,10 @@ class SingularityReport:
 def _scan(curve: CurveDef, ts: np.ndarray | None, field: Callable[[FrenetGrid], np.ndarray],
           values: np.ndarray | None = None) -> list[tuple[float, float]]:
     """The roots of field, a map of a FrenetGrid to its (n,) rows, over
-    ts (by default the sample grid), whose field values may be passed."""
-    return find_roots(lambda t: field(frenet_grid(curve, t)),
-                      sample_grid(curve) if ts is None else ts,
+    ts (by default the sample grid), whose field values may be passed;
+    field is read at curve.wrap(t), as in find_roots' closing cell."""
+    return find_roots(lambda t: field(frenet_grid(curve, curve.wrap(t))),
+                      sample_grid(curve) if ts is None else curve._check_params(ts),
                       values=values, period=curve.period)
 
 
@@ -237,7 +239,7 @@ def primitive_singularities(curve: CurveDef,
                     [c.max(where=good, initial=-np.inf) for c in fg.p.T]]
         del fg  # not held while the next block's is built
     roots = _scan(curve, grid, inversion_curvature_rows, values)
-    classes = classify_cusps(curve, [t0 for t0, _ in roots],
+    classes = classify_cusps(curve, curve.wrap([t0 for t0, _ in roots]),
                              DENOM_REL_EPS * bbox_diameter(np.array(corners))) if roots else []
     return [SingularityReport("primitive-cusp", t0, resid, cls.label)
             for (t0, resid), cls in zip(roots, classes)]

@@ -128,19 +128,24 @@ class MappedCurve:
 # sample grids
 
 
-def shift(arr: np.ndarray, k: int, closed: bool) -> np.ndarray:
-    """out[i] = arr[i + k] along the first axis: closed grids wrap, open
-    grids repeat their end sample."""
-    if closed:
-        return np.roll(arr, -k, axis=0)
-    return arr[np.clip(np.arange(len(arr)) + k, 0, len(arr) - 1)]
+def shift(arr: np.ndarray, k: int, closed: bool, twist: int = 1) -> np.ndarray:
+    """out[i] = arr[i + k] along the first axis: closed grids wrap, the
+    wrapped rows times twist (-1 where a lifted normal comes back as -nu,
+    `LegendrianCurve.twist`), and open grids repeat their end sample."""
+    if not closed:
+        return arr[np.clip(np.arange(len(arr)) + k, 0, len(arr) - 1)]
+    out = np.roll(arr, -k, axis=0)
+    if twist == -1:
+        out[slice(len(arr) - k, None) if k > 0 else slice(None, -k)] *= -1.0
+    return out
 
 
-def five_point_derivative(arr: np.ndarray, h: float, closed: bool) -> np.ndarray:
+def five_point_derivative(arr: np.ndarray, h: float, closed: bool,
+                          twist: int = 1) -> np.ndarray:
     """Five-point central difference along the first axis of a uniform
-    grid; on open grids the two samples at each end are not meaningful."""
-    return (shift(arr, -2, closed) - 8.0 * shift(arr, -1, closed)
-            + 8.0 * shift(arr, 1, closed) - shift(arr, 2, closed)) / (12.0 * h)
+    grid, wrapped as by `shift`; meaningless at two samples per open end."""
+    return (shift(arr, -2, closed, twist) - 8.0 * shift(arr, -1, closed, twist)
+            + 8.0 * shift(arr, 1, closed, twist) - shift(arr, 2, closed, twist)) / (12.0 * h)
 
 
 def stencil_ok(good: np.ndarray, closed: bool) -> np.ndarray:

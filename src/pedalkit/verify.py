@@ -331,15 +331,10 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
     witness = max((c.circle_witness for _, c in cusps), default=0.0)
     inflect = max((abs(c.criterion) for _, c in cusps), default=0.0)
     # inversion curvature one step to each side of the cusps, in one
-    # call; a closed curve wraps the sides into [t_min, t_max), an open
-    # one leaves a cusp within h of an end out of the sign check
-    sides = np.concatenate([cusp_ts - h, cusp_ts + h])
+    # call; an open curve leaves a cusp within h of an end out of the
+    # sign check
+    sides = curve.wrap(np.concatenate([cusp_ts - h, cusp_ts + h]))
     inside = curve.closed | ((cusp_ts - h >= curve.t_min) & (cusp_ts + h <= curve.t_max))
-    if curve.closed:
-        sides = np.where(sides < curve.t_min, sides + curve.period,
-                         np.where(sides >= curve.t_max, sides - curve.period, sides))
-    else:
-        sides = np.clip(sides, curve.t_min, curve.t_max)
     k_left, k_right = np.split(tr.inversion_curvature_grid(curve, sides), 2)
     sign_ok = bool(((k_left < 0.0) != (k_right < 0.0))[inside].all())
     report.add("osculating circle passes through origin at cusps", witness, 1e-8)
@@ -347,7 +342,8 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
     report.add("inverted-curve curvature changes sign at cusps",
                0.0 if sign_ok else math.inf, 0.0)
 
-    dk = (np.roll(kpsi, -1) - np.roll(kpsi, 1)) / (2 * h) if curve.closed else np.gradient(kpsi, h)
+    dk = ((tr.shift(kpsi, 1, True) - tr.shift(kpsi, -1, True)) / (2 * h) if curve.closed
+          else np.gradient(kpsi, h))
     if np.abs(fg.kappa_prime_arc).max() < 1e-10 and np.abs(dk).max() < 1e-8:
         # Constant curvature: both sides vanish identically and sign scans
         # would chase rounding noise.
@@ -390,10 +386,7 @@ def _fd_curvature_of_inverted(p: np.ndarray, h: float, closed: bool) -> np.ndarr
         d2 = (-back2 + 16 * back1 - 30 * pts + 16 * ahead1 - ahead2) / (12 * h * h)
         speed = np.hypot(d1[:, 0], d1[:, 1])
         kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
-    if not closed:
-        # the stencil runs past the ends of an open grid
-        kappa[:2] = np.nan
-        kappa[-2:] = np.nan
+    kappa[~tr.stencil_ok(np.ones(len(p), dtype=bool), closed)] = np.nan
     return kappa
 
 
@@ -419,15 +412,12 @@ def _output_normal_residual(lc: fr.LegendrianCurve, mask: np.ndarray) -> float:
 
 def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     lc = fr.lift_front(curve, sample_grid(curve, max(4096, curve.samples)))
-    if curve.closed and not lc.seam_consistent:  # the stencils below wrap round the seam
-        raise HypothesisViolated(f"the lifted normal of '{curve.name}' comes back reversed at"
-                                 " the seam; the frontal suite needs a periodic normal")
     n = len(lc.grid)
     report.add("legendrian residual of the lift", fr.legendrian_residual(lc), 1e-8)
 
     # frame closure, with the normal derivative from finite differences
     nu, ell = lc.nu, lc.ell_grid
-    nudot = tr.five_point_derivative(nu, lc.grid[1] - lc.grid[0], curve.closed)
+    nudot = tr.five_point_derivative(nu, lc.grid[1] - lc.grid[0], curve.closed, lc.twist)
     inner = tr.stencil_ok(np.ones(n, dtype=bool), curve.closed)
     report.add("frame closure nu' = ell mu",
                _diff(nudot, lambda s: ell[s, None] * perp_xy(nu[s]), inner), 1e-6)

@@ -15,12 +15,32 @@ from pedalkit.errors import (HypothesisViolated, LiftFailure, OriginSingularity,
 FRONT_FLIPS = (0.980185989137242, 2.1614066644525516,
                4.121778642727036, 5.302999318042343)
 
+ASTROID = parse_curve("x = cos(t)^3\ny = sin(t)^3\nt_min = 0\nt_max = 2*pi")
+# a cusp at t = 0, a sample of the grid
+CUSP = parse_curve("x = t^2\ny = t^3\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33")
+
 
 def test_lift_front_residual_and_seam():
-    for name in ("circle", "ellipse", "front"):
-        lc = fl.lift_front(builtin_curve(name))
+    # an even number of cusps (none, or the four of the front and of the
+    # astroid): the lifted normal comes back round the seam as +nu, twist
+    # 1; an open arc has no seam and reads twist 1
+    for curve in [builtin_curve(name) for name in ("circle", "ellipse", "front")] + [ASTROID]:
+        lc = fl.lift_front(curve)
         assert fl.legendrian_residual(lc) < 1e-12
-        assert lc.seam_consistent
+        assert lc.twist == 1
+    assert fl.lift_front(CUSP).twist == 1
+
+
+def test_astroid_lift_flips_in_the_closing_cell():
+    # the cusp at sample 0 lies in the closing cell from the last sample
+    # round to the first, and is listed at 0.0, in [t_min, t_max)
+    lc = fl.lift_front(ASTROID)
+    assert lc.grid[0] == 0.0 and not lc.frenet.regular[0]
+    assert lc.flips[0] == 0.0
+    np.testing.assert_allclose(lc.flips, np.arange(4) * math.pi / 2, rtol=0.0, atol=1e-15)
+    i = np.flatnonzero(~lc.frenet.regular)
+    np.testing.assert_array_equal(lc.grid[i], lc.flips)
+    np.testing.assert_allclose(lc.ell_grid[i], -1.0, rtol=0.0, atol=1e-12)
 
 
 def test_front_lift_flips_frozen():
@@ -139,10 +159,13 @@ def test_lift_failures():
         "x = cos(9*t)\ny = sin(9*t)\nt_min = 0\nt_max = 2*pi\nsamples = 16")
     with pytest.raises(LiftFailure, match="undersampled"):
         fl.lift_front(coarse)
-    # d1, d2 and d3 all vanish at t = 0, a sample of the grid
-    flat = parse_curve("x = t^4\ny = t^5\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33")
-    with pytest.raises(LiftFailure, match="no direction data at t=0.0"):
-        fl.lift_front(flat)
+    # d1 and d2 vanish at t = 0, a sample of the grid: the jets up to
+    # order 3 do not give ell there (4/3 for the first curve), whether d3
+    # gives the direction or vanishes too
+    for xy in ("x = t^3\ny = t^4 + 1", "x = t^4\ny = t^5"):
+        flat = parse_curve(f"{xy}\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33")
+        with pytest.raises(LiftFailure, match="no direction data at t=0.0"):
+            fl.lift_front(flat)
 
 
 def test_circle_lift_pedal_and_antipedal_fixed():
@@ -250,20 +273,17 @@ def test_frenet_and_lifted_normal_paths_agree_bitwise(name):
         assert np.array_equal(frenet_out.flags, lifted_out.flags)
 
 
-@pytest.mark.parametrize("curve", [
-    builtin_curve("front", samples=4099),
-    # a cusp at t = 0, a sample of the grid
-    parse_curve("x = t^2\ny = t^3\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33"),
-], ids=["front", "cusp"])
+@pytest.mark.parametrize("curve", [builtin_curve("front", samples=4099), CUSP],
+                         ids=["front", "cusp"])
 def test_lift_rows_match_broadcast_formulas_bitwise(curve):
-    # nu = sigma raw, ell on regular rows from the quotient rule, and the
-    # central difference of nu across singular samples, each with its
-    # rows scaled by s[:, None] broadcasts
+    # nu = sigma raw, ell on regular rows from the quotient rule, and at
+    # singular samples det(d2, d3) / (2 |d2|^2), each with its rows scaled
+    # by s[:, None] broadcasts
     lc = fl.lift_front(curve)
     fg = lc.frenet
     raw = fl._raw_normals(fg)
     want_raw = np.full_like(raw, np.nan)
-    for d in (fg.d3, fg.d2, fg.d1):  # the first of d1, d2, d3 that is not zero
+    for d in (fg.d2, fg.d1):  # the first of d1, d2 that is not zero
         norm = np.hypot(d[:, 0], d[:, 1])
         use = norm >= REGULAR_EPS
         want_raw[use] = np.column_stack([d[use, 1], -d[use, 0]]) / norm[use, None]
@@ -282,25 +302,25 @@ def test_lift_rows_match_broadcast_formulas_bitwise(curve):
     assert lc.ell_grid[fg.regular].tobytes() == want[fg.regular].tobytes()
     i = np.flatnonzero(~fg.regular)
     assert i.size == (not curve.closed)
-    span = fg.ts[i + 1] - fg.ts[i - 1]
-    dn = (lc.nu[i + 1] - lc.nu[i - 1]) / span[:, None]
-    assert lc.ell_grid[i].tobytes() == dot_xy(dn, mu[i]).tobytes()
+    d2, d3 = fg.d2[i], fg.d3[i]
+    want = (d2[:, 0] * d3[:, 1] - d2[:, 1] * d3[:, 0]) / (2.0 * (d2 * d2).sum(axis=1))
+    assert lc.ell_grid[i].tobytes() == want.tobytes()
+    assert np.abs(want - 1.5).max(initial=0.0) <= 1e-15  # ell(0) of the cusp; none on the front
 
 
-@pytest.mark.parametrize("curve, ts, want, tol", [
-    # the cusp at 0 between samples 0.5 apart: the central difference over 1.0
-    (parse_curve("x = t^2\ny = t^3\nt_min = -1\nt_max = 1\nclosed = false\nsamples = 33"),
-     np.concatenate([np.linspace(-1.0, -0.5, 5), [0.0, 0.5, 1.0]]), 1.2, 1e-12),
-    # steps pi/16 on [0, pi) and pi/64 on [pi, 2 pi): the stencil of the cusp
-    # at sample 0 crosses the seam, and that of the cusp at pi the change of
-    # step; ell is -1 at every cusp of the astroid
-    (parse_curve("x = cos(t)^3\ny = sin(t)^3\nt_min = 0\nt_max = 2*pi"),
-     np.concatenate([np.arange(16) * math.pi / 16,
-                     math.pi + np.arange(64) * math.pi / 64]), -1.0, 1e-2),
+@pytest.mark.parametrize("curve, ts, want", [
+    # the cusp at 0 between samples 0.5 apart
+    (CUSP, np.concatenate([np.linspace(-1.0, -0.5, 5), [0.0, 0.5, 1.0]]), 1.5),
+    # steps pi/16 on [0, pi) and pi/64 on [pi, 2 pi), with the cusp at
+    # sample 0 next to the seam and that at pi at the change of step;
+    # ell is -1 at every cusp of the astroid
+    (ASTROID, np.concatenate([np.arange(16) * math.pi / 16,
+                              math.pi + np.arange(64) * math.pi / 64]), -1.0),
 ], ids=["open", "closed-seam"])
-def test_ell_at_a_singular_sample_divides_by_the_grid_spacing(curve, ts, want, tol):
+def test_ell_at_a_singular_sample_comes_from_the_jets(curve, ts, want):
+    # the jets at the sample alone give ell: the grid's spacing and what
+    # lies across the seam play no part
     lc = fl.lift_front(curve, ts)
     i = np.flatnonzero(~lc.frenet.regular)
     assert ts[i[0]] == 0.0
-    for ell in lc.ell_grid[i]:
-        assert abs(ell - want) < tol
+    np.testing.assert_allclose(lc.ell_grid[i], want, rtol=0.0, atol=1e-12)

@@ -266,6 +266,26 @@ def test_ellipse_vertices_at_axes():
                                atol=1e-8)
 
 
+def test_detectors_scan_the_closing_cell_of_a_grid_that_skips_t_min():
+    # on sample_grid(curve)[5:] the closing cell runs from the last sample
+    # to grid[0] + 2 pi, past t_max: the vertex at t_min is found at 2 pi
+    ellipse = builtin_curve("ellipse")
+    reps = sg.vertices(ellipse, sample_grid(ellipse)[5:])
+    np.testing.assert_allclose([r.t for r in reps], np.arange(1, 5) * math.pi / 2,
+                               rtol=0.0, atol=1e-8)
+    # the ellipse run from t = s has its primitive cusps at ELL_CUSPS - s,
+    # one of them at 0.01, before grid[0]: found past t_max, and classified
+    s = ELL_CUSP - 0.01
+    shifted = parse_curve(f"x = cos(t + {s!r})\ny = sin(t + {s!r})/sqrt(3)\n"
+                          "t_min = 0\nt_max = 2*pi")
+    grid = sample_grid(shifted)[5:]
+    reps = sg.primitive_singularities(shifted, grid)
+    want = sorted(t - s if t - s > grid[0] else t - s + 2 * math.pi for t in ELL_CUSPS)
+    assert want[-1] > 2 * math.pi
+    np.testing.assert_allclose([r.t for r in reps], want, rtol=0.0, atol=1e-8)
+    assert [r.classification for r in reps] == ["ordinary-cusp"] * 4
+
+
 def test_cubic_inflection_found_exactly():
     reps = sg.inflections(CUBIC)
     assert len(reps) == 1

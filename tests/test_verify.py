@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import tracemalloc
 
@@ -152,25 +153,51 @@ def test_lifted_points_are_the_sampled_curve_bitwise(curve):
 
 
 # a deltoid with its three cusps between samples: its lifted normal comes
-# back as -nu(t_min) at the seam, where the five-point stencils wrap
+# back as -nu(t_min) round the seam, where the five-point stencils wrap
 DELTOID = ('name = "deltoid"\nx = 3 + 2*cos(t+0.1) + cos(2*t+0.2)\n'
            'y = 2*sin(t+0.1) - sin(2*t+0.2)\nt_min = 0\nt_max = 2*pi\n')
+FRAME_CLOSURE = ("frame closure nu' = ell mu", "frame closure mu' = -ell nu")
 
 
-def test_frontal_suite_needs_a_periodic_normal(tmp_path, capsys):
+def test_frontal_suite_runs_on_an_anti_periodic_normal(tmp_path, capsys):
     deltoid = parse_curve(DELTOID)
-    assert not pk.lift_front(deltoid).seam_consistent  # nu[-1] . nu[0] = -0.9999953
-    with pytest.raises(HypothesisViolated, match="periodic normal"):
-        run_suite("frontal", deltoid)
-    report = run_suite("all", deltoid)
-    assert "frontal suite skipped: hypotheses not met" in [r.name for r in report.results]
-    assert report.passed, report.format()
+    assert pk.lift_front(deltoid).twist == -1
+    report = run_suite("frontal", deltoid)
+    rows = {r.name: r for r in report.results}
+    assert len(rows) == 11
+    assert all(rows[name].residual <= 1e-6 for name in FRAME_CLOSURE), report.format()
+    # the one row that fails is rounding near a pole of the inner slant
+    # primitivoid against an absolute tolerance
+    assert [r.name for r in report.results if not r.passed] == [
+        "degenerate composition: both sides vanish"]
     path = tmp_path / "deltoid.curve"
     path.write_text(DELTOID)
-    assert main(["verify", "--curve", str(path), "--suite", "frontal"]) == 3
-    assert "needs a periodic normal" in capsys.readouterr().err
+    assert main(["verify", "--curve", str(path), "--suite", "frontal"]) == 1
+    assert capsys.readouterr().err == ""
     # the front's four cusps bring its normal back to +nu(t_min)
     assert run_suite("frontal", builtin_curve("front")).passed
+
+
+def test_frame_closure_rows_read_the_twist_of_the_lift(monkeypatch):
+    # the same lift with its twist forced to +1 wraps the stencils with
+    # the wrong sign, and both frame-closure rows fail
+    lift_front = pk.lift_front
+
+    def untwisted(*args):
+        return dataclasses.replace(lift_front(*args), twist=1)
+    monkeypatch.setattr(pk.frontal, "lift_front", untwisted)
+    rows = {r.name: r for r in run_suite("frontal", parse_curve(DELTOID)).results}
+    assert not any(rows[name].passed for name in FRAME_CLOSURE)
+
+
+def test_frontal_suite_exits_3_where_d1_and_d2_vanish_on_the_grid(tmp_path, capsys):
+    # x = t^3, y = t^4 + 1: t = 0 is sample 2048 of 4097, not one of 4096
+    path = tmp_path / "flat-cusp.curve"
+    path.write_text("x = t^3\ny = t^4 + 1\nt_min = -1\nt_max = 1\nclosed = false\n")
+    argv = ["verify", "--curve", str(path), "--suite", "frontal", "--samples"]
+    assert main(argv + ["4097"]) == 3
+    assert "no direction data at t=0.0" in capsys.readouterr().err
+    assert main(argv + ["4096"]) == 0
 
 
 def test_front_skips_singularity_suite_inside_all():

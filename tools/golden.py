@@ -35,7 +35,11 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   curves of the classical oracles written as curve files: the ellipse
   with a focus at the origin, the line x = 1 and the astroid, and on a
   deltoid whose three cusps fall between samples and whose lifted
-  normal comes back reversed at the seam of its closed grid;
+  normal comes back as -nu round the seam of its closed grid
+  (twist -1);
+- `verify --suite frontal --samples 4097` on the open arc x = t^3,
+  y = t^4 + 1 written as a curve file: d1 and d2 vanish at its sample
+  t = 0, where the lift fails with exit 3;
 - `verify-residuals.txt`: the `repr` of every residual of
   `run_suite("all")` on those eight curves, at their default sample
   count and at 4096 samples, one line per row, so that a residual that
@@ -160,6 +164,10 @@ CLASSICAL = {
                       "t_min = 0\nt_max = 2*pi\n"),
 }
 
+# the lift failure case: d1 = d2 = 0 at t = 0, sample 2048 of 4097
+FLAT_CUSP = "x = t^3\ny = t^4 + 1\nt_min = -1\nt_max = 1\nclosed = false\n"
+FLAT_CUSP_SAMPLES = "4097"
+
 # the sample counts of verify-residuals.txt; None is the curve's own
 RESIDUAL_SAMPLES = (None, 4096)
 
@@ -259,6 +267,11 @@ def write_goldens(outdir: str) -> int:
         for kind in ("pedal", "primitive"):
             run(f"transform-{path}-{kind}.txt", ["transform", "--curve", path, "--kind", kind])
         run(f"verify-{path}.txt", ["verify", "--curve", path, "--suite", "all"])
+    with open("flat-cusp.curve", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(FLAT_CUSP)
+    run(f"verify-flat-cusp.curve-frontal-{FLAT_CUSP_SAMPLES}.txt",
+        ["verify", "--curve", "flat-cusp.curve", "--suite", "frontal",
+         "--samples", FLAT_CUSP_SAMPLES])
     for curve in ("ellipse", "front"):
         for suite in ("oracle", "inverse-pair"):
             run(f"verify-{curve}-{suite}-{ORACLE_SAMPLES}.txt",
