@@ -15,7 +15,8 @@ flips exactly in the cells where consecutive raw normals point apart,
 closing cell of a closed grid included; round that ring nu comes back
 as twist * nu, twist = -1 on a front with an odd number of cusps.  A
 flip in a cell between regular samples is refined to the speed minimum
-there (one bracketed secant solve of <d1, d2> = 0 for all such cells),
+there (one Illinois solve of <d1, d2> = 0 for all such cells, by
+singularity.refine_brackets, else the slower end of the cell),
 which gives LegendrianCurve.flips, in [t_min, t_max), and tells a cusp
 from an undersampled turn.  The lift fails (LiftFailure) where d1 and
 d2 vanish, where no +-1 sign choice keeps consecutive normals aligned,
@@ -44,6 +45,7 @@ from . import transforms as tr
 from .curve import (CurveDef, FrenetGrid, _block_max, _jets_xy, _unit_frame, check_defined,
                     frenet_grid, velocity_xy)
 from .errors import HypothesisViolated, LiftFailure
+from .singularity import refine_brackets
 from .transforms import (DEGENERATE_ANGLE_EPS, FLAG_OK, MappedCurve,
                          TransformKind)
 from .vec import dot_xy, median, perp_xy, scale_xy
@@ -79,57 +81,23 @@ def _ell(sigma: np.ndarray, d1: np.ndarray, d2: np.ndarray, speed: np.ndarray,
         return dot_xy(nudot, mu)
 
 
-# Illinois steps per flip cell before it falls back to ternary search
-_SECANT_STEPS = 8
-
-
-def _ternary_minima(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Speed minima in the cells [lo, hi], all at once, by ternary search."""
-    k = len(lo)
-    for _ in range(60):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        v = velocity_xy(curve, curve.wrap(np.concatenate([m1, m2])))
-        speed = np.hypot(v[:, 0], v[:, 1])
-        left = speed[:k] <= speed[k:]
-        hi = np.where(left, m2, hi)
-        lo = np.where(left, lo, m1)
-    return 0.5 * (lo + hi)
-
-
-def _refine_flips(curve: CurveDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Speed minima in the cells [lo, hi], all at once, read at curve.wrap(t).
+def _refine_flips(curve: CurveDef, fg: FrenetGrid, i: np.ndarray, j: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Speed minima in the cells [lo, hi] from sample i to sample j of
+    fg, all at once, read at curve.wrap(t).
 
     Where f = <d1, d2>, half the derivative of speed^2, is negative at
-    lo and positive at hi, the minimum is its root there, found by the
-    Illinois method: regula falsi that halves f at an end kept twice in
-    a row, so that both ends close in.  One order-2 jet walk gives f at
-    both ends of every cell, and one more per step at the cells not yet
-    done; a cell is done when f is 0 at the new point or the point
-    moves by at most 2 ulp.  A cell whose ends do not bracket a root,
-    where f is undefined or that is not done in _SECANT_STEPS steps gets
-    a ternary search on the speed instead."""
-    k = len(lo)
-    _, d1, d2 = _jets_xy(curve, curve.wrap(np.concatenate([lo, hi])), 2)
-    f = dot_xy(d1, d2)
-    out = np.full(k, np.nan)
-    cells = np.flatnonzero((f[:k] < 0.0) & (f[k:] > 0.0))
-    a, b, fa, fb = lo[cells], hi[cells], f[:k][cells], f[k:][cells]  # b is the newest point
-    for _ in range(_SECANT_STEPS):
-        if not cells.size:
-            break
-        t = b - fb * ((b - a) / (fb - fa))
-        _, d1, d2 = _jets_xy(curve, curve.wrap(t), 2)
-        ft = dot_xy(d1, d2)
-        done = (ft == 0.0) | (np.abs(t - b) <= 2.0 * np.spacing(t))
-        out[cells[done]] = t[done]
-        swap = (ft < 0.0) != (fb < 0.0)  # the root lies between b and t
-        go = ~done & np.isfinite(ft)
-        a, fa = np.where(swap, b, a)[go], np.where(swap, fb, 0.5 * fa)[go]
-        b, fb, cells = t[go], ft[go], cells[go]
-    rest = np.isnan(out)
-    if rest.any():
-        out[rest] = _ternary_minima(curve, lo[rest], hi[rest])
+    lo and positive at hi, the minimum is its root there, which
+    refine_brackets finds with one order-2 jet walk per step over the
+    cells not yet done.  A cell whose ends do not bracket such a root,
+    or whose root is rejected, takes the end with the lower speed."""
+    fi, fj = dot_xy(fg.d1[i], fg.d2[i]), dot_xy(fg.d1[j], fg.d2[j])
+    out = np.where(fg.speed[i] <= fg.speed[j], lo, hi)
+    rising = np.flatnonzero((fi < 0.0) & (fj > 0.0))
+    roots, _ = refine_brackets(lambda t: dot_xy(*_jets_xy(curve, curve.wrap(t), 2)[1:]),
+                               lo[rising], hi[rising], fi[rising], fj[rising])
+    found = ~np.isnan(roots)
+    out[rising[found]] = roots[found]
     return out
 
 
@@ -174,7 +142,8 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
     refined = regular[cells] & regular[right]
     undersampled = np.zeros(n, dtype=bool)  # per cell, like dots
     if refined.any():
-        t_flip[refined] = curve.wrap(_refine_flips(curve, lo[refined], hi[refined]))
+        t_flip[refined] = curve.wrap(_refine_flips(curve, fg, cells[refined], right[refined],
+                                                   lo[refined], hi[refined]))
         v = velocity_xy(curve, t_flip[refined])
         median_speed = median(speed[regular])
         if median_speed:

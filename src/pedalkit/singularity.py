@@ -8,11 +8,13 @@ and such a zero is an ordinary (3/2) cusp iff additionally the
 arc-length derivative of kappa is nonzero there.  Equivalently, the
 osculating circle of g at t passes through the origin, and the inverted
 curve has an ordinary inflection.  Roots are located by a sign-change
-scan over a grid, one JET_BLOCK slice at a time, followed by bisection,
-refined until |f| <= 1e-10 or 80 iterations, for all brackets together.
-On a closed curve the scan includes the closing cell from the last
-sample round to the first, by index, without a copy of the grid; where
-it runs past t_max the detectors read the curve at `CurveDef.wrap(t)`.
+scan over a grid, one JET_BLOCK slice at a time, followed by the
+Illinois method (refine_brackets), for all brackets together, until the
+point moves by at most 2 ulp or 80 steps.  On a closed curve the scan
+includes the closing cell from the last sample round to the first, by
+index, without a copy of the grid; where it runs past t_max the
+detectors read the curve at `CurveDef.wrap(t)` and list their roots
+there, in [t_min, t_max).
 The scalar criterion, osculating_circle and classify_cusp are one-row
 cases of the array functions.  Each detector scans one Frenet field
 (`_scan`); the cusp scan reads the inversion curvature, the negated
@@ -37,8 +39,9 @@ from .transforms import (DENOM_REL_EPS, MappedCurve, frenet_frame, inversion_cur
                          shift, stencil_ok)
 from .vec import dot_xy, finite_xy, median, scale_xy
 
-BISECT_TARGET = 1e-10
-BISECT_MAX_ITER = 80
+# Illinois steps per bracket; the last one keeps its point if |f| is
+# within the values at the bracket's ends
+ILLINOIS_MAX_STEPS = 80
 
 # |kappa| below this has no osculating circle
 KAPPA_EPS = 1e-10
@@ -52,33 +55,34 @@ CUSP_SPEED_FRACTION = 1e-3
 MIN_DETECT_SAMPLES = 1024
 
 
-def _bisect(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-            hi: np.ndarray, flo: np.ndarray,
-            fhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Refine sign-change brackets [lo, hi] together, with one call of f
-    per step over the brackets still open.  Returns (roots, residuals),
-    nan where the sign change is a pole, not a root: f is undefined
-    somewhere in the bracket, or |f| ends above its values at both ends."""
-    bound = np.maximum(np.abs(flo), np.abs(fhi))
-    roots = np.full(len(lo), np.nan)
-    resids = np.full(len(lo), np.nan)
-    live = np.arange(len(lo))
-    for step in range(BISECT_MAX_ITER + 1):
+def refine_brackets(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+                    flo: np.ndarray, fhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refine the sign-change brackets [lo, hi], with f = flo at lo and
+    fhi at hi, all together by the Illinois method (Dowell & Jarratt,
+    BIT 11, 1971): regula falsi that halves f at an end kept twice in a
+    row, so that both ends close in.  One call of f per step over the
+    brackets still open.  A bracket is done when f is 0 at the new point,
+    when the point moves by at most 2 ulp of the bracket's larger end, or
+    after ILLINOIS_MAX_STEPS steps.  Returns (roots, residuals |f|), nan
+    where the sign change is a pole, not a root: f is undefined at a
+    point tried, or |f| ends above its values at both ends."""
+    a, b, fa, fb = (np.asarray(x, dtype=float) for x in (lo, hi, flo, fhi))  # b is the newest
+    bound = np.maximum(np.abs(fa), np.abs(fb))
+    tol = 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))  # np.spacing(t) < 0 for t < 0
+    roots, resids = np.full(len(a), np.nan), np.full(len(a), np.nan)
+    live = np.arange(len(a))
+    for step in range(ILLINOIS_MAX_STEPS):
         if not live.size:
             break
-        mid = 0.5 * (lo[live] + hi[live])
-        fmid = np.asarray(f(mid), dtype=float)
-        # the step after the last halving takes any |f| within the end values
-        done = np.abs(fmid) <= (bound[live] if step == BISECT_MAX_ITER else BISECT_TARGET)
-        roots[live[done]] = mid[done]
-        resids[live[done]] = np.abs(fmid[done])
-        going = np.isfinite(fmid) & ~done
-        left = going & ((flo[live] < 0.0) != (fmid < 0.0))
-        right = going & ~left
-        hi[live[left]] = mid[left]
-        lo[live[right]] = mid[right]
-        flo[live[right]] = fmid[right]
-        live = live[going]
+        t = b - fb * ((b - a) / (fb - fa))
+        ft = np.asarray(f(t), dtype=float)
+        done = (ft == 0.0) | (np.abs(t - b) <= tol[live]) | (step == ILLINOIS_MAX_STEPS - 1)
+        kept = done & (np.abs(ft) <= bound[live])
+        roots[live[kept]], resids[live[kept]] = t[kept], np.abs(ft[kept])
+        go = ~done & np.isfinite(ft)
+        swap = (ft < 0.0) != (fb < 0.0)  # the root lies between b and t
+        a, fa = np.where(swap, b, a)[go], np.where(swap, fb, 0.5 * fa)[go]
+        b, fb, live = t[go], ft[go], live[go]
     return roots, resids
 
 
@@ -86,17 +90,17 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
                values: np.ndarray | None = None,
                period: float | None = None) -> list[tuple[float, float]]:
     """Roots of f located by sign changes between adjacent grid points,
-    refined by bisection.  f is vectorized and pointwise: it maps an
-    array of parameters to the array of their values, nan where it is
-    undefined, so the grid values, unless passed, are f on one
-    row_blocks slice at a time.  Returns (root, residual) pairs in grid
+    refined by the Illinois method (refine_brackets).  f is vectorized
+    and pointwise: it maps an array of parameters to the array of their
+    values, nan where it is undefined, so the grid values, unless passed,
+    are f on one row_blocks slice at a time.  Returns (root, residual) pairs in grid
     order.  A cell with a non-finite end is not a bracket, and neither
     is one in which f is undefined (a pole).
 
     For a closed curve pass its period, t_max - t_min: the closing cell
     [grid[-1], grid[0] + period] is scanned too, with f(grid[0]) as its
-    right end, and a root in it is reported once, in
-    [grid[0], grid[0] + period).
+    right end, and a root in it is reported where it is found there, in
+    [grid[-1], grid[0] + period], last in grid order.
     """
     grid = np.asarray(grid, dtype=float)
     if values is None:
@@ -114,14 +118,9 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
         cells = np.concatenate([cells, [n - 1]])
     right = (cells + 1) % n
     hi = np.where(cells == n - 1, grid[0] + (period or 0.0), grid[right])
-    roots, resids = _bisect(f, grid[cells], hi, values[cells], values[right])
-    found: list[tuple[int, tuple[float, float]]] = []  # (grid index, root)
-    for i, t0, resid in zip(cells, roots, resids):
-        if np.isnan(t0):
-            continue
-        if i == n - 1 and t0 >= grid[0] + period:
-            i, t0 = -1, t0 - period
-        found.append((i, (float(t0), float(resid))))
+    roots, resids = refine_brackets(f, grid[cells], hi, values[cells], values[right])
+    found = [(i, (float(t0), float(resid)))  # (grid index, root)
+             for i, t0, resid in zip(cells, roots, resids) if not np.isnan(t0)]
     # A run of exact zeros is one root if it ends the grid on one side,
     # or the sign changes across it between finite values; tangential
     # contact and identically-zero stretches are out of contract.
@@ -217,10 +216,12 @@ def _scan(curve: CurveDef, ts: np.ndarray | None, field: Callable[[FrenetGrid], 
           values: np.ndarray | None = None) -> list[tuple[float, float]]:
     """The roots of field, a map of a FrenetGrid to its (n,) rows, over
     ts (by default the sample grid), whose field values may be passed;
-    field is read at curve.wrap(t), as in find_roots' closing cell."""
-    return find_roots(lambda t: field(frenet_grid(curve, curve.wrap(t))),
-                      sample_grid(curve) if ts is None else curve._check_params(ts),
-                      values=values, period=curve.period)
+    field is read at curve.wrap(t), as in find_roots' closing cell, and
+    the roots are listed at curve.wrap(t), in [t_min, t_max), sorted."""
+    roots = find_roots(lambda t: field(frenet_grid(curve, curve.wrap(t))),
+                       sample_grid(curve) if ts is None else curve._check_params(ts),
+                       values=values, period=curve.period)
+    return sorted((float(curve.wrap(t0)), resid) for t0, resid in roots)
 
 
 def primitive_singularities(curve: CurveDef,
@@ -239,7 +240,7 @@ def primitive_singularities(curve: CurveDef,
                     [c.max(where=good, initial=-np.inf) for c in fg.p.T]]
         del fg  # not held while the next block's is built
     roots = _scan(curve, grid, inversion_curvature_rows, values)
-    classes = classify_cusps(curve, curve.wrap([t0 for t0, _ in roots]),
+    classes = classify_cusps(curve, [t0 for t0, _ in roots],
                              DENOM_REL_EPS * bbox_diameter(np.array(corners))) if roots else []
     return [SingularityReport("primitive-cusp", t0, resid, cls.label)
             for (t0, resid), cls in zip(roots, classes)]

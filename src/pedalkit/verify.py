@@ -29,7 +29,7 @@ from . import singularity as sg
 from . import transforms as tr
 from .curve import CurveDef, _block_max, builtin_curve, frenet_grid, position_xy, sample_grid
 from .envelope import circle_family_check, envelope, make_family
-from .errors import HypothesisViolated, RangeError
+from .errors import HypothesisViolated, LiftFailure, RangeError
 from .vec import dot_xy, finite_xy, invert_xy, median, perp_xy, rotate_xy
 
 SUITES = ("inversion", "duality", "parallel", "slant", "inverse-pair",
@@ -311,7 +311,7 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
     ts = fg.ts
     speeds = fg.speed[fg.regular]
     if (~fg.regular).any() or speeds.min() < 1e-3 * median(speeds):
-        # Cusp criterion, vertex matching, and bisection refinement all
+        # Cusp criterion, vertex matching, and root refinement all
         # assume a regular source curve; run the frontal suite instead.
         raise HypothesisViolated(
             f"curve '{curve.name}' has singular or near-singular samples;"
@@ -342,8 +342,7 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
     report.add("inverted-curve curvature changes sign at cusps",
                0.0 if sign_ok else math.inf, 0.0)
 
-    dk = ((tr.shift(kpsi, 1, True) - tr.shift(kpsi, -1, True)) / (2 * h) if curve.closed
-          else np.gradient(kpsi, h))
+    dk = (tr.shift(kpsi, 1, curve.closed) - tr.shift(kpsi, -1, curve.closed)) / (2 * h)
     if np.abs(fg.kappa_prime_arc).max() < 1e-10 and np.abs(dk).max() < 1e-8:
         # Constant curvature: both sides vanish identically and sign scans
         # would chase rounding noise.
@@ -489,9 +488,10 @@ def run_suite(suite: str, curve: CurveDef) -> VerifyReport:
         for name in SUITES[:-1]:
             try:
                 _SUITE_FNS[name](curve, report)
-            except HypothesisViolated:
-                # A suite whose identities do not apply to this curve is not
-                # a failure; requesting it alone still raises.
+            except (HypothesisViolated, LiftFailure):
+                # A suite whose identities do not apply to this curve, or
+                # whose lift fails on it, is not a failure; requesting it
+                # alone still raises.
                 report.add(f"{name} suite skipped: hypotheses not met", 0.0, 0.0)
     else:
         _SUITE_FNS[suite](curve, report)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,20 +106,42 @@ def test_front_flips_match_the_ternary_reference_in_few_jet_walks(monkeypatch):
     np.testing.assert_allclose(lc.flips, ref, rtol=0.0, atol=1e-12)
 
 
-def test_flip_cells_without_a_bracket_take_the_ternary_search():
+def test_front_flips_on_a_negative_interval_take_few_jet_walks(monkeypatch):
+    # the same front on [-2 pi, 0]: the refinement stops at 2 ulp of the
+    # magnitude of each cell's larger end, np.spacing(t) being negative
+    # for t < 0, so no cell is left unrefined
+    front = builtin_curve("front", samples=2048)
+    shifted = replace(front, t_min=-2 * math.pi, t_max=0.0)
+    walks = []
+    for module in (cv, fl):
+        def counted(*args, _walk=module._jets_xy):
+            walks.append(args[2])
+            return _walk(*args)
+        monkeypatch.setattr(module, "_jets_xy", counted)
+    lc = fl.lift_front(shifted)
+    monkeypatch.undo()
+    assert len(walks) <= 12
+    want = np.array(fl.lift_front(front).flips) - 2 * math.pi
+    assert len(want) == 4
+    np.testing.assert_allclose(lc.flips, want, rtol=0.0, atol=1e-12)
+
+
+def test_flip_cells_without_a_bracket_take_the_slower_end():
     ellipse = builtin_curve("ellipse")
     # its speed rises over (0, pi/2) and falls over (pi/2, pi): <d1, d2>
     # keeps its sign on [0.3, 0.6] and falls through 0 on [1.4, 1.7], so
     # neither cell brackets a minimum; [pi - 0.2, pi + 0.1] does
-    lo, hi = np.array([0.3, 1.4, math.pi - 0.2]), np.array([0.6, 1.7, math.pi + 0.1])
-    _, d1, d2 = cv._jets_xy(ellipse, np.concatenate([lo, hi]), 2)
-    f = dot_xy(d1, d2)
-    assert f[0] > 0.0 and f[3] > 0.0
-    assert f[1] > 0.0 > f[4]
-    assert f[2] < 0.0 < f[5]
-    got = fl._refine_flips(ellipse, lo, hi)
-    np.testing.assert_array_equal(got[:2], fl._ternary_minima(ellipse, lo[:2], hi[:2]))
-    assert got[0] - 0.3 < 1e-10  # the speed minimum of a rising cell is its left end
+    ts = np.array([0.3, 0.6, 1.4, 1.7, math.pi - 0.2, math.pi + 0.1])
+    fg = cv.frenet_grid(ellipse, ts)
+    f = dot_xy(fg.d1, fg.d2)
+    assert f[0] > 0.0 and f[1] > 0.0
+    assert f[2] > 0.0 > f[3]
+    assert f[4] < 0.0 < f[5]
+    i, j = np.array([0, 2, 4]), np.array([1, 3, 5])
+    got = fl._refine_flips(ellipse, fg, i, j, ts[i], ts[j])
+    # the end with the lower speed, |sin| being smaller at 1.4 than at 1.7
+    assert fg.speed[2] < fg.speed[3]
+    assert list(got[:2]) == [0.3, 1.4]
     assert abs(got[2] - math.pi) < 1e-14
 
 

@@ -38,12 +38,13 @@ def test_residual_file_holds_the_repr_of_every_row(tmp_path, monkeypatch):
 
 
 # the exit codes of transform --kind pedal, transform --kind primitive and
-# verify --suite all: the focal ellipse fails two singularity rows (its
-# inverse about the focus is a limacon at the convexity boundary), the
-# line two inverse-pair rows (its pedal is a single point), the deltoid
+# verify --suite all: the focal ellipse passes (its primitive's singular
+# points at t = pi, where the osculating circle of the far vertex passes
+# through the origin and kappa' = 0, are labelled degenerate), the line
+# fails two inverse-pair rows (its pedal is a single point), the deltoid
 # the frontal row "degenerate composition: both sides vanish" (rounding
 # near a pole of the inner primitivoid against an absolute tolerance)
-CLASSICAL_EXITS = {"focal-ellipse.curve": (0, 0, 1), "line.curve": (0, 0, 1),
+CLASSICAL_EXITS = {"focal-ellipse.curve": (0, 0, 0), "line.curve": (0, 0, 1),
                    "astroid.curve": (0, 0, 0), "deltoid.curve": (0, 0, 1)}
 
 

@@ -96,7 +96,54 @@ def test_find_roots_bisects_all_brackets_together():
         return np.sin(t)
     roots = sg.find_roots(f, np.linspace(0.0, 20.0, 201))
     np.testing.assert_allclose([t for t, _ in roots], np.pi * np.arange(7), atol=1e-9)
-    assert len(calls) <= sg.BISECT_MAX_ITER + 2
+    assert len(calls) <= sg.ILLINOIS_MAX_STEPS + 2
+
+
+# --- refine_brackets -------------------------------------------------------
+
+def test_refine_brackets_keeps_a_root_whose_f_is_noise_next_to_an_end():
+    # the ellipse traced backwards on [-2 pi, 0]: its vertex at the seam
+    # lies in the closing cell [-h, 0], whose right end reads kappa' at
+    # -2 pi, rounding noise; the root is kept, at 0 to within rounding
+    rev = parse_curve("x = cos(-t)\ny = sin(-t)/sqrt(3.0)\nt_min = -2*pi\nt_max = 0\n")
+    for ts in (None, sample_grid(rev, 40000)):
+        reps = sg.vertices(rev, ts)
+        np.testing.assert_allclose([r.t for r in reps], np.arange(-3, 1) * math.pi / 2,
+                                   rtol=0.0, atol=1e-15)
+
+
+def test_refine_brackets_rejects_a_pole():
+    def f(t):
+        return 1.0 / (t - 0.3)
+    lo, hi = np.array([0.0, 0.25]), np.array([1.0, 0.5])
+    roots, resids = sg.refine_brackets(f, lo, hi, f(lo), f(hi))
+    assert np.isnan(roots).all() and np.isnan(resids).all()
+
+
+def test_refine_brackets_gives_f_and_minus_f_the_same_bits():
+    def f(t):
+        return np.sin(3.0 * t) + 0.25 * t
+    lo = np.array([0.9, 2.0, 3.1, -1.2])
+    hi = np.array([1.2, 2.2, 3.3, 0.5])
+    got = sg.refine_brackets(f, lo, hi, f(lo), f(hi))
+    assert np.isfinite(got[0]).all()
+    neg = sg.refine_brackets(lambda t: -f(t), lo, hi, -f(lo), -f(hi))
+    for a, b in zip(got, neg):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_refine_brackets_keeps_the_last_point_at_the_step_cap(monkeypatch):
+    def f(t):
+        return t * t - 2.0
+    lo, hi = np.array([1.0]), np.array([2.0])
+    root, resid = sg.refine_brackets(f, lo, hi, f(lo), f(hi))
+    assert abs(root[0] - math.sqrt(2.0)) <= 2.0 * np.spacing(2.0)
+    # two Illinois steps, 4/3 and then 7/5, leave the bracket open; the
+    # last point is kept, its |f| = 0.04 being within |f| at the ends
+    monkeypatch.setattr(sg, "ILLINOIS_MAX_STEPS", 2)
+    root, resid = sg.refine_brackets(f, lo, hi, f(lo), f(hi))
+    assert abs(root[0] - 1.4) < 1e-15
+    assert resid[0] == abs(f(root)[0]) and abs(resid[0] - 0.04) < 1e-14
 
 
 # two fields on the closed grid 0, 1, ..., 7 of period 8: one whose only
@@ -268,20 +315,24 @@ def test_ellipse_vertices_at_axes():
 
 def test_detectors_scan_the_closing_cell_of_a_grid_that_skips_t_min():
     # on sample_grid(curve)[5:] the closing cell runs from the last sample
-    # to grid[0] + 2 pi, past t_max: the vertex at t_min is found at 2 pi
+    # to grid[0] + 2 pi, past t_max: the vertex at t_min is found there and
+    # listed at t_min, first, as lift_front lists its flips in [t_min, t_max)
     ellipse = builtin_curve("ellipse")
     reps = sg.vertices(ellipse, sample_grid(ellipse)[5:])
-    np.testing.assert_allclose([r.t for r in reps], np.arange(1, 5) * math.pi / 2,
+    assert reps[0].t == 0.0
+    np.testing.assert_allclose([r.t for r in reps], np.arange(4) * math.pi / 2,
                                rtol=0.0, atol=1e-8)
     # the ellipse run from t = s has its primitive cusps at ELL_CUSPS - s,
-    # one of them at 0.01, before grid[0]: found past t_max, and classified
+    # one of them at 0.01, before grid[0]: found past t_max, listed at
+    # 0.01, and classified
     s = ELL_CUSP - 0.01
     shifted = parse_curve(f"x = cos(t + {s!r})\ny = sin(t + {s!r})/sqrt(3)\n"
                           "t_min = 0\nt_max = 2*pi")
     grid = sample_grid(shifted)[5:]
+    assert grid[0] > 0.01
     reps = sg.primitive_singularities(shifted, grid)
-    want = sorted(t - s if t - s > grid[0] else t - s + 2 * math.pi for t in ELL_CUSPS)
-    assert want[-1] > 2 * math.pi
+    want = sorted(t - s for t in ELL_CUSPS)
+    assert abs(want[0] - 0.01) < 1e-15
     np.testing.assert_allclose([r.t for r in reps], want, rtol=0.0, atol=1e-8)
     assert [r.classification for r in reps] == ["ordinary-cusp"] * 4
 

@@ -200,6 +200,19 @@ def test_frontal_suite_exits_3_where_d1_and_d2_vanish_on_the_grid(tmp_path, caps
     assert main(argv + ["4096"]) == 0
 
 
+def test_suite_all_skips_the_frontal_suite_where_the_lift_fails(tmp_path, capsys):
+    # the same curve and grid: the other suites' rows are printed, and the
+    # frontal suite is skipped as one whose hypotheses do not hold
+    path = tmp_path / "flat-cusp.curve"
+    path.write_text("x = t^3\ny = t^4 + 1\nt_min = -1\nt_max = 1\nclosed = false\n")
+    rc = main(["verify", "--curve", str(path), "--suite", "all", "--samples", "4097"])
+    out = capsys.readouterr().out
+    assert rc != 3
+    assert "frontal suite skipped: hypotheses not met" in out
+    assert "legendrian residual" not in out
+    assert "envelope matches closed form" in out and "inversion is an involution" in out
+
+
 def test_front_skips_singularity_suite_inside_all():
     report = run_suite("all", builtin_curve("front"))
     skipped = [r.name for r in report.results if "skipped" in r.name]

@@ -36,10 +36,13 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   with a focus at the origin, the line x = 1 and the astroid, and on a
   deltoid whose three cusps fall between samples and whose lifted
   normal comes back as -nu round the seam of its closed grid
-  (twist -1);
-- `verify --suite frontal --samples 4097` on the open arc x = t^3,
-  y = t^4 + 1 written as a curve file: d1 and d2 vanish at its sample
-  t = 0, where the lift fails with exit 3;
+  (twist -1); and `detect --what primitive-cusps` on the focal ellipse,
+  whose primitive has degenerate singular points next to t = pi, where
+  the osculating circle passes through the origin and kappa' = 0;
+- `verify --suite frontal` and `verify --suite all`, both at `--samples
+  4097`, on the open arc x = t^3, y = t^4 + 1 written as a curve file:
+  d1 and d2 vanish at its sample t = 0, where the lift fails, with exit
+  3 for the frontal suite alone, and the suite is skipped inside all;
 - `verify-residuals.txt`: the `repr` of every residual of
   `run_suite("all")` on those eight curves, at their default sample
   count and at 4096 samples, one line per row, so that a residual that
@@ -267,11 +270,14 @@ def write_goldens(outdir: str) -> int:
         for kind in ("pedal", "primitive"):
             run(f"transform-{path}-{kind}.txt", ["transform", "--curve", path, "--kind", kind])
         run(f"verify-{path}.txt", ["verify", "--curve", path, "--suite", "all"])
+    run("detect-focal-ellipse.curve-primitive-cusps.txt",
+        ["detect", "--curve", "focal-ellipse.curve", "--what", "primitive-cusps"])
     with open("flat-cusp.curve", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(FLAT_CUSP)
-    run(f"verify-flat-cusp.curve-frontal-{FLAT_CUSP_SAMPLES}.txt",
-        ["verify", "--curve", "flat-cusp.curve", "--suite", "frontal",
-         "--samples", FLAT_CUSP_SAMPLES])
+    for suite in ("frontal", "all"):
+        run(f"verify-flat-cusp.curve-{suite}-{FLAT_CUSP_SAMPLES}.txt",
+            ["verify", "--curve", "flat-cusp.curve", "--suite", suite,
+             "--samples", FLAT_CUSP_SAMPLES])
     for curve in ("ellipse", "front"):
         for suite in ("oracle", "inverse-pair"):
             run(f"verify-{curve}-{suite}-{ORACLE_SAMPLES}.txt",
