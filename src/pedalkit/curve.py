@@ -19,10 +19,10 @@ it, which raise where the grid row has no data.  Grid walks raise
 RangeError outside [t_min, t_max], as the scalar ones do.
 
 CurveDefs are immutable after construction and safe to share across
-threads.  `transforms.frenet_frame` keeps the Frenet frame of a
-curve's default grid on the instance, outside the fields; the frame is
-read-only, so sharing stays safe (two threads may at worst build it
-twice).
+threads.  `sample_grid` keeps a curve's default grid, and
+`transforms.frenet_frame` the Frenet frame on it, on the instance,
+outside the fields; both are read-only, so sharing stays safe (two
+threads may at worst build one twice).
 """
 
 from __future__ import annotations
@@ -146,11 +146,18 @@ def param_grid(curve: CurveDef, n: int) -> np.ndarray:
 
 
 def sample_grid(curve: CurveDef, samples: int | None = None) -> np.ndarray:
-    """param_grid of curve.samples or samples, at least MIN_SAMPLES."""
-    n = curve.samples if samples is None else samples
-    if n < MIN_SAMPLES:
-        raise RangeError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    return param_grid(curve, n)
+    """param_grid of samples, at least MIN_SAMPLES, new on each call; or
+    the curve's default grid, built once, read-only and kept on the
+    curve, which its kept frame, `envelope` and the detectors share."""
+    if samples is None:
+        if "_grid" not in curve.__dict__:
+            grid = param_grid(curve, curve.samples)
+            grid.flags.writeable = False
+            object.__setattr__(curve, "_grid", grid)  # CurveDef is frozen; _grid is no field
+        return curve._grid
+    if samples < MIN_SAMPLES:
+        raise RangeError(f"need at least {MIN_SAMPLES} samples, got {samples}")
+    return param_grid(curve, samples)
 
 
 @dataclass(frozen=True)

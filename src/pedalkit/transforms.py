@@ -15,10 +15,11 @@ A Frenet frame needs only the order-1 jets, p and p'.  A curve keeps
 one frame, that of its default grid: `frenet_frame(curve)` builds it
 on first use and keeps it on the CurveDef (not a field, so equality,
 hash and repr ignore it), and `kept_frame(curve)` reads it without
-building it.  A frame on an explicit grid is built on each call and
-kept by its caller.  Either frame's arrays, its own copy
-of the grid among them, are read-only.  Kernel outputs share the
-frame's grid and own their points and flags.
+building it; its grid is the default grid the curve keeps
+(`sample_grid(curve)`).  A frame on an explicit grid is built on each
+call, on a copy of that grid, and kept by its caller.  Either frame's
+arrays are read-only.  Kernel outputs share the frame's grid and own
+their points and flags.
 
     pedal            <g, nu> nu
     contrapedal      <g, t> t
@@ -32,7 +33,9 @@ frame's grid and own their points and flags.
 
 Frames are built and kernels run JET_BLOCK rows at a time, so their
 temporaries stay the size of a block; as each row is a formula in that
-row alone, the bits are those of one run over the whole frame.  Row
+row alone, the bits are those of one run over the whole frame.
+`mapped_*` hold no whole-grid polyline normal: `_frame_rows` builds
+each block's in the kernel's block loop, from two halo rows.  Row
 arithmetic goes one column at a time (`vec.dot_xy`, `vec.scale_xy`),
 and an output starts from the frame's flags.  Denominator guards use
 eps_d = 1e-6 times the diameter (bounding-box diagonal) of the frame's
@@ -192,24 +195,37 @@ def kept_frame(curve: CurveDef) -> MappedCurve | None:
     return getattr(curve, "_frame", None)
 
 
-def polyline_frames(mc: MappedCurve) -> MappedCurve:
-    """A sampled curve with the normal of its polyline, from five-point
-    central differences on the uniform grid.  Closed grids wrap; open
-    ends, samples whose stencil touches a non-ok sample and samples
-    where the polyline stalls get a nan normal."""
+def _polyline_rows(mc: MappedCurve) -> MappedCurve:
+    """mc as a frame whose polyline normal `_frame_rows` builds per row
+    view, from two halo rows: kernels on it hold no whole-grid normal."""
     n = len(mc.grid)
     if n < 5:
         raise RangeError("need at least 5 samples for derived frames")
-    good, nu = mc.ok & finite_xy(mc.points), np.empty((n, 2))
-    for block in row_blocks(n):
+    def nu_rows(block: slice) -> np.ndarray:
         rows = np.arange(block.start - 2, block.stop + 2)
-        pts, ok = (np.take(a, rows, axis=0, mode="wrap") for a in (mc.points, good))
+        pts, flags = (np.take(a, rows, axis=0, mode="wrap") for a in (mc.points, mc.flags))
         with np.errstate(all="ignore"):
             d1 = five_point_derivative(pts, mc.grid[1] - mc.grid[0], True)[2:-2]
-            nu[block] = _unit_frame(d1)[3]
-        ok &= mc.closed | ((rows >= 0) & (rows < n))  # no stencil reaches past an open end
-        nu[block][~stencil_ok(ok, True)[2:-2]] = np.nan
-    return MappedCurve(mc.source_name, mc.kind, mc.grid, mc.points, mc.flags, mc.closed, nu)
+            nu = _unit_frame(d1)[3]
+        # no stencil reaches past an open end
+        ok = (flags == FLAG_OK) & finite_xy(pts) & (mc.closed | ((rows >= 0) & (rows < n)))
+        nu[~stencil_ok(ok, True)[2:-2]] = np.nan
+        return nu
+    frame = MappedCurve(mc.source_name, mc.kind, mc.grid, mc.points, mc.flags, mc.closed)
+    object.__setattr__(frame, "_nu_rows", nu_rows)  # MappedCurve is frozen
+    return frame
+
+
+def polyline_frames(mc: MappedCurve) -> MappedCurve:
+    """A sampled curve with the normal of its polyline, five-point central
+    differences on the uniform grid taken per block (`_polyline_rows`).
+    Closed grids wrap; open ends, samples whose stencil touches a non-ok
+    sample and samples where the polyline stalls get a nan normal."""
+    frame = _polyline_rows(mc)
+    nu = np.empty((len(mc.grid), 2))
+    for block in row_blocks(len(nu)):
+        nu[block] = frame._nu_rows(block)
+    return dataclasses.replace(frame, nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +233,11 @@ def polyline_frames(mc: MappedCurve) -> MappedCurve:
 
 
 def _frame_rows(frame: MappedCurve, block: slice) -> MappedCurve:
+    """The rows of block of a frame; a `_polyline_rows` normal is built here."""
+    nu_rows = frame.__dict__.get("_nu_rows")
+    nu = nu_rows(block) if nu_rows else None if frame.nu is None else frame.nu[block]
     rows = MappedCurve(frame.source_name, frame.kind, frame.grid[block], frame.points[block],
-                       frame.flags[block], frame.closed,
-                       None if frame.nu is None else frame.nu[block])
+                       frame.flags[block], frame.closed, nu)
     object.__setattr__(rows, "_whole", frame)  # for eps_d; MappedCurve is frozen
     return rows
 
@@ -229,7 +247,7 @@ def _blocked(kernel):
     grid order, into outputs allocated once."""
     @wraps(kernel)
     def run(frame: MappedCurve, *args, **kwargs) -> MappedCurve:
-        if len(frame.grid) <= JET_BLOCK:
+        if len(frame.grid) <= JET_BLOCK and "_nu_rows" not in frame.__dict__:
             return kernel(frame, *args, **kwargs)
         points, flags = np.empty_like(frame.points), np.empty_like(frame.flags)
         for block in row_blocks(len(frame.grid)):
@@ -475,16 +493,16 @@ def apply_transform(curve: CurveDef, kind: str, angle: float | None = None,
 
 
 def mapped_pedal(mc: MappedCurve) -> MappedCurve:
-    return pedal_kernel(polyline_frames(mc), f"pedal of {mc.kind.name}")
+    return pedal_kernel(_polyline_rows(mc), f"pedal of {mc.kind.name}")
 
 
 def mapped_primitive(mc: MappedCurve) -> MappedCurve:
-    return primitive_kernel(polyline_frames(mc), f"primitive of {mc.kind.name}",
+    return primitive_kernel(_polyline_rows(mc), f"primitive of {mc.kind.name}",
                             refuse_origin=False)
 
 
 def mapped_slant(mc: MappedCurve, phi: float) -> MappedCurve:
-    return slant_kernel(polyline_frames(mc), phi, f"slant of {mc.kind.name}",
+    return slant_kernel(_polyline_rows(mc), phi, f"slant of {mc.kind.name}",
                         refuse_origin=False)
 
 

@@ -27,7 +27,8 @@ import numpy as np
 from . import frontal as fr
 from . import singularity as sg
 from . import transforms as tr
-from .curve import CurveDef, _block_max, builtin_curve, frenet_grid, position_xy, sample_grid
+from .curve import (CurveDef, _block_max, builtin_curve, frenet_grid, position_xy, row_blocks,
+                    sample_grid)
 from .envelope import circle_family_check, envelope, make_family
 from .errors import HypothesisViolated, LiftFailure, RangeError
 from .vec import dot_xy, finite_xy, invert_xy, median, perp_xy, rotate_xy
@@ -108,11 +109,15 @@ def stable_mask(mc: tr.MappedCurve) -> np.ndarray:
     speed collapses (cusps) and blow-ups (poles), with a two-sample
     buffer.  Outside STABLE_FRAC * median .. median / STABLE_FRAC the
     polyline no longer resolves the curve and difference frames are
-    meaningless."""
-    good = mc.ok & finite_xy(mc.points)
-    with np.errstate(all="ignore"):
-        central = tr.shift(mc.points, 1, mc.closed) - tr.shift(mc.points, -1, mc.closed)
-        speed = np.hypot(central[:, 0], central[:, 1])
+    meaningless.  Its speeds are taken a block at a time, with one halo
+    row on each side, wrapped or clipped as by `transforms.shift`."""
+    good, speed = mc.ok & finite_xy(mc.points), np.empty(len(mc.grid))
+    for block in row_blocks(len(speed)):
+        rows = np.arange(block.start - 1, block.stop + 1)
+        pts = np.take(mc.points, rows, axis=0, mode="wrap" if mc.closed else "clip")
+        with np.errstate(all="ignore"):
+            central = pts[2:] - pts[:-2]
+            speed[block] = np.hypot(central[:, 0], central[:, 1])
     ref = median(speed[good]) if good.any() else 0.0
     slow = (~good | ~np.isfinite(speed)
             | (speed < STABLE_FRAC * ref) | (speed * STABLE_FRAC > ref))

@@ -133,6 +133,12 @@ def test_sample_grid_spacing():
     assert len(ts) == 16
     assert ts[0] == 0.0
     assert ts[-1] == pytest.approx(2 * math.pi - 2 * math.pi / 16, abs=1e-15)
+    # the default grid is built once, kept on the curve, and read-only
+    assert sample_grid(c) is ts
+    with pytest.raises(ValueError):
+        ts[0] = 1.0
+    assert sample_grid(c, 16) is not ts and sample_grid(c, 16).flags.writeable
+    np.testing.assert_array_equal(sample_grid(c, 16), ts)
     open_c = parse_curve("x = t\ny = t^2\nt_min = 0\nt_max = 1\nclosed = false")
     ts = sample_grid(open_c, 21)
     assert ts[0] == 0.0 and ts[-1] == 1.0

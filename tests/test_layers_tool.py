@@ -25,16 +25,22 @@ def test_layers_tool_records_the_output_layer(tmp_path):
     assert [(r["layer"], r["function"], r["samples"]) for r in rec["results"]] == [
         ("render", "write_mapped_csv", 1024), ("render", "render_to_file", 1024),
         ("singularity", "primitive_singularities", 1024), ("singularity", "classify_cusp", 1024),
-        ("frontal", "lift_front", 2048)]
+        ("transforms", "mapped_pedal", 1024), ("verify", "stable_mask", 1024),
+        ("envelope", "envelope", 1024), ("frontal", "lift_front", 2048)]
     for r in rec["results"]:
         assert r["runs"] == 2
         if r["function"] != "classify_cusp":  # which reports a label, not a count
-            assert r.get("bytes", r.get("roots", r.get("flips"))) > 0
+            counts = ("bytes", "roots", "flips", "ok_rows", "stable_rows")
+            assert [r[k] > 0 for k in counts if k in r] == [True]
         assert 0 < r["q1_s"] <= r["median_s"] <= r["q3_s"]
         assert r["call_peak_mb"] > 0 and r["peak_rss_mb"] > 0
         # minor page faults of each timed call, the cold one first
         assert len(r["minflt"]) == 3 and all(f >= 0 for f in r["minflt"])
-    assert rec["results"][2]["roots"] == 4 and rec["results"][4]["flips"] == 4
+    assert rec["results"][2]["roots"] == 4 and rec["results"][-1]["flips"] == 4
+    # the pedal of the primitive and the envelope are ok on every row;
+    # the primitive's polyline is resolved away from its cusps only
+    mapped, stable, env = rec["results"][4:7]
+    assert mapped["ok_rows"] == env["ok_rows"] == 1024 and 0 < stable["stable_rows"] < 1024
     # 0.42 is near, not at, the cusp atan(1/sqrt(5)) of the ellipse's primitive
     assert rec["results"][3]["t0"] == 0.42 and rec["results"][3]["label"] == "not-singular"
 

@@ -286,6 +286,11 @@ def test_polyline_frame_normal_is_nan_off_the_stencil():
     out = tr.mapped_pedal(tr.pedal(arc, ts))
     assert not out.ok[[0, 1, -2, -1]].any()
     assert np.isnan(out.points[~out.ok]).all()
+    pe = tr.pedal(arc, ts[:4])
+    for derive in (tr.polyline_frames, tr.mapped_pedal, tr.mapped_primitive,
+                   lambda mc: tr.mapped_slant(mc, 0.7)):
+        with pytest.raises(RangeError, match="at least 5 samples"):
+            derive(pe)
 
 
 def test_shift_wraps_closed_and_repeats_open_ends():
@@ -492,6 +497,9 @@ def test_default_frame_is_kept_across_other_grids(monkeypatch):
     assert tr.frenet_frame(curve, other.grid) is not other  # a frame on a grid is not kept
     assert tr.frenet_frame(curve) is default
     assert grids == []  # the default grid is not built again
+    # the kept frame, envelope and the detectors share the curve's default grid
+    assert default.grid is sample_grid(curve)
+    assert pk.envelope(pk.make_family("primitive", curve)).grid is default.grid
     for arr in (default.points, default.nu, default.grid, default.flags):
         with pytest.raises(ValueError):
             arr[0] = 1
@@ -529,6 +537,26 @@ _FRONT_ARC = parse_curve(
     "y = sin(t)*(23 + 4*cos(2*t) - 3*cos(4*t))/(16*sqrt(2))\n"
     "t_min = 0.3\nt_max = 5.5\nclosed = false")
 
+# an open arc whose primitive has poles at t = -1 and t = 1, where the
+# tangent line passes through the origin
+_PARABOLA_ARC = parse_curve("x = t\ny = t^2 + 1\nt_min = -2\nt_max = 2\nclosed = false")
+
+
+def _assert_mapped_equal_kernels_on_polyline_frames(mc):
+    """mapped_* build their normal a block at a time inside the kernel's
+    block loop; the bits are those of the kernel on polyline_frames."""
+    poly = tr.polyline_frames(mc)
+    name = mc.kind.name
+    for out, want in ((tr.mapped_pedal(mc), tr.pedal_kernel(poly, f"pedal of {name}")),
+                      (tr.mapped_primitive(mc), tr.primitive_kernel(
+                          poly, f"primitive of {name}", refuse_origin=False)),
+                      (tr.mapped_slant(mc, 0.7), tr.slant_kernel(
+                          poly, 0.7, f"slant of {name}", refuse_origin=False))):
+        assert out.kind == want.kind and out.closed == mc.closed and out.nu is None
+        assert out.grid is mc.grid
+        assert _same_bits(out.points, want.points), out.kind
+        assert _same_bits(out.flags, want.flags), out.kind
+
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
 @pytest.mark.parametrize("n", _EDGE_SAMPLES)
@@ -564,6 +592,10 @@ def test_blocked_frames_and_kernels_equal_one_shot_bitwise(n, closed):
             assert out.nu is None or _same_bits(out.nu, normal), (name, kind)
             assert out.grid is frame.grid
     assert tr.antipedal_kernel(moved).flags[k] == tr.FLAG_NEAR_SINGULAR
+
+    other = builtin_curve("ellipse") if closed else _PARABOLA_ARC
+    for mc in (pe, tr.primitive(other, sample_grid(other, n))):
+        _assert_mapped_equal_kernels_on_polyline_frames(mc)
 
 
 def test_origin_in_a_later_block_is_refused_at_its_first_sample():
@@ -618,3 +650,12 @@ def test_frames_are_built_in_bounded_memory():
     pr = tr.primitive_kernel(frame)
     peak, poly = _traced_peak(lambda: tr.polyline_frames(pr))
     assert peak < poly.nu.nbytes + 2e6
+
+
+def test_mapped_transforms_hold_no_whole_grid_normal():
+    # with a whole-grid polyline normal, mapped_pedal peaked at 8.7 MB
+    pr = tr.primitive(builtin_curve("ellipse", samples=1 << 18))
+    for run in (lambda: tr.mapped_pedal(pr), lambda: tr.mapped_primitive(pr),
+                lambda: tr.mapped_slant(pr, 0.7)):
+        peak, out = _traced_peak(run)
+        assert peak < out.points.nbytes + out.flags.nbytes + 2 * 2**20, out.kind

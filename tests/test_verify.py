@@ -14,7 +14,7 @@ from pedalkit.cli import main
 from pedalkit.curve import (JET_BLOCK, _block_max, builtin_curve, format_curve,
                             parse_curve, position_xy, row_blocks, sample_grid)
 from pedalkit.errors import HypothesisViolated, RangeError
-from pedalkit.verify import (SUITES, VerifyReport, _diff, _plane_inversion_rows,
+from pedalkit.verify import (STABLE_FRAC, SUITES, VerifyReport, _diff, _plane_inversion_rows,
                              run_suite, stable_mask)
 
 
@@ -273,6 +273,51 @@ def test_stable_mask_keeps_smooth_output():
     c = builtin_curve("ellipse")
     pe = tr.pedal(c, sample_grid(c, 256))
     assert stable_mask(pe).all()
+
+
+def _whole_grid_stable_mask(mc):
+    """stable_mask from whole-grid shifts of the points at once."""
+    good = mc.ok & np.isfinite(mc.points).all(axis=1)
+    with np.errstate(all="ignore"):
+        central = tr.shift(mc.points, 1, mc.closed) - tr.shift(mc.points, -1, mc.closed)
+        speed = np.hypot(central[:, 0], central[:, 1])
+    ref = np.median(speed[good]) if good.any() else 0.0
+    slow = (~good | ~np.isfinite(speed)
+            | (speed < STABLE_FRAC * ref) | (speed * STABLE_FRAC > ref))
+    return good & tr.stencil_ok(~slow, mc.closed)
+
+
+# the open arc's primitive has poles at t = -1 and t = 1
+_STABLE_CURVES = {
+    "closed": lambda: builtin_curve("offset_circle"),
+    "open": lambda: parse_curve("x = t\ny = t^2 + 1\nt_min = -2\nt_max = 2\nclosed = false"),
+}
+
+
+@pytest.mark.parametrize("closed", ["closed", "open"])
+@pytest.mark.parametrize("n", [JET_BLOCK - 1, JET_BLOCK + 1, 3 * JET_BLOCK + 5])
+def test_stable_mask_equals_the_whole_grid_formula(n, closed):
+    curve = _STABLE_CURVES[closed]()
+    pr = tr.primitive(curve, sample_grid(curve, n))
+    flags = pr.flags.copy()
+    flags[5::97] = tr.FLAG_UNDEFINED  # some rows on each side of every block edge
+    pr = dataclasses.replace(pr, flags=flags)
+    mask = stable_mask(pr)
+    want = _whole_grid_stable_mask(pr)
+    assert mask.dtype == want.dtype and np.array_equal(mask, want)
+    assert 0 < (~mask).sum() < n // 2
+
+
+def test_stable_mask_runs_in_bounded_memory():
+    # whole-grid shifts of the 2^18 points peaked at 10.25 MB
+    pr = tr.primitive(builtin_curve("ellipse", samples=1 << 18))
+    tracemalloc.start()
+    try:
+        mask = stable_mask(pr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.any() and peak < 7.5 * 2**20
 
 
 def test_plane_inversion_rows_are_pinned():

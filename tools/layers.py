@@ -8,20 +8,27 @@ same label: the short git SHA of DIR, with "-dirty" if its `src/`
 differs from that commit.  Running it on two checkouts into one file
 gives a before/after pair.
 
-Three layers are measured so far.  The output layer:
+Six layers are measured so far.  The output layer:
 `render.write_mapped_csv` (the CSV of `transform`) and
 `render.render_to_file` (its SVG), on the primitive of the built-in
 ellipse at each sample count (default 2^16 and 2^20).  The singularity
 layer: the root scan `singularity.primitive_singularities`, and the
 scalar `singularity.classify_cusp` at t0 = 0.42, on the built-in
-ellipse with each sample count as its default.  And `frontal.lift_front`
-on the built-in front at 2048 samples, whatever the sample counts asked
-for.  Each (function, samples) case runs in a fresh child process, which
+ellipse with each sample count as its default.  The sampled paths of
+the inverse-pair check, `transforms.mapped_pedal` and
+`verify.stable_mask`, on that primitive of the ellipse, and the
+oracle's `envelope.envelope` of the ellipse's primitive line family,
+with each sample count as the ellipse's default.  And
+`frontal.lift_front` on the built-in front at 2048 samples, whatever
+the sample counts asked for.  Each (function, samples) case runs in a
+fresh child process, which
 
 - builds its input (the mapped curve and, for the SVG, its overlay;
-  the curve for the singularity layer and the lift) untimed;
+  the curve for the singularity layer, the envelope and the lift)
+  untimed;
 - makes one cold call, which for a writer also builds the formatting
-  tables, and for classify_cusp the frame the curve keeps;
+  tables, for classify_cusp the frame the curve keeps, and for the
+  envelope the default grid the curve keeps;
 - makes R more calls (default 7) and reports their median and
   quartiles (`statistics.quantiles`, n=4, inclusive), and the minor
   page faults (`ru_minflt`) of each timed call, the cold one first;
@@ -30,7 +37,9 @@ for.  Each (function, samples) case runs in a fresh child process, which
 - reports its peak resident memory (`VmHWM`) after the last call,
   which is mostly that of building the mapped curve, and the bytes
   written (for the root scan: the number of roots; for classify_cusp:
-  its label; for the lift: the number of flips).
+  its label; for the lift: the number of flips; for mapped_pedal and
+  the envelope: the number of ok rows; for stable_mask: the number of
+  stable rows).
 
 Files are written to a temporary directory that is removed afterwards.
 A record also holds the git SHA of DIR, whether its `src/` differs from
@@ -59,7 +68,8 @@ import tracemalloc
 import numpy
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-FUNCTIONS = ("write_mapped_csv", "render_to_file", "primitive_singularities", "classify_cusp")
+FUNCTIONS = ("write_mapped_csv", "render_to_file", "primitive_singularities", "classify_cusp",
+             "mapped_pedal", "stable_mask", "envelope")
 CLASSIFY_T0 = 0.42
 LIFT_SAMPLES = 2048
 
@@ -74,8 +84,9 @@ def peak_rss_mb() -> float:
 
 def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
     """One case, in this process: the pedalkit on sys.path is measured."""
-    from pedalkit import frontal, render, singularity, transforms
+    from pedalkit import frontal, render, singularity, transforms, verify
     from pedalkit.curve import builtin_curve, sample_grid
+    from pedalkit.envelope import envelope, make_family
 
     path = os.path.join(tmpdir, f"{function}-{samples}")
     if function == "lift_front":
@@ -93,10 +104,21 @@ def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
 
         def call():
             return singularity.classify_cusp(ellipse, CLASSIFY_T0)
+    elif function == "envelope":
+        ellipse = builtin_curve("ellipse", samples=samples)
+
+        def call():
+            return envelope(make_family("primitive", ellipse))
     else:
         curve = builtin_curve("ellipse")
         mc = transforms.primitive(curve, sample_grid(curve, samples))
-        if function == "write_mapped_csv":
+        if function == "mapped_pedal":
+            def call():
+                return transforms.mapped_pedal(mc)
+        elif function == "stable_mask":
+            def call():
+                return verify.stable_mask(mc)
+        elif function == "write_mapped_csv":
             def call():
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
                     render.write_mapped_csv(mc, fh)
@@ -128,6 +150,12 @@ def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
     elif function == "classify_cusp":
         out = {"layer": "singularity", "function": function, "samples": samples,
                "t0": CLASSIFY_T0, "label": result.label}
+    elif function == "stable_mask":
+        out = {"layer": "verify", "function": function, "samples": samples,
+               "stable_rows": int(result.sum())}
+    elif function in ("mapped_pedal", "envelope"):
+        out = {"layer": "transforms" if function == "mapped_pedal" else "envelope",
+               "function": function, "samples": samples, "ok_rows": int(result.ok.sum())}
     else:
         out = {"layer": "render", "function": function, "samples": samples,
                "bytes": os.path.getsize(path)}
