@@ -128,7 +128,7 @@ def lift_front(curve: CurveDef, ts: np.ndarray | None = None) -> LegendrianCurve
     # consecutive raw normals point apart, and the aligned dot is |dot|.
     # Cell c runs from sample c to the next: round the seam on a closed
     # grid, and to itself (never a flip) at the end of an open one.
-    dots = dot_xy(tr.shift(raw, 1, curve.closed), raw)
+    dots = dot_xy(tr.halo(raw, 1, n + 1, curve.closed), raw)
     cell_signs = np.where(dots < 0.0, -1.0, 1.0)
     signs = np.cumprod(np.concatenate(([1.0], cell_signs[:-1])))
     twist = int(signs[-1] * cell_signs[-1]) if curve.closed else 1

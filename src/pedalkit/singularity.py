@@ -35,8 +35,8 @@ import numpy as np
 from .curve import (CurveDef, FrenetGrid, bbox_diameter, frenet_grid, frenet_rows,
                     row_blocks, sample_grid)
 from .errors import HypothesisViolated, InflectionPoint, RangeError
-from .transforms import (DENOM_REL_EPS, MappedCurve, frenet_frame, inversion_curvature_rows,
-                         shift, stencil_ok)
+from .transforms import (DENOM_REL_EPS, MappedCurve, frenet_frame, halo,
+                         inversion_curvature_rows, stencil_ok)
 from .vec import dot_xy, finite_xy, median, scale_xy
 
 # Illinois steps per bracket; the last one keeps its point if |f| is
@@ -270,16 +270,16 @@ def detect_cusps_numeric(mc: MappedCurve) -> list[float]:
     p, closed = mc.points, mc.closed
     window_ok = stencil_ok(mc.ok & finite_xy(p), closed)
 
+    w = halo(p, -2, n + 2, closed)
     with np.errstate(all="ignore"):
-        central = (shift(p, 1, closed) - shift(p, -1, closed)) / (2.0 * h)
+        central = (w[3:-1] - w[1:-3]) / (2.0 * h)
         speed = np.hypot(central[:, 0], central[:, 1])
-        before = p - shift(p, -2, closed)
-        after = shift(p, 2, closed) - p
-        reversal = dot_xy(before, after) < 0.0
+        reversal = dot_xy(p - w[:-4], w[4:] - p) < 0.0
 
     if not window_ok.any():
         return []
     median_speed = median(speed[window_ok])
-    local_min = (speed < shift(speed, 1, closed)) & (speed <= shift(speed, -1, closed))
+    w = halo(speed, -1, n + 1, closed)
+    local_min = (speed < w[2:]) & (speed <= w[:-2])
     hits = window_ok & local_min & (speed < CUSP_SPEED_FRACTION * median_speed) & reversal
     return [float(mc.grid[i]) for i in np.flatnonzero(hits)]

@@ -35,7 +35,7 @@ Frames are built and kernels run JET_BLOCK rows at a time, so their
 temporaries stay the size of a block; as each row is a formula in that
 row alone, the bits are those of one run over the whole frame.
 `mapped_*` hold no whole-grid polyline normal: `_frame_rows` builds
-each block's in the kernel's block loop, from two halo rows.  Row
+each block's in the kernel's block loop, from two `halo` rows.  Row
 arithmetic goes one column at a time (`vec.dot_xy`, `vec.scale_xy`),
 and an output starts from the frame's flags.  Denominator guards use
 eps_d = 1e-6 times the diameter (bounding-box diagonal) of the frame's
@@ -131,36 +131,34 @@ class MappedCurve:
 # sample grids
 
 
-def shift(arr: np.ndarray, k: int, closed: bool, twist: int = 1) -> np.ndarray:
-    """out[i] = arr[i + k] along the first axis: closed grids wrap, the
-    wrapped rows times twist (-1 where a lifted normal comes back as -nu,
-    `LegendrianCurve.twist`), and open grids repeat their end sample."""
-    if not closed:
-        return arr[np.clip(np.arange(len(arr)) + k, 0, len(arr) - 1)]
-    out = np.roll(arr, -k, axis=0)
-    if twist == -1:
-        out[slice(len(arr) - k, None) if k > 0 else slice(None, -k)] *= -1.0
-    return out
+def halo(arr: np.ndarray, start: int, stop: int, closed: bool, twist: int = 1) -> np.ndarray:
+    """Rows start..stop-1 of arr along the first axis, reaching at most
+    len(arr) rows past either end: a closed grid wraps round its seam,
+    the wrapped rows times twist (-1 where a lifted normal comes back as
+    -nu, `LegendrianCurve.twist`), and an open grid repeats its end rows."""
+    n = len(arr)
+    if closed:
+        before, after = arr[start % n:] if start < 0 else arr[:0], arr[:max(stop - n, 0)]
+        if twist == -1:
+            before, after = before * -1.0, after * -1.0
+    else:
+        before, after = arr[:1].repeat(max(-start, 0), 0), arr[-1:].repeat(max(stop - n, 0), 0)
+    return np.concatenate([before, arr[max(start, 0):min(stop, n)], after])
 
 
-def five_point_derivative(arr: np.ndarray, h: float, closed: bool,
-                          twist: int = 1) -> np.ndarray:
+def five_point_derivative(w: np.ndarray, h: float) -> np.ndarray:
     """Five-point central difference along the first axis of a uniform
-    grid, wrapped as by `shift`; meaningless at two samples per open end."""
-    return (shift(arr, -2, closed, twist) - 8.0 * shift(arr, -1, closed, twist)
-            + 8.0 * shift(arr, 1, closed, twist) - shift(arr, 2, closed, twist)) / (12.0 * h)
+    grid, for the rows of a run w that has two halo rows on each side."""
+    return (w[:-4] - 8.0 * w[1:-3] + 8.0 * w[3:-1] - w[4:]) / (12.0 * h)
 
 
 def stencil_ok(good: np.ndarray, closed: bool) -> np.ndarray:
     """Samples whose five-point stencil lies on good samples; open grids
     also lose their two end samples on each side."""
-    out = good.copy()
-    for k in (-2, -1, 1, 2):
-        out &= shift(good, k, closed)
-    if not closed:
-        out[:2] = False
-        out[-2:] = False
-    return out
+    w = halo(good, -2, len(good) + 2, closed)
+    if not closed:  # the rows past an open end are not good
+        w[:2] = w[-2:] = False
+    return w[:-4] & w[1:-3] & w[2:-2] & w[3:-1] & w[4:]
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +195,19 @@ def kept_frame(curve: CurveDef) -> MappedCurve | None:
 
 def _polyline_rows(mc: MappedCurve) -> MappedCurve:
     """mc as a frame whose polyline normal `_frame_rows` builds per row
-    view, from two halo rows: kernels on it hold no whole-grid normal."""
+    view, from two `halo` rows: kernels on it hold no whole-grid normal."""
     n = len(mc.grid)
     if n < 5:
         raise RangeError("need at least 5 samples for derived frames")
     def nu_rows(block: slice) -> np.ndarray:
-        rows = np.arange(block.start - 2, block.stop + 2)
-        pts, flags = (np.take(a, rows, axis=0, mode="wrap") for a in (mc.points, mc.flags))
+        start, stop = block.start - 2, block.stop + 2
+        pts, flags = (halo(a, start, stop, mc.closed) for a in (mc.points, mc.flags))
         with np.errstate(all="ignore"):
-            d1 = five_point_derivative(pts, mc.grid[1] - mc.grid[0], True)[2:-2]
-            nu = _unit_frame(d1)[3]
+            nu = _unit_frame(five_point_derivative(pts, mc.grid[1] - mc.grid[0]))[3]
         # no stencil reaches past an open end
+        rows = np.arange(start, stop)
         ok = (flags == FLAG_OK) & finite_xy(pts) & (mc.closed | ((rows >= 0) & (rows < n)))
-        nu[~stencil_ok(ok, True)[2:-2]] = np.nan
+        nu[~(ok[:-4] & ok[1:-3] & ok[2:-2] & ok[3:-1] & ok[4:])] = np.nan
         return nu
     frame = MappedCurve(mc.source_name, mc.kind, mc.grid, mc.points, mc.flags, mc.closed)
     object.__setattr__(frame, "_nu_rows", nu_rows)  # MappedCurve is frozen

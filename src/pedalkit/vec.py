@@ -7,7 +7,7 @@ scalar functions of the package return).  The helpers act on the last
 axis, so they take either.  Row arithmetic goes one column at a time:
 numpy's loop over a broadcast (n, 1) by (n, 2) operation runs along
 the rows' two entries, and is slower than two loops down the columns.
-All functions are pure.
+All functions are pure but `median`, which reorders its argument.
 """
 
 from __future__ import annotations
@@ -79,13 +79,13 @@ def invert_xy(pts: np.ndarray) -> np.ndarray:
 
 
 def median(x: np.ndarray) -> float:
-    """np.median of a non-empty 1-d float array, bit for bit: the middle
-    entry or the mean of the two, nan if any entry is nan.  np.median
-    imports numpy.ma on its first call, about 15 ms of a process."""
+    """np.median of a non-empty 1-d float array, bit for bit, reordering
+    x in place: the middle entry or the mean of the two, nan if any entry
+    is nan.  np.median imports numpy.ma on its first call, ~15 ms a process."""
     n = len(x)
     h = n // 2
-    part = np.partition(x, [h, -1] if n % 2 else [h - 1, h, -1])
-    if np.isnan(part[-1]):
+    x.partition([h, -1] if n % 2 else [h - 1, h, -1])
+    if np.isnan(x[-1]):
         return math.nan
     # numpy's mean sums from +0.0, so a -0.0 median comes out +0.0
-    return float(0.0 + part[h] if n % 2 else (0.0 + part[h - 1] + part[h]) / 2)
+    return float(0.0 + x[h] if n % 2 else (0.0 + x[h - 1] + x[h]) / 2)

@@ -109,12 +109,11 @@ def stable_mask(mc: tr.MappedCurve) -> np.ndarray:
     speed collapses (cusps) and blow-ups (poles), with a two-sample
     buffer.  Outside STABLE_FRAC * median .. median / STABLE_FRAC the
     polyline no longer resolves the curve and difference frames are
-    meaningless.  Its speeds are taken a block at a time, with one halo
-    row on each side, wrapped or clipped as by `transforms.shift`."""
+    meaningless.  Its speeds are taken a block at a time, with one
+    `transforms.halo` row on each side."""
     good, speed = mc.ok & finite_xy(mc.points), np.empty(len(mc.grid))
     for block in row_blocks(len(speed)):
-        rows = np.arange(block.start - 1, block.stop + 1)
-        pts = np.take(mc.points, rows, axis=0, mode="wrap" if mc.closed else "clip")
+        pts = tr.halo(mc.points, block.start - 1, block.stop + 1, mc.closed)
         with np.errstate(all="ignore"):
             central = pts[2:] - pts[:-2]
             speed[block] = np.hypot(central[:, 0], central[:, 1])
@@ -347,7 +346,9 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
     report.add("inverted-curve curvature changes sign at cusps",
                0.0 if sign_ok else math.inf, 0.0)
 
-    dk = (tr.shift(kpsi, 1, curve.closed) - tr.shift(kpsi, -1, curve.closed)) / (2 * h)
+    w = tr.halo(kpsi, -1, len(ts) + 1, curve.closed)
+    dk = (w[2:] - w[:-2]) / (2 * h)
+    del w  # not held through the rest of the suite
     if np.abs(fg.kappa_prime_arc).max() < 1e-10 and np.abs(dk).max() < 1e-8:
         # Constant curvature: both sides vanish identically and sign scans
         # would chase rounding noise.
@@ -383,11 +384,10 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
 def _fd_curvature_of_inverted(p: np.ndarray, h: float, closed: bool) -> np.ndarray:
     """Finite-difference curvature of the pointwise inversions of the
     positions p, sampled at parameter step h."""
-    pts = invert_xy(p)
-    back2, back1, ahead1, ahead2 = (tr.shift(pts, k, closed) for k in (-2, -1, 1, 2))
+    w = tr.halo(invert_xy(p), -2, len(p) + 2, closed)
     with np.errstate(all="ignore"):
-        d1 = tr.five_point_derivative(pts, h, closed)
-        d2 = (-back2 + 16 * back1 - 30 * pts + 16 * ahead1 - ahead2) / (12 * h * h)
+        d1 = tr.five_point_derivative(w, h)
+        d2 = (-w[:-4] + 16 * w[1:-3] - 30 * w[2:-2] + 16 * w[3:-1] - w[4:]) / (12 * h * h)
         speed = np.hypot(d1[:, 0], d1[:, 1])
         kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
     kappa[~tr.stencil_ok(np.ones(len(p), dtype=bool), closed)] = np.nan
@@ -421,7 +421,8 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
 
     # frame closure, with the normal derivative from finite differences
     nu, ell = lc.nu, lc.ell_grid
-    nudot = tr.five_point_derivative(nu, lc.grid[1] - lc.grid[0], curve.closed, lc.twist)
+    nudot = tr.five_point_derivative(tr.halo(nu, -2, n + 2, curve.closed, lc.twist),
+                                     lc.grid[1] - lc.grid[0])
     inner = tr.stencil_ok(np.ones(n, dtype=bool), curve.closed)
     report.add("frame closure nu' = ell mu",
                _diff(nudot, lambda s: ell[s, None] * perp_xy(nu[s]), inner), 1e-6)

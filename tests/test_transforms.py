@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _stencils import ref_five_point_derivative, ref_shift, ref_stencil_ok
+
 import pedalkit as pk
 from pedalkit import frontal as fr
 from pedalkit import transforms as tr
@@ -293,11 +295,37 @@ def test_polyline_frame_normal_is_nan_off_the_stencil():
             derive(pe)
 
 
-def test_shift_wraps_closed_and_repeats_open_ends():
+def test_halo_wraps_closed_and_repeats_open_ends():
     a = np.arange(5.0)
-    np.testing.assert_array_equal(tr.shift(a, 2, closed=True), [2, 3, 4, 0, 1])
-    np.testing.assert_array_equal(tr.shift(a, 2, closed=False), [2, 3, 4, 4, 4])
-    np.testing.assert_array_equal(tr.shift(a, -1, closed=False), [0, 0, 1, 2, 3])
+    np.testing.assert_array_equal(tr.halo(a, 2, 7, closed=True), [2, 3, 4, 0, 1])
+    np.testing.assert_array_equal(tr.halo(a, 2, 7, closed=False), [2, 3, 4, 4, 4])
+    np.testing.assert_array_equal(tr.halo(a, -1, 4, closed=False), [0, 0, 1, 2, 3])
+    # halos on both sides, up to two rows past each end
+    np.testing.assert_array_equal(tr.halo(a, -1, 6, closed=True), [4, 0, 1, 2, 3, 4, 0])
+    np.testing.assert_array_equal(tr.halo(a, -2, 7, closed=True), [3, 4, 0, 1, 2, 3, 4, 0, 1])
+    np.testing.assert_array_equal(tr.halo(a, -2, 7, closed=False), [0, 0, 0, 1, 2, 3, 4, 4, 4])
+    # twist -1 negates the rows wrapped round the seam alone; open ends ignore it
+    b = a + 1.0
+    np.testing.assert_array_equal(tr.halo(b, -2, 7, True, -1), [-4, -5, 1, 2, 3, 4, 5, -1, -2])
+    np.testing.assert_array_equal(tr.halo(b, -1, 3, True, -1), [-5, 1, 2, 3])
+    np.testing.assert_array_equal(tr.halo(b, 3, 7, True, -1), [4, 5, -1, -2])
+    np.testing.assert_array_equal(tr.halo(b, -2, 7, False, -1), [1, 1, 1, 2, 3, 4, 5, 5, 5])
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_halo_rows_are_the_shifted_rows_bitwise(closed):
+    rng = np.random.default_rng(3)
+    n = 11
+    pts = rng.standard_normal((n, 2))
+    # nan rows that wrap forward and backward, one with its sign bit set
+    pts[[0, 1, -1], 0] = np.nan
+    pts[-2, 1] = np.copysign(np.nan, -1.0)
+    cases = [(pts, 1), (pts, -1), (pts[:, 0].copy(), -1), (rng.random(n) < 0.5, 1),
+             (rng.integers(0, 3, n).astype(np.uint8), 1)]
+    for arr, twist in cases:
+        w = tr.halo(arr, -2, n + 2, closed, twist)
+        for k in (-2, -1, 0, 1, 2):
+            assert _same_bits(w[2 + k:2 + k + n], ref_shift(arr, k, closed, twist)), (arr.dtype, k)
 
 
 def test_sampled_curve_through_the_origin_is_undefined_there_not_refused():
@@ -426,9 +454,9 @@ def _one_shot_unit_normal(d1):
 def _one_shot_polyline_normal(mc):
     """The normal of polyline_frames from whole-grid shifts at once."""
     with np.errstate(all="ignore"):
-        d1 = tr.five_point_derivative(mc.points, mc.grid[1] - mc.grid[0], mc.closed)
+        d1 = ref_five_point_derivative(mc.points, mc.grid[1] - mc.grid[0], mc.closed)
     nu = _one_shot_unit_normal(d1)
-    nu[~tr.stencil_ok(mc.ok & np.isfinite(mc.points).all(axis=1), mc.closed)] = np.nan
+    nu[~ref_stencil_ok(mc.ok & np.isfinite(mc.points).all(axis=1), mc.closed)] = np.nan
     return nu
 
 

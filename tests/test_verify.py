@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _stencils import ref_five_point_derivative, ref_shift, ref_stencil_ok
+
 import pedalkit as pk
 from pedalkit import expr as ex
 from pedalkit import singularity as sg
@@ -14,8 +16,10 @@ from pedalkit.cli import main
 from pedalkit.curve import (JET_BLOCK, _block_max, builtin_curve, format_curve,
                             parse_curve, position_xy, row_blocks, sample_grid)
 from pedalkit.errors import HypothesisViolated, RangeError
-from pedalkit.verify import (STABLE_FRAC, SUITES, VerifyReport, _diff, _plane_inversion_rows,
-                             run_suite, stable_mask)
+from pedalkit.vec import dot_xy, finite_xy, invert_xy, perp_xy
+from pedalkit.verify import (STABLE_FRAC, SUITES, VerifyReport, _diff,
+                             _fd_curvature_of_inverted, _plane_inversion_rows, run_suite,
+                             stable_mask)
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "offset_circle", "front"])
@@ -190,6 +194,76 @@ def test_frame_closure_rows_read_the_twist_of_the_lift(monkeypatch):
     assert not any(rows[name].passed for name in FRAME_CLOSURE)
 
 
+def _ref_detect_cusps_numeric(mc):
+    """detect_cusps_numeric from whole-grid shifts, with the speeds whose
+    median it takes."""
+    h, p, closed = mc.grid[1] - mc.grid[0], mc.points, mc.closed
+    window_ok = ref_stencil_ok(mc.ok & finite_xy(p), closed)
+    with np.errstate(all="ignore"):
+        central = (ref_shift(p, 1, closed) - ref_shift(p, -1, closed)) / (2.0 * h)
+        speed = np.hypot(central[:, 0], central[:, 1])
+        before = p - ref_shift(p, -2, closed)
+        after = ref_shift(p, 2, closed) - p
+        reversal = dot_xy(before, after) < 0.0
+    median_speed = np.median(speed[window_ok])
+    local_min = (speed < ref_shift(speed, 1, closed)) & (speed <= ref_shift(speed, -1, closed))
+    hits = window_ok & local_min & (speed < sg.CUSP_SPEED_FRACTION * median_speed) & reversal
+    return [float(mc.grid[i]) for i in np.flatnonzero(hits)], speed[window_ok]
+
+
+def _ref_fd_curvature_of_inverted(p, h, closed):
+    pts = invert_xy(p)
+    back2, back1, ahead1, ahead2 = (ref_shift(pts, k, closed) for k in (-2, -1, 1, 2))
+    with np.errstate(all="ignore"):
+        d1 = ref_five_point_derivative(pts, h, closed)
+        d2 = (-back2 + 16 * back1 - 30 * pts + 16 * ahead1 - ahead2) / (12 * h * h)
+        speed = np.hypot(d1[:, 0], d1[:, 1])
+        kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
+    kappa[~ref_stencil_ok(np.ones(len(p), dtype=bool), closed)] = np.nan
+    return kappa
+
+
+def _ref_frame_closure(lc):
+    """The frame closure row nu' = ell mu of the frontal suite from
+    whole-grid shifts."""
+    nu, ell = lc.nu, lc.ell_grid
+    nudot = ref_five_point_derivative(nu, lc.grid[1] - lc.grid[0], lc.closed, lc.twist)
+    inner = ref_stencil_ok(np.ones(len(nu), dtype=bool), lc.closed)
+    return _diff(nudot, lambda s: ell[s, None] * perp_xy(nu[s]), inner)
+
+
+# the deltoid on its closed grid (twist -1) and an open arc of it
+_STENCIL_CURVES = {"closed": DELTOID,
+                   "open": DELTOID.replace("t_min = 0\nt_max = 2*pi",
+                                           "t_min = 0.3\nt_max = 5\nclosed = false")}
+
+
+@pytest.mark.parametrize("closed", ["closed", "open"])
+@pytest.mark.parametrize("n", [4096, 3 * JET_BLOCK + 5])
+def test_whole_grid_stencils_equal_the_shifted_formulas_bitwise(n, closed, monkeypatch):
+    curve = parse_curve(_STENCIL_CURVES[closed] + f"samples = {n}\n")
+    grid = sample_grid(curve, n)
+    frame = tr.frenet_frame(curve, grid)
+    medians = []
+    monkeypatch.setattr(sg, "median", lambda x: medians.append(x.copy()) or np.median(x))
+    found = []
+    for mc in (frame, tr.primitive(curve, grid)):
+        want, speeds = _ref_detect_cusps_numeric(mc)
+        found.append(sg.detect_cusps_numeric(mc))
+        assert found[-1] == want
+        assert medians.pop().tobytes() == speeds.tobytes()
+    assert len(found[0]) >= 2  # the deltoid's own cusps
+
+    h = grid[1] - grid[0]
+    fd = _fd_curvature_of_inverted(frame.points, h, curve.closed)
+    assert fd.tobytes() == _ref_fd_curvature_of_inverted(frame.points, h, curve.closed).tobytes()
+
+    lc = pk.lift_front(curve, grid)
+    assert lc.twist == (-1 if curve.closed else 1)
+    rows = {r.name: r.residual for r in run_suite("frontal", curve).results}
+    assert np.float64(rows[FRAME_CLOSURE[0]]).tobytes() == np.float64(_ref_frame_closure(lc)).tobytes()
+
+
 def test_frontal_suite_exits_3_where_d1_and_d2_vanish_on_the_grid(tmp_path, capsys):
     # x = t^3, y = t^4 + 1: t = 0 is sample 2048 of 4097, not one of 4096
     path = tmp_path / "flat-cusp.curve"
@@ -279,12 +353,12 @@ def _whole_grid_stable_mask(mc):
     """stable_mask from whole-grid shifts of the points at once."""
     good = mc.ok & np.isfinite(mc.points).all(axis=1)
     with np.errstate(all="ignore"):
-        central = tr.shift(mc.points, 1, mc.closed) - tr.shift(mc.points, -1, mc.closed)
+        central = ref_shift(mc.points, 1, mc.closed) - ref_shift(mc.points, -1, mc.closed)
         speed = np.hypot(central[:, 0], central[:, 1])
     ref = np.median(speed[good]) if good.any() else 0.0
     slow = (~good | ~np.isfinite(speed)
             | (speed < STABLE_FRAC * ref) | (speed * STABLE_FRAC > ref))
-    return good & tr.stencil_ok(~slow, mc.closed)
+    return good & ref_stencil_ok(~slow, mc.closed)
 
 
 # the open arc's primitive has poles at t = -1 and t = 1

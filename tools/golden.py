@@ -51,7 +51,12 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   envelopes that span three solve blocks; and at 1048576 samples on the
   ellipse, whose maxima are taken over 64 blocks;
 - `verify --suite inverse-pair --samples 40000` on the ellipse and the
-  front: polyline frames and the kernels on them over three blocks;
+  front: polyline frames and the kernels on them over three blocks; and
+  on the open ellipse and parabola arcs, whose block halos clip at the
+  open ends (the parabola arc exits 1);
+- `verify --suite frontal --samples 40000` on the deltoid: the stencils
+  on its lifted normal wrap round the seam of a long grid with twist -1
+  (it exits 1 on "degenerate composition: both sides vanish");
 - `detect` for every kind on the built-ins, at the default sample count
   and at 65536 samples; on the ellipse and the front at 40000 samples,
   a root scan over two full jet blocks and a partial third; and on the
@@ -147,9 +152,9 @@ ERROR_FILES = {
 }
 ERROR_ARGS = ["transform", "--curve", "ellipse", "--kind", "pedal", "--angle", "0.3"]
 
-# the verify --suite oracle and inverse-pair cases, the slant of the
-# parabola arc and the detect cases on the ellipse and the front: more
-# samples than two blocks hold
+# the verify --suite oracle and inverse-pair cases, the frontal case of
+# the deltoid, the slant of the parabola arc and the detect cases on the
+# ellipse and the front: more samples than two blocks hold
 ORACLE_SAMPLES = "40000"
 # and the one at 2^20 samples
 LARGE_ORACLE_SAMPLES = "1048576"
@@ -282,6 +287,11 @@ def write_goldens(outdir: str) -> int:
         for suite in ("oracle", "inverse-pair"):
             run(f"verify-{curve}-{suite}-{ORACLE_SAMPLES}.txt",
                 ["verify", "--curve", curve, "--suite", suite, "--samples", ORACLE_SAMPLES])
+    for curve in ("open-arc.curve", "parabola-arc.curve"):
+        run(f"verify-{curve}-inverse-pair-{ORACLE_SAMPLES}.txt",
+            ["verify", "--curve", curve, "--suite", "inverse-pair", "--samples", ORACLE_SAMPLES])
+    run(f"verify-deltoid.curve-frontal-{ORACLE_SAMPLES}.txt",
+        ["verify", "--curve", "deltoid.curve", "--suite", "frontal", "--samples", ORACLE_SAMPLES])
     run(f"verify-ellipse-oracle-{LARGE_ORACLE_SAMPLES}.txt",
         ["verify", "--curve", "ellipse", "--suite", "oracle", "--samples", LARGE_ORACLE_SAMPLES])
     for curve in BUILTIN_NAMES:
