@@ -19,10 +19,11 @@ it, which raise where the grid row has no data.  Grid walks raise
 RangeError outside [t_min, t_max], as the scalar ones do.
 
 CurveDefs are immutable after construction and safe to share across
-threads.  `sample_grid` keeps a curve's default grid, and
-`transforms.frenet_frame` the Frenet frame on it, on the instance,
-outside the fields; both are read-only, so sharing stays safe (two
-threads may at worst build one twice).
+threads.  `sample_grid` keeps a curve's default grid, `_jets_xy` the
+release schedule of its jet walks (`expr.release_schedule`), and
+`transforms.frenet_frame` the Frenet frame on that grid, on the
+instance, outside the fields; all are read-only, so sharing stays safe
+(two threads may at worst build one twice).
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ class FrenetGrid:
     regular: np.ndarray
 
 
-# parameters per jet walk: the jets of every node of a tree are alive
-# until its walk ends, so blocks bound the memory a long grid takes
+# parameters per jet walk: a walk holds only the jets that a node still
+# to be computed reads, so blocks bound the memory a long grid takes
 JET_BLOCK = 1 << 14
 
 
@@ -209,9 +210,11 @@ def _block_max(n: int, residual, mask: np.ndarray | None = None) -> float:
 def _jets_xy(curve: CurveDef, ts: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """(p, d1, ..., d_order), each (n, 2), filled block by block."""
     ts = curve._check_params(ts)
+    if "_schedule" not in curve.__dict__:
+        object.__setattr__(curve, "_schedule", ex.release_schedule((curve.x, curve.y)))
     out = tuple(np.empty((len(ts), 2)) for _ in range(order + 1))
     for block in row_blocks(len(ts)):
-        for col, jet in enumerate(ex.jets((curve.x, curve.y), ts[block], order)):
+        for col, jet in enumerate(ex.jets((curve.x, curve.y), ts[block], order, curve._schedule)):
             for k, values in enumerate(jet):
                 out[k][block, col] = values
     return out

@@ -20,10 +20,12 @@ walk at order 0.  On an array of parameters domain errors
 become non-finite entries, so callers can flag samples.  On a float
 evaluate() walks a 0-d float64, and the scalar contract is that the
 result is a finite real float or EvalError is raised.  A node shared
-within a tree is evaluated once per walk.  differentiate() returns a
-new tree (abs differentiates to a sign factor, so evaluating the
-derivative at a root of the argument is an EvalError).  to_text()
-prints a form that reparses to the identical tree.
+within a tree is evaluated once per walk; jets() drops its jets once
+their last reader is computed (`release_schedule`), evaluate() when it
+returns.  differentiate() returns a new tree (abs differentiates to a
+sign factor, so evaluating the derivative at a root of the argument is
+an EvalError).  to_text() prints a form that reparses to the identical
+tree.
 """
 
 from __future__ import annotations
@@ -306,8 +308,8 @@ def evaluate(e: Expr, t):
     a finite real).  Both are the order-0 jet walk."""
     with np.errstate(all="ignore"):
         if isinstance(t, np.ndarray):
-            return _jet(e, t, 0, {})[0]
-        value = float(_jet(e, np.float64(t), 0, {})[0])
+            return _jet(e, t, 0, {}, {})[0]
+        value = float(_jet(e, np.float64(t), 0, {}, {})[0])
     if not math.isfinite(value):
         raise EvalError(f"cannot evaluate {to_text(e)!r} at t={t!r}: "
                         f"the value {value} is not a finite real")
@@ -321,17 +323,16 @@ def evaluate_array(e: Expr, ts: np.ndarray) -> np.ndarray:
 
 
 def depends_on_t(e: Expr) -> bool:
-    if isinstance(e, Param):
-        return True
-    if isinstance(e, (Num, Const)):
-        return False
-    if isinstance(e, Neg):
-        return depends_on_t(e.arg)
-    if isinstance(e, Call):
-        return depends_on_t(e.arg)
-    if isinstance(e, Pow):
-        return depends_on_t(e.base) or depends_on_t(e.exponent)
-    return depends_on_t(e.left) or depends_on_t(e.right)
+    return isinstance(e, Param) or any(map(depends_on_t, _children(e)))
+
+
+def _children(e: Expr) -> tuple:  # in the order the jet walk reads them
+    kind = type(e)
+    if kind is Neg or kind is Call:
+        return (e.arg,)
+    if kind is Pow:
+        return e.base, e.exponent
+    return (e.left, e.right) if kind in (Add, Sub, Mul, Div) else ()
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +480,53 @@ def differentiate(e: Expr) -> Expr:
 MAX_JET_ORDER = 3
 
 
-def jets(exprs, t: np.ndarray, order: int = MAX_JET_ORDER) -> list[list[np.ndarray]]:
+def jets(exprs, t: np.ndarray, order: int = MAX_JET_ORDER,
+         schedule: dict | None = None) -> list[list[np.ndarray]]:
     """For each of exprs, its value and first `order` t-derivatives
     (order <= MAX_JET_ORDER) at the array t, each an array of t's shape.
     One walk of the trees: a node shared between or within them is
     evaluated once, and so are the sin and cos of one argument, which
-    the derivatives of sin, cos and tan share.  Domain errors become non-finite entries; so does a
-    derivative of abs at a root of its argument."""
+    the derivatives of sin, cos and tan share.  A node's jets go once the
+    last node that reads them is computed, by `schedule` (by default
+    release_schedule(exprs)).  Domain errors become non-finite entries;
+    so does a derivative of abs at a root of its argument."""
     if not 0 <= order <= MAX_JET_ORDER:
         raise ValueError(f"jet order must be 0..{MAX_JET_ORDER}, got {order}")
-    # jets by node identity, and the sin and cos of the walk's arguments
+    schedule = release_schedule(exprs) if schedule is None else schedule
+    # jets by node identity, and the sin and cos of arguments by argument node
     memo: dict = {}
     with np.errstate(all="ignore"):
-        walked = [_jet(e, t, order, memo) for e in exprs]
+        walked = [_jet(e, t, order, memo, schedule) for e in exprs]
     return [[_full(v, t) for v in w] for w in walked]
+
+
+def release_schedule(exprs) -> dict:
+    """For each node of a jet walk of exprs, by identity, the memo keys it
+    drops once computed: those of each child no later node reads, its jets
+    and, for an argument of sin, cos or tan, its sin and cos; a root's never."""
+    last, keys = {}, {}
+    for e in exprs:
+        _readers(e, last, keys)
+    schedule, roots = {}, set(map(id, exprs))
+    for key, reader in last.items():
+        if key not in roots:
+            schedule.setdefault(reader, []).extend(keys[key])
+    return schedule
+
+
+def _readers(e: Expr, last: dict, keys: dict) -> None:
+    """Visit the nodes of e not in keys in the order a jet walk computes
+    them, noting each child's last reader in last and each node's memo keys."""
+    if id(e) in keys:
+        return
+    keys[id(e)] = (id(e),)
+    children = _children(e)
+    for child in children:
+        _readers(child, last, keys)
+    for child in children:
+        last[id(child)] = id(e)
+    if isinstance(e, Call) and e.func in ("sin", "cos", "tan"):
+        keys[id(e.arg)] = (id(e.arg), ("sin", id(e.arg)), ("cos", id(e.arg)))
 
 
 def _full(v, t: np.ndarray) -> np.ndarray:
@@ -503,9 +537,9 @@ def _full(v, t: np.ndarray) -> np.ndarray:
     return np.full(t.shape, float(v))
 
 
-def _jet(e: Expr, t: np.ndarray, order: int, memo: dict) -> list:
-    # keyed by identity: the trees keep every node alive during the walk,
-    # and hashing a frozen node would walk its whole subtree
+def _jet(e: Expr, t: np.ndarray, order: int, memo: dict, drops: dict) -> list:
+    # memo and drops (the release schedule) are keyed by identity: the trees
+    # keep every node alive, and hashing a frozen node walks its whole subtree
     key = id(e)
     if key in memo:
         return memo[key]
@@ -516,24 +550,27 @@ def _jet(e: Expr, t: np.ndarray, order: int, memo: dict) -> list:
     elif isinstance(e, Param):
         w = [t, 1.0, None, None][:order + 1]
     elif isinstance(e, Neg):
-        w = [_neg(a) for a in _jet(e.arg, t, order, memo)]
+        w = [_neg(a) for a in _jet(e.arg, t, order, memo, drops)]
     elif isinstance(e, Add):
-        w = [_add(a, b) for a, b in zip(_jet(e.left, t, order, memo),
-                                        _jet(e.right, t, order, memo))]
+        w = [_add(a, b) for a, b in zip(_jet(e.left, t, order, memo, drops),
+                                        _jet(e.right, t, order, memo, drops))]
     elif isinstance(e, Sub):
-        w = [_sub(a, b) for a, b in zip(_jet(e.left, t, order, memo),
-                                        _jet(e.right, t, order, memo))]
+        w = [_sub(a, b) for a, b in zip(_jet(e.left, t, order, memo, drops),
+                                        _jet(e.right, t, order, memo, drops))]
     elif isinstance(e, Mul):
-        w = _product(_jet(e.left, t, order, memo), _jet(e.right, t, order, memo))
+        w = _product(_jet(e.left, t, order, memo, drops), _jet(e.right, t, order, memo, drops))
     elif isinstance(e, Div):
-        w = _quotient(_jet(e.left, t, order, memo), _jet(e.right, t, order, memo))
+        w = _quotient(_jet(e.left, t, order, memo, drops), _jet(e.right, t, order, memo, drops))
     elif isinstance(e, Pow):
-        w = _power(_jet(e.base, t, order, memo), _jet(e.exponent, t, order, memo), memo)
+        w = _power(_jet(e.base, t, order, memo, drops),
+                   _jet(e.exponent, t, order, memo, drops), memo)
     elif isinstance(e, Call):
-        w = _call(e.func, _jet(e.arg, t, order, memo), memo)
+        w = _call(e.func, _jet(e.arg, t, order, memo, drops), memo, id(e.arg))
     else:
         raise TypeError(f"not an Expr node: {e!r}")
     memo[key] = w
+    for k in drops.get(key, ()):
+        memo.pop(k, None)
     return w
 
 
@@ -618,31 +655,30 @@ def _power(u: list, v: list, memo: dict) -> list:
     return _chain(f, u)
 
 
-def _trig(func: str, u0, memo: dict):
-    """sin or cos of a jet's value u0, once per walk: the derivative of
-    either is the other.  Keyed by the identity of u0, which the walk's
-    memo keeps alive; an equal value at another identity is computed
-    again, with the same bits."""
-    key = (func, id(u0))
+def _trig(func: str, u0, memo: dict, arg: int):
+    """sin or cos of the value u0 of the argument node arg (its identity),
+    once per walk: the derivative of either is the other.  Keyed by the
+    node, not by u0, whose array may die and its address be reused mid-walk."""
+    key = (func, arg)
     if key not in memo:
         memo[key] = _NUMPY_FN[func](u0)
     return memo[key]
 
 
-def _call(func: str, u: list, memo: dict) -> list:
+def _call(func: str, u: list, memo: dict, arg: int | None = None) -> list:
     order = len(u) - 1
-    w0 = _trig(func, u[0], memo) if func in ("sin", "cos") else _NUMPY_FN[func](u[0])
+    w0 = _trig(func, u[0], memo, arg) if func in ("sin", "cos") else _NUMPY_FN[func](u[0])
     if _is_constant(u):
         return [w0] + [None] * order
     # the function and its first three derivatives at u_0
     if func == "sin":
-        c = _trig("cos", u[0], memo)
+        c = _trig("cos", u[0], memo, arg)
         f = (w0, c, -w0, -c)
     elif func == "cos":
-        s = _trig("sin", u[0], memo)
+        s = _trig("sin", u[0], memo, arg)
         f = (w0, -s, -w0, s)
     elif func == "tan":
-        sec2 = 1.0 / _trig("cos", u[0], memo) ** 2
+        sec2 = 1.0 / _trig("cos", u[0], memo, arg) ** 2
         f = (w0, sec2, 2.0 * w0 * sec2, 2.0 * sec2 * (sec2 + 2.0 * w0 * w0))
     elif func == "exp":
         f = (w0, w0, w0, w0)

@@ -80,9 +80,9 @@ def test_closure_check_is_one_order_0_walk(monkeypatch):
     walks = []
     jets = pk.expr.jets
 
-    def counted_jets(exprs, t, order=pk.expr.MAX_JET_ORDER):
+    def counted_jets(exprs, t, order=pk.expr.MAX_JET_ORDER, schedule=None):
         walks.append((order, len(t)))
-        return jets(exprs, t, order)
+        return jets(exprs, t, order, schedule)
 
     def no_scalar_evaluate(e, t):
         raise AssertionError("scalar evaluate called")

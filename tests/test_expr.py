@@ -1,5 +1,7 @@
+import collections
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +324,83 @@ def test_jets_leave_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+def _random_dag(seed: int) -> tuple:
+    """Three roots over shared subtrees of generated text: x reads a twice
+    in one node (a*a), y reads a and b again, and the third root, a, is
+    also a child of x and y."""
+    a, b, c = expression_corpus(seed=seed, count=3)
+    table: dict = {}
+    x = ex.parse_expr(f"({a})*({a}) + sin({b})", table=table)
+    y = ex.parse_expr(f"cos({b}) - ({a})/(abs({c}) + 1) + sin({a})", table=table)
+    return x, y, ex.parse_expr(a, table=table)
+
+
+def _bytes(walked) -> list:
+    return [[v.tobytes() for v in w] for w in walked]
+
+
+@pytest.mark.parametrize("seed", range(2401, 2413))
+def test_a_released_walk_has_the_bits_of_one_that_keeps_every_jet(monkeypatch, seed):
+    # one schedule serves the walks of three blocks, as a curve's does;
+    # every node is computed once per walk, and a walk ends holding the
+    # roots' jets, and the sin and cos of a root, and nothing else
+    exprs = _random_dag(seed)
+    assert exprs[0].left.left is exprs[0].left.right  # a child read twice
+    schedule = ex.release_schedule(exprs)
+    roots = set(map(id, exprs))
+    assert not roots & {k for drops in schedule.values() for k in drops}
+    walk, memos, computed = ex._jet, [], collections.Counter()
+
+    def counted(e, t, order, memo, drops):
+        if not memos or memos[-1] is not memo:
+            memos.append(memo)
+        computed[len(memos), id(e)] += id(e) not in memo
+        return walk(e, t, order, memo, drops)
+
+    ts = np.linspace(0.15, 2.9, 3 * 257)
+    for order in range(ex.MAX_JET_ORDER + 1):
+        for block in np.split(ts, 3):
+            kept = ex.jets(exprs, block, order, {})
+            monkeypatch.setattr(ex, "_jet", counted)
+            released = ex.jets(exprs, block, order, schedule)
+            monkeypatch.setattr(ex, "_jet", walk)
+            assert _bytes(released) == _bytes(kept)
+            assert set(computed.values()) == {1}
+            kept_keys = set(memos[-1])  # the roots' jets, and the sin and cos of roots
+            assert {k for k in kept_keys if type(k) is int} == roots
+            assert all(k[1] in roots for k in kept_keys - roots)
+    assert len(memos) == 3 * (ex.MAX_JET_ORDER + 1)
+
+
+def test_the_sin_and_cos_of_an_argument_that_is_gone_are_not_reused():
+    # forty arguments k*t + k, each dropped, with its sin and cos, once
+    # its sine is computed: a new argument's array may take the address
+    # of a dead one, and must not find the dead one's sin or cos
+    e = ex.parse_expr(" + ".join(f"sin({k}*t + {k})" for k in range(1, 41)))
+    ts = np.linspace(-3.0, 3.0, 4099)
+    for order in range(ex.MAX_JET_ORDER + 1):
+        assert _bytes(ex.jets([e], ts, order)) == _bytes(ex.jets([e], ts, order, {}))
+    want = sum(np.sin(k * ts + k) for k in range(1, 41))
+    np.testing.assert_allclose(ex.jets([e], ts, 0)[0][0], want, rtol=0, atol=1e-12)
+
+
+def test_a_jet_walk_of_the_front_holds_few_jets():
+    # the tracemalloc peak of one block's order-3 walk on its release
+    # schedule, against a walk that keeps every node's jets
+    from pedalkit.curve import JET_BLOCK, builtin_curve, sample_grid
+    front = builtin_curve("front")
+    ts = sample_grid(front, JET_BLOCK)
+    peaks = []
+    for schedule in (ex.release_schedule((front.x, front.y)), {}):
+        tracemalloc.start()
+        try:
+            ex.jets((front.x, front.y), ts, 3, schedule)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 0.6 * peaks[1]
 
 
 def _count_trig(monkeypatch, shape):

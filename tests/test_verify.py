@@ -102,10 +102,10 @@ def _grid_walks(monkeypatch, suite, curve):
     walks = collections.Counter()
     jets, evaluate_array = ex.jets, ex.evaluate_array
 
-    def counted_jets(exprs, t, order=ex.MAX_JET_ORDER):
+    def counted_jets(exprs, t, order=ex.MAX_JET_ORDER, schedule=None):
         if np.size(t) >= 1024:
             walks["jets", order, np.size(t)] += 1
-        return jets(exprs, t, order)
+        return jets(exprs, t, order, schedule)
 
     def counted_evaluate_array(e, ts):
         if np.size(ts) >= 1024:

@@ -47,6 +47,11 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   `run_suite("all")` on those eight curves, at their default sample
   count and at 4096 samples, one line per row, so that a residual that
   changes in its last bit shows in the comparison;
+- `transform --kind primitive --samples 40000` and `verify --suite
+  all` on a closed Fourier curve written as a curve file, whose x and y
+  take cos(k t) and sin(k t) for k = 1..6, twelve terms over six
+  arguments: a jet walk over three blocks that drops the jets of each
+  argument, and its sin and cos, once their last reader is computed;
 - `verify --suite oracle --samples 40000` on the ellipse and the front:
   envelopes that span three solve blocks; and at 1048576 samples on the
   ellipse, whose maxima are taken over 64 blocks;
@@ -176,6 +181,13 @@ CLASSICAL = {
 FLAT_CUSP = "x = t^3\ny = t^4 + 1\nt_min = -1\nt_max = 1\nclosed = false\n"
 FLAT_CUSP_SAMPLES = "4097"
 
+# a closed Fourier curve: twelve trigonometric terms over six arguments
+FOURIER = ("x = cos(t) + 0.05*cos(2*t) + 0.02*sin(3*t) + 0.01*cos(4*t) + 0.005*sin(5*t)"
+           " + 0.003*cos(6*t)\n"
+           "y = sin(t) + 0.05*sin(2*t) - 0.02*cos(3*t) + 0.01*sin(4*t) - 0.005*cos(5*t)"
+           " + 0.003*sin(6*t)\n"
+           "t_min = 0\nt_max = 2*pi\n")
+
 # the sample counts of verify-residuals.txt; None is the curve's own
 RESIDUAL_SAMPLES = (None, 4096)
 
@@ -283,6 +295,12 @@ def write_goldens(outdir: str) -> int:
         run(f"verify-flat-cusp.curve-{suite}-{FLAT_CUSP_SAMPLES}.txt",
             ["verify", "--curve", "flat-cusp.curve", "--suite", suite,
              "--samples", FLAT_CUSP_SAMPLES])
+    with open("fourier.curve", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(FOURIER)
+    run(f"transform-fourier.curve-primitive-{ORACLE_SAMPLES}.txt",
+        ["transform", "--curve", "fourier.curve", "--kind", "primitive",
+         "--samples", ORACLE_SAMPLES])
+    run("verify-fourier.curve.txt", ["verify", "--curve", "fourier.curve", "--suite", "all"])
     for curve in ("ellipse", "front"):
         for suite in ("oracle", "inverse-pair"):
             run(f"verify-{curve}-{suite}-{ORACLE_SAMPLES}.txt",

@@ -8,7 +8,7 @@ same label: the short git SHA of DIR, with "-dirty" if its `src/`
 differs from that commit.  Running it on two checkouts into one file
 gives a before/after pair.
 
-Six layers are measured so far.  The output layer:
+Seven layers are measured so far.  The output layer:
 `render.write_mapped_csv` (the CSV of `transform`) and
 `render.render_to_file` (its SVG), on the primitive of the built-in
 ellipse at each sample count (default 2^16 and 2^20).  The singularity
@@ -20,12 +20,16 @@ the inverse-pair check, `transforms.mapped_pedal` and
 oracle's `envelope.envelope` of the ellipse's primitive line family,
 with each sample count as the ellipse's default.  And
 `frontal.lift_front` on the built-in front at 2048 samples, whatever
-the sample counts asked for.  Each (function, samples) case runs in a
+the sample counts asked for.  The jet walk: `curve._jets_xy` at orders
+1 and 3 over the grid of each sample count, on the built-in front and
+on the inverted front, written with `format_curve` and parsed back, so
+that x and y share the nodes of a parsed tree.  Each (function,
+samples) case, and each curve and order of the jet walk, runs in a
 fresh child process, which
 
 - builds its input (the mapped curve and, for the SVG, its overlay;
-  the curve for the singularity layer, the envelope and the lift)
-  untimed;
+  the curve for the singularity layer, the envelope, the lift and the
+  jet walk, and the walk's grid) untimed;
 - makes one cold call, which for a writer also builds the formatting
   tables, for classify_cusp the frame the curve keeps, and for the
   envelope the default grid the curve keeps;
@@ -39,7 +43,8 @@ fresh child process, which
   written (for the root scan: the number of roots; for classify_cusp:
   its label; for the lift: the number of flips; for mapped_pedal and
   the envelope: the number of ok rows; for stable_mask: the number of
-  stable rows).
+  stable rows; for the jet walk: the number of rows whose every jet is
+  finite).
 
 Files are written to a temporary directory that is removed afterwards.
 A record also holds the git SHA of DIR, whether its `src/` differs from
@@ -72,6 +77,8 @@ FUNCTIONS = ("write_mapped_csv", "render_to_file", "primitive_singularities", "c
              "mapped_pedal", "stable_mask", "envelope")
 CLASSIFY_T0 = 0.42
 LIFT_SAMPLES = 2048
+# the jet walk cases: (curve, order)
+JET_CASES = (("front", 1), ("front", 3), ("inv-front", 1), ("inv-front", 3))
 
 
 def peak_rss_mb() -> float:
@@ -82,14 +89,24 @@ def peak_rss_mb() -> float:
     raise RuntimeError("no VmHWM in /proc/self/status")
 
 
-def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
-    """One case, in this process: the pedalkit on sys.path is measured."""
+def child(function: str, samples: int, runs: int, tmpdir: str, *jet_case: str) -> dict:
+    """One case, in this process: the pedalkit on sys.path is measured.
+    jet_case is the curve and order of a `_jets_xy` case."""
     from pedalkit import frontal, render, singularity, transforms, verify
-    from pedalkit.curve import builtin_curve, sample_grid
+    from pedalkit.curve import _jets_xy, builtin_curve, format_curve, parse_curve, sample_grid
     from pedalkit.envelope import envelope, make_family
 
     path = os.path.join(tmpdir, f"{function}-{samples}")
-    if function == "lift_front":
+    if function == "_jets_xy":
+        name, order = jet_case[0], int(jet_case[1])
+        walked = builtin_curve("front")
+        if name == "inv-front":
+            walked = parse_curve(format_curve(transforms.invert_curve(walked)))
+        grid = sample_grid(walked, samples)
+
+        def call():
+            return _jets_xy(walked, grid, order)
+    elif function == "lift_front":
         front = builtin_curve("front", samples=samples)
 
         def call():
@@ -141,7 +158,11 @@ def child(function: str, samples: int, runs: int, tmpdir: str) -> dict:
     call()
     call_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    if function == "lift_front":
+    if function == "_jets_xy":
+        finite = numpy.logical_and.reduce([numpy.isfinite(d).all(axis=1) for d in result])
+        out = {"layer": "curve", "function": function, "samples": samples, "curve": name,
+               "order": order, "finite_rows": int(finite.sum())}
+    elif function == "lift_front":
         out = {"layer": "frontal", "function": function, "samples": samples,
                "flips": len(result.flips)}
     elif function == "primitive_singularities":
@@ -186,17 +207,20 @@ def record(checkout: str, samples: list[int], runs: int) -> dict:
     results = []
     cases = [(function, n) for n in samples for function in FUNCTIONS]
     cases.append(("lift_front", LIFT_SAMPLES))
+    cases += [("_jets_xy", n, name, str(order)) for n in samples for name, order in JET_CASES]
     with tempfile.TemporaryDirectory() as tmpdir:
-        for function, n in cases:
+        for function, n, *jet_case in cases:
             done = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--child", function, str(n),
-                 str(runs), tmpdir],
+                 str(runs), tmpdir, *jet_case],
                 capture_output=True, text=True, timeout=3600,
                 env={**os.environ, "PYTHONPATH": src})
             if done.returncode != 0:
-                raise SystemExit(f"{function} at {n} samples failed:\n{done.stderr}")
+                raise SystemExit(f"{function} {' '.join(jet_case)} at {n} samples failed:\n"
+                                 f"{done.stderr}")
             results.append(json.loads(done.stdout.splitlines()[-1]))
-            print(f"{function:>16} {n:>8}: median {results[-1]['median_s']:.4f} s, "
+            print(f"{function:>16} {' '.join(jet_case):>11} {n:>8}: "
+                  f"median {results[-1]['median_s']:.4f} s, "
                   f"call peak {results[-1]['call_peak_mb']} MB", file=sys.stderr)
     label = (sha[:7] if sha else os.path.basename(checkout)) + ("-dirty" if status else "")
     return {"label": label, "git_sha": sha, "src_differs_from_commit": bool(status),
@@ -207,8 +231,8 @@ def record(checkout: str, samples: list[int], runs: int) -> dict:
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--child"]:
-        function, n, runs, tmpdir = argv[1:]
-        print(json.dumps(child(function, int(n), int(runs), tmpdir)))
+        function, n, runs, tmpdir, *jet_case = argv[1:]
+        print(json.dumps(child(function, int(n), int(runs), tmpdir, *jet_case)))
         return 0
     ap = argparse.ArgumentParser(prog="tools/layers.py", description=__doc__.split("\n")[0])
     ap.add_argument("out", metavar="OUT.json")
