@@ -211,6 +211,10 @@ def main(argv: list[str] | None = None) -> int:
     except (PedalkitError, OSError) as exc:
         print(f"pedalkit: error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"pedalkit: error: out of memory at {args.samples or 'the default number of'} "
+              "samples", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -141,9 +141,12 @@ def frenet(curve: CurveDef, t: float) -> FrenetData:
 
 def param_grid(curve: CurveDef, n: int) -> np.ndarray:
     """n uniform parameters, without the duplicate endpoint of a closed curve."""
-    if curve.closed:
-        return curve.t_min + (curve.t_max - curve.t_min) * np.arange(n) / n
-    return np.linspace(curve.t_min, curve.t_max, n)
+    try:
+        if curve.closed:
+            return curve.t_min + (curve.t_max - curve.t_min) * np.arange(n) / n
+        return np.linspace(curve.t_min, curve.t_max, n)
+    except ValueError as exc:  # numpy refuses an array this large
+        raise RangeError(f"cannot sample {n} points: {exc}") from None
 
 
 def sample_grid(curve: CurveDef, samples: int | None = None) -> np.ndarray:
@@ -432,13 +435,13 @@ def builtin_curve(name: str, samples: int | None = None) -> CurveDef:
 
 
 def bbox_diameter(points: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Bounding-box diagonal of the finite points (of those in mask); the
-    scale used by denominator guards."""
+    """Bounding-box diagonal of the finite points (of those in mask), 0
+    if there is none; the scale used by denominator guards."""
     good = finite_xy(points)
     if mask is not None:
         good &= mask
-    if not good.any():
-        raise RangeError("no finite points to measure")
+    if not good.any():  # a guard of 0: with no such point no row can be near_singular
+        return 0.0
     return float(math.hypot(*(c.max(where=good, initial=-np.inf)
                               - c.min(where=good, initial=np.inf) for c in points.T)))
 

@@ -32,7 +32,7 @@ import numpy as np
 from .curve import CurveDef, _block_max, _jets_xy, row_blocks, sample_grid
 from .errors import RangeError
 from .transforms import (FLAG_NEAR_SINGULAR, FLAG_OK, FLAG_UNDEFINED,
-                         MappedCurve, TransformKind, _check_origin, _frame_rows,
+                         MappedCurve, TransformKind, _check_origin,
                          frenet_frame, pedal_kernel)
 from .vec import dot_xy, finite_xy, rotate_xy
 
@@ -140,7 +140,7 @@ def circle_family_check(curve: CurveDef, ts: np.ndarray | None = None) -> float:
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
     def residual(block: slice) -> np.ndarray:
-        rows = _frame_rows(frame, block)
+        rows = frame.rows(block)
         g = rows.points
         _check_origin(rows.grid, dot_xy(g, g), "the pedal-circle check")
         pe = pedal_kernel(rows)

@@ -31,7 +31,9 @@ each formula has one implementation and they compose on sampled
 outputs.  Their primitive-type outputs are frames again, with the normal
 +-g/|g| (rotated by phi for the slant case), which is what makes the
 composition law for slant primitivoids checkable sample by sample.  All
-of them are invariant under nu -> -nu.
+of them are invariant under nu -> -nu: a frame with the opposite normal
+is dataclasses.replace(frame, nu=-frame.nu), and a block of a lift,
+lc.rows(block), is a plain MappedCurve that reads the lift's eps_d.
 """
 
 from __future__ import annotations

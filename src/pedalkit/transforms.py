@@ -33,14 +33,15 @@ their points and flags.
 
 Frames are built and kernels run JET_BLOCK rows at a time, so their
 temporaries stay the size of a block; as each row is a formula in that
-row alone, the bits are those of one run over the whole frame.
-`mapped_*` hold no whole-grid polyline normal: `_frame_rows` builds
-each block's in the kernel's block loop, from two `halo` rows.  Row
+row alone, the bits are those of one run over the whole frame.  A
+frame's block is `frame.rows(block)`, a plain MappedCurve that slices
+it, or for the polyline frame of `mapped_*` builds the block's normal
+from two `halo` rows, so they hold no whole-grid normal.  Row
 arithmetic goes one column at a time (`vec.dot_xy`, `vec.scale_xy`),
 and an output starts from the frame's flags.  Denominator guards use
 eps_d = 1e-6 times the diameter (bounding-box diagonal) of the frame's
-ok points, measured once per frame (`MappedCurve.eps_d`, read by its
-row views) and shared by every kernel run on it; samples where a
+ok points (0 if none is finite), measured once per frame and shared by
+its row views and every kernel run on it; samples where a
 denominator is smaller are flagged near_singular, samples with
 non-finite values (a frame row without a normal among them) are
 undefined.  Everything is sign-invariant under nu -> -nu, so no
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Optional
 
@@ -107,6 +108,7 @@ class MappedCurve:
     flags: np.ndarray
     closed: bool
     nu: Optional[np.ndarray] = None
+    whole: Optional["MappedCurve"] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> np.ndarray:
@@ -118,13 +120,15 @@ class MappedCurve:
         DENOM_REL_EPS times the bounding-box diagonal of the ok points.
         Computed on first use and kept, as a frame's points and flags do
         not change once it is made; a row view reads its frame's."""
-        if "_whole" in self.__dict__:  # set by _frame_rows
-            return self._whole.eps_d
+        if self.whole is not None:
+            return self.whole.eps_d
         return DENOM_REL_EPS * bbox_diameter(self.points, self.ok)
 
-    def flip_nu(self) -> "MappedCurve":
-        return MappedCurve(self.source_name, self.kind, self.grid, self.points,
-                           self.flags.copy(), self.closed, -self.nu)
+    def rows(self, block: slice) -> "MappedCurve":
+        """The rows of block; their `whole` is this frame, whose eps_d they read."""
+        return MappedCurve(self.source_name, self.kind, self.grid[block], self.points[block],
+                           self.flags[block], self.closed,
+                           None if self.nu is None else self.nu[block], whole=self)
 
 
 # ---------------------------------------------------------------------------
@@ -193,63 +197,55 @@ def kept_frame(curve: CurveDef) -> MappedCurve | None:
     return getattr(curve, "_frame", None)
 
 
-def _polyline_rows(mc: MappedCurve) -> MappedCurve:
-    """mc as a frame whose polyline normal `_frame_rows` builds per row
-    view, from two `halo` rows: kernels on it hold no whole-grid normal."""
-    n = len(mc.grid)
-    if n < 5:
-        raise RangeError("need at least 5 samples for derived frames")
-    def nu_rows(block: slice) -> np.ndarray:
-        start, stop = block.start - 2, block.stop + 2
-        pts, flags = (halo(a, start, stop, mc.closed) for a in (mc.points, mc.flags))
+class _PolylineFrame(MappedCurve):
+    """A sampled curve as a frame whose `rows` build the normal of its
+    polyline from two `halo` rows: kernels on it hold no whole-grid normal."""
+
+    def rows(self, block: slice) -> MappedCurve:
+        n, start, stop = len(self.grid), block.start - 2, block.stop + 2
+        pts, flags = (halo(a, start, stop, self.closed) for a in (self.points, self.flags))
         with np.errstate(all="ignore"):
-            nu = _unit_frame(five_point_derivative(pts, mc.grid[1] - mc.grid[0]))[3]
+            nu = _unit_frame(five_point_derivative(pts, self.grid[1] - self.grid[0]))[3]
         # no stencil reaches past an open end
         rows = np.arange(start, stop)
-        ok = (flags == FLAG_OK) & finite_xy(pts) & (mc.closed | ((rows >= 0) & (rows < n)))
+        ok = (flags == FLAG_OK) & finite_xy(pts) & (self.closed | ((rows >= 0) & (rows < n)))
         nu[~(ok[:-4] & ok[1:-3] & ok[2:-2] & ok[3:-1] & ok[4:])] = np.nan
-        return nu
-    frame = MappedCurve(mc.source_name, mc.kind, mc.grid, mc.points, mc.flags, mc.closed)
-    object.__setattr__(frame, "_nu_rows", nu_rows)  # MappedCurve is frozen
-    return frame
+        return dataclasses.replace(super().rows(block), nu=nu)
+
+
+def _polyline(mc: MappedCurve) -> _PolylineFrame:
+    if len(mc.grid) < 5:
+        raise RangeError("need at least 5 samples for derived frames")
+    return _PolylineFrame(mc.source_name, mc.kind, mc.grid, mc.points, mc.flags, mc.closed)
 
 
 def polyline_frames(mc: MappedCurve) -> MappedCurve:
     """A sampled curve with the normal of its polyline, five-point central
-    differences on the uniform grid taken per block (`_polyline_rows`).
+    differences on the uniform grid taken per block (`_PolylineFrame.rows`).
     Closed grids wrap; open ends, samples whose stencil touches a non-ok
     sample and samples where the polyline stalls get a nan normal."""
-    frame = _polyline_rows(mc)
+    frame = _polyline(mc)
     nu = np.empty((len(mc.grid), 2))
     for block in row_blocks(len(nu)):
-        nu[block] = frame._nu_rows(block)
-    return dataclasses.replace(frame, nu=nu)
+        nu[block] = frame.rows(block).nu
+    return MappedCurve(mc.source_name, mc.kind, mc.grid, mc.points, mc.flags, mc.closed, nu)
 
 
 # ---------------------------------------------------------------------------
 # kernels
 
 
-def _frame_rows(frame: MappedCurve, block: slice) -> MappedCurve:
-    """The rows of block of a frame; a `_polyline_rows` normal is built here."""
-    nu_rows = frame.__dict__.get("_nu_rows")
-    nu = nu_rows(block) if nu_rows else None if frame.nu is None else frame.nu[block]
-    rows = MappedCurve(frame.source_name, frame.kind, frame.grid[block], frame.points[block],
-                       frame.flags[block], frame.closed, nu)
-    object.__setattr__(rows, "_whole", frame)  # for eps_d; MappedCurve is frozen
-    return rows
-
-
 def _blocked(kernel):
     """The kernel run on the JET_BLOCK-row views of a longer frame, in
-    grid order, into outputs allocated once."""
+    grid order, into outputs allocated once; a frame of one block whose
+    rows are slices runs as it is."""
     @wraps(kernel)
     def run(frame: MappedCurve, *args, **kwargs) -> MappedCurve:
-        if len(frame.grid) <= JET_BLOCK and "_nu_rows" not in frame.__dict__:
+        if len(frame.grid) <= JET_BLOCK and not isinstance(frame, _PolylineFrame):
             return kernel(frame, *args, **kwargs)
         points, flags = np.empty_like(frame.points), np.empty_like(frame.flags)
         for block in row_blocks(len(frame.grid)):
-            part = kernel(_frame_rows(frame, block), *args, **kwargs)
+            part = kernel(frame.rows(block), *args, **kwargs)
             if block.start == 0:  # which shows whether the kernel gives a normal
                 out = dataclasses.replace(part, grid=frame.grid, points=points, flags=flags,
                                           nu=None if part.nu is None else np.empty_like(points))
@@ -491,16 +487,16 @@ def apply_transform(curve: CurveDef, kind: str, angle: float | None = None,
 
 
 def mapped_pedal(mc: MappedCurve) -> MappedCurve:
-    return pedal_kernel(_polyline_rows(mc), f"pedal of {mc.kind.name}")
+    return pedal_kernel(_polyline(mc), f"pedal of {mc.kind.name}")
 
 
 def mapped_primitive(mc: MappedCurve) -> MappedCurve:
-    return primitive_kernel(_polyline_rows(mc), f"primitive of {mc.kind.name}",
+    return primitive_kernel(_polyline(mc), f"primitive of {mc.kind.name}",
                             refuse_origin=False)
 
 
 def mapped_slant(mc: MappedCurve, phi: float) -> MappedCurve:
-    return slant_kernel(_polyline_rows(mc), phi, f"slant of {mc.kind.name}",
+    return slant_kernel(_polyline(mc), phi, f"slant of {mc.kind.name}",
                         refuse_origin=False)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 import numpy as np
@@ -434,16 +434,16 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
                _block_max(n, lambda s: np.abs(ell[s] - fg.speed[s] * fg.kappa[s]), fg.regular),
                1e-9)
 
-    flipped = lc.flip_nu()
     ops = (fr.frontal_pedal, fr.frontal_antipedal, fr.frontal_primitive,
            lambda f: fr.frontal_slant_primitivoid(f, math.pi / 10))
 
     def gap(a, b):
         return np.where(a.ok & b.ok, np.hypot(*(a.points - b.points).T), -np.inf)
 
-    def flip_gap(s):  # the ops on a block of both frames, one op at a time
-        rows, flipped_rows = tr._frame_rows(lc, s), tr._frame_rows(flipped, s)
-        return np.maximum.reduce([gap(op(rows), op(flipped_rows)) for op in ops])
+    def flip_gap(s):  # the ops on a block with nu and with -nu, one op at a time
+        rows = lc.rows(s)
+        flipped = replace(rows, nu=-rows.nu)
+        return np.maximum.reduce([gap(op(rows), op(flipped)) for op in ops])
     report.add("transforms invariant under nu -> -nu", _block_max(n, flip_gap), 1e-15)
 
     pr_f = fr.frontal_primitive(lc)

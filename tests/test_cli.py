@@ -207,6 +207,37 @@ def test_origin_curve_exits_3(tmp_path, capsys):
     assert "origin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+@pytest.mark.parametrize("args", [["transform", "--kind", "pedal"],
+                                  ["detect", "--what", "vertices"],
+                                  ["verify", "--suite", "all"], ["plot"]])
+def test_a_sample_count_numpy_refuses_exits_3(tmp_path, capsys, args, closed):
+    # numpy refuses a grid of 2^62 samples before it allocates anything
+    curve = "ellipse"
+    if not closed:
+        curve = str(tmp_path / "arc.curve")
+        (tmp_path / "arc.curve").write_text(OPEN_ARC_FILE)
+    assert main(args + ["--curve", curve, "--samples", str(2**62)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"pedalkit: error: cannot sample {2**62} points: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("samples, named", [("100000000000", "100000000000"),
+                                            (None, "the default number of")])
+def test_running_out_of_memory_exits_3(monkeypatch, capsys, samples, named):
+    import pedalkit.cli as cli
+
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 745. GiB")
+    monkeypatch.setattr(cli, "cmd_transform", exhausted)
+    args = ["transform", "--curve", "ellipse", "--kind", "pedal"]
+    assert main(args + (["--samples", samples] if samples else [])) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"pedalkit: error: out of memory at {named} samples\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["transform", "--kind", "slant", "--angle", "inf"],
     ["transform", "--kind", "slant", "--angle", "nan"],

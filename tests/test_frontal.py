@@ -72,7 +72,8 @@ def test_the_lift_is_a_frame():
         assert type(got) is tr.MappedCurve
         for a, b in ((got.points, want.points), (got.flags, want.flags), (got.nu, want.nu)):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
-    for derived in (tr._frame_rows(lc, slice(3, 9)), lc.flip_nu(), tr.polyline_frames(lc)):
+    rows = lc.rows(slice(3, 9))
+    for derived in (rows, replace(rows, nu=-rows.nu), tr.polyline_frames(lc)):
         assert type(derived) is tr.MappedCurve
 
 
@@ -211,7 +212,7 @@ def test_frontal_primitive_front_spot():
 
 def test_transforms_invariant_under_nu_sign():
     sf = fl.lift_front(builtin_curve("ellipse"))
-    flipped = sf.flip_nu()
+    flipped = replace(sf, nu=-sf.nu)
     for op in (fl.frontal_pedal, fl.frontal_antipedal, fl.frontal_primitive,
                lambda s: fl.frontal_slant_primitivoid(s, 0.4)):
         a, b = op(sf), op(flipped)

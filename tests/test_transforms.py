@@ -13,7 +13,7 @@ import pedalkit as pk
 from pedalkit import frontal as fr
 from pedalkit import transforms as tr
 from pedalkit.curve import (JET_BLOCK, REGULAR_EPS, _jets_xy, bbox_diameter, builtin_curve,
-                            parse_curve, position_xy, sample_grid, velocity_xy)
+                            parse_curve, position_xy, row_blocks, sample_grid, velocity_xy)
 from pedalkit.errors import OriginSingularity, RangeError
 from pedalkit.vec import ORIGIN_EPS, dot_xy, invert_xy, perp_xy, rotate_xy
 
@@ -586,6 +586,19 @@ def _assert_mapped_equal_kernels_on_polyline_frames(mc):
         assert _same_bits(out.flags, want.flags), out.kind
 
 
+def _assert_rows_are_slices(frame, whole):
+    """Each block's `frame.rows` is a plain MappedCurve, the slice of
+    whole bit for bit, that reads the frame's eps_d."""
+    for block in row_blocks(len(frame.grid)):
+        rows = frame.rows(block)
+        assert type(rows) is tr.MappedCurve
+        assert (rows.source_name, rows.kind, rows.closed) == (
+            whole.source_name, whole.kind, whole.closed)
+        for name in ("grid", "points", "flags", "nu"):
+            assert _same_bits(getattr(rows, name), getattr(whole, name)[block]), name
+        assert repr(rows.eps_d) == repr(frame.eps_d) == repr(whole.eps_d)
+
+
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
 @pytest.mark.parametrize("n", _EDGE_SAMPLES)
 def test_blocked_frames_and_kernels_equal_one_shot_bitwise(n, closed):
@@ -620,6 +633,12 @@ def test_blocked_frames_and_kernels_equal_one_shot_bitwise(n, closed):
             assert out.nu is None or _same_bits(out.nu, normal), (name, kind)
             assert out.grid is frame.grid
     assert tr.antipedal_kernel(moved).flags[k] == tr.FLAG_NEAR_SINGULAR
+
+    # the frames read by block; the moved frame's block at k has a smaller guard of its own
+    lift = fr.lift_front(curve, grid)
+    for frame, whole in ((frenet, frenet), (moved, moved), (lift, lift),
+                         (tr._polyline(pe), poly)):
+        _assert_rows_are_slices(frame, whole)
 
     other = builtin_curve("ellipse") if closed else _PARABOLA_ARC
     for mc in (pe, tr.primitive(other, sample_grid(other, n))):

@@ -36,7 +36,9 @@ Runs `pedalkit.cli.main` in-process and writes what each command prints
   with a focus at the origin, the line x = 1 and the astroid, and on a
   deltoid whose three cusps fall between samples and whose lifted
   normal comes back as -nu round the seam of its closed grid
-  (twist -1); and `detect --what primitive-cusps` on the focal ellipse,
+  (twist -1), and on the diagonal x = t, y = t through the origin, whose
+  every <g, nu> is 0, so that some frames have no ok, finite row and a
+  guard scale of 0; and `detect --what primitive-cusps` on the focal ellipse,
   whose primitive has degenerate singular points next to t = pi, where
   the osculating circle passes through the origin and kappa' = 0;
 - `verify --suite frontal` and `verify --suite all`, both at `--samples
@@ -168,10 +170,11 @@ LARGE_ORACLE_SAMPLES = "1048576"
 # reversed one (the rotated one is written with format_curve)
 REVERSED_ELLIPSE = "x = cos(-t)\ny = sin(-t)/sqrt(3.0)\nt_min = -2*pi\nt_max = 0\n"
 
-# the curves of the classical oracles, and the deltoid, as curve files
+# the curves of the classical oracles, the diagonal and the deltoid, as curve files
 CLASSICAL = {
     "focal-ellipse.curve": "x = -1 + 2*cos(t)\ny = sqrt(3)*sin(t)\nt_min = 0\nt_max = 2*pi\n",
     "line.curve": "x = 1\ny = t\nt_min = -2\nt_max = 2\nclosed = false\n",
+    "diagonal.curve": "x = t\ny = t\nt_min = -1\nt_max = 1\nclosed = false\n",
     "astroid.curve": "x = cos(t)^3\ny = sin(t)^3\nt_min = 0\nt_max = 2*pi\n",
     "deltoid.curve": ("x = 3 + 2*cos(t+0.1) + cos(2*t+0.2)\ny = 2*sin(t+0.1) - sin(2*t+0.2)\n"
                       "t_min = 0\nt_max = 2*pi\n"),
