@@ -30,14 +30,17 @@ def dot_xy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def scale_xy(op: np.ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def scale_xy(op: np.ufunc, a: np.ndarray, b: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """op(a, b) for points and one factor per row, in either order,
     computed one column at a time: the bits of op(s[..., None], pts) or
     op(pts, s[..., None]), as the operands keep their order (a nan's
     payload comes from the first).  Each column warns on its own, so a
-    floating-point warning may come twice."""
+    floating-point warning may come twice.  The result is written to
+    out if given, which may be the points themselves."""
     points_first = np.ndim(a) > np.ndim(b)
-    out = np.empty(np.shape(a if points_first else b), dtype=np.result_type(a, b))
+    if out is None:
+        out = np.empty(np.shape(a if points_first else b), dtype=np.result_type(a, b))
     for k in (0, 1):
         if points_first:
             op(a[..., k], b, out=out[..., k])
@@ -68,12 +71,12 @@ def rotate_xy(pts: np.ndarray, phi: float) -> np.ndarray:
     return out
 
 
-def invert_xy(pts: np.ndarray) -> np.ndarray:
-    """Row-wise inversion in the unit circle, x / |x|^2; rows within
-    ORIGIN_EPS of the origin come back nan."""
+def invert_xy(pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise inversion in the unit circle, x / |x|^2, written to out
+    if given (it may be pts); rows within ORIGIN_EPS of the origin come back nan."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n2 = dot_xy(pts, pts)
-        out = scale_xy(np.divide, pts, n2)
+        out = scale_xy(np.divide, pts, n2, out)
     out[n2 < ORIGIN_EPS * ORIGIN_EPS] = np.nan
     return out
 

@@ -27,8 +27,8 @@ import numpy as np
 from . import frontal as fr
 from . import singularity as sg
 from . import transforms as tr
-from .curve import (CurveDef, _block_max, builtin_curve, frenet_grid, position_xy, row_blocks,
-                    sample_grid)
+from .curve import (JET_BLOCK, CurveDef, _block_max, builtin_curve, frenet_grid, position_xy,
+                    row_blocks, sample_grid)
 from .envelope import circle_family_check, envelope, make_family
 from .errors import HypothesisViolated, LiftFailure, RangeError
 from .vec import dot_xy, finite_xy, invert_xy, median, perp_xy, rotate_xy
@@ -131,28 +131,45 @@ PLANE_SEED = 20240811
 PLANE_POINTS = 1_000_000
 
 
-def _plane_points(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(radii, points) of the random plane points start..stop-1.  The
-    radii, log-uniform in [1e-3, 1e3], are draws start..stop-1 of
-    PCG64(PLANE_SEED), the angles draws PLANE_POINTS + start.. of it."""
-    radii_rng = np.random.Generator(np.random.PCG64(PLANE_SEED))
-    angle_rng = np.random.Generator(np.random.PCG64(PLANE_SEED))
-    radii_rng.bit_generator.advance(start)
-    angle_rng.bit_generator.advance(PLANE_POINTS + start)
-    radii = 10.0 ** radii_rng.uniform(-3, 3, stop - start)
-    angles = angle_rng.uniform(0, 2 * math.pi, stop - start)
-    return radii, np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+def _uniform(start: int, stop: int) -> np.ndarray:
+    """Draws start..stop-1 of the SplitMix64 stream seeded with PLANE_SEED
+    (Steele, Lea & Flood, OOPSLA 2014), as floats in [0, 1) from their top
+    53 bits.  Draw k mixes PLANE_SEED + (k + 1) * gamma, so any slice of
+    the stream is computed directly, in uint64 arithmetic that wraps."""
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15 + PLANE_SEED
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return ((z ^ z >> 31) >> 11) * 2.0**-53
+
+
+def _plane_points(start: int, stop: int,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(radii, points) of the random plane points start..stop-1, the
+    points written to out if given.  The radii, log-uniform in [1e-3,
+    1e3], are draws start..stop-1 of `_uniform`, the angles, uniform in
+    [0, 2 pi), its draws PLANE_POINTS + start.. ."""
+    radii = 10.0 ** (6.0 * _uniform(start, stop) - 3.0)
+    angles = 2 * math.pi * _uniform(PLANE_POINTS + start, PLANE_POINTS + stop)
+    pts = np.empty((stop - start, 2)) if out is None else out
+    for k, f in enumerate((np.cos, np.sin)):
+        np.multiply(f(angles, out=pts[:, k]), radii, out=pts[:, k])
+    return radii, pts
 
 
 @functools.lru_cache(maxsize=1)
 def _plane_inversion_rows() -> tuple[tuple[str, float, float], ...]:
     """(name, residual, tolerance) of the inversion rows that do not
     depend on the curve; computed once per process, on PLANE_POINTS
-    points drawn block by block."""
+    points drawn a row_blocks slice at a time into JET_BLOCK-row
+    buffers allocated once: a block's points and their double inverses."""
+    bufs = np.empty((2, JET_BLOCK, 2))
+
     def involution(block):
-        radii, pts = _plane_points(block.start, block.stop)
-        back = invert_xy(invert_xy(pts))
-        return np.hypot(*(back - pts).T) / radii
+        pts, back = bufs[:, :block.stop - block.start]
+        radii, _ = _plane_points(block.start, block.stop, pts)
+        back = invert_xy(invert_xy(pts, back), back)
+        back -= pts
+        return np.hypot(back[:, 0], back[:, 1]) / radii
 
     m = 10_000
     _, pts = _plane_points(0, 2 * m)
@@ -370,7 +387,7 @@ def _suite_singularity(curve: CurveDef, report: VerifyReport) -> None:
                    _root_gap(vertex_roots, ext_roots, curve.period), 2 * h)
 
     fd = _fd_curvature_of_inverted(fg.p, h, curve.closed)
-    floor = 1e-3 * np.abs(kpsi).max()
+    floor = 1e-3 * np.abs(kpsi).max() or 1.0  # kpsi = 0 throughout: compare absolutely
     report.add("inversion curvature matches finite differences",
                _block_max(len(ts), lambda s: np.abs(fd[s] - kpsi[s])
                           / np.maximum(np.abs(kpsi[s]), floor), np.isfinite(fd)), 1e-5)

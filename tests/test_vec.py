@@ -88,7 +88,12 @@ def test_invert_xy_is_x_over_its_squared_norm_bitwise_at_every_scale():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = invert_xy(pts)
+        buf, same = np.empty_like(pts), pts.copy()
+        into, in_place = invert_xy(pts, buf), invert_xy(same, same)
     assert out.tobytes() == expected.tobytes()
+    # written to a buffer, or over the points themselves, with the same bits
+    assert into is buf and in_place is same
+    assert into.tobytes() == in_place.tobytes() == expected.tobytes()
 
 
 # the specials of the writer tests and the scales of the inversion test,

@@ -1,6 +1,9 @@
 import collections
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,10 +19,11 @@ from pedalkit.cli import main
 from pedalkit.curve import (JET_BLOCK, _block_max, builtin_curve, format_curve,
                             parse_curve, position_xy, row_blocks, sample_grid)
 from pedalkit.errors import HypothesisViolated, RangeError
-from pedalkit.vec import dot_xy, finite_xy, invert_xy, perp_xy
-from pedalkit.verify import (STABLE_FRAC, SUITES, VerifyReport, _diff,
-                             _fd_curvature_of_inverted, _plane_inversion_rows, run_suite,
-                             stable_mask)
+from pedalkit import verify as vf
+from pedalkit.vec import dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy
+from pedalkit.verify import (PLANE_POINTS, PLANE_SEED, STABLE_FRAC, SUITES, VerifyReport, _diff,
+                             _fd_curvature_of_inverted, _plane_inversion_rows, _plane_points,
+                             _uniform, run_suite, stable_mask)
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "offset_circle", "front"])
@@ -394,18 +398,103 @@ def test_stable_mask_runs_in_bounded_memory():
     assert mask.any() and peak < 7.5 * 2**20
 
 
+def test_inversion_curvature_row_compares_absolutely_on_a_line_through_the_origin():
+    # the inversion curvature is 0 on every row, so a floor relative to its
+    # max is 0 and a relative residual would be 0 / 0
+    diagonal = parse_curve("x = t\ny = t\nt_min = -1\nt_max = 1\nclosed = false")
+    report = run_suite("singularity", diagonal)
+    row = {r.name: r for r in report.results}["inversion curvature matches finite differences"]
+    assert row.residual == 0.0 and report.passed, report.format()
+
+
 def test_plane_inversion_rows_are_pinned():
-    # the 1e6 points are drawn block by block; the rows keep the bits of
-    # one draw of all of them
+    # the bits of the SplitMix64 plane points, drawn and inverted a block
+    # at a time into buffers
     expected = (
-        ("inversion is an involution (1e6 points)", 4.446743333363605e-16, 1e-12),
-        ("inversion scales distances conformally", 5.053508225746989e-15, 1e-09),
+        ("inversion is an involution (1e6 points)", 4.558345356976024e-16, 1e-12),
+        ("inversion scales distances conformally", 1.7460426645736946e-15, 1e-09),
         ("perp twice negates", 0.0, 0.0),
         ("quarter turn equals perp", 1.1102230246251565e-16, 2.0917196848526337e-15),
         ("rotations add angles", 2.220446049250313e-16, 1e-12),
         ("scalar inversion involution", 0.0, 1e-12),
     )
     assert repr(_plane_inversion_rows()) == repr(expected)
+
+
+def _splitmix64(seed, n):
+    """The first n outputs of SplitMix64 (Steele, Lea & Flood 2014) in
+    Python integers."""
+    mask, out = (1 << 64) - 1, []
+    for _ in range(n):
+        seed = (seed + 0x9E3779B97F4A7C15) & mask
+        z = ((seed ^ seed >> 30) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ z >> 27) * 0x94D049BB133111EB) & mask
+        out.append(z ^ z >> 31)
+    return out
+
+
+def test_plane_draws_are_splitmix64_and_any_slice_is_the_same_draws():
+    want = [(z >> 11) * 2.0**-53 for z in _splitmix64(PLANE_SEED, 40)]
+    assert _uniform(0, 40).tolist() == want
+    draws = _uniform(0, 3 * JET_BLOCK + 7)
+    for a, b in ((0, 1), (5, 17), (JET_BLOCK - 3, 2 * JET_BLOCK + 9), (3 * JET_BLOCK, len(draws))):
+        assert np.array_equal(_uniform(a, b), draws[a:b])
+    radii, pts = _plane_points(0, 3 * JET_BLOCK + 7)
+    buf = np.full((JET_BLOCK + 12, 2), np.nan)
+    r, p = _plane_points(JET_BLOCK - 5, 2 * JET_BLOCK + 7, buf)
+    assert p is buf
+    assert np.array_equal(r, radii[JET_BLOCK - 5:2 * JET_BLOCK + 7])
+    assert np.array_equal(p, pts[JET_BLOCK - 5:2 * JET_BLOCK + 7])
+
+
+def test_plane_points_span_their_ranges_and_pair_up_unevenly():
+    radii, pts = _plane_points(0, PLANE_POINTS)
+    log_r = np.log10(radii)
+    angles = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
+    # within 1e-5 of each range, at both ends
+    assert -3 <= log_r.min() < -3 + 6e-5 and 3 - 6e-5 < log_r.max() < 3
+    assert 0 <= angles.min() < 2 * math.pi * 1e-5
+    assert 2 * math.pi * (1 - 1e-5) < angles.max() < 2 * math.pi
+    assert np.allclose(np.hypot(pts[:, 0], pts[:, 1]), radii, rtol=1e-15, atol=0)
+    # the conformal row's pairs (i, i + m): a lattice would give every pair
+    # one radius ratio and one angle offset
+    m = 10_000
+    ratios = log_r[m:2 * m] - log_r[:m]
+    assert ratios.std() > 1 and np.ptp(ratios) > 10
+    offsets = (angles[m:2 * m] - angles[:m]) % (2 * math.pi)
+    assert offsets.std() > 1
+
+
+def _perturbed_y(pts, out=None):
+    res = invert_xy(pts, out)
+    res[..., 1] *= 1 + 1e-10
+    return res
+
+
+def _rotated(pts, out=None):
+    res = invert_xy(pts, out)
+    res[...] = rotate_xy(res, 1e-8)
+    return res
+
+
+@pytest.mark.parametrize("mutant", [_perturbed_y, _rotated], ids=["y-1e-10", "rotation-1e-8"])
+def test_involution_row_catches_a_slightly_wrong_inversion(monkeypatch, mutant):
+    monkeypatch.setattr(vf, "invert_xy", mutant)
+    rows = {name: (residual, tol) for name, residual, tol in _plane_inversion_rows.__wrapped__()}
+    residual, tol = rows["inversion is an involution (1e6 points)"]
+    assert residual > 10 * tol
+
+
+def test_verify_imports_no_numpy_random():
+    code = ("import sys\n"
+            "import pedalkit.cli\n"
+            "assert pedalkit.cli.main(['verify', '--suite', 'all', '--curve', 'circle']) == 0\n"
+            "print(sorted(m for m in ('numpy.random', 'secrets') if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pk.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_plane_inversion_rows_run_in_bounded_memory():

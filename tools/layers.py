@@ -20,8 +20,11 @@ the inverse-pair check, `transforms.mapped_pedal` and
 oracle's `envelope.envelope` of the ellipse's primitive line family,
 with each sample count as the ellipse's default.  And
 `frontal.lift_front` on the built-in front at 2048 samples, whatever
-the sample counts asked for.  The jet walk: `curve._jets_xy` at orders
-1 and 3 over the grid of each sample count, on the built-in front and
+the sample counts asked for; and `verify._plane_inversion_rows`, the
+inversion rows that do not depend on the curve, over its
+`verify.PLANE_POINTS` plane points whatever the sample counts, each
+call through the uncached function.  The jet walk: `curve._jets_xy`
+at orders 1 and 3 over the grid of each sample count, on the built-in front and
 on the inverted front, written with `format_curve` and parsed back, so
 that x and y share the nodes of a parsed tree.  Each (function,
 samples) case, and each curve and order of the jet walk, runs in a
@@ -44,7 +47,8 @@ fresh child process, which
   its label; for the lift: the number of flips; for mapped_pedal and
   the envelope: the number of ok rows; for stable_mask: the number of
   stable rows; for the jet walk: the number of rows whose every jet is
-  finite).
+  finite; for the plane inversion rows: the number of rows, and
+  whether the calls imported `numpy.random`).
 
 Files are written to a temporary directory that is removed afterwards.
 A record also holds the git SHA of DIR, whether its `src/` differs from
@@ -77,6 +81,7 @@ FUNCTIONS = ("write_mapped_csv", "render_to_file", "primitive_singularities", "c
              "mapped_pedal", "stable_mask", "envelope")
 CLASSIFY_T0 = 0.42
 LIFT_SAMPLES = 2048
+PLANE_POINTS = 1_000_000  # verify.PLANE_POINTS; this process imports no pedalkit
 # the jet walk cases: (curve, order)
 JET_CASES = (("front", 1), ("front", 3), ("inv-front", 1), ("inv-front", 3))
 
@@ -126,6 +131,8 @@ def child(function: str, samples: int, runs: int, tmpdir: str, *jet_case: str) -
 
         def call():
             return envelope(make_family("primitive", ellipse))
+    elif function == "_plane_inversion_rows":
+        call = verify._plane_inversion_rows.__wrapped__
     else:
         curve = builtin_curve("ellipse")
         mc = transforms.primitive(curve, sample_grid(curve, samples))
@@ -162,6 +169,9 @@ def child(function: str, samples: int, runs: int, tmpdir: str, *jet_case: str) -
         finite = numpy.logical_and.reduce([numpy.isfinite(d).all(axis=1) for d in result])
         out = {"layer": "curve", "function": function, "samples": samples, "curve": name,
                "order": order, "finite_rows": int(finite.sum())}
+    elif function == "_plane_inversion_rows":
+        out = {"layer": "verify", "function": function, "samples": samples, "rows": len(result),
+               "numpy_random": "numpy.random" in sys.modules}
     elif function == "lift_front":
         out = {"layer": "frontal", "function": function, "samples": samples,
                "flips": len(result.flips)}
@@ -207,6 +217,7 @@ def record(checkout: str, samples: list[int], runs: int) -> dict:
     results = []
     cases = [(function, n) for n in samples for function in FUNCTIONS]
     cases.append(("lift_front", LIFT_SAMPLES))
+    cases.append(("_plane_inversion_rows", PLANE_POINTS))
     cases += [("_jets_xy", n, name, str(order)) for n in samples for name, order in JET_CASES]
     with tempfile.TemporaryDirectory() as tmpdir:
         for function, n, *jet_case in cases:
