@@ -72,12 +72,19 @@ def _ten_to(s: int) -> tuple[float, float]:
 
 
 @functools.cache
+def _powers() -> np.ndarray:
+    """(hi, lo) of 10^s for s in [-_EMAX, _EMAX + 16], the powers of
+    every P <= 17, built once."""
+    return np.array([_ten_to(s) for s in range(-_EMAX, _EMAX + 17)]).T
+
+
+@functools.cache
 def _tables(P: int) -> tuple[np.ndarray, ...]:
     """The lookup tables of '%.Pg', built on first use: powers of ten
     (hi, its split halves, lo) and exponent words for e in [-_EMAX,
     _EMAX], digit quads and their significant lengths, and byte masks."""
     Q = -(-P // 4)
-    hi, lo = np.array([_ten_to(P - 1 - e) for e in range(-_EMAX, _EMAX + 1)]).T
+    hi, lo = _powers()[:, P - 1:P + 2 * _EMAX][:, ::-1]  # 10^(P-1-e), e ascending
     c = _SPLIT * hi
     hh = c - (c - hi)
     g = np.arange(10000)
@@ -99,25 +106,21 @@ def _tables(P: int) -> tuple[np.ndarray, ...]:
     word[:, 3] = np.where(three, a // 10 % 10, a % 10) + ord("0")
     word[:, 4] = np.where(three, a % 10 + ord("0"), 0)
     exps = word.reshape(-1).view(np.uint64)
-    masks = bytearray()
-    for neg in (0, 1):
-        for X in range(-5, P + 1):  # -5 and P stand for every scientific exponent
-            sci = not -4 <= X < P
-            for nsig in range(1, P + 1):
-                m = bytearray(8 * (Q + 2))
-                m[0] = 0xFF  # separator
-                m[1] = 0xFF * neg  # sign
-                if not sci and X < 0:
-                    m[2:3 - X] = b"\xff" * (1 - X)  # "0." and -X-1 zeros
-                keep = nsig if sci or X < 0 else max(nsig, X + 1)
-                m[8:8 + 2 * keep:2] = b"\xff" * keep
-                point = 0 if sci else X
-                if 0 <= point < nsig - 1:
-                    m[9 + 2 * point] = 0xFF
-                if sci:
-                    m[-8:] = b"\xff" * 8
-                masks += m
-    masks = np.frombuffer(bytes(masks), np.uint64).reshape(-1, Q + 2).T.copy()
+    # mask row (neg, X, nsig) keeps byte b of the number's text
+    neg = np.arange(2)[:, None, None, None]
+    X = np.arange(-5, P + 1)[:, None, None]  # -5 and P stand for every scientific exponent
+    nsig = np.arange(1, P + 1)[:, None]
+    b = np.arange(8 * (Q + 2))
+    sci = (X < -4) | (X >= P)
+    keep = np.where(~sci & (X >= 0), np.maximum(nsig, X + 1), nsig)
+    point = np.where(sci, 0, X)
+    kept = ((b == 0)  # separator
+            | (b == 1) & (neg == 1)  # sign
+            | ~sci & (X < 0) & (b >= 2) & (b < 3 - X)  # "0." and -X-1 zeros
+            | (b >= 8) & (b < 8 + 2 * keep) & (b % 2 == 0)  # digits
+            | (point >= 0) & (point < nsig - 1) & (b == 9 + 2 * point)  # decimal point
+            | sci & (b >= 8 * (Q + 1)))  # exponent word
+    masks = (kept * np.uint8(0xFF)).reshape(-1, 8 * (Q + 2)).view(np.uint64).T.copy()
     return hi, hh, hi - hh, lo, quads, sig, exps, masks
 
 

@@ -129,13 +129,16 @@ def stable_mask(mc: tr.MappedCurve) -> np.ndarray:
 
 PLANE_SEED = 20240811
 PLANE_POINTS = 1_000_000
+_LN_1E6 = math.log(1e6)  # 1e-3 * exp(_LN_1E6 * u) < 1e3 for every draw u < 1
 
 
 def _uniform(start: int, stop: int) -> np.ndarray:
     """Draws start..stop-1 of the SplitMix64 stream seeded with PLANE_SEED
     (Steele, Lea & Flood, OOPSLA 2014), as floats in [0, 1) from their top
     53 bits.  Draw k mixes PLANE_SEED + (k + 1) * gamma, so any slice of
-    the stream is computed directly, in uint64 arithmetic that wraps."""
+    the stream is computed directly, in uint64 arithmetic that wraps: the
+    radii of `_plane_points` take draws 0..PLANE_POINTS-1, its angles one
+    draw per group of 8 points from PLANE_POINTS on."""
     z = np.arange(start + 1, stop + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15 + PLANE_SEED
     z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
     z = (z ^ z >> 27) * 0x94D049BB133111EB
@@ -145,15 +148,41 @@ def _uniform(start: int, stop: int) -> np.ndarray:
 def _plane_points(start: int, stop: int,
                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(radii, points) of the random plane points start..stop-1, the
-    points written to out if given.  The radii, log-uniform in [1e-3,
-    1e3], are draws start..stop-1 of `_uniform`, the angles, uniform in
-    [0, 2 pi), its draws PLANE_POINTS + start.. ."""
-    radii = 10.0 ** (6.0 * _uniform(start, stop) - 3.0)
-    angles = 2 * math.pi * _uniform(PLANE_POINTS + start, PLANE_POINTS + stop)
+    points written to out if given.  Point 8j + k is the k-th image of
+    (cos theta_j, sin theta_j), theta_j = pi/4 * draw PLANE_POINTS + j of
+    `_uniform`, under the symmetries of the square: sign flips and a swap,
+    exact in floating point, which put its angle, uniform in [0, 2 pi), in
+    octant k.  Its radius, log-uniform in [1e-3, 1e3], is 1e-3 *
+    exp(ln(1e6) * draw 8j + k).  A slice that cuts a group of 8 is cut
+    from the whole groups."""
     pts = np.empty((stop - start, 2)) if out is None else out
-    for k, f in enumerate((np.cos, np.sin)):
-        np.multiply(f(angles, out=pts[:, k]), radii, out=pts[:, k])
+    lo, hi = start - start % 8, stop + -stop % 8
+    if (lo, hi) != (start, stop):
+        radii, whole = _plane_points(lo, hi)
+        pts[:] = whole[start - lo:stop - lo]
+        return radii[start - lo:stop - lo], pts
+    radii = _uniform(start, stop)
+    radii *= _LN_1E6
+    np.exp(radii, out=radii)
+    radii *= 1e-3
+    theta = math.pi / 4 * _uniform(PLANE_POINTS + start // 8, PLANE_POINTS + stop // 8)
+    cs = np.empty((4, len(theta)))  # cos, sin, -cos, -sin
+    np.cos(theta, out=cs[0])
+    np.sin(theta, out=cs[1])
+    np.negative(cs[:2], out=cs[2:])
+    # x and y of images 0..7: (c, s) (s, c) (-s, c) (-c, s) (-c, -s) (-s, -c) (s, -c) (c, -s)
+    for col, images in enumerate(([0, 1, 3, 2, 2, 3, 1, 0], [1, 0, 0, 1, 3, 2, 2, 3])):
+        np.multiply(cs[images].T, radii.reshape(-1, 8), out=pts[:, col].reshape(-1, 8))
     return radii, pts
+
+
+def _conformal_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m pairs (x[i], y[i]) of plane points, m a multiple of 4: point i,
+    image k of its angle, and point 2m - 1 - i, image 7 - k of its own,
+    the mirror image in the x axis.  Pairs of one image would offset
+    their angles by less than pi/4; these offsets cover the circle."""
+    _, pts = _plane_points(0, 2 * m)
+    return pts[:m], pts[:m - 1:-1]
 
 
 @functools.lru_cache(maxsize=1)
@@ -161,21 +190,28 @@ def _plane_inversion_rows() -> tuple[tuple[str, float, float], ...]:
     """(name, residual, tolerance) of the inversion rows that do not
     depend on the curve; computed once per process, on PLANE_POINTS
     points drawn a row_blocks slice at a time into JET_BLOCK-row
-    buffers allocated once: a block's points and their double inverses."""
-    bufs = np.empty((2, JET_BLOCK, 2))
+    buffers allocated once: a block's points and their double inverses,
+    whose distance is taken in place (the squares neither overflow nor
+    underflow for radii in [1e-3, 1e3])."""
+    bufs = np.empty((2, 2, JET_BLOCK))  # x and y columns of each, contiguous
 
     def involution(block):
-        pts, back = bufs[:, :block.stop - block.start]
+        pts, back = (b.T[:block.stop - block.start] for b in bufs)
         radii, _ = _plane_points(block.start, block.stop, pts)
         back = invert_xy(invert_xy(pts, back), back)
         back -= pts
-        return np.hypot(back[:, 0], back[:, 1]) / radii
+        back *= back
+        dist = back[:, 0]
+        dist += back[:, 1]
+        np.sqrt(dist, out=dist)
+        dist /= radii
+        return dist
 
     m = 10_000
-    _, pts = _plane_points(0, 2 * m)
+    xs, ys = _conformal_pairs(m)
 
     def conformal(block):
-        x, y = pts[:m][block], pts[m:][block]
+        x, y = xs[block], ys[block]
         lhs = np.hypot(*(invert_xy(x) - invert_xy(y)).T)
         rhs = np.hypot(*(x - y).T) / (np.hypot(*x.T) * np.hypot(*y.T))
         return np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
@@ -431,6 +467,18 @@ def _output_normal_residual(lc: fr.LegendrianCurve, mask: np.ndarray) -> float:
     return _block_max(len(mask), residual, mask)
 
 
+@functools.lru_cache(maxsize=1)
+def _circle_composition_rows() -> tuple[tuple[str, float, float], ...]:
+    """(name, residual, tolerance) of the frontal rows on the built-in
+    circle at 1024 samples, which do not depend on the curve; computed
+    once per process."""
+    lift = fr.lift_front(builtin_curve("circle", samples=1024))
+    return tuple((f"circle slant composition adds angles ({label})",
+                  fr.composition_check(lift, psi, phi), 1e-9)
+                 for label, psi, phi in (("pi/10, pi/5", math.pi / 10, math.pi / 5),
+                                         ("pi/6, pi/6", math.pi / 6, math.pi / 6)))
+
+
 def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     lc = fr.lift_front(curve, sample_grid(curve, max(4096, curve.samples)))
     n = len(lc.grid)
@@ -474,11 +522,8 @@ def _suite_frontal(curve: CurveDef, report: VerifyReport) -> None:
     report.add("slant(psi) of slant(phi) = slant(psi+phi) of primitive",
                _diff(two_step, one_step, both, relative=True), 1e-9)
 
-    circle_lift = fr.lift_front(builtin_curve("circle", samples=1024))
-    report.add("circle slant composition adds angles (pi/10, pi/5)",
-               fr.composition_check(circle_lift, math.pi / 10, math.pi / 5), 1e-9)
-    report.add("circle slant composition adds angles (pi/6, pi/6)",
-               fr.composition_check(circle_lift, math.pi / 6, math.pi / 6), 1e-9)
+    for row in _circle_composition_rows():
+        report.add(*row)
 
     lhs, rhs, both = fr._composition_sides(lc, math.pi / 4, math.pi / 4)
     report.add("degenerate composition: both sides vanish",

@@ -446,3 +446,37 @@ def test_importing_pedalkit_builds_no_formatting_table():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def _ref_powers_and_masks(P):
+    """The powers of ten and byte masks of '%.Pg' built one entry at a
+    time: hi, lo of 10^(P-1-e) per exponent and one bytearray per mask row."""
+    Q = -(-P // 4)
+    hi, lo = np.array([rd._ten_to(P - 1 - e) for e in range(-rd._EMAX, rd._EMAX + 1)]).T
+    masks = bytearray()
+    for neg in (0, 1):
+        for X in range(-5, P + 1):
+            sci = not -4 <= X < P
+            for nsig in range(1, P + 1):
+                m = bytearray(8 * (Q + 2))
+                m[0] = 0xFF
+                m[1] = 0xFF * neg
+                if not sci and X < 0:
+                    m[2:3 - X] = b"\xff" * (1 - X)
+                keep = nsig if sci or X < 0 else max(nsig, X + 1)
+                m[8:8 + 2 * keep:2] = b"\xff" * keep
+                point = 0 if sci else X
+                if 0 <= point < nsig - 1:
+                    m[9 + 2 * point] = 0xFF
+                if sci:
+                    m[-8:] = b"\xff" * 8
+                masks += m
+    return hi, lo, np.frombuffer(bytes(masks), np.uint64).reshape(-1, Q + 2).T.copy()
+
+
+@pytest.mark.parametrize("P", [17, 8, 1, 4, 5, 9, 16])
+def test_tables_equal_their_one_entry_at_a_time_reference(P):
+    hi, _, _, lo, *_, masks = rd._tables(P)
+    for got, want in zip((hi, lo, masks), _ref_powers_and_masks(P)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -22,6 +22,7 @@ from pedalkit.errors import HypothesisViolated, RangeError
 from pedalkit import verify as vf
 from pedalkit.vec import dot_xy, finite_xy, invert_xy, perp_xy, rotate_xy
 from pedalkit.verify import (PLANE_POINTS, PLANE_SEED, STABLE_FRAC, SUITES, VerifyReport, _diff,
+                             _circle_composition_rows, _conformal_pairs,
                              _fd_curvature_of_inverted, _plane_inversion_rows, _plane_points,
                              _uniform, run_suite, stable_mask)
 
@@ -127,9 +128,25 @@ def test_singularity_and_frontal_suites_walk_each_grid_once(monkeypatch):
     # the Frenet grid alone: the finite-difference row reads its
     # positions, and the frame of the primitive its positions and normals
     assert _grid_walks(monkeypatch, "singularity", ellipse) == {("jets", 3, 4096): 1}
-    # the lifts of the curve and of the 1024-sample circle, nothing more
+    # the lifts of the curve and of the 1024-sample circle, nothing more;
+    # the circle's rows are computed once per process, so a second run
+    # lifts the curve alone
+    _circle_composition_rows.cache_clear()
     assert _grid_walks(monkeypatch, "frontal", ellipse) == {
         ("jets", 3, 4096): 1, ("jets", 3, 1024): 1}
+    assert _grid_walks(monkeypatch, "frontal", ellipse) == {("jets", 3, 4096): 1}
+
+
+def test_circle_composition_rows_are_computed_once_per_process():
+    rows = _circle_composition_rows()
+    assert _circle_composition_rows() is rows
+    assert repr(_circle_composition_rows.__wrapped__()) == repr(rows)
+    assert [name for name, *_ in rows] == ["circle slant composition adds angles (pi/10, pi/5)",
+                                           "circle slant composition adds angles (pi/6, pi/6)"]
+    first, second = (run_suite("frontal", builtin_curve("ellipse")).results for _ in range(2))
+    assert first == second
+    assert [(r.name, r.residual, r.tolerance) for r in first if r.name.startswith("circle")] == [
+        (name, float(residual), tol) for name, residual, tol in rows]
 
 
 def test_all_suites_build_the_default_frame_of_the_curve_once(monkeypatch):
@@ -408,11 +425,11 @@ def test_inversion_curvature_row_compares_absolutely_on_a_line_through_the_origi
 
 
 def test_plane_inversion_rows_are_pinned():
-    # the bits of the SplitMix64 plane points, drawn and inverted a block
-    # at a time into buffers
+    # the bits of the SplitMix64 plane points, eight per angle drawn,
+    # inverted a block at a time into buffers
     expected = (
-        ("inversion is an involution (1e6 points)", 4.558345356976024e-16, 1e-12),
-        ("inversion scales distances conformally", 1.7460426645736946e-15, 1e-09),
+        ("inversion is an involution (1e6 points)", 4.397224512321721e-16, 1e-12),
+        ("inversion scales distances conformally", 6.300774566411872e-16, 1e-09),
         ("perp twice negates", 0.0, 0.0),
         ("quarter turn equals perp", 1.1102230246251565e-16, 2.0917196848526337e-15),
         ("rotations add angles", 2.220446049250313e-16, 1e-12),
@@ -440,11 +457,37 @@ def test_plane_draws_are_splitmix64_and_any_slice_is_the_same_draws():
     for a, b in ((0, 1), (5, 17), (JET_BLOCK - 3, 2 * JET_BLOCK + 9), (3 * JET_BLOCK, len(draws))):
         assert np.array_equal(_uniform(a, b), draws[a:b])
     radii, pts = _plane_points(0, 3 * JET_BLOCK + 7)
-    buf = np.full((JET_BLOCK + 12, 2), np.nan)
-    r, p = _plane_points(JET_BLOCK - 5, 2 * JET_BLOCK + 7, buf)
-    assert p is buf
-    assert np.array_equal(r, radii[JET_BLOCK - 5:2 * JET_BLOCK + 7])
-    assert np.array_equal(p, pts[JET_BLOCK - 5:2 * JET_BLOCK + 7])
+    # slices of whole groups of 8, slices that cut a group at either end or
+    # both, and slices within one group
+    for a, b in ((0, 8), (8, JET_BLOCK), (3, 5), (9, 16), (16, 21),
+                 (JET_BLOCK - 5, 2 * JET_BLOCK + 7), (2 * JET_BLOCK + 1, len(radii))):
+        buf = np.full((b - a + 12, 2), np.nan)
+        r, p = _plane_points(a, b, buf[:b - a])
+        assert p.base is buf and np.isnan(buf[b - a:]).all()
+        assert np.array_equal(r, radii[a:b])
+        assert np.array_equal(p, pts[a:b])
+        r, p = _plane_points(a, b)
+        assert np.array_equal(r, radii[a:b]) and np.array_equal(p, pts[a:b])
+
+
+def test_plane_points_are_the_images_of_one_angle_under_the_square_symmetries():
+    radii, pts = _plane_points(0, 8 * 1000)
+    theta = math.pi / 4 * _uniform(PLANE_POINTS, PLANE_POINTS + 1000)
+    c, s = (f(theta) for f in (np.cos, np.sin))
+    images = np.stack([(c, s), (s, c), (-s, c), (-c, s), (-c, -s), (-s, -c), (s, -c), (c, -s)],
+                      axis=1).transpose(2, 1, 0)  # (group, image, xy)
+    assert np.array_equal(pts, (images * radii.reshape(-1, 8, 1)).reshape(-1, 2))
+    angles = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
+    assert np.array_equal(angles // (math.pi / 4), np.arange(len(pts)) % 8)  # octant k
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5, 1.0 - 2.0**-53])
+def test_plane_radii_stay_in_their_range_at_the_extreme_draws(monkeypatch, u):
+    monkeypatch.setattr(vf, "_uniform", lambda start, stop: np.full(stop - start, u))
+    radii, pts = _plane_points(0, 8)
+    assert 1e-3 <= radii.min() and radii.max() <= 1e3
+    if u == 0.0:
+        assert radii.tolist() == [1e-3] * 8
 
 
 def test_plane_points_span_their_ranges_and_pair_up_unevenly():
@@ -456,13 +499,16 @@ def test_plane_points_span_their_ranges_and_pair_up_unevenly():
     assert 0 <= angles.min() < 2 * math.pi * 1e-5
     assert 2 * math.pi * (1 - 1e-5) < angles.max() < 2 * math.pi
     assert np.allclose(np.hypot(pts[:, 0], pts[:, 1]), radii, rtol=1e-15, atol=0)
-    # the conformal row's pairs (i, i + m): a lattice would give every pair
-    # one radius ratio and one angle offset
-    m = 10_000
-    ratios = log_r[m:2 * m] - log_r[:m]
-    assert ratios.std() > 1 and np.ptp(ratios) > 10
-    offsets = (angles[m:2 * m] - angles[:m]) % (2 * math.pi)
+    # the conformal row's pairs: a lattice would give every pair one radius
+    # ratio and one angle offset, and pairs of one octant image would
+    # offset their angles by less than pi/4
+    x, y = _conformal_pairs(10_000)
+    log_ratios = np.log10(np.hypot(*y.T) / np.hypot(*x.T))
+    assert log_ratios.std() > 1 and np.ptp(log_ratios) > 10
+    offsets = (np.arctan2(y[:, 1], y[:, 0]) - np.arctan2(x[:, 1], x[:, 0])) % (2 * math.pi)
     assert offsets.std() > 1
+    shares = np.bincount((offsets // (math.pi / 4)).astype(int), minlength=8) / len(offsets)
+    assert len(shares) == 8 and shares.min() > 0.10 and shares.max() < 0.15, shares
 
 
 def _perturbed_y(pts, out=None):
@@ -477,7 +523,24 @@ def _rotated(pts, out=None):
     return res
 
 
-@pytest.mark.parametrize("mutant", [_perturbed_y, _rotated], ids=["y-1e-10", "rotation-1e-8"])
+def _perturbed_in_one_octant(pts, out=None):
+    # octant 5, angles in [5 pi/4, 3 pi/2); inversion keeps the angle
+    hit = (pts[..., 1] < pts[..., 0]) & (pts[..., 0] <= 0)
+    res = invert_xy(pts, out)
+    res[..., 1] *= np.where(hit, 1 + 1e-10, 1.0)
+    return res
+
+
+def _perturbed_below_radius_1e_2(pts, out=None):
+    hit = dot_xy(pts, pts) < 1e-4
+    res = invert_xy(pts, out)
+    res[..., 1] *= np.where(hit, 1 + 1e-10, 1.0)
+    return res
+
+
+@pytest.mark.parametrize("mutant", [_perturbed_y, _rotated, _perturbed_in_one_octant,
+                                    _perturbed_below_radius_1e_2],
+                         ids=["y-1e-10", "rotation-1e-8", "octant-5", "radius-below-1e-2"])
 def test_involution_row_catches_a_slightly_wrong_inversion(monkeypatch, mutant):
     monkeypatch.setattr(vf, "invert_xy", mutant)
     rows = {name: (residual, tol) for name, residual, tol in _plane_inversion_rows.__wrapped__()}
