@@ -131,10 +131,10 @@ def jet(curve: CurveDef, t: float) -> CurveJet:
 
 
 def frenet(curve: CurveDef, t: float) -> FrenetData:
-    """Unit tangent, unit normal (J t_hat), speed, curvature and its
-    arc-length derivative at one parameter."""
+    """Unit tangent t_hat = -J n_hat, unit normal n_hat, speed, curvature
+    and its arc-length derivative at one parameter."""
     fg = frenet_rows(curve, t)
-    return FrenetData(t, fg.p[0], fg.t_hat[0], fg.n_hat[0],
+    return FrenetData(t, fg.p[0], -perp_xy(fg.n_hat[0]), fg.n_hat[0],
                       float(fg.speed[0]), float(fg.kappa[0]),
                       float(fg.kappa_prime_arc[0]))
 
@@ -166,11 +166,10 @@ def sample_grid(curve: CurveDef, samples: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrenetGrid:
-    """Vectorized jets and Frenet data over a parameter grid.
-
-    Rows where speed < REGULAR_EPS have t_hat/n_hat/kappa set to nan;
-    `regular` marks the usable rows.
-    """
+    """Vectorized jets and Frenet data over a parameter grid, with the
+    unit normal n_hat = J d1 / |d1| and no tangent (it is -J n_hat).
+    Rows where speed < REGULAR_EPS have n_hat/kappa set to nan;
+    `regular` marks the usable rows."""
 
     ts: np.ndarray
     p: np.ndarray
@@ -178,7 +177,6 @@ class FrenetGrid:
     d2: np.ndarray
     d3: np.ndarray
     speed: np.ndarray
-    t_hat: np.ndarray
     n_hat: np.ndarray
     kappa: np.ndarray
     kappa_prime_arc: np.ndarray
@@ -237,23 +235,22 @@ def jet_grid(curve: CurveDef, ts: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _unit_frame(d1: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(speed, regular, t_hat, n_hat) from the velocities d1; t_hat and
-    n_hat = J t_hat are nan on rows that are not regular."""
+    """(speed, regular, n_hat) from the velocities d1: n_hat = J d1 / |d1|,
+    the bits of J (d1 / |d1|), and nan on rows that are not regular."""
     speed = np.hypot(d1[:, 0], d1[:, 1])
     regular = np.isfinite(speed) & (speed >= REGULAR_EPS)
+    n_hat = perp_xy(d1)
     with np.errstate(all="ignore"):
-        t_hat = scale_xy(np.divide, d1, speed)
-    n_hat = perp_xy(t_hat)
-    for arr in (t_hat, n_hat):
-        arr[~regular] = np.nan
-    return speed, regular, t_hat, n_hat
+        scale_xy(np.divide, n_hat, speed, out=n_hat)
+    n_hat[~regular] = np.nan
+    return speed, regular, n_hat
 
 
 def frenet_grid(curve: CurveDef, ts: np.ndarray | None = None) -> FrenetGrid:
     """The one carrier of a curve's jets and Frenet data on a grid."""
     ts = sample_grid(curve) if ts is None else np.asarray(ts, dtype=float)
     p, d1, d2, d3 = jet_grid(curve, ts)
-    speed, regular, t_hat, n_hat = _unit_frame(d1)
+    speed, regular, n_hat = _unit_frame(d1)
     with np.errstate(all="ignore"):
         cross12 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         cross13 = d1[:, 0] * d3[:, 1] - d1[:, 1] * d3[:, 0]
@@ -262,7 +259,7 @@ def frenet_grid(curve: CurveDef, ts: np.ndarray | None = None) -> FrenetGrid:
         kappa_prime = dkappa_dt / speed
     kappa[~regular] = np.nan
     kappa_prime[~regular] = np.nan
-    return FrenetGrid(ts, p, d1, d2, d3, speed, t_hat, n_hat, kappa, kappa_prime, regular)
+    return FrenetGrid(ts, p, d1, d2, d3, speed, n_hat, kappa, kappa_prime, regular)
 
 
 def check_defined(curve: CurveDef, ts: np.ndarray, rows) -> None:

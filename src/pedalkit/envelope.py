@@ -57,16 +57,17 @@ class LineFamily:
         walk of the curve.  A curve point at the origin is refused."""
         ts = np.asarray(ts, dtype=float)
         g, gp = _jets_xy(self.curve, ts, 1)
-        n2 = dot_xy(g, g)
-        _check_origin(ts, n2, f"the {self.kind.name} line family")
-        if self.kind.name == "antipedal":
-            return g, np.ones_like(ts), gp, np.zeros_like(ts)
-        phi = self.kind.angle
-        k = (self.kind.ratio or 1.0) if phi is None else math.cos(phi)
-        c, cp = k * n2, 2.0 * k * dot_xy(g, gp)
-        if phi is None:
-            return g, c, gp, cp
-        return rotate_xy(g, phi), c, rotate_xy(gp, phi), cp
+        with np.errstate(all="ignore"):  # g' may be infinite where g is finite: 0 * inf
+            n2 = dot_xy(g, g)
+            _check_origin(ts, n2, f"the {self.kind.name} line family")
+            if self.kind.name == "antipedal":
+                return g, np.ones_like(ts), gp, np.zeros_like(ts)
+            phi = self.kind.angle
+            k = (self.kind.ratio or 1.0) if phi is None else math.cos(phi)
+            c, cp = k * n2, 2.0 * k * dot_xy(g, gp)
+            if phi is None:
+                return g, c, gp, cp
+            return rotate_xy(g, phi), c, rotate_xy(gp, phi), cp
 
 
 def make_family(kind: str, curve: CurveDef, r: float | None = None,

@@ -8,7 +8,7 @@ A frontal is a curve g together with a continuous unit normal nu with
 
 lift_front builds nu, ell and beta on a grid from the Frenet grid of
 the curve, which it keeps as LegendrianCurve.frenet: on regular arcs
-nu = sigma (d1y, -d1x)/|d1| with a piecewise-constant sign sigma chosen
+nu = -sigma J d1/|d1| with a piecewise-constant sign sigma chosen
 for continuity; where the velocity vanishes the direction comes from d2,
 and ell is the limit det(d2, d3) / (2 |d2|^2).  As sigma^2 = 1, sigma
 flips exactly in the cells where consecutive raw normals point apart,
@@ -57,11 +57,11 @@ CONTINUITY_MIN_DOT = 0.5
 
 
 def _raw_normals(fg: FrenetGrid) -> np.ndarray:
-    """Unit normal directions up to sign, (d_y, -d_x)/|d| = -n_hat from
-    d1, or at singular parameters from d2."""
+    """Unit normal directions up to sign, -J d/|d| = -n_hat from d = d1,
+    or at singular parameters from d = d2."""
     raw = -fg.n_hat
     todo = np.flatnonzero(~fg.regular)
-    _, regular, _, n_hat = _unit_frame(fg.d2[todo])
+    _, regular, n_hat = _unit_frame(fg.d2[todo])
     if not regular.all():
         raise LiftFailure(f"no direction data at t={float(fg.ts[todo[~regular][0]])}: "
                           "the first two derivatives vanish")
@@ -71,14 +71,12 @@ def _raw_normals(fg: FrenetGrid) -> np.ndarray:
 
 def _ell(sigma: np.ndarray, d1: np.ndarray, d2: np.ndarray, speed: np.ndarray,
          mu: np.ndarray) -> np.ndarray:
-    """ell = <nu', mu> on regular rows, from the quotient rule for
-    nu = sigma (d1y, -d1x)/|d1|."""
+    """ell = <nu', mu> on regular rows, from the quotient rule for nu = -sigma J d1/|d1|."""
     with np.errstate(all="ignore"):
-        w = np.column_stack([d1[:, 1], -d1[:, 0]])
-        wdot = np.column_stack([d2[:, 1], -d2[:, 0]])
         sdot = dot_xy(d1, d2)  # = speed * d(speed)/dt
-        # sigma (wdot speed^2 - w sdot) / speed^3
-        nudot = scale_xy(np.multiply, wdot, speed ** 2) - scale_xy(np.multiply, w, sdot)
+        # sigma (J d1 sdot - J d2 speed^2) / speed^3
+        nudot = (scale_xy(np.multiply, perp_xy(d1), sdot)
+                 - scale_xy(np.multiply, perp_xy(d2), speed ** 2))
         nudot = scale_xy(np.divide, scale_xy(np.multiply, sigma, nudot), speed ** 3)
         return dot_xy(nudot, mu)
 

@@ -1,15 +1,15 @@
 """Pedal-type and primitive-type transforms of plane curves.
 
 Each formula is one kernel over a frame: a MappedCurve whose `nu` holds
-a unit normal per sample (the tangent t = -J nu is exact).  Three
-providers build frames: `frenet_frame` (n_hat from the symbolic jets),
-`polyline_frames` (five-point differences on an already sampled curve)
-and `frontal.lift_front` (the lifted normal of a front, a
-LegendrianCurve); each turns its velocities into unit normals with
-`curve._unit_frame`.  The public transforms compose one provider with one
-kernel: `pedal(curve)` and friends use Frenet frames, `mapped_*` polyline
-frames, `frontal_*` lifted ones.  TRANSFORMS maps each kind name to its
-kernel and the parameter it takes.
+a unit normal per sample and no tangent (the kernels take t = -J nu,
+which is exact).  Three providers build frames: `frenet_frame` (n_hat
+from the symbolic jets), `polyline_frames` (five-point differences on an
+already sampled curve) and `frontal.lift_front` (the lifted normal of a
+front, a LegendrianCurve); each turns its velocities v into unit normals
+J v/|v| with `curve._unit_frame`.  The public transforms compose one
+provider with one kernel: `pedal(curve)` and friends use Frenet frames,
+`mapped_*` polyline frames, `frontal_*` lifted ones.  TRANSFORMS maps
+each kind name to its kernel and the parameter it takes.
 
 A Frenet frame needs only the order-1 jets, p and p'.  A curve keeps
 one frame, that of its default grid: `frenet_frame(curve)` builds it
@@ -182,7 +182,7 @@ def frenet_frame(curve: CurveDef, ts: np.ndarray | None = None) -> MappedCurve:
     p, nu = np.empty((len(grid), 2)), np.empty((len(grid), 2))
     for block in row_blocks(len(grid)):
         p[block], d1 = _jets_xy(curve, grid[block], 1)
-        nu[block] = _unit_frame(d1)[3]
+        nu[block] = _unit_frame(d1)[2]
     flags = np.full(len(grid), FLAG_OK, dtype=np.uint8)
     for arr in (grid, p, nu, flags):
         arr.flags.writeable = False
@@ -205,7 +205,7 @@ class _PolylineFrame(MappedCurve):
         n, start, stop = len(self.grid), block.start - 2, block.stop + 2
         pts, flags = (halo(a, start, stop, self.closed) for a in (self.points, self.flags))
         with np.errstate(all="ignore"):
-            nu = _unit_frame(five_point_derivative(pts, self.grid[1] - self.grid[0]))[3]
+            nu = _unit_frame(five_point_derivative(pts, self.grid[1] - self.grid[0]))[2]
         # no stencil reaches past an open end
         rows = np.arange(start, stop)
         ok = (flags == FLAG_OK) & finite_xy(pts) & (self.closed | ((rows >= 0) & (rows < n)))

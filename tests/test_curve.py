@@ -9,6 +9,7 @@ from pedalkit import (CurveDef, IrregularPoint, ParseError, RangeError,
                       builtin_curve, format_curve, frenet, frenet_grid,
                       load_curve, parse_curve, sample_grid)
 from pedalkit.curve import jet_grid
+from pedalkit.vec import perp_xy
 
 ELLIPSE_TEXT = """
 name = "squashed"
@@ -172,9 +173,11 @@ def test_frenet_frame_orthonormal_everywhere():
     for name in ("ellipse", "offset_circle"):
         c = builtin_curve(name)
         fg = frenet_grid(c, sample_grid(c, 257))
-        dots = (fg.t_hat * fg.n_hat).sum(axis=1)
+        assert fg.regular.all()
+        # the normal is unit and normal to the velocity; the tangent, -J n_hat, follows
+        dots = (fg.d1 * fg.n_hat).sum(axis=1) / fg.speed
         assert np.abs(dots).max() < 1e-12
-        assert np.abs(np.hypot(fg.t_hat[:, 0], fg.t_hat[:, 1]) - 1).max() < 1e-12
+        assert np.abs(np.hypot(fg.n_hat[:, 0], fg.n_hat[:, 1]) - 1).max() < 1e-12
 
 
 def test_kappa_prime_arc_matches_finite_difference():
@@ -269,10 +272,12 @@ def test_scalar_functions_are_rows_of_the_grid_functions(name, count):
         assert _bits(*(c for v in (j.p, j.d1, j.d2, j.d3) for c in (v[0], v[1]))) == \
             _bits(*(c for d in jets for c in d[i]))
         fr = frenet(curve, t)
-        assert _bits(fr.p[0], fr.p[1], fr.t_hat[0], fr.t_hat[1], fr.n_hat[0], fr.n_hat[1],
+        assert _bits(fr.p[0], fr.p[1], fr.n_hat[0], fr.n_hat[1],
                      fr.speed, fr.kappa, fr.kappa_prime_arc) == \
-            _bits(*fg.p[i], *fg.t_hat[i], *fg.n_hat[i],
-                  fg.speed[i], fg.kappa[i], fg.kappa_prime_arc[i])
+            _bits(*fg.p[i], *fg.n_hat[i], fg.speed[i], fg.kappa[i], fg.kappa_prime_arc[i])
+        # the tangent, which the grid does not keep, is d1 / |d1| = -J n_hat
+        assert _bits(*fr.t_hat) == _bits(*(fg.d1[i] / fg.speed[i])) == \
+            _bits(*-perp_xy(fg.n_hat[i]))
         assert _bits(pk.criterion(curve, t)) == _bits(crit[i])
 
 

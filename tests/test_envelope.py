@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pedalkit import render as rd
 from pedalkit import transforms as tr
-from pedalkit.envelope import circle_family_check, envelope, make_family
+from pedalkit.envelope import FAMILY_KINDS, circle_family_check, envelope, make_family
 from pedalkit.curve import (JET_BLOCK, builtin_curve, parse_curve, position_xy,
                             sample_grid, velocity_xy)
 from pedalkit.errors import OriginSingularity, RangeError
@@ -44,6 +45,22 @@ def test_envelope_flags_degenerate_members():
     assert not env.ok[0]
     assert not env.ok[-1]
     assert env.ok[1:-1].all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_families_with_an_infinite_velocity_at_the_ends_warn_nothing():
+    # g' is infinite at t = -1 and 1, where g is finite: <g, g'> is 0 * inf
+    arc = parse_curve("x = sqrt(1 - t^2)\ny = t + 2\nt_min = -1\nt_max = 1\nclosed = false")
+    for kind in FAMILY_KINDS:
+        env = envelope(make_family(kind, arc, r=2.0, phi=0.4))
+        if kind == "antipedal":  # no <g, g'> in this family
+            assert env.ok.all(), kind
+        else:
+            assert env.flags[0] == env.flags[-1] == tr.FLAG_UNDEFINED, kind
+            assert env.ok[1:-1].all(), kind
+    spec = rd.PlotSpec([rd.overlay_from_mapped(tr.primitive(arc))],
+                       family=make_family("primitive", arc), family_count=9)
+    assert rd.render_svg(spec).count("<line ") == 9
 
 
 def test_family_line_contains_transform_point():

@@ -26,30 +26,35 @@ def test_layers_tool_records_the_output_layer(tmp_path):
         ("render", "write_mapped_csv", 1024), ("render", "render_to_file", 1024),
         ("singularity", "primitive_singularities", 1024), ("singularity", "classify_cusp", 1024),
         ("transforms", "mapped_pedal", 1024), ("verify", "stable_mask", 1024),
-        ("envelope", "envelope", 1024), ("frontal", "lift_front", 2048),
+        ("envelope", "envelope", 1024), ("frames", "frenet_frame", 1024),
+        ("frames", "frenet_grid", 1024), ("frontal", "lift_front", 2048),
         ("verify", "_plane_inversion_rows", 1_000_000)] + [("curve", "_jets_xy", 1024)] * 4
     for r in rec["results"]:
         assert r["runs"] == 2
         if r["function"] != "classify_cusp":  # which reports a label, not a count
-            counts = ("bytes", "roots", "flips", "ok_rows", "stable_rows", "finite_rows", "rows")
+            counts = ("bytes", "roots", "flips", "ok_rows", "stable_rows", "normal_rows",
+                      "finite_rows", "rows")
             assert [r[k] > 0 for k in counts if k in r] == [True]
         assert 0 < r["q1_s"] <= r["median_s"] <= r["q3_s"]
         assert r["call_peak_mb"] > 0 and r["peak_rss_mb"] > 0
         # minor page faults of each timed call, the cold one first
         assert len(r["minflt"]) == 3 and all(f >= 0 for f in r["minflt"])
-    assert rec["results"][2]["roots"] == 4 and rec["results"][7]["flips"] == 4
+    assert rec["results"][2]["roots"] == 4 and rec["results"][9]["flips"] == 4
     # the pedal of the primitive and the envelope are ok on every row;
     # the primitive's polyline is resolved away from its cusps only
     mapped, stable, env = rec["results"][4:7]
     assert mapped["ok_rows"] == env["ok_rows"] == 1024 and 0 < stable["stable_rows"] < 1024
     # 0.42 is near, not at, the cusp atan(1/sqrt(5)) of the ellipse's primitive
     assert rec["results"][3]["t0"] == 0.42 and rec["results"][3]["label"] == "not-singular"
+    # the front is regular: the order-1 frame and the order-3 grid have a
+    # normal on every row
+    assert [r["normal_rows"] for r in rec["results"][7:9]] == [1024, 1024]
     # the six curve-independent inversion rows, drawn without numpy.random
-    plane = rec["results"][8]
+    plane = rec["results"][10]
     assert plane["rows"] == 6 and plane["numpy_random"] is False
     # the jet walk of the front and of the inverted front, parsed back
     # from its text, at orders 1 and 3: every jet finite on every row
-    walks = rec["results"][9:]
+    walks = rec["results"][11:]
     assert [(r["curve"], r["order"]) for r in walks] == [
         ("front", 1), ("front", 3), ("inv-front", 1), ("inv-front", 3)]
     assert all(r["finite_rows"] == 1024 for r in walks)

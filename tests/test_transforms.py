@@ -222,6 +222,18 @@ def test_frenet_frame_normal_is_the_frenet_grid_normal_bitwise(curve_name):
         assert _same_bits(frame.points, fg.p)
 
 
+@pytest.mark.parametrize("curve_name", [*pk.BUILTIN_NAMES, "stationary-arc"])
+def test_frenet_normal_is_j_d1_over_its_length_bitwise(curve_name):
+    # d1 = (3 t^2, 2 t) vanishes at t = 0, the middle sample of 17
+    curve = (parse_curve("x = t^3 + 2\ny = t^2\nt_min = -1\nt_max = 1\nclosed = false")
+             if curve_name == "stationary-arc" else builtin_curve(curve_name))
+    ts = sample_grid(curve, 17 if curve_name == "stationary-arc" else None)
+    want = _one_shot_unit_normal(pk.jet_grid(curve, ts)[1])
+    assert np.isnan(want[8]).all() == (curve_name == "stationary-arc")
+    assert _same_bits(tr.frenet_frame(curve, ts).nu, want)
+    assert _same_bits(pk.frenet_grid(curve, ts).n_hat, want)
+
+
 def test_frenet_frame_is_built_anew_for_an_explicit_grid():
     ell = builtin_curve("ellipse")
     ts = sample_grid(ell, 64)

@@ -8,7 +8,7 @@ same label: the short git SHA of DIR, with "-dirty" if its `src/`
 differs from that commit.  Running it on two checkouts into one file
 gives a before/after pair.
 
-Seven layers are measured so far.  The output layer:
+Eight layers are measured so far.  The output layer:
 `render.write_mapped_csv` (the CSV of `transform`) and
 `render.render_to_file` (its SVG), on the primitive of the built-in
 ellipse at each sample count (default 2^16 and 2^20).  The singularity
@@ -18,7 +18,10 @@ ellipse with each sample count as its default.  The sampled paths of
 the inverse-pair check, `transforms.mapped_pedal` and
 `verify.stable_mask`, on that primitive of the ellipse, and the
 oracle's `envelope.envelope` of the ellipse's primitive line family,
-with each sample count as the ellipse's default.  And
+with each sample count as the ellipse's default.  The frames:
+`transforms.frenet_frame`, the order-1 frame of the built-in front on
+the explicit grid of each sample count, which is built anew on each
+call, and `curve.frenet_grid`, its order-3 grid there.  And
 `frontal.lift_front` on the built-in front at 2048 samples, whatever
 the sample counts asked for; and `verify._plane_inversion_rows`, the
 inversion rows that do not depend on the curve, over its
@@ -31,8 +34,8 @@ samples) case, and each curve and order of the jet walk, runs in a
 fresh child process, which
 
 - builds its input (the mapped curve and, for the SVG, its overlay;
-  the curve for the singularity layer, the envelope, the lift and the
-  jet walk, and the walk's grid) untimed;
+  the curve for the singularity layer, the envelope, the frames, the
+  lift and the jet walk, and the grid of the frames and the walk) untimed;
 - makes one cold call, which for a writer also builds the formatting
   tables, for classify_cusp the frame the curve keeps, and for the
   envelope the default grid the curve keeps;
@@ -46,7 +49,8 @@ fresh child process, which
   written (for the root scan: the number of roots; for classify_cusp:
   its label; for the lift: the number of flips; for mapped_pedal and
   the envelope: the number of ok rows; for stable_mask: the number of
-  stable rows; for the jet walk: the number of rows whose every jet is
+  stable rows; for the frames: the number of rows with a finite
+  normal; for the jet walk: the number of rows whose every jet is
   finite; for the plane inversion rows: the number of rows, and
   whether the calls imported `numpy.random`).
 
@@ -78,7 +82,7 @@ import numpy
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FUNCTIONS = ("write_mapped_csv", "render_to_file", "primitive_singularities", "classify_cusp",
-             "mapped_pedal", "stable_mask", "envelope")
+             "mapped_pedal", "stable_mask", "envelope", "frenet_frame", "frenet_grid")
 CLASSIFY_T0 = 0.42
 LIFT_SAMPLES = 2048
 PLANE_POINTS = 1_000_000  # verify.PLANE_POINTS; this process imports no pedalkit
@@ -98,7 +102,8 @@ def child(function: str, samples: int, runs: int, tmpdir: str, *jet_case: str) -
     """One case, in this process: the pedalkit on sys.path is measured.
     jet_case is the curve and order of a `_jets_xy` case."""
     from pedalkit import frontal, render, singularity, transforms, verify
-    from pedalkit.curve import _jets_xy, builtin_curve, format_curve, parse_curve, sample_grid
+    from pedalkit.curve import (_jets_xy, builtin_curve, format_curve, frenet_grid, parse_curve,
+                                sample_grid)
     from pedalkit.envelope import envelope, make_family
 
     path = os.path.join(tmpdir, f"{function}-{samples}")
@@ -111,6 +116,13 @@ def child(function: str, samples: int, runs: int, tmpdir: str, *jet_case: str) -
 
         def call():
             return _jets_xy(walked, grid, order)
+    elif function in ("frenet_frame", "frenet_grid"):
+        front = builtin_curve("front")
+        grid = sample_grid(front, samples)
+        build = transforms.frenet_frame if function == "frenet_frame" else frenet_grid
+
+        def call():
+            return build(front, grid)
     elif function == "lift_front":
         front = builtin_curve("front", samples=samples)
 
@@ -172,6 +184,10 @@ def child(function: str, samples: int, runs: int, tmpdir: str, *jet_case: str) -
     elif function == "_plane_inversion_rows":
         out = {"layer": "verify", "function": function, "samples": samples, "rows": len(result),
                "numpy_random": "numpy.random" in sys.modules}
+    elif function in ("frenet_frame", "frenet_grid"):
+        nu = result.nu if function == "frenet_frame" else result.n_hat
+        out = {"layer": "frames", "function": function, "samples": samples,
+               "normal_rows": int(numpy.isfinite(nu).all(axis=1).sum())}
     elif function == "lift_front":
         out = {"layer": "frontal", "function": function, "samples": samples,
                "flips": len(result.flips)}
